@@ -20,7 +20,8 @@
 #                     loader; crashes fail the target
 #   make resume-smoke — the crash-safety gate: SIGINT a journaled sweep
 #                     mid-flight, resume it, and require the resumed grid to
-#                     be byte-identical to an uninterrupted run
+#                     be byte-identical to an uninterrupted run. Runs inside
+#                     `make check`
 #   make spec-smoke — the optimistic-sync crash gate: SIGKILL a speculative
 #                     multi-rank system run mid-flight, restore from its
 #                     last snapshot, and require the finished summary
@@ -29,7 +30,7 @@
 #   make cache-smoke — the warm-start gate: run a sweep twice sharing a
 #                     -cache-file; the second invocation must serve every
 #                     point from the cache (misses=0) and print an
-#                     identical grid
+#                     identical grid. Runs inside `make check`
 #   make crash-smoke — the crash-point gate: enumerate every host-storage
 #                     operation (write, fsync, rename, dir-fsync) of the
 #                     four persistence surfaces — journaled sweep, cache
@@ -42,6 +43,8 @@
 #                     require a SIGTERM drain to exit 0, a kill -9 restart
 #                     to converge on byte-identical results, and a full
 #                     queue to shed submissions with 429 + Retry-After
+#   make loc        — non-test Go lines per package, bench/ excluded: the
+#                     committed measure behind ROADMAP's line-count targets
 #   make soak       — the memory-discipline gate: serve 250 journaled jobs
 #                     through one resident server and require flat heap and
 #                     goroutine counts plus full arena reuse, with a heap
@@ -68,7 +71,7 @@ BENCHES = $(GO) test -run='^$$' -bench='^BenchmarkEngineHotLoop$$' -benchmem ./i
 BENCH_CEILINGS = -max-bytes 'BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=60000000' \
                  -max-allocs 'BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=36000'
 
-.PHONY: build test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short
+.PHONY: build test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc
 
 build:
 	$(GO) build ./...
@@ -96,14 +99,26 @@ race:
 # produce a validated config or an error, never a panic or a NaN/Inf/zero
 # value the simulator would choke on later) and of the rank-partitioning
 # path (the derived lookahead matrix must equal true shortest paths and
-# zero-latency cross-rank links must be rejected by name).
+# zero-latency cross-rank links must be rejected by name), and of the one
+# append-log line scanner under both of its record formats (arbitrary bytes
+# as an existing sweep journal or cache warm-start file must open to
+# exactly their leading run of valid records, never a panic).
 fuzz-short:
 	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzLoadMachine -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzLoadSystem -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/par -run='^$$' -fuzz=FuzzPartitionLookahead -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/par -run='^$$' -fuzz=FuzzSpeculativeReplay -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/iofault -run='^$$' -fuzz=FuzzAppendLogOpen -fuzztime=$(FUZZTIME)
 
-check: build vet test race fuzz-short crash-smoke soak-short serve-smoke spec-smoke
+check: build vet test race fuzz-short crash-smoke soak-short serve-smoke spec-smoke resume-smoke cache-smoke
+
+# Non-test Go source lines per package and in total, excluding bench/ (the
+# benchmark is an instrument, not the system): what "a PR with a negative
+# line count" is measured with.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 wc -l | \
+	    awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; t += $$1 } \
+	         END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # The crash-point gate: every test named TestCrashPoints* drives the
 # internal/iofault exploration harness over one persistence surface —

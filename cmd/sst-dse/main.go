@@ -75,11 +75,8 @@ func main() {
 		resume     = flag.Bool("resume", false, "with -journal: restore completed points instead of re-running them")
 		pointTO    = flag.Duration("point-timeout", 0, "per-point wall-clock deadline (0 = none); timed-out points are marked failed")
 
-		cacheFlag   = flag.Bool("cache", false, "memoize design points by config hash (repeated grids re-simulate only what is new)")
-		cacheSize   = flag.Int("cache-size", 4096, "result cache capacity in design points")
-		cachePolicy = flag.String("cache-policy", "lru", "eviction policy: fifo, lru, lfu or tinylfu")
-		cacheShadow = flag.String("cache-shadow", "", "comma-separated policies to run as metadata-only hit-rate sensors")
-		cacheFile   = flag.String("cache-file", "", "persist cached results to this JSONL file and warm-start from it (implies -cache)")
+		cacheFlags = cli.RegisterCacheFlags(flag.CommandLine,
+			"memoize design points by config hash (repeated grids re-simulate only what is new)", "design points")
 
 		resFlag     = flag.Bool("resilience", false, "run the checkpoint/MTBF resilience study instead of the DSE sweep")
 		mtbfFlag    = flag.String("mtbf", "1,4,24", "machine MTBF values to study, hours")
@@ -112,9 +109,9 @@ func main() {
 		Workers: *jFlag, Context: ctx,
 		Journal: *journal, Resume: *resume, PointTimeout: *pointTO,
 	}
-	sc, cerr := newSweepCache(*cacheFlag, *cacheSize, *cachePolicy, *cacheShadow, *cacheFile)
+	sc, cerr := cacheFlags.Open()
 	if cerr != nil {
-		cli.Exit("sst-dse", cli.Configf("%v", cerr))
+		cli.Exit("sst-dse", cerr)
 	}
 	if sc != nil {
 		defer sc.Close()
@@ -132,42 +129,12 @@ func main() {
 		err = run(*appsFlag, *techsFlag, *widthsFlag, *scaleFlag, *tableFlag, format, opts)
 	}
 	if sc != nil {
-		printCacheSummary("sst-dse", sc)
+		cli.PrintCacheSummary("sst-dse", sc)
 	}
 	if werr := writeSweepObs(col, sc, *metricsOut, *traceOut); werr != nil && err == nil {
 		err = werr
 	}
 	cli.Exit("sst-dse", err)
-}
-
-// newSweepCache builds the result cache from the -cache* flags; nil when
-// caching is off. A -cache-file implies -cache.
-func newSweepCache(enabled bool, size int, policy, shadow, file string) (*cache.Cache, error) {
-	if !enabled && file == "" {
-		return nil, nil
-	}
-	pol, err := cache.ParsePolicy(policy)
-	if err != nil {
-		return nil, err
-	}
-	shadows, err := cache.ParsePolicies(shadow)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSweepCache(size, pol, shadows, file)
-}
-
-// printCacheSummary emits the one-line greppable hit/miss roll-up (plus
-// one line per shadow sensor) to stderr.
-func printCacheSummary(prog string, sc *cache.Cache) {
-	st := sc.Stats()
-	fmt.Fprintf(os.Stderr,
-		"%s: cache policy=%s entries=%d hits=%d misses=%d hit_rate=%.3f evictions=%d rejected=%d bytes=%d warm_starts=%d\n",
-		prog, st.Policy, st.Entries, st.Hits, st.Misses, st.HitRate, st.Evictions, st.Rejected, st.Bytes, st.WarmStarts)
-	for _, sh := range st.Shadows {
-		fmt.Fprintf(os.Stderr, "%s: cache shadow policy=%s hits=%d misses=%d hit_rate=%.3f\n",
-			prog, sh.Policy, sh.Hits, sh.Misses, sh.HitRate)
-	}
 }
 
 // writeSweepObs flushes the sweep collector to the requested files. With a

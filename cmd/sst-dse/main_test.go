@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sst/internal/cache"
 	"sst/internal/cli"
 	"sst/internal/core"
 	"sst/internal/obs"
@@ -135,40 +136,11 @@ func TestDSEJournalResume(t *testing.T) {
 	}
 }
 
-// TestDSECacheFlags pins the flag-to-cache wiring: parsing, the
-// -cache-file-implies--cache rule, and bad policy rejection.
-func TestDSECacheFlags(t *testing.T) {
-	if c, err := newSweepCache(false, 0, "lru", "", ""); err != nil || c != nil {
-		t.Fatalf("disabled cache = %v, %v; want nil, nil", c, err)
-	}
-	c, err := newSweepCache(true, 16, "tinylfu", "lru,lfu", "")
-	if err != nil || c == nil {
-		t.Fatalf("newSweepCache: %v", err)
-	}
-	st := c.Stats()
-	if st.Policy != "tinylfu" || st.Capacity != 16 || len(st.Shadows) != 2 {
-		t.Fatalf("cache built wrong: %+v", st)
-	}
-	c.Close()
-	// -cache-file implies -cache.
-	fc, err := newSweepCache(false, 8, "lru", "", filepath.Join(t.TempDir(), "c.jsonl"))
-	if err != nil || fc == nil {
-		t.Fatalf("cache-file without -cache: %v, %v", fc, err)
-	}
-	fc.Close()
-	if _, err := newSweepCache(true, 8, "arc", "", ""); err == nil {
-		t.Error("bad policy accepted")
-	}
-	if _, err := newSweepCache(true, 8, "lru", "lfu,arc", ""); err == nil {
-		t.Error("bad shadow policy accepted")
-	}
-}
-
 // TestDSECachedSweep runs the same grid twice through one cache and
 // requires the second pass to be all hits; the cache stats also land in
 // the -metrics-out JSON.
 func TestDSECachedSweep(t *testing.T) {
-	sc, err := newSweepCache(true, 64, "lru", "lfu,tinylfu", "")
+	sc, err := core.NewSweepCache(64, cache.LRU, []cache.PolicyType{cache.LFU, cache.TinyLFU}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +197,7 @@ func TestDSECachedSweep(t *testing.T) {
 // every point without re-simulating.
 func TestDSECacheFileWarmStart(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "results.jsonl")
-	sc1, err := newSweepCache(false, 64, "lru", "", file)
+	sc1, err := core.NewSweepCache(64, cache.LRU, nil, file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +212,7 @@ func TestDSECacheFileWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc2, err := newSweepCache(false, 64, "lru", "", file)
+	sc2, err := core.NewSweepCache(64, cache.LRU, nil, file)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,6 @@ import (
 	"strconv"
 	"strings"
 
-	"sst/internal/cache"
 	"sst/internal/cli"
 	"sst/internal/core"
 	"sst/internal/obs"
@@ -79,11 +78,8 @@ func main() {
 		journal     = flag.String("journal", "", "journal completed study cells to this JSONL file (fsync'd per cell)")
 		resume      = flag.Bool("resume", false, "with -journal: restore completed cells instead of re-running them")
 
-		cacheFlag   = flag.Bool("cache", false, "memoize study cells by config hash (the power study hits on the degradation study's cells)")
-		cacheSize   = flag.Int("cache-size", 4096, "result cache capacity in study cells")
-		cachePolicy = flag.String("cache-policy", "lru", "eviction policy: fifo, lru, lfu or tinylfu")
-		cacheShadow = flag.String("cache-shadow", "", "comma-separated policies to run as metadata-only hit-rate sensors")
-		cacheFile   = flag.String("cache-file", "", "persist cached results to this JSONL file and warm-start from it (implies -cache)")
+		cacheFlags = cli.RegisterCacheFlags(flag.CommandLine,
+			"memoize study cells by config hash (the power study hits on the degradation study's cells)", "study cells")
 	)
 	flag.Parse()
 	format, err := core.ParseFormat(*formatFlag)
@@ -102,9 +98,9 @@ func main() {
 	if *scalingFlag {
 		cli.Exit("sst-net", runScaling(*nodesFlag, *ranksFlag, *horizonFlag, *syncFlag, format, ctx))
 	}
-	sc, cerr := newSweepCache(*cacheFlag, *cacheSize, *cachePolicy, *cacheShadow, *cacheFile)
+	sc, cerr := cacheFlags.Open()
 	if cerr != nil {
-		cli.Exit("sst-net", cli.Configf("%v", cerr))
+		cli.Exit("sst-net", cerr)
 	}
 	opts := core.SweepOptions{
 		Workers: *jFlag, Context: ctx,
@@ -112,42 +108,12 @@ func main() {
 	}
 	err = run(*nodesFlag, *stepsFlag, *fracFlag, format, opts, *metricsOut, *traceOut)
 	if sc != nil {
-		printCacheSummary("sst-net", sc)
+		cli.PrintCacheSummary("sst-net", sc)
 		if cerr := sc.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
 	cli.Exit("sst-net", err)
-}
-
-// newSweepCache builds the result cache from the -cache* flags; nil when
-// caching is off. A -cache-file implies -cache.
-func newSweepCache(enabled bool, size int, policy, shadow, file string) (*cache.Cache, error) {
-	if !enabled && file == "" {
-		return nil, nil
-	}
-	pol, err := cache.ParsePolicy(policy)
-	if err != nil {
-		return nil, err
-	}
-	shadows, err := cache.ParsePolicies(shadow)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSweepCache(size, pol, shadows, file)
-}
-
-// printCacheSummary emits the one-line greppable hit/miss roll-up (plus
-// one line per shadow sensor) to stderr.
-func printCacheSummary(prog string, sc *cache.Cache) {
-	st := sc.Stats()
-	fmt.Fprintf(os.Stderr,
-		"%s: cache policy=%s entries=%d hits=%d misses=%d hit_rate=%.3f evictions=%d rejected=%d bytes=%d warm_starts=%d\n",
-		prog, st.Policy, st.Entries, st.Hits, st.Misses, st.HitRate, st.Evictions, st.Rejected, st.Bytes, st.WarmStarts)
-	for _, sh := range st.Shadows {
-		fmt.Fprintf(os.Stderr, "%s: cache shadow policy=%s hits=%d misses=%d hit_rate=%.3f\n",
-			prog, sh.Policy, sh.Hits, sh.Misses, sh.HitRate)
-	}
 }
 
 // runScaling drives the E6 parallel-scaling study: the heterogeneous

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sst/internal/cache"
 	"sst/internal/cli"
 	"sst/internal/core"
 	"syscall"
@@ -120,7 +121,7 @@ func TestNetStudyInterruptedExitCode(t *testing.T) {
 // cells are served from the degradation study's results — half the
 // accesses hit on the very first run, and a rerun is all hits.
 func TestNetStudyCacheSharedAcrossStudies(t *testing.T) {
-	sc, err := newSweepCache(true, 64, "lru", "lfu", "")
+	sc, err := core.NewSweepCache(64, cache.LRU, []cache.PolicyType{cache.LFU}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestNetStudyCacheSharedAcrossStudies(t *testing.T) {
 // TestNetStudyCacheMetricsOut: the -metrics-out JSON carries the cache
 // report after the per-point metrics.
 func TestNetStudyCacheMetricsOut(t *testing.T) {
-	sc, err := newSweepCache(true, 64, "lru", "tinylfu", "")
+	sc, err := core.NewSweepCache(64, cache.LRU, []cache.PolicyType{cache.TinyLFU}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

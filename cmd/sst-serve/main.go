@@ -46,7 +46,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"sst/internal/cache"
 	"sst/internal/cli"
 	"sst/internal/core"
 	"sst/internal/serve"
@@ -68,19 +67,16 @@ func main() {
 		rtimo   = flag.Bool("retry-timeouts", false, "retry a timed-out point once at a stretched deadline")
 		drain   = flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGINT/SIGTERM")
 
-		cacheFlag   = flag.Bool("cache", false, "share a result cache across jobs (overlapping grids hit)")
-		cacheSize   = flag.Int("cache-size", 4096, "result cache capacity in design points")
-		cachePolicy = flag.String("cache-policy", "lru", "eviction policy: fifo, lru, lfu or tinylfu")
-		cacheShadow = flag.String("cache-shadow", "", "comma-separated policies to run as metadata-only hit-rate sensors")
-		cacheFile   = flag.String("cache-file", "", "persist cached results to this JSONL file and warm-start from it (implies -cache)")
+		cacheFlags = cli.RegisterCacheFlags(flag.CommandLine,
+			"share a result cache across jobs (overlapping grids hit)", "design points")
 	)
 	flag.Parse()
 	if *state == "" {
 		cli.Exit("sst-serve", cli.Configf("-state is required"))
 	}
-	sc, err := newSweepCache(*cacheFlag, *cacheSize, *cachePolicy, *cacheShadow, *cacheFile)
+	sc, err := cacheFlags.Open()
 	if err != nil {
-		cli.Exit("sst-serve", cli.Configf("%v", err))
+		cli.Exit("sst-serve", err)
 	}
 	cfg := serve.Config{
 		StateDir: *state, JobWorkers: *jobs, PointWorkers: *jFlag,
@@ -100,23 +96,6 @@ func main() {
 		}
 	}
 	cli.Exit("sst-serve", err)
-}
-
-// newSweepCache builds the shared result cache from the -cache* flags;
-// nil when caching is off. A -cache-file implies -cache.
-func newSweepCache(enabled bool, size int, policy, shadow, file string) (*cache.Cache, error) {
-	if !enabled && file == "" {
-		return nil, nil
-	}
-	pol, err := cache.ParsePolicy(policy)
-	if err != nil {
-		return nil, err
-	}
-	shadows, err := cache.ParsePolicies(shadow)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSweepCache(size, pol, shadows, file)
 }
 
 // run serves until ctx is cancelled (SIGINT/SIGTERM), then drains: the

@@ -18,9 +18,6 @@ import (
 )
 
 func TestConfigErrors(t *testing.T) {
-	if _, err := newSweepCache(true, 64, "clockwork", "", ""); err == nil {
-		t.Fatal("bad cache policy accepted")
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Missing state dir parent that cannot be created, and a bad listen

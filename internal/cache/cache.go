@@ -7,21 +7,15 @@
 //
 // The cache separates the value store from eviction metadata: pluggable
 // policies (FIFO, LRU, LFU, TinyLFU with doorkeeper admission) order keys
-// and nominate victims without ever touching values. That split buys two
-// server-grade features:
-//
-//   - Shadow sensors: extra policies run metadata-only against the live
-//     access stream and report the hit rate they *would* achieve, so an
-//     operator can compare policies on real traffic before switching.
-//   - Warm/gradual migration: the active policy can be replaced without
-//     dropping values — warm rebuilds the new policy's order in one step,
-//     gradual drains the old order key by key — so a resident server
-//     switches strategies without a miss spike.
+// and nominate victims without ever touching values. That split buys
+// shadow sensors: extra policies run metadata-only against the live access
+// stream and report the hit rate they *would* achieve, so an operator can
+// compare policies on real traffic before choosing one.
 //
 // An optional persistent tier appends every stored entry to an fsync'd
-// JSONL file (the same crash-tolerant encoding the sweep journal uses,
-// including torn-tail truncation on load), so a cache survives process
-// restarts and a new invocation warm-starts from disk.
+// JSONL file (an iofault.AppendLog, the crash-tolerant log the sweep
+// journal also uses, including torn-tail truncation on load), so a cache
+// survives process restarts and a new invocation warm-starts from disk.
 //
 // The persistent tier is an accelerator, not a ledger: when the host
 // storage under it starts failing mid-run (ENOSPC, fsync errors), the
@@ -32,47 +26,12 @@
 package cache
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"sst/internal/iofault"
 )
-
-// MigrationStrategy controls how the key order is transferred when the
-// active eviction policy changes.
-type MigrationStrategy int
-
-const (
-	// MigrationCold starts the new policy empty and drops every cached
-	// value — the simplest switch, at the price of a miss spike.
-	MigrationCold MigrationStrategy = iota
-	// MigrationWarm rebuilds the new policy's metadata from the old
-	// policy's cold→hot order in one step. No values are dropped, so the
-	// hit rate is unaffected.
-	MigrationWarm
-	// MigrationGradual starts the new policy empty but keeps the old
-	// policy's metadata alive: each access promotes its key into the new
-	// policy, each store drains one additional cold key across, and
-	// evictions prefer the old policy's victims. No values are dropped.
-	MigrationGradual
-)
-
-// ParseMigration parses "cold", "warm" or "gradual".
-func ParseMigration(s string) (MigrationStrategy, error) {
-	switch s {
-	case "cold":
-		return MigrationCold, nil
-	case "", "warm":
-		return MigrationWarm, nil
-	case "gradual":
-		return MigrationGradual, nil
-	}
-	return MigrationWarm, fmt.Errorf("cache: unknown migration strategy %q (want cold, warm or gradual)", s)
-}
 
 // Codec serializes cache values for the persistent tier. Encode/Decode
 // must round-trip exactly (encoding/json on float64 fields does).
@@ -116,7 +75,6 @@ type Stats struct {
 	Rejected   int64         `json:"rejected"`
 	WarmStarts int64         `json:"warm_starts"`
 	HitRate    float64       `json:"hit_rate"`
-	Migrating  string        `json:"migrating_from,omitempty"`
 	Shadows    []ShadowStats `json:"shadows,omitempty"`
 
 	// AppendFailures counts persistent-tier appends that failed (short
@@ -189,15 +147,11 @@ type Cache struct {
 	capacity int
 	ptype    PolicyType
 	policy   evictor
-	oldType  PolicyType
-	old      evictor // non-nil while a gradual migration drains
 	values   map[string]entry
 	shadows  []*shadow
 	codec    Codec
 
-	fsys iofault.FS
-	f    iofault.File
-	path string
+	log *iofault.AppendLog // the persistent tier; nil when absent or degraded
 
 	bytes          int64
 	hits           int64
@@ -229,11 +183,6 @@ func New(opts Options) (*Cache, error) {
 		policy:   newEvictor(opts.Policy, capacity),
 		values:   make(map[string]entry, capacity),
 		codec:    opts.Codec,
-		path:     opts.Path,
-		fsys:     opts.FS,
-	}
-	if c.fsys == nil {
-		c.fsys = iofault.Disk
 	}
 	for _, st := range opts.Shadows {
 		c.shadows = append(c.shadows, &shadow{typ: st, capacity: capacity, pol: newEvictor(st, capacity)})
@@ -242,60 +191,37 @@ func New(opts Options) (*Cache, error) {
 		if opts.Codec.Encode == nil || opts.Codec.Decode == nil {
 			return nil, fmt.Errorf("cache: persistent tier %q needs a codec", opts.Path)
 		}
-		if err := c.openFile(); err != nil {
+		fsys := opts.FS
+		if fsys == nil {
+			fsys = iofault.Disk
+		}
+		if err := c.openFile(fsys, opts.Path); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
 }
 
-// openFile loads the persistent tier (truncating a torn tail, exactly like
-// the sweep journal) and reopens it for append.
-func (c *Cache) openFile() error {
-	raw, err := c.fsys.ReadFile(c.path)
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("cache: file tier: %w", err)
-	}
-	valid := 0
-	for off := 0; off < len(raw); {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break // no terminator: torn final line
-		}
-		line := raw[off : off+nl]
-		off += nl + 1
-		if len(bytes.TrimSpace(line)) == 0 {
-			valid = off
-			continue
-		}
+// openFile warm-starts from the persistent tier's surviving records and
+// opens it for append.
+func (c *Cache) openFile(fsys iofault.FS, path string) error {
+	log, err := iofault.OpenAppendLog(fsys, path, false, func(line []byte) bool {
 		var fe fileEntry
 		if json.Unmarshal(line, &fe) != nil || fe.Key == "" {
-			break // torn or corrupt: drop it and everything after
+			return false
 		}
-		v, derr := c.codec.Decode(fe.Val)
-		if derr != nil {
-			break
+		v, err := c.codec.Decode(fe.Val)
+		if err != nil {
+			return false
 		}
 		c.insertLocked(fe.Key, v, fe.Size)
 		c.warmStarts++
-		valid = off
-	}
-	if valid < len(raw) {
-		if err := c.fsys.Truncate(c.path, int64(valid)); err != nil {
-			return fmt.Errorf("cache: file tier: truncating torn tail: %w", err)
-		}
-	}
-	f, err := c.fsys.OpenAppend(c.path)
+		return true
+	})
 	if err != nil {
 		return fmt.Errorf("cache: file tier: %w", err)
 	}
-	// The warm-start file is only worth its fsyncs if its directory entry is
-	// durable too; one parent-dir fsync at open covers the file's lifetime.
-	if err := c.fsys.SyncDir(filepath.Dir(c.path)); err != nil {
-		f.Close()
-		return fmt.Errorf("cache: file tier: parent dir fsync: %w", err)
-	}
-	c.f = f
+	c.log = log
 	return nil
 }
 
@@ -316,14 +242,7 @@ func (c *Cache) Get(key string) (any, bool) {
 		return nil, false
 	}
 	c.hits++
-	if c.old != nil && c.old.has(key) {
-		// Gradual migration: an accessed key promotes into the new policy.
-		c.old.remove(key)
-		c.policy.add(key)
-	} else {
-		c.policy.touch(key)
-	}
-	c.drainOne()
+	c.policy.touch(key)
 	return ent.v, true
 }
 
@@ -339,7 +258,7 @@ func (c *Cache) Put(key string, v any, size int64) error {
 		s.insert(key)
 	}
 	var encoded []byte
-	if c.codec.Encode != nil && (size <= 0 || c.f != nil) {
+	if c.codec.Encode != nil && (size <= 0 || c.log != nil) {
 		var err error
 		if encoded, err = c.codec.Encode(v); err != nil {
 			return fmt.Errorf("cache: encoding %q: %w", key, err)
@@ -364,8 +283,7 @@ func (c *Cache) Put(key string, v any, size int64) error {
 		return nil
 	}
 	c.insertLocked(key, v, size)
-	c.drainOne()
-	if c.f != nil {
+	if c.log != nil {
 		c.appendLocked(key, encoded, size)
 	}
 	return nil
@@ -383,7 +301,7 @@ func (c *Cache) insertLocked(key string, v any, size int64) {
 	c.bytes += size
 	c.policy.add(key)
 	for len(c.values) > c.capacity {
-		victim, ok := c.victimLocked()
+		victim, ok := c.policy.victim()
 		if !ok {
 			break
 		}
@@ -392,117 +310,33 @@ func (c *Cache) insertLocked(key string, v any, size int64) {
 	}
 }
 
-// victimLocked nominates the next eviction: during a gradual migration the
-// old policy's coldest key goes first.
-func (c *Cache) victimLocked() (string, bool) {
-	if c.old != nil {
-		if v, ok := c.old.victim(); ok {
-			return v, true
-		}
-	}
-	return c.policy.victim()
-}
-
-// removeLocked drops a key from the store and both policies.
+// removeLocked drops a key from the store and the policy.
 func (c *Cache) removeLocked(key string) {
 	if ent, ok := c.values[key]; ok {
 		c.bytes -= ent.size
 		delete(c.values, key)
 	}
 	c.policy.remove(key)
-	if c.old != nil {
-		c.old.remove(key)
-	}
 }
 
-// drainOne advances a gradual migration by one key and retires the old
-// policy once empty. Caller holds mu.
-func (c *Cache) drainOne() {
-	if c.old == nil {
-		return
-	}
-	if k, ok := c.old.victim(); ok {
-		c.old.remove(k)
-		c.policy.addCold(k)
-	}
-	if c.old.len() == 0 {
-		c.old = nil
-	}
-}
-
-// appendLocked writes one persistent-tier record and fsyncs it, mirroring
-// the sweep journal's durability contract — except that a failure does not
-// propagate: the tier degrades. The cache is a memoizer, so a sweep must
-// never fail because its accelerator's disk filled up; the torn-tail load
-// already makes a partially-appended record harmless on the next start.
+// appendLocked makes one persistent-tier record durable, like a sweep
+// journal record — except that a failure does not propagate: the tier
+// degrades. The cache is a memoizer, so a sweep must never fail because
+// its accelerator's disk filled up; the torn-tail load already makes a
+// partially-appended record harmless on the next start. Degrading closes
+// the failing file (best effort — the storage is already suspect) and
+// runs in-memory-only from here on, counted and surfaced through Stats.
 func (c *Cache) appendLocked(key string, encoded []byte, size int64) {
 	line, err := json.Marshal(fileEntry{Key: key, Size: size, Val: encoded})
+	if err == nil {
+		err = c.log.Append(line)
+	}
 	if err != nil {
-		c.degradeLocked()
-		return
+		c.appendFailures++
+		c.degraded = true
+		c.log.Close()
+		c.log = nil
 	}
-	line = append(line, '\n')
-	if _, err := c.f.Write(line); err != nil {
-		c.degradeLocked()
-		return
-	}
-	if err := c.f.Sync(); err != nil {
-		c.degradeLocked()
-		return
-	}
-}
-
-// degradeLocked drops the persistent tier after an append failure: close
-// the failing file (best effort — the storage is already suspect) and run
-// in-memory-only from here on. Counted, and surfaced through Stats.
-func (c *Cache) degradeLocked() {
-	c.appendFailures++
-	c.degraded = true
-	if c.f != nil {
-		c.f.Close()
-		c.f = nil
-	}
-}
-
-// Migrate switches the active eviction policy. Warm and gradual migrations
-// keep every cached value (no miss spike); cold drops them all.
-func (c *Cache) Migrate(to PolicyType, strategy MigrationStrategy) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Flatten any in-flight gradual migration first so the order we hand
-	// to the next policy covers every resident key.
-	for c.old != nil {
-		c.drainOne()
-	}
-	next := newEvictor(to, c.capacity)
-	switch strategy {
-	case MigrationCold:
-		c.evictions += int64(len(c.values))
-		c.values = make(map[string]entry, c.capacity)
-		c.bytes = 0
-		c.policy = next
-		c.oldType = 0
-		c.old = nil
-	case MigrationGradual:
-		c.oldType = c.ptype
-		c.old = c.policy
-		c.policy = next
-	default: // MigrationWarm
-		for _, k := range c.policy.keys() {
-			next.add(k) // cold→hot insertion preserves relative temperature
-		}
-		c.policy = next
-		c.oldType = 0
-		c.old = nil
-	}
-	c.ptype = to
-}
-
-// Migrating reports whether a gradual migration is still draining.
-func (c *Cache) Migrating() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.old != nil
 }
 
 // Len returns the resident entry count.
@@ -533,9 +367,6 @@ func (c *Cache) Stats() Stats {
 	if total := c.hits + c.misses; total > 0 {
 		s.HitRate = float64(c.hits) / float64(total)
 	}
-	if c.old != nil {
-		s.Migrating = c.oldType.String()
-	}
 	for _, sh := range c.shadows {
 		ss := ShadowStats{Policy: sh.typ.String(), Hits: sh.hits, Misses: sh.misses}
 		if total := sh.hits + sh.misses; total > 0 {
@@ -550,10 +381,10 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
+	if c.log == nil {
 		return nil
 	}
-	err := c.f.Close()
-	c.f = nil
+	err := c.log.Close()
+	c.log = nil
 	return err
 }

@@ -125,17 +125,9 @@ func (p *ArenaPool) Stats() (made, served int) {
 }
 
 // arenaKey carries a worker's PointArena through the context chain from
-// runPointsHooked down to BuildNode, so study signatures — and every
+// runGrid down to BuildNode, so study signatures — and every
 // caller that runs points without a sweep — stay unchanged.
 type arenaKey struct{}
-
-// withArena attaches a worker's arena to the sweep context.
-func withArena(ctx context.Context, a *PointArena) context.Context {
-	if a == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, arenaKey{}, a)
-}
 
 // arenaFrom extracts the worker's arena, nil when the sweep runs without
 // one (SweepOptions.Arena unset) or the caller is outside a sweep.

@@ -113,7 +113,7 @@ func TestSweepArenaSurvivesPanickingPoint(t *testing.T) {
 			Workers: 2, Arena: pool,
 			Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, Seed: 7},
 		}
-		errs, err := runPointsDetailed(opts, n, func(ctx context.Context, i int) error {
+		errs, err := runFn(opts, n, func(ctx context.Context, i int) error {
 			if pool != nil && arenaFrom(ctx) == nil {
 				t.Error("sweep has an Arena pool but the point context carries none")
 			}
@@ -166,7 +166,7 @@ func TestSweepArenaSurvivesTimedOutPoint(t *testing.T) {
 		Workers: 1, Arena: pool, PointTimeout: time.Second,
 		Retry: RetryPolicy{RetryTimeouts: true, TimeoutScale: 2, Seed: 7},
 	}
-	errs, err := runPointsDetailed(opts, n, func(ctx context.Context, i int) error {
+	errs, err := runFn(opts, n, func(ctx context.Context, i int) error {
 		mu.Lock()
 		attempts[i]++
 		first := attempts[i] == 1

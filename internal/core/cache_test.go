@@ -7,12 +7,12 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"sst/internal/cache"
+	"sst/internal/config"
 	"sst/internal/sim"
 )
 
@@ -145,38 +145,60 @@ func TestCachedPointBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunMachineCached pins the hit/miss contract directly: second call
-// hits, results match field-for-field (modulo host time), and the returned
-// copies do not alias the cache's stored value.
-func TestRunMachineCached(t *testing.T) {
+// runOne runs cfg through RunMachines — the one-config sweep — and reports
+// whether the cache served it.
+func runOne(t *testing.T, c *cache.Cache, cfg *config.MachineConfig) (res *NodeResult, hit bool) {
+	t.Helper()
+	var before cache.Stats
+	if c != nil {
+		before = c.Stats()
+	}
+	out, err := RunMachines([]*config.MachineConfig{cfg}, SweepOptions{Workers: 1, Cache: c})
+	if err != nil || out[0] == nil {
+		t.Fatalf("run: res=%v err=%v", out[0], err)
+	}
+	if c != nil {
+		after := c.Stats()
+		if lookups := after.Hits + after.Misses - before.Hits - before.Misses; lookups != 1 {
+			t.Fatalf("one point made %d cache lookups, want exactly 1", lookups)
+		}
+		hit = after.Hits == before.Hits+1
+	}
+	return out[0], hit
+}
+
+// TestRunMachinesCached pins the executor's hit/miss contract directly:
+// second run hits, results match field-for-field (modulo host time), and
+// the returned copies do not alias the cache's stored value.
+func TestRunMachinesCached(t *testing.T) {
 	c := newTestCache(t, cache.LRU)
 	cfg := SweepMachine("stream", "ddr3-1333", 1, Small)
-	r1, hit, err := RunMachineCached(context.Background(), c, cfg)
-	if err != nil || hit {
-		t.Fatalf("first run: hit=%v err=%v", hit, err)
+	r1, hit := runOne(t, c, cfg)
+	if hit {
+		t.Fatal("first run hit an empty cache")
 	}
-	r2, hit, err := RunMachineCached(context.Background(), c, cfg)
-	if err != nil || !hit {
-		t.Fatalf("second run: hit=%v err=%v", hit, err)
+	r2, hit := runOne(t, c, cfg)
+	if !hit {
+		t.Fatal("second run missed")
 	}
 	a, b := *r1, *r2
 	a.HostSeconds, b.HostSeconds = 0, 0
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("cached result diverged\n got %+v\nwant %+v", b, a)
 	}
-	// Mutating a returned result must not poison the cache.
-	r2.IPC = -1
-	r3, hit, err := RunMachineCached(context.Background(), c, cfg)
-	if err != nil || !hit {
-		t.Fatalf("third run: hit=%v err=%v", hit, err)
+	// Mutating a returned result — the fresh one or a hit — must not poison
+	// the cache.
+	r1.IPC, r2.IPC = -1, -1
+	r3, hit := runOne(t, c, cfg)
+	if !hit {
+		t.Fatal("third run missed")
 	}
 	if r3.IPC == -1 {
 		t.Error("cached value aliases a previously returned result")
 	}
 	// Nil cache degrades to a plain run.
-	r4, hit, err := RunMachineCached(context.Background(), nil, cfg)
-	if err != nil || hit || r4 == nil {
-		t.Fatalf("nil-cache run: res=%v hit=%v err=%v", r4, hit, err)
+	if _, hit := runOne(t, nil, cfg); hit {
+		t.Fatal("nil-cache run reported a hit")
 	}
 }
 
@@ -227,9 +249,9 @@ func TestSweepCacheWarmStartAcrossInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SweepMachine("stream", "ddr3-1333", 2, Small)
-	ref, hit, err := RunMachineCached(context.Background(), c1, cfg)
-	if err != nil || hit {
-		t.Fatalf("seed run: hit=%v err=%v", hit, err)
+	ref, hit := runOne(t, c1, cfg)
+	if hit {
+		t.Fatal("seed run hit an empty cache")
 	}
 	if err := c1.Close(); err != nil {
 		t.Fatal(err)
@@ -243,9 +265,9 @@ func TestSweepCacheWarmStartAcrossInstances(t *testing.T) {
 	if st := c2.Stats(); st.WarmStarts != 1 {
 		t.Fatalf("warm starts = %d, want 1", st.WarmStarts)
 	}
-	got, hit, err := RunMachineCached(context.Background(), c2, cfg)
-	if err != nil || !hit {
-		t.Fatalf("warm-started run: hit=%v err=%v", hit, err)
+	got, hit := runOne(t, c2, cfg)
+	if !hit {
+		t.Fatal("warm-started run missed")
 	}
 	a, b := *ref, *got
 	a.HostSeconds, b.HostSeconds = 0, 0

@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"sst/internal/config"
 	"sst/internal/stats"
@@ -95,9 +93,8 @@ func RunMachine(cfg *config.MachineConfig) (*NodeResult, error) {
 // interrupted at its next event and the run returns an error wrapping
 // sim.ErrInterrupted instead of running to completion.
 func RunMachineCtx(ctx context.Context, cfg *config.MachineConfig) (*NodeResult, error) {
-	// Inside a sweep the worker's arena rides the context (see
-	// runPointsHooked); outside one arenaFrom returns nil and the build
-	// allocates fresh.
+	// Inside a sweep the worker's arena rides the context (see runGrid);
+	// outside one arenaFrom returns nil and the build allocates fresh.
 	n, err := BuildNodeArena(cfg, arenaFrom(ctx))
 	if err != nil {
 		return nil, err
@@ -187,10 +184,7 @@ func (g *DSEGrid) Table() *stats.Table {
 		if p.Result == nil {
 			msg := "no result"
 			if p.Err != nil {
-				msg = p.Err.Error()
-				if j := strings.IndexByte(msg, '\n'); j >= 0 {
-					msg = msg[:j]
-				}
+				msg = firstLine(p.Err.Error())
 			}
 			t.AddRow(p.App, p.Tech, p.Width, "", "", "", "", msg)
 			continue
@@ -219,47 +213,25 @@ func (g *DSEGrid) WriteCSV(w io.Writer) error { return g.Table().WriteCSV(w) }
 // ErrPointFailed.
 func MemTechWidthSweep(apps, techs []string, widths []int, scale Scale, opts SweepOptions) (*DSEGrid, error) {
 	g := &DSEGrid{Points: make([]DSEPoint, 0, len(apps)*len(techs)*len(widths))}
+	cfgs := make([]*config.MachineConfig, 0, cap(g.Points))
 	for _, app := range apps {
 		for _, tech := range techs {
 			for _, w := range widths {
 				g.Points = append(g.Points, DSEPoint{App: app, Tech: tech, Width: w})
+				cfgs = append(cfgs, SweepMachine(app, tech, w, scale))
 			}
 		}
 	}
-	pio := pointIO{
-		key: func(i int) string {
-			p := &g.Points[i]
-			return fmt.Sprintf("%s/%s/w%d", p.App, p.Tech, p.Width)
-		},
-		save: func(i int) (json.RawMessage, error) { return json.Marshal(g.Points[i].Result) },
-		load: func(i int, raw json.RawMessage) error {
-			res := new(NodeResult)
-			if err := json.Unmarshal(raw, res); err != nil {
-				return err
-			}
-			g.Points[i].Result = res
-			return nil
-		},
-	}
-	errs, err := runPointsJournaled(opts, len(g.Points), pio, func(ctx context.Context, i int) error {
+	pts := machineGrid(cfgs)
+	pts.name = func(i int) string {
 		p := &g.Points[i]
-		res, rerr := runMachinePoint(ctx, opts, SweepMachine(p.App, p.Tech, p.Width, scale))
-		if rerr != nil {
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				// A hung point cut off by PointTimeout is a point
-				// failure, not an interruption: carry the deadline
-				// error, not the engine's interrupt sentinel.
-				return fmt.Errorf("core: sweep %s/%s/w%d timed out after %v: %w (%v)",
-					p.App, p.Tech, p.Width, opts.PointTimeout, context.DeadlineExceeded, rerr)
-			}
-			return fmt.Errorf("core: sweep %s/%s/w%d: %w", p.App, p.Tech, p.Width, rerr)
-		}
-		p.Result = res
-		return nil
-	})
+		return fmt.Sprintf("%s/%s/w%d", p.App, p.Tech, p.Width)
+	}
+	pts.label = func(i int) string { return "core: sweep " + pts.name(i) }
+	res, errs, err := runGrid(opts, pts)
 	pointFailed := false
 	for i := range errs {
-		g.Points[i].Err = errs[i]
+		g.Points[i].Result, g.Points[i].Err = res[i], errs[i]
 		pointFailed = pointFailed || errs[i] != nil
 	}
 	g.buildIndex()
@@ -359,16 +331,13 @@ func MemSpeedStudy(grades []string, scale Scale, opts SweepOptions) (*MemSpeedRe
 	rel := map[string]map[string]float64{}
 	// The app × grade cells are independent node runs: fan them out, then
 	// derive the relative columns in the original row order.
-	flat := make([]*NodeResult, len(apps)*len(grades))
-	_, err := runPointsDetailed(opts, len(flat), func(ctx context.Context, i int) error {
-		app, gr := apps[i/len(grades)], grades[i%len(grades)]
-		res, err := runMachinePoint(ctx, opts, SweepMachine(app, gr, 4, scale))
-		if err != nil {
-			return err
+	cfgs := make([]*config.MachineConfig, 0, len(apps)*len(grades))
+	for _, app := range apps {
+		for _, gr := range grades {
+			cfgs = append(cfgs, SweepMachine(app, gr, 4, scale))
 		}
-		flat[i] = res
-		return nil
-	})
+	}
+	flat, err := RunMachines(cfgs, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -5,21 +5,18 @@ package core
 // success, {"key","err"} on failure — and the file is fsync'd after every
 // record, so a sweep killed at any instant loses at most the line being
 // written. A kill mid-write leaves one truncated final line, which
-// OpenJournal tolerates by truncating the file back to the last complete
-// record before reopening it for append. Resuming a sweep skips every key
-// with a successful entry (restoring its saved result into the grid) and
-// re-runs failed or missing points, so an interrupted sweep converges to
-// the same grid an uninterrupted one produces.
+// OpenJournalFS tolerates by truncating the file back to the last complete
+// record before reopening it for append (iofault.AppendLog owns that
+// algorithm; this file owns the record format and the failure policy).
+// Resuming a sweep skips every key with a successful entry (restoring its
+// saved result into the grid) and re-runs failed or missing points, so an
+// interrupted sweep converges to the same grid an uninterrupted one
+// produces.
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"sst/internal/iofault"
@@ -43,27 +40,12 @@ type journalEntry struct {
 	Result  json.RawMessage `json:"result,omitempty"`
 }
 
-// journalFile is the slice of *os.File the journal writes through; tests
-// substitute a failing implementation to prove write and fsync errors
-// surface as sweep failures.
-type journalFile interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
-
 // Journal is an append-only, crash-tolerant record of completed sweep
 // points. Record is safe for concurrent use by the sweep worker pool.
 type Journal struct {
 	mu   sync.Mutex
-	f    journalFile
+	log  *iofault.AppendLog
 	done map[string]journalEntry
-}
-
-// OpenJournal opens (creating if absent) the journal at path on the real
-// filesystem. See OpenJournalFS.
-func OpenJournal(path string, resume bool) (*Journal, error) {
-	return OpenJournalFS(iofault.Disk, path, resume)
 }
 
 // OpenJournalFS opens (creating if absent) the journal at path on fsys —
@@ -73,66 +55,18 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 // mid-append — is cut off; when false the file is started fresh.
 func OpenJournalFS(fsys iofault.FS, path string, resume bool) (*Journal, error) {
 	j := &Journal{done: make(map[string]journalEntry)}
-	// The journal's crash promise ("loses at most the line being written")
-	// needs the file's directory entry durable, not just its bytes: fsync
-	// the parent directory once at open, after the file exists.
-	syncParent := func() error {
-		if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-			return fmt.Errorf("core: journal: parent dir fsync: %w: %w", ErrJournal, err)
-		}
-		return nil
-	}
-	if !resume {
-		f, err := fsys.Create(path)
-		if err != nil {
-			return nil, fmt.Errorf("core: journal: %w: %w", ErrJournal, err)
-		}
-		if err := syncParent(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		j.f = f
-		return j, nil
-	}
-	raw, err := fsys.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("core: journal: %w: %w", ErrJournal, err)
-	}
-	// Scan complete lines, remembering the byte offset just past the last
-	// record that parses; everything after it is a torn tail to discard.
-	valid := 0
-	for off := 0; off < len(raw); {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break // no terminator: torn final line
-		}
-		line := raw[off : off+nl]
-		off += nl + 1
-		if len(bytes.TrimSpace(line)) == 0 {
-			valid = off
-			continue
-		}
+	log, err := iofault.OpenAppendLog(fsys, path, !resume, func(line []byte) bool {
 		var ent journalEntry
 		if json.Unmarshal(line, &ent) != nil || ent.Key == "" {
-			break // torn or corrupt: drop it and everything after
+			return false
 		}
 		j.done[ent.Key] = ent
-		valid = off
-	}
-	if valid < len(raw) {
-		if err := fsys.Truncate(path, int64(valid)); err != nil {
-			return nil, fmt.Errorf("core: journal: truncating torn tail: %w: %w", ErrJournal, err)
-		}
-	}
-	f, err := fsys.OpenAppend(path)
+		return true
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: journal: %w: %w", ErrJournal, err)
 	}
-	if err := syncParent(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	j.f = f
+	j.log = log
 	return j, nil
 }
 
@@ -145,18 +79,12 @@ func (j *Journal) Completed(key string) (journalEntry, bool) {
 	return ent, ok
 }
 
-// Len reports how many distinct keys the journal holds.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.done)
-}
-
 // Record appends one point's outcome — including its retry history — and
 // fsyncs it. result is ignored when perr is non-nil. Write and fsync
 // failures wrap ErrJournal: the record cannot be trusted to survive a
 // crash, so the sweep must fail loudly rather than pretend the point is
-// durable.
+// durable. After the first such failure every later Record fails the same
+// way without writing (see iofault.AppendLog.Append).
 func (j *Journal) Record(key string, result json.RawMessage, retries []RetryRecord, perr error) error {
 	ent := journalEntry{Key: key, Retries: retries}
 	if perr != nil {
@@ -170,99 +98,39 @@ func (j *Journal) Record(key string, result json.RawMessage, retries []RetryReco
 	if err != nil {
 		return fmt.Errorf("core: journal: %w: %w", ErrJournal, err)
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
+	if err := j.log.Append(line); err != nil {
 		return fmt.Errorf("core: journal: %w: %w", ErrJournal, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("core: journal: fsync: %w: %w", ErrJournal, err)
 	}
 	j.done[key] = ent
 	return nil
+}
+
+// recordPoint journals one executed point: v on success, perr's first line
+// otherwise. A record that cannot be written becomes the point's error
+// rather than a silent skip; when the point itself also failed, the two
+// errors are joined so neither is lost.
+func (j *Journal) recordPoint(key string, v any, retries []RetryRecord, perr error) error {
+	var raw json.RawMessage
+	if perr == nil {
+		var err error
+		if raw, err = json.Marshal(v); err != nil {
+			perr = fmt.Errorf("core: journal: serializing point %q: %w", key, err)
+		}
+	}
+	if jerr := j.Record(key, raw, retries, perr); jerr != nil {
+		if perr == nil {
+			return jerr
+		}
+		return errors.Join(perr, jerr)
+	}
+	return perr
 }
 
 // Close closes the journal file.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
-
-// pointIO tells runPointsJournaled how to identify and serialize one
-// study's points: key must be stable across processes (it is the resume
-// identity), save captures a finished point's result, load restores a
-// previously journaled one into the grid.
-type pointIO struct {
-	key  func(i int) string
-	save func(i int) (json.RawMessage, error)
-	load func(i int, raw json.RawMessage) error
-}
-
-// journalOpen is OpenJournalFS behind a test seam: journal fault-injection
-// tests substitute an opener whose file fails writes or fsyncs.
-var journalOpen = OpenJournalFS
-
-// runPointsJournaled is runPointsDetailed plus the crash-safety layer:
-// with opts.Journal set, every finished point is durably recorded —
-// retries included — and with opts.Resume the journal's successful points
-// are restored instead of re-run. Points skipped by sweep cancellation
-// are not journaled — they never ran — so a later resume picks them up.
-// A journal write failure becomes the point's error (wrapping ErrJournal)
-// rather than a silent skip; when the point itself also failed, the two
-// errors are joined so neither is lost.
-func runPointsJournaled(opts SweepOptions, n int, pio pointIO, fn func(ctx context.Context, i int) error) ([]error, error) {
-	if opts.Journal == "" {
-		return runPointsDetailed(opts, n, fn)
-	}
-	j, err := journalOpen(opts.fs(), opts.Journal, opts.Resume)
-	if err != nil {
-		return make([]error, n), err
-	}
-	defer j.Close()
-	skip := make([]bool, n)
-	if opts.Resume {
-		for i := 0; i < n; i++ {
-			ent, ok := j.Completed(pio.key(i))
-			if !ok || ent.Err != "" {
-				continue // missing or failed: re-run
-			}
-			if err := pio.load(i, ent.Result); err != nil {
-				return make([]error, n), fmt.Errorf("core: journal: restoring point %q: %w", pio.key(i), err)
-			}
-			skip[i] = true
-		}
-	}
-	wrapped := func(ctx context.Context, i int) error {
-		if skip[i] {
-			return nil
-		}
-		return fn(ctx, i)
-	}
-	return runPointsHooked(opts, n, wrapped, func(i int, retries []RetryRecord, rerr error) error {
-		if skip[i] || errors.Is(rerr, errSkipped) {
-			return rerr
-		}
-		var raw json.RawMessage
-		if rerr == nil && pio.save != nil {
-			var serr error
-			if raw, serr = pio.save(i); serr != nil {
-				rerr = fmt.Errorf("core: journal: serializing point %q: %w", pio.key(i), serr)
-			}
-		}
-		if jerr := j.Record(pio.key(i), raw, retries, rerr); jerr != nil {
-			if rerr == nil {
-				rerr = jerr
-			} else {
-				rerr = errors.Join(rerr, jerr)
-			}
-		}
-		return rerr
-	})
+	return j.log.Close()
 }

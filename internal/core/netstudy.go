@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"sst/internal/noc"
 	"sst/internal/sim"
@@ -128,35 +128,29 @@ func RunNetPointCtx(ctx context.Context, p workload.CommProfile, nodes, steps in
 func runNetGrid(cfg NetStudyConfig, opts SweepOptions) ([][]sim.Time, error) {
 	profiles := netStudyProfiles()
 	nf := len(cfg.Fractions)
-	elapsed := make([][]sim.Time, len(profiles))
-	for i := range elapsed {
-		elapsed[i] = make([]sim.Time, nf)
-	}
-	pio := pointIO{
-		key: func(i int) string {
-			return fmt.Sprintf("%s/%g", profiles[i/nf].Name, cfg.Fractions[i%nf])
-		},
-		save: func(i int) (json.RawMessage, error) { return json.Marshal(elapsed[i/nf][i%nf]) },
-		load: func(i int, raw json.RawMessage) error { return json.Unmarshal(raw, &elapsed[i/nf][i%nf]) },
-	}
-	errs, err := runPointsJournaled(opts, len(profiles)*nf, pio, func(ctx context.Context, i int) error {
-		pi, fi := i/nf, i%nf
-		key := netPointKey(profiles[pi].Name, cfg.Nodes, cfg.Steps, cfg.Fractions[fi])
-		e, err := cachedTime(opts.Cache, key, func() (sim.Time, error) {
-			t, _, err := RunNetPointCtx(ctx, profiles[pi], cfg.Nodes, cfg.Steps, cfg.Fractions[fi])
+	name := func(i int) string { return fmt.Sprintf("%s/%g", profiles[i/nf].Name, cfg.Fractions[i%nf]) }
+	flat, errs, err := runGrid(opts, grid[sim.Time]{
+		n: len(profiles) * nf,
+		run: func(ctx context.Context, i int) (sim.Time, error) {
+			t, _, err := RunNetPointCtx(ctx, profiles[i/nf], cfg.Nodes, cfg.Steps, cfg.Fractions[i%nf])
 			return t, err
-		})
-		if err != nil {
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				// Timed out, not interrupted: see MemTechWidthSweep.
-				return fmt.Errorf("core: net study %s/%g timed out after %v: %w (%v)",
-					profiles[pi].Name, cfg.Fractions[fi], opts.PointTimeout, context.DeadlineExceeded, err)
-			}
-			return err
-		}
-		elapsed[pi][fi] = e
-		return nil
+		},
+		// The "net/v1" version tag covers everything the key cannot see —
+		// torusFor's shape choice and noc.DefaultConfig's parameters — so
+		// changing either orphans stale entries instead of serving them.
+		key: func(i int) (string, error) {
+			return fmt.Sprintf("net/v1/%s/n%d/s%d/f%016x", profiles[i/nf].Name, cfg.Nodes, cfg.Steps,
+				math.Float64bits(cfg.Fractions[i%nf])), nil
+		},
+		name: name,
+		// Only timeouts are labelled; other failures already name the proxy.
+		label:    func(i int) string { return "core: net study " + name(i) },
+		bareErrs: true,
 	})
+	elapsed := make([][]sim.Time, len(profiles))
+	for pi := range elapsed {
+		elapsed[pi] = flat[pi*nf : (pi+1)*nf]
+	}
 	for _, perr := range errs {
 		if perr != nil {
 			err = fmt.Errorf("%w: %w", ErrPointFailed, err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"sst/internal/config"
@@ -72,20 +71,14 @@ func PIMStudy(apps []string, scale Scale, opts SweepOptions) (*PIMResult, error)
 		"app", "conventional_ms", "pim_ms", "pim_speedup", "conv_l1_hit")
 	// Both machines of every app comparison are independent design points:
 	// flatten to app-major {conventional, pim} pairs and fan them out.
-	flat := make([]*NodeResult, 2*len(apps))
-	_, err := runPointsDetailed(opts, len(flat), func(ctx context.Context, i int) error {
-		app := apps[i/2]
-		cfg, kind := ConventionalMachine(app, scale), "conventional"
-		if i%2 == 1 {
-			cfg, kind = PIMMachine(app, scale), "pim"
-		}
-		res, err := runMachinePoint(ctx, opts, cfg)
-		if err != nil {
-			return fmt.Errorf("core: pim study %s %s: %w", app, kind, err)
-		}
-		flat[i] = res
-		return nil
-	})
+	cfgs := make([]*config.MachineConfig, 0, 2*len(apps))
+	for _, app := range apps {
+		cfgs = append(cfgs, ConventionalMachine(app, scale), PIMMachine(app, scale))
+	}
+	kinds := [2]string{"conventional", "pim"}
+	pts := machineGrid(cfgs)
+	pts.label = func(i int) string { return fmt.Sprintf("core: pim study %s %s", apps[i/2], kinds[i%2]) }
+	flat, _, err := runGrid(opts, pts)
 	if err != nil {
 		return nil, err
 	}

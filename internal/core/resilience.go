@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -118,28 +119,30 @@ func ResilienceStudy(cfg ResilienceConfig, opts SweepOptions) (*ResilienceRowSet
 			keys = append(keys, cellKey{mi, ii})
 		}
 	}
-	cells := make([]resilienceCell, len(keys))
-	err := runPoints(opts, len(keys), func(c int) error {
-		k := keys[c]
-		m := fault.CheckpointModel{
-			WorkS:       workS,
-			CheckpointS: cfg.CheckpointS,
-			RestartS:    cfg.RestartS,
-			MTBFS:       cfg.MTBFHours[k.mi] * 3600,
-		}
-		tau := intervals[k.mi][k.ii]
-		for tr := 0; tr < trials; tr++ {
-			seed := fault.StreamSeed(cfg.Seed, fmt.Sprintf("resilience:m%d:i%d:t%d", k.mi, k.ii, tr))
-			st, err := m.Simulate(seed, tau)
-			if err != nil {
-				return fmt.Errorf("core: resilience cell mtbf=%gh interval=%gs trial=%d: %w",
-					cfg.MTBFHours[k.mi], tau, tr, err)
+	cells, _, err := runGrid(opts, grid[resilienceCell]{
+		n: len(keys),
+		run: func(_ context.Context, c int) (cell resilienceCell, _ error) {
+			k := keys[c]
+			m := fault.CheckpointModel{
+				WorkS:       workS,
+				CheckpointS: cfg.CheckpointS,
+				RestartS:    cfg.RestartS,
+				MTBFS:       cfg.MTBFHours[k.mi] * 3600,
 			}
-			cells[c].meanMakespanS += st.MakespanS / float64(trials)
-			cells[c].meanLostS += st.LostWorkS / float64(trials)
-			cells[c].failures += st.Failures
-		}
-		return nil
+			tau := intervals[k.mi][k.ii]
+			for tr := 0; tr < trials; tr++ {
+				seed := fault.StreamSeed(cfg.Seed, fmt.Sprintf("resilience:m%d:i%d:t%d", k.mi, k.ii, tr))
+				st, err := m.Simulate(seed, tau)
+				if err != nil {
+					return cell, fmt.Errorf("core: resilience cell mtbf=%gh interval=%gs trial=%d: %w",
+						cfg.MTBFHours[k.mi], tau, tr, err)
+				}
+				cell.meanMakespanS += st.MakespanS / float64(trials)
+				cell.meanLostS += st.LostWorkS / float64(trials)
+				cell.failures += st.Failures
+			}
+			return cell, nil
+		},
 	})
 	if err != nil {
 		return nil, err

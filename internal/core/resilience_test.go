@@ -145,7 +145,7 @@ func TestSweepContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := 0
-	err := runPoints(SweepOptions{Context: ctx, Workers: 1}, 4, func(i int) error {
+	_, err := runFn(SweepOptions{Context: ctx, Workers: 1}, 4, func(_ context.Context, i int) error {
 		ran++
 		return nil
 	})
@@ -161,7 +161,7 @@ func TestSweepContextCancellation(t *testing.T) {
 		}
 	}
 	// A fresh options value is unaffected by the cancelled sweep.
-	if err := runPoints(SweepOptions{}, 2, func(int) error { return nil }); err != nil {
+	if _, err := runFn(SweepOptions{}, 2, func(_ context.Context, _ int) error { return nil }); err != nil {
 		t.Fatalf("independent sweep blocked by another sweep's context: %v", err)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"sst/internal/fault"
+	"sst/internal/sim"
 )
 
 // ErrPanicked marks a per-point error that came from a recovered panic.
@@ -69,11 +70,6 @@ type RetryPolicy struct {
 	// TimeoutScale stretches the retried attempt's deadline; values <= 1
 	// default to 2.
 	TimeoutScale float64
-}
-
-// enabled reports whether the policy can ever re-run a point.
-func (p RetryPolicy) enabled() bool {
-	return p.MaxAttempts > 1 || p.RetryTimeouts
 }
 
 // backoff returns the delay before the retry that follows failed attempt a
@@ -135,62 +131,54 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// runPointRetry runs one design point under the sweep's retry policy,
-// returning the final error plus one RetryRecord per failed-then-retried
-// attempt. Deterministic failures return after one attempt, untouched;
-// transient ones (panics, and — once — PointTimeout expiry when the
-// policy allows it) are re-run after a seeded backoff until they succeed
-// or the budget runs out, at which point the final error additionally
-// wraps ErrQuarantined.
-func runPointRetry(ctx context.Context, i int, opts SweepOptions, fn func(ctx context.Context, i int) error) ([]RetryRecord, error) {
-	pol := opts.Retry
-	err := runPoint(ctx, i, opts.PointTimeout, fn)
-	if err == nil || !pol.enabled() {
-		return nil, err
+// retrier carries one design point's retry state between attempts.
+type retrier struct {
+	pol   RetryPolicy
+	base  time.Duration // the sweep's PointTimeout
+	point int
+
+	stretched bool     // the one timeout retry is spent
+	rng       *sim.RNG // backoff jitter stream, made on first use
+	// recs holds one RetryRecord per failed-then-retried attempt.
+	recs []RetryRecord
+}
+
+// next rules on attempt a (1-based), which ended in err: it reports the
+// point's error so far, whether to run the point again and, if so, under
+// which deadline. Deterministic failures stand after one attempt,
+// untouched; transient ones (panics, and — once, at a stretched deadline —
+// PointTimeout expiry when the policy allows it) go again after a seeded
+// backoff, which next sits out, until they succeed or the budget runs out,
+// at which point the error additionally wraps ErrQuarantined.
+func (r *retrier) next(ctx context.Context, a int, err error) (timeout time.Duration, again bool, _ error) {
+	if err == nil || ctx.Err() != nil {
+		// Done — or the sweep itself is cancelled or out of time: the
+		// failure stands and resume (or the next job run) will retry it.
+		return 0, false, err
 	}
-	maxAttempts := pol.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
+	timeout = r.base
+	switch {
+	case r.base > 0 && errors.Is(err, context.DeadlineExceeded) && r.pol.RetryTimeouts && !r.stretched:
+		// One retry at a longer deadline: a point that is merely slow
+		// completes, a wedged one fails again and is done.
+		r.stretched = true
+		scale := r.pol.TimeoutScale
+		if scale <= 1 {
+			scale = 2
+		}
+		timeout = time.Duration(float64(timeout) * scale)
+	case errors.Is(err, ErrPanicked) && a < r.pol.MaxAttempts:
+		// Plain transient retry.
+	default:
+		if a > 1 {
+			err = fmt.Errorf("%w after %d attempts: %w", ErrQuarantined, a, err)
+		}
+		return 0, false, err
 	}
-	rng := fault.NewStream(pol.Seed, fmt.Sprintf("retry/point/%d", i))
-	var recs []RetryRecord
-	attempt := 1
-	timeoutRetried := false
-	for {
-		if ctx.Err() != nil {
-			// The sweep itself is cancelled or out of time; the failure
-			// stands and resume (or the next job run) will retry it.
-			return recs, err
-		}
-		timeout := opts.PointTimeout
-		isTimeout := opts.PointTimeout > 0 && errors.Is(err, context.DeadlineExceeded)
-		switch {
-		case isTimeout && pol.RetryTimeouts && !timeoutRetried:
-			// One cheaper retry at a longer deadline: a point that is
-			// merely slow completes, a wedged one fails again and is done.
-			timeoutRetried = true
-			scale := pol.TimeoutScale
-			if scale <= 1 {
-				scale = 2
-			}
-			timeout = time.Duration(float64(timeout) * scale)
-		case errors.Is(err, ErrPanicked) && attempt < maxAttempts:
-			// Plain transient retry.
-		default:
-			if attempt > 1 {
-				err = fmt.Errorf("%w after %d attempts: %w", ErrQuarantined, attempt, err)
-			}
-			return recs, err
-		}
-		d := pol.backoff(attempt, rng)
-		recs = append(recs, RetryRecord{Attempt: attempt, BackoffUS: d.Microseconds(), Err: firstLine(err.Error())})
-		if !sleepCtx(ctx, d) {
-			return recs, err
-		}
-		attempt++
-		err = runPoint(ctx, i, timeout, fn)
-		if err == nil {
-			return recs, nil
-		}
+	if r.rng == nil {
+		r.rng = fault.NewStream(r.pol.Seed, fmt.Sprintf("retry/point/%d", r.point))
 	}
+	d := r.pol.backoff(a, r.rng)
+	r.recs = append(r.recs, RetryRecord{Attempt: a, BackoffUS: d.Microseconds(), Err: firstLine(err.Error())})
+	return timeout, sleepCtx(ctx, d), err
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sst/internal/iofault"
 	"sst/internal/leakcheck"
 )
 
@@ -67,7 +68,7 @@ func TestRetryRecoversFlakyPoint(t *testing.T) {
 		Workers: 2, Metrics: sink,
 		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, Jitter: 0.5, Seed: 7},
 	}
-	errs, err := runPointsDetailed(opts, 3, fn.run)
+	errs, err := runFn(opts, 3, fn.run)
 	if err != nil {
 		t.Fatalf("flaky sweep failed despite retry budget: %v", err)
 	}
@@ -91,7 +92,7 @@ func TestRetryQuarantinesAfterBudget(t *testing.T) {
 		Workers: 1,
 		Retry:   RetryPolicy{MaxAttempts: 3, Seed: 7},
 	}
-	errs, err := runPointsDetailed(opts, 1, fn.run)
+	errs, err := runFn(opts, 1, fn.run)
 	if err == nil {
 		t.Fatal("always-panicking point reported success")
 	}
@@ -116,7 +117,7 @@ func TestRetrySkipsDeterministicFailures(t *testing.T) {
 		Retry:   RetryPolicy{MaxAttempts: 5, Seed: 7},
 	}
 	boom := errors.New("width 3 is not a power of two")
-	errs, err := runPointsDetailed(opts, 1, func(context.Context, int) error {
+	errs, err := runFn(opts, 1, func(context.Context, int) error {
 		runs++
 		return boom
 	})
@@ -140,7 +141,7 @@ func TestRetryTimeoutGetsStretchedDeadline(t *testing.T) {
 		PointTimeout: time.Second,
 		Retry:        RetryPolicy{RetryTimeouts: true, TimeoutScale: 4, Seed: 7},
 	}
-	_, err := runPointsDetailed(opts, 1, func(ctx context.Context, _ int) error {
+	_, err := runFn(opts, 1, func(ctx context.Context, _ int) error {
 		dl, ok := ctx.Deadline()
 		if !ok {
 			t.Error("point context has no deadline despite PointTimeout")
@@ -175,7 +176,7 @@ func TestRetryTimeoutOnlyOnce(t *testing.T) {
 		PointTimeout: time.Second,
 		Retry:        RetryPolicy{MaxAttempts: 5, RetryTimeouts: true, Seed: 7},
 	}
-	errs, err := runPointsDetailed(opts, 1, func(context.Context, int) error {
+	errs, err := runFn(opts, 1, func(context.Context, int) error {
 		runs++
 		return fmt.Errorf("still wedged: %w", context.DeadlineExceeded)
 	})
@@ -198,7 +199,7 @@ func TestRetryRespectsSweepCancellation(t *testing.T) {
 		Workers: 1, Context: ctx,
 		Retry: RetryPolicy{MaxAttempts: 10, BaseBackoff: time.Hour, Seed: 7},
 	}
-	errs, err := runPointsDetailed(opts, 1, func(context.Context, int) error {
+	errs, err := runFn(opts, 1, func(context.Context, int) error {
 		runs++
 		cancel() // sweep drained mid-point: the hour-long backoff must not run
 		panic("transient")
@@ -254,12 +255,12 @@ func TestRetryJournalDeterminism(t *testing.T) {
 			Workers: 1, Journal: path,
 			Retry: RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Microsecond, Jitter: 0.8, Seed: 42},
 		}
-		pio := pointIO{
-			key:  func(i int) string { return fmt.Sprintf("pt/%d", i) },
-			save: func(i int) (json.RawMessage, error) { return json.RawMessage(fmt.Sprintf("%d", i*i)), nil },
-			load: func(int, json.RawMessage) error { return nil },
+		pts := grid[int]{
+			n:    3,
+			name: func(i int) string { return fmt.Sprintf("pt/%d", i) },
+			run:  func(ctx context.Context, i int) (int, error) { return i * i, fn.run(ctx, i) },
 		}
-		if _, err := runPointsJournaled(opts, 3, pio, fn.run); err != nil {
+		if _, _, err := runGrid(opts, pts); err != nil {
 			t.Fatalf("journaled flaky sweep failed: %v", err)
 		}
 		raw, err := os.ReadFile(path)
@@ -296,19 +297,29 @@ func TestRetryJournalDeterminism(t *testing.T) {
 func TestRetrySeedChangesBackoffs(t *testing.T) {
 	schedule := func(seed uint64) []int64 {
 		fn := &flakyFn{failures: 3}
+		// The journal is the executor's record of retry history.
+		path := filepath.Join(t.TempDir(), "j.jsonl")
 		opts := SweepOptions{
-			Workers: 1,
-			Retry:   RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Microsecond, Jitter: 0.9, Seed: seed},
+			Workers: 1, Journal: path,
+			Retry: RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Microsecond, Jitter: 0.9, Seed: seed},
 		}
-		var got []int64
-		hook := func(_ int, retries []RetryRecord, err error) error {
-			for _, r := range retries {
-				got = append(got, r.BackoffUS)
-			}
-			return err
+		pts := grid[int]{
+			n:    1,
+			name: func(int) string { return "pt" },
+			run:  func(ctx context.Context, i int) (int, error) { return 0, fn.run(ctx, i) },
 		}
-		if _, err := runPointsHooked(opts, 1, fn.run, hook); err != nil {
+		if _, _, err := runGrid(opts, pts); err != nil {
 			t.Fatalf("sweep failed: %v", err)
+		}
+		j, err := OpenJournalFS(iofault.Disk, path, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		ent, _ := j.Completed("pt")
+		var got []int64
+		for _, r := range ent.Retries {
+			got = append(got, r.BackoffUS)
 		}
 		return got
 	}

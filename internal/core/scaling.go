@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"sst/internal/config"
@@ -28,19 +27,18 @@ func CoreScalingStudy(apps []string, coreCounts []int, scale Scale, opts SweepOp
 	// Each app × core-count cell is an independent node simulation; fan
 	// them out and derive speedup/efficiency in row order afterwards.
 	nc := len(coreCounts)
-	flat := make([]*NodeResult, len(apps)*nc)
-	_, err := runPointsDetailed(opts, len(flat), func(ctx context.Context, i int) error {
-		app, cores := apps[i/nc], coreCounts[i%nc]
-		cfg := SweepMachine(app, "ddr3-1333", 4, scale)
-		cfg.Name = fmt.Sprintf("%s-%dc", app, cores)
-		cfg.Node.Cores = cores
-		res, err := runMachinePoint(ctx, opts, cfg)
-		if err != nil {
-			return fmt.Errorf("core: scaling %s/%d: %w", app, cores, err)
+	cfgs := make([]*config.MachineConfig, 0, len(apps)*nc)
+	for _, app := range apps {
+		for _, cores := range coreCounts {
+			cfg := SweepMachine(app, "ddr3-1333", 4, scale)
+			cfg.Name = fmt.Sprintf("%s-%dc", app, cores)
+			cfg.Node.Cores = cores
+			cfgs = append(cfgs, cfg)
 		}
-		flat[i] = res
-		return nil
-	})
+	}
+	pts := machineGrid(cfgs)
+	pts.label = func(i int) string { return fmt.Sprintf("core: scaling %s/%d", apps[i/nc], coreCounts[i%nc]) }
+	flat, _, err := runGrid(opts, pts)
 	if err != nil {
 		return nil, err
 	}

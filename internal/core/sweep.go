@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -19,12 +20,13 @@ import (
 // Sweep-level parallelism. Every study in this package is a grid of fully
 // independent design points: each point builds its own sim.Engine, its own
 // component tree and its own stats.Registry, so points share no mutable
-// state and may run on separate goroutines. runPoints fans a sweep's points
-// across a bounded worker pool and each worker writes its result back by
-// point index, which keeps result ordering — and therefore every rendered
-// Fig. 10/11/12 table — bit-identical to a sequential sweep regardless of
-// worker count or goroutine scheduling. (The engines themselves stay
-// single-threaded; only whole design points are concurrent.)
+// state and may run on separate goroutines. runGrid — the one point
+// executor every study calls — fans a sweep's points across a bounded
+// worker pool and each worker writes its result back by point index, which
+// keeps result ordering — and therefore every rendered Fig. 10/11/12 table —
+// bit-identical to a sequential sweep regardless of worker count or
+// goroutine scheduling. (The engines themselves stay single-threaded; only
+// whole design points are concurrent.)
 //
 // All knobs travel in a SweepOptions value passed to each study, so two
 // sweeps with different worker counts, contexts or metrics sinks can run
@@ -76,8 +78,7 @@ type SweepOptions struct {
 	// overlapping grid re-simulates only what is new. The cache is safe
 	// for concurrent use, so one instance may serve several sweeps (and
 	// several workers) at once; a hit is field-for-field identical to a
-	// fresh simulation by construction. See internal/cache and
-	// RunMachineCached.
+	// fresh simulation by construction. See internal/cache and runGrid.
 	Cache *cache.Cache
 
 	// Retry re-runs transient point failures (recovered panics, and —
@@ -156,139 +157,212 @@ func (o SweepOptions) fs() iofault.FS {
 	return iofault.Disk
 }
 
-// errSkipped marks a point that never ran because the sweep context was
-// already dead. Journaling skips these — they carry no outcome — and
-// metrics report zero attempts for them.
-var errSkipped = errors.New("skipped")
+// grid is everything a study tells the point executor about its design
+// points; runGrid owns the rest (resume, workers, arenas, deadlines, panic
+// recovery, caching, retry, journaling, metrics). Cells are addressed by
+// index in [0, n); run must confine its writes to its own locals — results
+// travel back through runGrid's return values — which is what makes the
+// fan-out race-free.
+type grid[T any] struct {
+	n int
 
-// runPoint runs one design point, converting a panic into a per-point
-// error (with the component name when the model used sim.Guard) and
-// honouring sweep cancellation. One exploding point must cost exactly one
-// grid cell, never the process or the rest of the sweep. With a positive
-// timeout the point's context expires after it; context-aware point
-// functions (RunMachineCtx, RunNetPointCtx) then interrupt their engine.
-// Panic-born errors wrap ErrPanicked so the retry policy can tell the
-// transient class from deterministic simulation failures.
-func runPoint(ctx context.Context, i int, timeout time.Duration, fn func(ctx context.Context, i int) error) (err error) {
+	// run simulates cell i. ctx is the sweep context narrowed by
+	// PointTimeout and carrying the worker's arena.
+	run func(ctx context.Context, i int) (T, error)
+
+	// key, when non-nil, content-addresses cell i in opts.Cache; it is
+	// computed only when a cache is configured. clone deep-copies a value on
+	// its way into and out of the cache, so neither a caller mutating a
+	// result nor a later hit can alias a stored value; nil means T has no
+	// shared state to copy.
+	key   func(i int) (string, error)
+	clone func(T) T
+
+	// name, when non-nil, makes the study journal-aware: it is cell i's
+	// stable identity in opts.Journal (an on-disk format — never change a
+	// study's names) and T must round-trip through encoding/json exactly.
+	name func(i int) string
+
+	// label, when non-nil, names cell i in its failures: a PointTimeout
+	// expiry reads "<label> timed out after …" and — unless bareErrs — any
+	// other failure "<label>: …". First lines of failures are journaled, so
+	// a journal-aware study's labels are on-disk format too.
+	label    func(i int) string
+	bareErrs bool
+}
+
+// machineGrid is the grid of whole-node design points: cell i simulates
+// cfgs[i], content-addressed by the config's canonical hash.
+func machineGrid(cfgs []*config.MachineConfig) grid[*NodeResult] {
+	return grid[*NodeResult]{
+		n:   len(cfgs),
+		run: func(ctx context.Context, i int) (*NodeResult, error) { return RunMachineCtx(ctx, cfgs[i]) },
+		key: func(i int) (string, error) { return cfgs[i].CanonicalHash() },
+		clone: func(r *NodeResult) *NodeResult {
+			cp := *r // value struct: shallow copy is deep
+			return &cp
+		},
+	}
+}
+
+// attempt runs cell i once: PointTimeout, panic recovery, cache lookup,
+// simulation, cache store, failure labelling. A panic becomes a per-point
+// error (naming the component when the model used sim.Guard) wrapping
+// ErrPanicked, so the retry policy can tell the transient class from
+// deterministic failures and one exploding point costs exactly one grid
+// cell, never the process. A hit is a copy of the stored value and runs
+// nothing; a miss simulates and stores a copy. Key and codec failures are
+// real errors — the config would not simulate, or the result type cannot
+// round-trip — while file-tier I/O failures never reach here: the cache
+// degrades itself to in-memory-only (a sweep must not fail because its
+// accelerator's disk did).
+func (g *grid[T]) attempt(ctx context.Context, opts SweepOptions, i int, timeout time.Duration) (v T, err error) {
+	var zero T
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
+		v = zero
 		if pe, ok := r.(*sim.PanicError); ok {
 			err = fmt.Errorf("core: point %d: %w: %w\n%s", i, ErrPanicked, pe, pe.Stack)
 			return
 		}
 		err = fmt.Errorf("core: point %d %w: %v\n%s", i, ErrPanicked, r, debug.Stack())
 	}()
-	if ctx.Err() != nil {
-		return fmt.Errorf("core: point %d %w: %w", i, errSkipped, ctx.Err())
-	}
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	return fn(ctx, i)
+	var key string
+	if opts.Cache != nil && g.key != nil {
+		if key, err = g.key(i); err == nil {
+			if hit, ok := opts.Cache.Get(key); ok {
+				return g.clone(hit.(T)), nil
+			}
+		}
+	}
+	if err == nil {
+		v, err = g.run(ctx, i)
+	}
+	if err == nil && key != "" {
+		err = opts.Cache.Put(key, g.clone(v), 0)
+	}
+	if err == nil {
+		return v, nil
+	}
+	switch {
+	case g.label == nil:
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		// A hung point cut off by PointTimeout is a point failure, not an
+		// interruption: carry the deadline error, not the engine's
+		// interrupt sentinel.
+		err = fmt.Errorf("%s timed out after %v: %w (%v)", g.label(i), opts.PointTimeout, context.DeadlineExceeded, err)
+	case !g.bareErrs:
+		err = fmt.Errorf("%s: %w", g.label(i), err)
+	}
+	return zero, err
 }
 
-// runPoints executes fn(i) for every i in [0, n) on a pool of
-// opts.workers() goroutines. Every point runs even when earlier points fail
-// or panic; the returned error joins all per-point errors in point order,
-// so error text is as deterministic as the results. fn must confine its
-// writes to per-index state (and its own locals) — that is what makes the
-// fan-out race-free.
-func runPoints(opts SweepOptions, n int, fn func(i int) error) error {
-	_, err := runPointsDetailed(opts, n, func(_ context.Context, i int) error { return fn(i) })
-	return err
-}
-
-// runPointsDetailed is runPoints for callers that attach failures to
-// individual grid cells: it additionally returns the per-point error slice
-// (nil entries for successes), always of length n. The context passed to
-// fn is the sweep context, narrowed by opts.PointTimeout when set.
-func runPointsDetailed(opts SweepOptions, n int, fn func(ctx context.Context, i int) error) ([]error, error) {
-	return runPointsHooked(opts, n, fn, nil)
-}
-
-// pointHook observes one executed point — its retry history and final
-// error — before metrics see it, and may replace the error. The journal
-// layer records the outcome here, so a failed journal write becomes the
-// point's failure instead of a silent skip.
-type pointHook func(i int, retries []RetryRecord, err error) error
-
-// runPointsHooked is the sweep engine under runPointsDetailed and
-// runPointsJournaled: the worker pool, the per-point retry loop, the
-// completion hook and the metrics report, in that order.
-func runPointsHooked(opts SweepOptions, n int, fn func(ctx context.Context, i int) error, hook pointHook) ([]error, error) {
-	if n <= 0 {
-		return nil, nil
+// runGrid is the point executor: the life of every design point of every
+// study, in this order — resume lookup, worker pool with a per-worker
+// arena, attempts under the retry policy (see attempt), journal record,
+// metrics report. It returns the cells' values and errors by index, both
+// always of length g.n (a failed, skipped or panicked cell keeps T's zero
+// value), plus the per-point errors joined in point order, so error text is
+// as deterministic as the results. Every point runs even when earlier
+// points fail. An error with an all-nil error slice means the sweep could
+// not run at all (an unopenable or unrestorable journal).
+//
+// With opts.Journal set and a journal-aware grid, every finished point is
+// durably recorded — retries included — and with opts.Resume the journal's
+// successful points are restored instead of re-run; failed or missing
+// points run normally. Points skipped by sweep cancellation are not
+// journaled — they never ran — so a later resume picks them up. A journal
+// write failure becomes the point's error (wrapping ErrJournal) rather
+// than a silent skip; when the point itself also failed, the two errors
+// are joined so neither is lost.
+func runGrid[T any](opts SweepOptions, g grid[T]) ([]T, []error, error) {
+	out := make([]T, g.n)
+	errs := make([]error, g.n)
+	restored := make([]bool, g.n)
+	if g.clone == nil {
+		g.clone = func(v T) T { return v }
+	}
+	var j *Journal
+	if opts.Journal != "" && g.name != nil {
+		var err error
+		if j, err = OpenJournalFS(opts.fs(), opts.Journal, opts.Resume); err != nil {
+			return out, errs, err
+		}
+		defer j.Close()
+		for i := 0; opts.Resume && i < g.n; i++ {
+			ent, ok := j.Completed(g.name(i))
+			if !ok || ent.Err != "" {
+				continue // missing or failed: re-run
+			}
+			if err := json.Unmarshal(ent.Result, &out[i]); err != nil {
+				return out, errs, fmt.Errorf("core: journal: restoring point %q: %w", g.name(i), err)
+			}
+			restored[i] = true
+		}
 	}
 	ctx := opts.context()
-	workers := opts.workers()
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	one := func(ctx context.Context, worker, i int) {
-		start := time.Now()
-		retries, err := runPointRetry(ctx, i, opts, fn)
-		if hook != nil {
-			err = hook(i, retries, err)
-		}
-		errs[i] = err
-		if opts.Metrics != nil {
-			attempts := 1 + len(retries)
-			if errors.Is(err, errSkipped) {
-				attempts = 0
-			}
-			opts.Metrics.PointDone(PointReport{
-				Index: i, Worker: worker,
-				Start: start, Wall: time.Since(start),
-				Attempts: attempts,
-				Err:      errs[i],
-			})
-		}
-	}
-	// Each worker borrows one PointArena for its whole run of points and
-	// threads it down through the context; the arena goes back to the pool
-	// — reset — when the worker drains. See internal/core/arena.go.
-	workerCtx := func() (context.Context, func()) {
-		if opts.Arena == nil {
-			return ctx, func() {}
-		}
-		a := opts.Arena.Get()
-		return withArena(ctx, a), func() { opts.Arena.Put(a) }
-	}
-	if workers <= 1 {
-		wctx, release := workerCtx()
-		for i := 0; i < n; i++ {
-			one(wctx, 0, i)
-		}
-		release()
-		return errs, errors.Join(errs...)
-	}
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
+	for worker := range min(opts.workers(), g.n) {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			wctx, release := workerCtx()
-			defer release()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				one(wctx, worker, i)
+			// Each worker borrows one PointArena for its whole run of points
+			// and threads it down through the context; the arena goes back to
+			// the pool — reset — when the worker drains. See arena.go.
+			ctx := ctx
+			if opts.Arena != nil {
+				a := opts.Arena.Get()
+				defer opts.Arena.Put(a)
+				ctx = context.WithValue(ctx, arenaKey{}, a)
 			}
-		}(w)
+			for i := int(next.Add(1)) - 1; i < g.n; i = int(next.Add(1)) - 1 {
+				start := time.Now()
+				attempts := 1
+				var err error
+				switch {
+				case ctx.Err() != nil:
+					// The sweep context is already dead: the point never runs,
+					// carries no outcome to journal, and reports zero attempts.
+					attempts = 0
+					err = fmt.Errorf("core: point %d skipped: %w", i, ctx.Err())
+				case restored[i]:
+				default:
+					retry := retrier{pol: opts.Retry, base: opts.PointTimeout, point: i}
+					timeout, again := retry.base, true
+					for a := 1; again; a++ {
+						out[i], err = g.attempt(ctx, opts, i, timeout)
+						timeout, again, err = retry.next(ctx, a, err)
+					}
+					attempts += len(retry.recs)
+					if j != nil {
+						err = j.recordPoint(g.name(i), out[i], retry.recs, err)
+					}
+				}
+				errs[i] = err
+				if opts.Metrics != nil {
+					opts.Metrics.PointDone(PointReport{
+						Index: i, Worker: worker,
+						Start: start, Wall: time.Since(start),
+						Attempts: attempts,
+						Err:      err,
+					})
+				}
+			}
+		}()
 	}
 	wg.Wait()
-	return errs, errors.Join(errs...)
+	return out, errs, errors.Join(errs...)
 }
 
 // RunMachines runs independent machine configs across the sweep worker
@@ -298,14 +372,6 @@ func runPointsHooked(opts SweepOptions, n int, fn func(ctx context.Context, i in
 // still returned: failed configs leave nil entries, completed ones keep
 // their results, and the error joins the per-config failures in order.
 func RunMachines(cfgs []*config.MachineConfig, opts SweepOptions) ([]*NodeResult, error) {
-	out := make([]*NodeResult, len(cfgs))
-	_, err := runPointsDetailed(opts, len(cfgs), func(ctx context.Context, i int) error {
-		res, err := runMachinePoint(ctx, opts, cfgs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	})
+	out, _, err := runGrid(opts, machineGrid(cfgs))
 	return out, err
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,11 +37,20 @@ func TestSweepOptionsDefaults(t *testing.T) {
 	}
 }
 
+// runFn drives the point executor with a bare per-index function and no
+// values — the shape the pool, retry and cancellation tests need.
+func runFn(opts SweepOptions, n int, fn func(ctx context.Context, i int) error) ([]error, error) {
+	_, errs, err := runGrid(opts, grid[struct{}]{n: n, run: func(ctx context.Context, i int) (struct{}, error) {
+		return struct{}{}, fn(ctx, i)
+	}})
+	return errs, err
+}
+
 func TestRunPointsCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
 		const n = 100
 		var hits [n]atomic.Int64
-		if err := runPoints(SweepOptions{Workers: workers}, n, func(i int) error {
+		if _, err := runFn(SweepOptions{Workers: workers}, n, func(_ context.Context, i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -51,7 +62,7 @@ func TestRunPointsCoversEveryIndexOnce(t *testing.T) {
 			}
 		}
 	}
-	if err := runPoints(SweepOptions{}, 0, func(int) error { t.Error("fn called for n=0"); return nil }); err != nil {
+	if _, err := runFn(SweepOptions{}, 0, func(_ context.Context, _ int) error { t.Error("fn called for n=0"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,7 +70,7 @@ func TestRunPointsCoversEveryIndexOnce(t *testing.T) {
 func TestRunPointsAggregatesErrorsInOrder(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := runPoints(SweepOptions{Workers: workers}, 10, func(i int) error {
+		_, err := runFn(SweepOptions{Workers: workers}, 10, func(_ context.Context, i int) error {
 			ran.Add(1)
 			if i == 3 || i == 7 {
 				return fmt.Errorf("point %d failed", i)
@@ -95,7 +106,7 @@ func (r *pointRecorder) PointDone(p PointReport) {
 
 func TestRunPointsReportsMetrics(t *testing.T) {
 	rec := &pointRecorder{}
-	err := runPoints(SweepOptions{Workers: 3, Metrics: rec}, 20, func(i int) error {
+	_, err := runFn(SweepOptions{Workers: 3, Metrics: rec}, 20, func(_ context.Context, i int) error {
 		if i == 5 {
 			return fmt.Errorf("point 5 failed")
 		}
@@ -306,5 +317,29 @@ func TestRunMachinesBatch(t *testing.T) {
 	bad.Workload.Kind = "quantum"
 	if _, err := RunMachines([]*config.MachineConfig{cfgA, bad}, opts); err == nil {
 		t.Fatal("batch error swallowed")
+	}
+}
+
+// TestPointStackDepth pins the executor's shape: a design point's run
+// function sits directly under attempt, which sits directly under the
+// pool worker — so a panic stack from inside a DSE point shows three
+// internal/core frames above RunMachineCtx (the machine grid's run
+// closure, attempt, the worker), not a tower of forwarding layers.
+func TestPointStackDepth(t *testing.T) {
+	_, err := runFn(SweepOptions{Workers: 1}, 1, func(context.Context, int) error { panic("where am I") })
+	if !errors.Is(err, ErrPanicked) {
+		t.Fatalf("want a recovered panic, got %v", err)
+	}
+	var under []string
+	for _, line := range strings.Split(err.Error(), "\n") {
+		if strings.HasPrefix(line, "sst/internal/core.") && !strings.Contains(line, "TestPointStackDepth") {
+			under = append(under, line)
+		}
+	}
+	// runFn's adapter closure stands where machineGrid's run closure does;
+	// below it come the deferred recover (where debug.Stack runs) and the
+	// two executor frames.
+	if len(under) != 4 || !strings.Contains(under[0], "attempt") || !strings.Contains(under[3], "runGrid") {
+		t.Fatalf("executor frames under a point = %q, want [attempt's recover, run closure, attempt, worker]", under)
 	}
 }

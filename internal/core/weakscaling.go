@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"sst/internal/noc"
@@ -121,17 +122,18 @@ func WeakScalingStudy(rankCounts []int, iters int, opts SweepOptions) (*WeakScal
 	// the cells fan out across the sweep worker pool.
 	profiles := []SolverProfile{CGProfile, MLProfile}
 	nr := len(rankCounts)
-	flat := make([]sim.Time, len(profiles)*nr)
-	err := runPoints(opts, len(flat), func(i int) error {
-		p, ranks := profiles[i/nr], rankCounts[i%nr]
-		tp, err := cachedTime(opts.Cache, weakPointKey(p, ranks, iters), func() (sim.Time, error) {
-			return runWeakPoint(p, ranks, iters)
-		})
-		if err != nil {
-			return err
-		}
-		flat[i] = tp
-		return nil
+	flat, _, err := runGrid(opts, grid[sim.Time]{
+		n: len(profiles) * nr,
+		run: func(_ context.Context, i int) (sim.Time, error) {
+			return runWeakPoint(profiles[i/nr], rankCounts[i%nr], iters)
+		},
+		// Every SolverProfile field is load-bearing, so all of them are in
+		// the key.
+		key: func(i int) (string, error) {
+			p := profiles[i/nr]
+			return fmt.Sprintf("weak/v1/%s/h%d/nb%d/ar%d/xs%d/c%d/r%d/i%d", p.Name, p.HaloBytes, p.Neighbors,
+				p.AllReduces, p.ExtraSmallMsgs, p.ComputePerIter, rankCounts[i%nr], iters), nil
+		},
 	})
 	if err != nil {
 		return nil, err
