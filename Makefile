@@ -4,16 +4,18 @@
 #                     with concurrency (sim kernel, parallel runtime,
 #                     sweeps, fault injection) + a short fuzz pass over the
 #                     config parsers and the rank-partitioning lookahead
-#   make bench      — the perf gate: the event-kernel hot loop, the parallel
-#                     window barrier (conservative sync modes plus the
-#                     low-lookahead lattice where speculative sync must
-#                     beat pairwise), the sweep scheduler
-#                     at 1/2/4/8 workers and the result cache's hit and miss
-#                     paths, with -benchmem, checked against the committed
-#                     BENCH_baseline.json (alloc counts must not grow;
-#                     ns/op within tolerance; a baseline benchmark missing
-#                     from the run fails). `make check bench` is the full
-#                     pre-merge gate.
+#   make bench      — the perf gate: the event-kernel hot loop and the clock
+#                     tick (alone, with 8 handlers, and merged against a
+#                     16-deep event heap), the parallel window barrier
+#                     (conservative sync modes plus the low-lookahead
+#                     lattice where speculative sync must beat pairwise),
+#                     the sweep scheduler at 1/2/4/8 workers and the result
+#                     cache's hit and miss paths, with -benchmem, checked
+#                     against the committed BENCH_baseline.json (alloc
+#                     counts must not grow; ns/op within tolerance on the
+#                     host the baseline records, a warning on any other; a
+#                     baseline benchmark missing from the run fails).
+#                     `make check bench` is the full pre-merge gate.
 #   make bench-baseline — rerun the perf benchmarks and rewrite the baseline
 #   make tables     — regenerate every experiment table ("reproduce the paper")
 #   make fuzz-short — a few seconds of coverage-guided fuzzing per config
@@ -45,6 +47,10 @@
 #                     queue to shed submissions with 429 + Retry-After
 #   make loc        — non-test Go lines per package, bench/ excluded: the
 #                     committed measure behind ROADMAP's line-count targets
+#   make profile    — where a sweep's host time goes: CPU-profile the
+#                     single-worker sweep benchmark into bin/sweep.cpu.pprof
+#                     and print each layer's share of the samples (the table
+#                     EXPERIMENTS.md E8 commits)
 #   make soak       — the memory-discipline gate: serve 250 journaled jobs
 #                     through one resident server and require flat heap and
 #                     goroutine counts plus full arena reuse, with a heap
@@ -59,7 +65,7 @@ FUZZTIME ?= 5s
 # the concurrent sweep scheduler (root package). -count and the regexes are
 # shared between `bench` and `bench-baseline` so the two always measure the
 # same thing.
-BENCHES = $(GO) test -run='^$$' -bench='^BenchmarkEngineHotLoop$$' -benchmem ./internal/sim && \
+BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|ClockTick8Handlers|ClockTickWithHeap)$$' -benchmem ./internal/sim && \
           $(GO) test -run='^$$' -bench='^BenchmarkParallelWindow$$' -benchmem ./internal/par && \
           $(GO) test -run='^$$' -bench='^BenchmarkSweep(Workers|CacheHit|CacheMiss)$$' -benchmem .
 
@@ -68,10 +74,12 @@ BENCHES = $(GO) test -run='^$$' -bench='^BenchmarkEngineHotLoop$$' -benchmem ./i
 # bench`: the warm-arena sweep stays ~10-60x below the pre-arena numbers
 # (88,572,996 B/op and 1,869,553 allocs/op) however the baseline is
 # regenerated, and the cold cache-miss path cannot quietly bloat either.
-BENCH_CEILINGS = -max-bytes 'BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=60000000' \
-                 -max-allocs 'BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=36000'
+# The event kernel's loops — aperiodic events, clock ticks, and the two
+# merged — are held to zero: they allocate nothing, ever.
+BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=60000000' \
+                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=36000'
 
-.PHONY: build test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc
+.PHONY: build test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile
 
 build:
 	$(GO) build ./...
@@ -119,6 +127,30 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 wc -l | \
 	    awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; t += $$1 } \
 	         END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# Per-layer share of the single-worker sweep's CPU samples. Every function's
+# self time goes to exactly one row, so the rows sum to 100 %: "sim heap" is
+# the binary event queue (push, Pop and the sifts and compares under them),
+# "sim clock/dispatch" the rest of the kernel, then one row per model
+# package, the Go runtime (GC, allocation, scheduling) and everything else.
+PROFILE_BENCH ?= BenchmarkSweepWorkers/workers=1$$
+
+profile:
+	@mkdir -p bin
+	$(GO) test -run='^$$' -bench='$(PROFILE_BENCH)' -benchtime=5s -cpuprofile=sweep.cpu.pprof -outputdir=bin -o bin/sweep.test .
+	@$(GO) tool pprof -top -nodecount=100000 -nodefraction=0 bin/sweep.test bin/sweep.cpu.pprof 2>/dev/null | awk ' \
+	    $$2 !~ /%$$/ || $$1 == "flat" { next } \
+	    { name = $$6; pct = $$2 + 0; layer = "other" } \
+	    name ~ /internal\/sim\.\(\*Engine\)\.push|internal\/sim\.\(\*eventQueue\)|internal\/sim\.\(\*event\)/ { layer = "sim heap" } \
+	    layer == "other" && name ~ /internal\/sim\./ { layer = "sim clock/dispatch" } \
+	    name ~ /internal\/cpu\./ { layer = "cpu" } \
+	    name ~ /internal\/mem\./ { layer = "mem" } \
+	    name ~ /internal\/dram\./ { layer = "dram" } \
+	    name ~ /internal\/frontend\./ { layer = "frontend" } \
+	    name ~ /^runtime\./ { layer = "runtime" } \
+	    { share[layer] += pct } \
+	    END { n = split("sim heap,sim clock/dispatch,cpu,mem,dram,frontend,runtime,other", order, ","); \
+	          for (i = 1; i <= n; i++) printf "%-20s %5.1f %%\n", order[i], share[order[i]] }'
 
 # The crash-point gate: every test named TestCrashPoints* drives the
 # internal/iofault exploration harness over one persistence surface —

@@ -108,12 +108,20 @@ func run(ctx context.Context, addr string, cfg serve.Config, drainBudget time.Du
 	if err != nil {
 		return cli.Configf("%v", err)
 	}
+	return serveUntil(ctx, srv, addr, cfg.StateDir, drainBudget)
+}
+
+// serveUntil is run on an already constructed server. On a drain-budget
+// overrun it returns with srv's workers still finishing their running
+// points: the process is about to exit, and a caller that is not (a test)
+// can wait for them with srv.Drain(0).
+func serveUntil(ctx context.Context, srv *serve.Server, addr, stateDir string, drainBudget time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return cli.Configf("listen %s: %v", addr, err)
 	}
 	// Publish the bound address for harnesses that passed port 0.
-	if err := os.WriteFile(filepath.Join(cfg.StateDir, "addr"), []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(stateDir, "addr"), []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
 		ln.Close()
 		return err
 	}
@@ -121,7 +129,7 @@ func run(ctx context.Context, addr string, cfg serve.Config, drainBudget time.Du
 	hs := serve.NewHTTPServer(srv.Handler(), 0)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "sst-serve: listening on %s (state %s)\n", ln.Addr(), cfg.StateDir)
+	fmt.Fprintf(os.Stderr, "sst-serve: listening on %s (state %s)\n", ln.Addr(), stateDir)
 
 	select {
 	case err := <-errc:

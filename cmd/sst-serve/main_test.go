@@ -34,12 +34,19 @@ func startRun(t *testing.T, ctx context.Context, cfg serve.Config, drain time.Du
 	t.Helper()
 	errc := make(chan error, 1)
 	go func() { errc <- run(ctx, "127.0.0.1:0", cfg, drain) }()
-	addrPath := filepath.Join(cfg.StateDir, "addr")
+	return awaitAddr(t, cfg.StateDir, errc), errc
+}
+
+// awaitAddr waits for the server whose exit lands on errc to publish its
+// listen address under stateDir and returns the base URL.
+func awaitAddr(t *testing.T, stateDir string, errc chan error) string {
+	t.Helper()
+	addrPath := filepath.Join(stateDir, "addr")
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		raw, err := os.ReadFile(addrPath)
 		if err == nil && len(raw) > 0 {
-			return "http://" + strings.TrimSpace(string(raw)), errc
+			return "http://" + strings.TrimSpace(string(raw))
 		}
 		select {
 		case rerr := <-errc:
@@ -117,11 +124,22 @@ func TestSIGTERMDrainsCleanly(t *testing.T) {
 func TestDrainBudgetMapsTo130(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	state := t.TempDir()
-	url, errc := startRun(t, ctx, serve.Config{
+	srv, err := serve.New(serve.Config{
 		StateDir: state, JobWorkers: 1,
 		// A net job big enough to still be mid-sweep when we cancel.
 		PointWorkers: 1,
-	}, time.Nanosecond) // budget nobody can meet while a job runs
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The overrun leaves the job worker finishing its running point and
+	// journaling it under state; wait for it, or TempDir's cleanup races
+	// those writes and fails with "directory not empty".
+	defer srv.Drain(0)
+	errc := make(chan error, 1)
+	// A budget nobody can meet while a job runs.
+	go func() { errc <- serveUntil(ctx, srv, "127.0.0.1:0", state, time.Nanosecond) }()
+	url := awaitAddr(t, state, errc)
 	body := `{"tenant":"t","spec":{"kind":"net","nodes":16,"steps":4}}`
 	resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {

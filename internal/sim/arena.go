@@ -43,7 +43,7 @@ func (a *EventArena) Len() int { return len(a.free) }
 // Lend moves the arena's pooled storage into e. Call once, on a freshly
 // constructed engine. The arena is empty until the matching Harvest.
 func (a *EventArena) Lend(e *Engine) {
-	if len(e.free) > 0 || e.q.Len() > 0 {
+	if len(e.free) > 0 || e.Pending() > 0 {
 		panic("sim: EventArena.Lend on an engine that is already running")
 	}
 	e.free = a.free
@@ -79,4 +79,5 @@ func (a *EventArena) Harvest(e *Engine) {
 	a.qbuf = e.q.a[:0]
 	e.free = nil
 	e.q.a = nil
+	e.lane = nil
 }

@@ -10,7 +10,8 @@ package sim
 // number so that same-timestamp tie-breaking — and therefore the entire
 // continuation — is bit-identical to a run that was never snapshotted.
 // Snapshot verifies the ownership accounting (sum of PendingOwned over the
-// registered components must equal the queue length) so a model that
+// registered components must equal Pending: the queue length plus one tick
+// per armed clock) so a model that
 // schedules an untracked closure fails loudly at snapshot time instead of
 // silently dropping the event at restore time.
 //
@@ -50,7 +51,7 @@ type Checkpointable interface {
 // PendingOwner reports how many of the engine's pending events a component
 // owns (and will re-create on restore). Engine.Snapshot sums PendingOwned
 // over all registered components and refuses to snapshot unless the sum
-// equals the queue length — the accounting that makes "no closure
+// equals Engine.Pending — the accounting that makes "no closure
 // serialization" safe.
 type PendingOwner interface {
 	PendingOwned() int
@@ -160,7 +161,7 @@ func (e *Engine) Snapshot(enc *Encoder) (err error) {
 	if e.snap == nil {
 		return fmt.Errorf("sim: snapshot on an engine without EnableSnapshots")
 	}
-	if owned, pending := e.ownedPending(), e.q.Len(); owned != pending {
+	if owned, pending := e.ownedPending(), e.Pending(); owned != pending {
 		return fmt.Errorf("sim: snapshot accounting: components own %d of %d pending events (an unowned closure was scheduled; route it through an EventSet or a Checkpointable owner)", owned, pending)
 	}
 	defer func() {
@@ -191,8 +192,10 @@ func (e *Engine) Restore(dec *Decoder) error {
 	if e.snap == nil {
 		return fmt.Errorf("sim: restore on an engine without EnableSnapshots")
 	}
-	// Drop the build-time queue: every pending event is re-created by its
-	// owning component from the snapshot.
+	// Drop the build-time queue and clock lane: every pending event and
+	// tick is re-created by its owning component from the snapshot.
+	clear(e.lane)
+	e.lane = e.lane[:0]
 	for {
 		ev := e.q.Pop()
 		if ev == nil {
@@ -236,7 +239,7 @@ func (e *Engine) Restore(dec *Decoder) error {
 			return fmt.Errorf("sim: restore %q left %d bytes unread", want, rest)
 		}
 	}
-	if owned, pending := e.ownedPending(), e.q.Len(); owned != pending {
+	if owned, pending := e.ownedPending(), e.Pending(); owned != pending {
 		return fmt.Errorf("sim: restore accounting: components own %d of %d pending events", owned, pending)
 	}
 	return nil
@@ -753,7 +756,7 @@ func (l *Link) LoadState(dec *Decoder) error {
 
 // --- Clock checkpointing ---
 
-// PendingOwned implements PendingOwner: an armed clock owns its tick event.
+// PendingOwned implements PendingOwner: an armed clock owns its pending tick.
 func (c *Clock) PendingOwned() int {
 	if c.armed {
 		return 1
@@ -772,9 +775,9 @@ func (c *Clock) SaveState(enc *Encoder) {
 	enc.U64(uint64(len(c.handlers)))
 }
 
-// LoadState restores the cycle position and, if the clock was armed,
-// re-creates the tick event with its original sequence (the build-time arm
-// event was discarded by Engine.Restore).
+// LoadState restores the cycle position and, if the clock was armed, puts
+// it back in the engine's clock lane with the tick's original sequence
+// (Engine.Restore emptied the lane of build-time arms).
 func (c *Clock) LoadState(dec *Decoder) error {
 	cycle := Cycle(dec.U64())
 	armed := dec.Bool()
@@ -786,11 +789,17 @@ func (c *Clock) LoadState(dec *Decoder) error {
 	if int(nh) != len(c.handlers) {
 		return fmt.Errorf("sim: clock %s has %d handlers, snapshot had %d (handler registration diverged)", c.label, len(c.handlers), nh)
 	}
+	e := c.engine
+	at := c.freq.CycleTime(cycle)
+	if armed && (tickSeq >= e.seq || at < e.now) {
+		return fmt.Errorf("sim: clock %s: restored tick (cycle %d at %v, seq %d) not after the restored engine (now %v, next seq %d)", c.label, cycle, at, tickSeq, e.now, e.seq)
+	}
 	c.cycle = cycle
 	c.armed = armed
+	c.nextAt = at
 	c.tickSeq = tickSeq
 	if armed {
-		c.engine.ScheduleRestoredAt(c.freq.CycleTime(c.cycle), c.prio, tickSeq, c.label, c.tickFn, nil)
+		e.lane = append(e.lane, c)
 	}
 	return nil
 }

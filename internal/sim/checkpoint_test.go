@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -255,6 +256,49 @@ func TestEngineSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSnapshotFromHeapTickEngine pins the snapshot format across the move
+// of clock ticks off the event queue. testdata/clock_armed_v2.snap was
+// written by the last engine whose ticks were queue events (commit
+// cb7375d), from buildPingModel(true) run to 1537 ns: one armed clock, two
+// pending EventSet events, two link deliveries in flight. This engine must
+// continue from it to the uninterrupted run's final state, and must write
+// the same bytes when it snapshots that barrier itself.
+func TestSnapshotFromHeapTickEngine(t *testing.T) {
+	const barrier = 1537 * sim.Nanosecond
+	const end = 5 * sim.Microsecond
+	old, err := os.ReadFile("testdata/clock_armed_v2.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sRef, aRef, bRef := buildPingModel(true)
+	sRef.Run(end)
+	want := pingSigOf(sRef, aRef, bRef)
+
+	s, a, b := buildPingModel(true)
+	if err := s.Engine().LoadFrom(bytes.NewReader(old)); err != nil {
+		t.Fatalf("LoadFrom: %v", err)
+	}
+	if s.Now() != barrier || s.Engine().Pending() != 5 {
+		t.Fatalf("restored at %v with %d pending, want %v with 5 (tick + 2 set + 2 link)",
+			s.Now(), s.Engine().Pending(), barrier)
+	}
+	s.Run(end)
+	if got := pingSigOf(s, a, b); got != want {
+		t.Fatalf("run restored from the old engine's snapshot diverged: %+v != %+v", got, want)
+	}
+
+	s2, _, _ := buildPingModel(true)
+	s2.Run(barrier)
+	var mine bytes.Buffer
+	if err := s2.Engine().SaveTo(&mine); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mine.Bytes(), old) {
+		t.Fatalf("snapshot at %v differs from the old engine's bytes:\n got %x\nwant %x", barrier, mine.Bytes(), old)
+	}
+}
+
 func TestSnapshotEveryBarrierBitIdentical(t *testing.T) {
 	const end = 2 * sim.Microsecond
 	sPlain, aPlain, bPlain := buildPingModel(false)
@@ -300,6 +344,41 @@ func TestSnapshotUnregisteredPayload(t *testing.T) {
 	err := s.Engine().Snapshot(sim.NewEncoder())
 	if err == nil || !strings.Contains(err.Error(), "opaque") {
 		t.Fatalf("unregistered payload: err = %v, want codec failure naming the type", err)
+	}
+}
+
+// TestRestoreRejectsImpossibleTick: a clock blob whose pending tick carries
+// a sequence number the restored engine has not issued yet (or a cycle
+// behind the restored time) is a corrupt snapshot, reported as an error.
+func TestRestoreRejectsImpossibleTick(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		now            sim.Time
+		cycle, tickSeq uint64
+	}{
+		{"sequence from the future", 0, 0, 7},
+		{"cycle in the past", 100 * sim.Nanosecond, 3, 0},
+	} {
+		s := sim.New()
+		s.Engine().EnableSnapshots()
+		s.Clock(500 * sim.MHz).Register(func(sim.Cycle) bool { return true })
+		clk := sim.NewEncoder()
+		clk.U64(tc.cycle)
+		clk.Bool(true) // armed
+		clk.U64(tc.tickSeq)
+		clk.U64(1) // handlers
+		enc := sim.NewEncoder()
+		enc.Time(tc.now)
+		enc.U64(1) // next sequence number
+		enc.U64(0) // handled
+		enc.U64(1) // peak
+		enc.U64(1) // components
+		enc.String("clock@500MHz")
+		enc.Blob(clk.Bytes())
+		err := s.Engine().Restore(sim.NewDecoder(enc.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), "restored tick") {
+			t.Errorf("%s: err = %v, want a restored-tick error", tc.name, err)
+		}
 	}
 }
 

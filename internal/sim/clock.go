@@ -14,8 +14,14 @@ type ClockHandler func(cycle Cycle) bool
 
 // Clock turns the engine's continuous picosecond timeline into a discrete
 // cycle domain at a fixed frequency. Many components may share one clock;
-// a tick is a single engine event regardless of how many handlers are
-// registered, and handlers run in registration order for determinism.
+// a tick counts as a single dispatched event regardless of how many handlers
+// are registered, and handlers run in registration order for determinism.
+//
+// An armed clock's pending tick is not an event on the engine's queue: the
+// clock sits in the engine's clock lane with the tick's (nextAt, prio,
+// tickSeq), and the engine merges the lane with the queue at dispatch under
+// the one (time, priority, sequence) order. Re-arming takes a sequence
+// number exactly as scheduling an event does.
 //
 // Cycle-to-time conversion is exact (128-bit intermediate), so a 2.9 GHz
 // clock does not drift against a 1333 MHz memory clock over billions of
@@ -25,21 +31,18 @@ type Clock struct {
 	freq     Hz
 	cycle    Cycle
 	handlers []ClockHandler
-	// labels[i] attributes handlers[i] in traces; "" falls back to the
-	// clock's own label.
+	// labels[i] attributes handlers[i] in traces: the name it registered
+	// under, or the clock's own label if it gave none.
 	labels []string
 	armed  bool
 	prio   Priority
 	label  string
 
-	// tickFn is c.tick bound once at construction. Converting a method
-	// value to a Handler allocates; doing it per arm would cost one
-	// allocation per cycle on the hottest scheduling path in the system.
-	tickFn Handler
-
-	// tickSeq is the engine sequence number of the pending tick event,
-	// captured at scheduling time so a restored clock can re-create the
-	// tick with identical same-timestamp ordering (see checkpoint.go).
+	// nextAt and tickSeq are the time and engine sequence number of the
+	// pending tick while the clock is in the engine's lane. tickSeq is
+	// saved in snapshots so a restored clock re-arms with identical
+	// same-timestamp ordering (see checkpoint.go).
+	nextAt  Time
 	tickSeq uint64
 }
 
@@ -49,10 +52,8 @@ func NewClock(engine *Engine, freq Hz) *Clock {
 	if freq == 0 {
 		panic("sim: zero-frequency clock")
 	}
-	c := &Clock{engine: engine, freq: freq, prio: PrioClock,
+	return &Clock{engine: engine, freq: freq, prio: PrioClock,
 		label: fmt.Sprintf("clock@%v", freq)}
-	c.tickFn = c.tick
-	return c
 }
 
 // Freq returns the clock frequency.
@@ -88,6 +89,9 @@ func (c *Clock) RegisterNamed(name string, h ClockHandler) {
 	if h == nil {
 		panic("sim: Register with nil clock handler")
 	}
+	if name == "" {
+		name = c.label
+	}
 	c.handlers = append(c.handlers, h)
 	c.labels = append(c.labels, name)
 	c.arm()
@@ -98,65 +102,91 @@ func (c *Clock) arm() {
 		return
 	}
 	c.armed = true
-	if c.cycle < c.NextCycle() {
-		c.cycle = c.NextCycle()
+	if n := c.NextCycle(); c.cycle < n {
+		c.cycle = n
 	}
-	c.tickSeq = c.engine.seq
-	c.engine.ScheduleLabeledAt(c.freq.CycleTime(c.cycle), c.prio, c.label, c.tickFn, nil)
+	c.schedule()
 }
 
-// invoke runs one handler with its label as the engine's current label, so
-// events the handler schedules inherit the component's attribution; when a
-// tracer is active it also emits a per-handler span (the tick event itself
-// is one engine event no matter how many handlers share the clock).
-func (c *Clock) invoke(h ClockHandler, label string) bool {
+// schedule puts the tick for c.cycle into the engine's clock lane, taking
+// the next engine sequence number as a scheduled event would.
+func (c *Clock) schedule() {
 	e := c.engine
-	if label == "" {
-		label = c.label
+	c.nextAt = c.freq.CycleTime(c.cycle)
+	c.tickSeq = e.seq
+	e.seq++
+	e.lane = append(e.lane, c)
+}
+
+// tickBefore reports whether c's pending tick precedes an event or tick at
+// (t, prio, seq) in the engine's dispatch order.
+func (c *Clock) tickBefore(t Time, prio Priority, seq uint64) bool {
+	if c.nextAt != t {
+		return c.nextAt < t
 	}
-	prev := e.curLabel
-	e.curLabel = label
-	var keep bool
-	if e.tracer == nil {
-		keep = h(c.cycle)
-	} else {
-		start := time.Now()
-		keep = h(c.cycle)
-		e.tracer.Event(e.now, label, time.Since(start))
+	if c.prio != prio {
+		return c.prio < prio
 	}
-	e.curLabel = prev
+	return c.tickSeq < seq
+}
+
+// traced runs one handler under an active tracer, emitting the per-handler
+// span (the tick itself is one dispatched event no matter how many handlers
+// share the clock).
+func (c *Clock) traced(h ClockHandler, label string) bool {
+	e := c.engine
+	start := time.Now()
+	keep := h(c.cycle)
+	e.tracer.Event(e.now, label, time.Since(start))
 	return keep
 }
 
 // tick delivers one cycle to every registered handler, dropping handlers
 // that return false, then re-arms for the next cycle if any remain.
 // Handlers registered from within a tick are preserved but first run on the
-// following cycle.
-func (c *Clock) tick(any) {
+// following cycle. The steady tick — every handler stays — writes nothing
+// to the handler lists.
+func (c *Clock) tick() {
+	e := c.engine
 	n := len(c.handlers)
 	j := 0
 	for i := 0; i < n; i++ {
 		h := c.handlers[i]
-		if c.invoke(h, c.labels[i]) {
-			c.handlers[j] = h
-			c.labels[j] = c.labels[i]
+		// The handler runs with its label as the engine's current label,
+		// so events it schedules inherit the component's attribution. The
+		// label is left in place: nothing schedules between handlers, and
+		// dispatchTick restores the engine's label after the whole tick.
+		e.curLabel = c.labels[i]
+		var keep bool
+		if e.tracer == nil {
+			keep = h(c.cycle)
+		} else {
+			keep = c.traced(h, c.labels[i])
+		}
+		if keep {
+			if i != j {
+				c.handlers[j] = h
+				c.labels[j] = c.labels[i]
+			}
 			j++
 		}
 	}
-	// Handlers appended during the tick sit at indices >= n; keep them.
-	copy(c.labels[j:], c.labels[n:])
-	j += copy(c.handlers[j:], c.handlers[n:])
-	for i := j; i < len(c.handlers); i++ {
-		c.handlers[i] = nil
-		c.labels[i] = ""
+	if j != n {
+		// Handlers appended during the tick sit at indices >= n; close the
+		// gap the dropped ones left below them.
+		copy(c.labels[j:], c.labels[n:])
+		j += copy(c.handlers[j:], c.handlers[n:])
+		for i := j; i < len(c.handlers); i++ {
+			c.handlers[i] = nil
+			c.labels[i] = ""
+		}
+		c.handlers = c.handlers[:j]
+		c.labels = c.labels[:j]
 	}
-	c.handlers = c.handlers[:j]
-	c.labels = c.labels[:j]
 	c.cycle++
-	c.armed = false
 	if len(c.handlers) > 0 {
-		c.armed = true
-		c.tickSeq = c.engine.seq
-		c.engine.ScheduleLabeledAt(c.freq.CycleTime(c.cycle), c.prio, c.label, c.tickFn, nil)
+		c.schedule()
+	} else {
+		c.armed = false
 	}
 }

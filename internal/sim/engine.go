@@ -32,6 +32,14 @@ type Engine struct {
 	q       eventQueue
 	stopped bool
 
+	// lane holds the armed clocks, each standing for its one pending tick
+	// at (nextAt, prio, tickSeq). Ticks never enter q: peek merges the
+	// lane's minimum against the heap top under the same (time, priority,
+	// sequence) order, so dispatch order is what a single heap would give
+	// while the periodic re-arm costs an append instead of two sifts. A
+	// linear scan suffices: a node has one or two clocks.
+	lane []*Clock
+
 	// handled counts events dispatched since construction.
 	handled uint64
 
@@ -97,16 +105,17 @@ func (e *Engine) Now() Time { return e.now }
 // Handled returns the number of events dispatched so far.
 func (e *Engine) Handled() uint64 { return e.handled }
 
-// Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.q.Len() }
+// Pending returns the number of events waiting to be dispatched: the
+// queued events plus one pending tick per armed clock.
+func (e *Engine) Pending() int { return e.q.Len() + len(e.lane) }
 
-// PeakPending returns the high-water mark of the pending-event queue since
-// construction — a capacity statistic for run reports. The mark is observed
-// at dispatch boundaries rather than on every push: between two pops the
-// queue only grows, so its length just before a pop — plus the length at
+// PeakPending returns the high-water mark of Pending since construction — a
+// capacity statistic for run reports. The mark is observed at dispatch
+// boundaries rather than on every push: between two dispatches the pending
+// count only grows, so its value just before a dispatch — plus the value at
 // this read — is the exact maximum, at no cost to the schedule path.
 func (e *Engine) PeakPending() int {
-	if n := e.q.Len(); n > e.peak {
+	if n := e.Pending(); n > e.peak {
 		e.peak = n
 	}
 	return e.peak
@@ -117,15 +126,38 @@ func (e *Engine) PeakPending() int {
 // unchanged except for one nil check.
 func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
-// NextEventTime returns the timestamp of the earliest pending event, or
-// TimeInfinity when the queue is empty. The parallel runtime uses it to
-// fast-forward across globally idle windows.
+// NextEventTime returns the timestamp of the earliest pending event or
+// clock tick, or TimeInfinity when nothing is pending. The parallel runtime
+// uses it to fast-forward across globally idle windows.
 func (e *Engine) NextEventTime() Time {
-	ev := e.q.Peek()
-	if ev == nil {
-		return TimeInfinity
+	_, at := e.peek()
+	return at
+}
+
+// peek finds what dispatches next without removing it: the armed clock
+// e.lane[lane] when lane >= 0, else the queue's top. at is its timestamp,
+// TimeInfinity when nothing is pending. An engine with no armed clock pays
+// one length check.
+func (e *Engine) peek() (lane int, at Time) {
+	if len(e.lane) != 0 {
+		return e.peekLane()
 	}
-	return ev.time
+	return -1, e.q.topTime()
+}
+
+// peekLane is peek's merge, given at least one armed clock: the lane's
+// earliest tick wins unless the heap top precedes it.
+func (e *Engine) peekLane() (lane int, at Time) {
+	c := e.lane[0]
+	for i, k := range e.lane[1:] {
+		if k.tickBefore(c.nextAt, c.prio, c.tickSeq) {
+			lane, c = i+1, k
+		}
+	}
+	if ev := e.q.Peek(); ev != nil && !c.tickBefore(ev.time, ev.prio, ev.seq) {
+		return -1, ev.time
+	}
+	return lane, c.nextAt
 }
 
 // Schedule arranges for fn(payload) to run after delay, with default link
@@ -249,14 +281,18 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	if n := e.q.Len(); n > e.peak {
-		e.peak = n
-	}
-	ev := e.q.Pop()
-	if ev == nil {
+	lane, _ := e.peek()
+	if lane < 0 && e.q.Len() == 0 {
 		return false
 	}
-	e.dispatch(ev)
+	if n := e.Pending(); n > e.peak {
+		e.peak = n
+	}
+	if lane >= 0 {
+		e.dispatchTick(lane)
+	} else {
+		e.dispatch(e.q.Pop())
+	}
 	return true
 }
 
@@ -292,6 +328,34 @@ func (e *Engine) dispatch(ev *event) {
 	e.curLabel = prev
 }
 
+// dispatchTick takes the armed clock e.lane[i] out of the lane and delivers
+// its tick, with the same bookkeeping dispatch gives a queued event labeled
+// with the clock: one handled event, one tracer span under the clock's
+// label, the engine's label restored afterwards (each handler runs under
+// its own; see Clock.tick). The clock re-enters the lane from inside tick
+// if any handler remains.
+func (e *Engine) dispatchTick(i int) {
+	c := e.lane[i]
+	last := len(e.lane) - 1
+	e.lane[i] = e.lane[last]
+	e.lane[last] = nil
+	e.lane = e.lane[:last]
+	if c.nextAt < e.now {
+		panic(fmt.Sprintf("sim: time ran backwards: %v -> %v", e.now, c.nextAt))
+	}
+	e.now = c.nextAt
+	e.handled++
+	prev := e.curLabel
+	if e.tracer == nil {
+		c.tick()
+	} else {
+		start := time.Now()
+		c.tick()
+		e.tracer.Event(e.now, c.label, time.Since(start))
+	}
+	e.curLabel = prev
+}
+
 // Run dispatches events until the queue drains, Stop is called, or the next
 // event lies strictly after until. It returns the number of events handled
 // during this call. On return the engine's clock rests at the time of the
@@ -307,21 +371,30 @@ func (e *Engine) Run(until Time) uint64 {
 		if e.handled&interruptMask == 0 && e.intr.Load() {
 			break
 		}
-		ev := e.q.Peek()
-		for ev == nil || ev.time >= e.horizon {
+		// peek, spelled out: its call to peekLane puts it over the
+		// compiler's inlining budget, and an engine with no armed clock
+		// must pay one length check here, not a call per event.
+		lane, at := -1, e.q.topTime()
+		if len(e.lane) != 0 {
+			lane, at = e.peekLane()
+		}
+		for at >= e.horizon { // also "nothing pending": horizon <= TimeInfinity
 			if e.onIdle == nil || !e.onIdle() {
 				goto done
 			}
-			ev = e.q.Peek()
+			lane, at = e.peek()
 		}
-		if ev.time > until {
+		if at > until {
 			break
 		}
-		if n := e.q.Len(); n > e.peak {
+		if n := e.Pending(); n > e.peak {
 			e.peak = n
 		}
-		e.q.Pop()
-		e.dispatch(ev)
+		if lane >= 0 {
+			e.dispatchTick(lane)
+		} else {
+			e.dispatch(e.q.Pop())
+		}
 	}
 done:
 	if until != TimeInfinity && e.now < until && !e.stopped && !e.intr.Load() {

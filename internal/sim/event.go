@@ -66,6 +66,14 @@ func (q *eventQueue) Peek() *event {
 	return q.a[0]
 }
 
+// topTime returns the earliest event's timestamp, TimeInfinity when empty.
+func (q *eventQueue) topTime() Time {
+	if len(q.a) == 0 {
+		return TimeInfinity
+	}
+	return q.a[0].time
+}
+
 // Pop removes and returns the earliest event, or nil when empty.
 func (q *eventQueue) Pop() *event {
 	n := len(q.a)

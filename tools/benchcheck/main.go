@@ -10,15 +10,20 @@
 // zero, the real contract — with the 1% absorbing per-iteration
 // amortization jitter on allocation-heavy benchmarks. ns/op is host-
 // dependent, so it only fails beyond the per-entry tolerance (default
-// -tol); a slower CI box should regenerate with -update rather than widen
-// tolerances.
+// -tol) and only on the host the baseline was recorded on: -update stores
+// the host (goos, goarch, cpu model, GOMAXPROCS, Go version) in the
+// baseline, and on any other host — or against an old baseline that names
+// none — an ns/op excess is printed as a warning while allocs/op, B/op and
+// the ceilings still fail. Regenerate with -update to adopt a new host.
 //
 // Entries may additionally carry absolute hard ceilings (max_bytes_per_op,
 // max_allocs_per_op), set with repeated name=value pairs in -max-bytes and
 // -max-allocs. A ceiling is the memory-discipline contract for the resident
 // sweep service: the run fails the moment B/op or allocs/op exceeds it,
 // however the relative baseline has drifted, and -update refuses to commit
-// a baseline that is itself above a ceiling.
+// a baseline that is itself above a ceiling. A ceiling of 0 is a ceiling:
+// it is how the event kernel's allocation-free loops stay that way across
+// regenerations.
 package main
 
 import (
@@ -29,6 +34,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,16 +49,36 @@ type entry struct {
 	Tolerance float64 `json:"tolerance,omitempty"`
 	// MaxBytesPerOp and MaxAllocsPerOp are absolute hard ceilings — the
 	// memory-discipline contract, set with -max-bytes/-max-allocs. When
-	// non-zero, a run above the ceiling fails no matter how the relative
-	// baseline has drifted, and -update refuses to commit a baseline
-	// above it. Preserved across -update like Tolerance.
-	MaxBytesPerOp  float64 `json:"max_bytes_per_op,omitempty"`
-	MaxAllocsPerOp float64 `json:"max_allocs_per_op,omitempty"`
+	// set (nil is "none"; 0 is a ceiling of zero), a run above the
+	// ceiling fails no matter how the relative baseline has drifted, and
+	// -update refuses to commit a baseline above it. Preserved across
+	// -update like Tolerance.
+	MaxBytesPerOp  *float64 `json:"max_bytes_per_op,omitempty"`
+	MaxAllocsPerOp *float64 `json:"max_allocs_per_op,omitempty"`
+}
+
+// host is what ns/op depends on besides the code: the facts `go test
+// -bench` prints in its header and in the -N benchmark-name suffix, plus
+// the toolchain. benchcheck runs under the same `go` as the benchmarks,
+// so its own runtime.Version is theirs.
+type host struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+func (h host) String() string {
+	return fmt.Sprintf("%s/%s, %s, GOMAXPROCS %d, %s", h.GOOS, h.GOARCH, h.CPU, h.GOMAXPROCS, h.GoVersion)
 }
 
 type baseline struct {
 	// Note records how to regenerate the file.
-	Note    string           `json:"note"`
+	Note string `json:"note"`
+	// Host is where the ns/op figures were measured; nil in baselines
+	// written before hosts were recorded.
+	Host    *host            `json:"host,omitempty"`
 	Entries map[string]entry `json:"entries"`
 }
 
@@ -60,17 +86,28 @@ type baseline struct {
 //
 //	BenchmarkEngineHotLoop-8   12345678   85.3 ns/op   0 B/op   0 allocs/op
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
 
 // parse reads `go test -bench` output, echoing every line to echo (the
 // raw output passes through for the log) and collecting the benchmark
-// measurements by name.
-func parse(r io.Reader, echo io.Writer) map[string]entry {
+// measurements by name and the host they were taken on.
+func parse(r io.Reader, echo io.Writer) (map[string]entry, host) {
 	got := map[string]entry{}
+	// go test omits the -N suffix exactly when GOMAXPROCS is 1.
+	h := host{GOMAXPROCS: 1, GoVersion: runtime.Version()}
+	header := []struct {
+		prefix string
+		field  *string
+	}{{"goos: ", &h.GOOS}, {"goarch: ", &h.GOARCH}, {"cpu: ", &h.CPU}}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Fprintln(echo, line)
+		for _, hd := range header {
+			if v, ok := strings.CutPrefix(line, hd.prefix); ok {
+				*hd.field = v
+			}
+		}
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -79,18 +116,30 @@ func parse(r io.Reader, echo io.Writer) map[string]entry {
 			v, _ := strconv.ParseFloat(s, 64)
 			return v
 		}
-		got[m[1]] = entry{NsPerOp: f(m[2]), BytesPerOp: f(m[3]), AllocsPerOp: f(m[4])}
+		if m[2] != "" {
+			h.GOMAXPROCS, _ = strconv.Atoi(m[2])
+		}
+		got[m[1]] = entry{NsPerOp: f(m[3]), BytesPerOp: f(m[4]), AllocsPerOp: f(m[5])}
 	}
-	return got
+	return got, h
 }
 
 // compare applies the gate: every baseline entry must be present in the
 // run (a missing benchmark fails — a renamed or silently-skipped benchmark
 // must not pass the gate by absence), allocs/op and B/op may not exceed
 // the baseline by more than 1%, and ns/op may not regress beyond the
-// entry's tolerance (defTol when the entry sets none). Verdict lines go
-// to w; the return value reports whether any entry failed.
-func compare(base baseline, got map[string]entry, defTol float64, w io.Writer) bool {
+// entry's tolerance (defTol when the entry sets none) — a failure when
+// this run's host cur is the one the baseline records, a warning when it
+// is another or the baseline records none. Verdict lines go to w; the
+// return value reports whether any entry failed.
+func compare(base baseline, got map[string]entry, cur host, defTol float64, w io.Writer) bool {
+	sameHost := base.Host != nil && *base.Host == cur
+	switch {
+	case base.Host == nil:
+		fmt.Fprintf(w, "benchcheck: note: baseline records no host; ns/op regressions only warn (this run: %s)\n", cur)
+	case !sameHost:
+		fmt.Fprintf(w, "benchcheck: note: baseline host differs; ns/op regressions only warn\n  baseline: %s\n  this run: %s\n", *base.Host, cur)
+	}
 	names := make([]string, 0, len(base.Entries))
 	for name := range base.Entries {
 		names = append(names, name)
@@ -116,14 +165,14 @@ func compare(base baseline, got map[string]entry, defTol float64, w io.Writer) b
 				name, have.BytesPerOp, want.BytesPerOp)
 			failed = true
 		}
-		if want.MaxAllocsPerOp > 0 && have.AllocsPerOp > want.MaxAllocsPerOp {
+		if c := want.MaxAllocsPerOp; c != nil && have.AllocsPerOp > *c {
 			fmt.Fprintf(w, "benchcheck: FAIL %s: %.0f allocs/op exceeds hard ceiling %.0f\n",
-				name, have.AllocsPerOp, want.MaxAllocsPerOp)
+				name, have.AllocsPerOp, *c)
 			failed = true
 		}
-		if want.MaxBytesPerOp > 0 && have.BytesPerOp > want.MaxBytesPerOp {
+		if c := want.MaxBytesPerOp; c != nil && have.BytesPerOp > *c {
 			fmt.Fprintf(w, "benchcheck: FAIL %s: %.0f B/op exceeds hard ceiling %.0f\n",
-				name, have.BytesPerOp, want.MaxBytesPerOp)
+				name, have.BytesPerOp, *c)
 			failed = true
 		}
 		t := want.Tolerance
@@ -133,9 +182,12 @@ func compare(base baseline, got map[string]entry, defTol float64, w io.Writer) b
 		if want.NsPerOp > 0 {
 			delta := have.NsPerOp/want.NsPerOp - 1
 			mark := "ok  "
-			if delta > t {
+			switch {
+			case delta > t && sameHost:
 				mark = "FAIL"
 				failed = true
+			case delta > t:
+				mark = "warn"
 			}
 			fmt.Fprintf(w, "benchcheck: %s %s: %.1f ns/op vs baseline %.1f (%+.1f%%, tol %.0f%%)\n",
 				mark, name, have.NsPerOp, want.NsPerOp, 100*delta, 100*t)
@@ -164,7 +216,7 @@ func parseCeilings(s string) (map[string]float64, error) {
 			return nil, fmt.Errorf("bad ceiling %q, want name=value", pair)
 		}
 		v, err := strconv.ParseFloat(pair[i+1:], 64)
-		if err != nil || v <= 0 {
+		if err != nil || v < 0 {
 			return nil, fmt.Errorf("bad ceiling value in %q", pair)
 		}
 		out[pair[:i]] = v
@@ -181,7 +233,7 @@ func applyCeilings(entries map[string]entry, maxBytes, maxAllocs map[string]floa
 		if !ok {
 			return fmt.Errorf("-max-bytes names unknown benchmark %q", name)
 		}
-		e.MaxBytesPerOp = v
+		e.MaxBytesPerOp = &v
 		entries[name] = e
 	}
 	for name, v := range maxAllocs {
@@ -189,7 +241,7 @@ func applyCeilings(entries map[string]entry, maxBytes, maxAllocs map[string]floa
 		if !ok {
 			return fmt.Errorf("-max-allocs names unknown benchmark %q", name)
 		}
-		e.MaxAllocsPerOp = v
+		e.MaxAllocsPerOp = &v
 		entries[name] = e
 	}
 	return nil
@@ -201,14 +253,14 @@ func applyCeilings(entries map[string]entry, maxBytes, maxAllocs map[string]floa
 func checkCeilings(entries map[string]entry, w io.Writer) bool {
 	bad := false
 	for name, e := range entries {
-		if e.MaxBytesPerOp > 0 && e.BytesPerOp > e.MaxBytesPerOp {
+		if c := e.MaxBytesPerOp; c != nil && e.BytesPerOp > *c {
 			fmt.Fprintf(w, "benchcheck: refusing baseline: %s measured %.0f B/op above its hard ceiling %.0f\n",
-				name, e.BytesPerOp, e.MaxBytesPerOp)
+				name, e.BytesPerOp, *c)
 			bad = true
 		}
-		if e.MaxAllocsPerOp > 0 && e.AllocsPerOp > e.MaxAllocsPerOp {
+		if c := e.MaxAllocsPerOp; c != nil && e.AllocsPerOp > *c {
 			fmt.Fprintf(w, "benchcheck: refusing baseline: %s measured %.0f allocs/op above its hard ceiling %.0f\n",
-				name, e.AllocsPerOp, e.MaxAllocsPerOp)
+				name, e.AllocsPerOp, *c)
 			bad = true
 		}
 	}
@@ -236,7 +288,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	got := parse(os.Stdin, os.Stdout)
+	got, cur := parse(os.Stdin, os.Stdout)
 	if len(got) == 0 {
 		fmt.Fprintln(os.Stderr, "benchcheck: no benchmark lines on stdin")
 		os.Exit(1)
@@ -251,6 +303,7 @@ func main() {
 		}
 		out := baseline{
 			Note:    "regenerate with: make bench-baseline",
+			Host:    &cur,
 			Entries: got,
 		}
 		for name, e := range out.Entries {
@@ -277,7 +330,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchcheck:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("benchcheck: wrote %s (%d entries)\n", *baselinePath, len(got))
+		fmt.Printf("benchcheck: wrote %s (%d entries, host %s)\n", *baselinePath, len(got), cur)
 		return
 	}
 
@@ -296,7 +349,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if compare(base, got, *tol, os.Stderr) {
+	if compare(base, got, cur, *tol, os.Stderr) {
 		os.Exit(1)
 	}
 }
