@@ -18,8 +18,12 @@
 #                     `make check bench` is the full pre-merge gate.
 #   make bench-baseline — rerun the perf benchmarks and rewrite the baseline
 #   make tables     — regenerate every experiment table ("reproduce the paper")
-#   make fuzz-short — a few seconds of coverage-guided fuzzing per config
-#                     loader; crashes fail the target
+#   make fuzz-short — a few seconds of coverage-guided fuzzing per decoder
+#                     of untrusted bytes: the config loaders, the rank
+#                     partitioner and speculative replay, the append-log
+#                     scanner, the SR1 assembler (FuzzAssemble) and the
+#                     engine snapshot container (FuzzSnapshotDecode);
+#                     crashes fail the target
 #   make resume-smoke — the crash-safety gate: SIGINT a journaled sweep
 #                     mid-flight, resume it, and require the resumed grid to
 #                     be byte-identical to an uninterrupted run. Runs inside
@@ -30,9 +34,10 @@
 #                     (including rollback counters) to be byte-identical to
 #                     an uninterrupted run. Runs inside `make check`
 #   make cache-smoke — the warm-start gate: run a sweep twice sharing a
-#                     -cache-file; the second invocation must serve every
-#                     point from the cache (misses=0) and print an
-#                     identical grid. Runs inside `make check`
+#                     -cache-file; the first summary line must read
+#                     "cache entries=… hits=0 misses=16", the second
+#                     "hits=16 misses=0" over an identical grid. Runs
+#                     inside `make check`
 #   make crash-smoke — the crash-point gate: enumerate every host-storage
 #                     operation (write, fsync, rename, dir-fsync) of the
 #                     four persistence surfaces — journaled sweep, cache
@@ -110,13 +115,18 @@ race:
 # zero-latency cross-rank links must be rejected by name), and of the one
 # append-log line scanner under both of its record formats (arbitrary bytes
 # as an existing sweep journal or cache warm-start file must open to
-# exactly their leading run of valid records, never a panic).
+# exactly their leading run of valid records, never a panic), of the SR1
+# assembler sst-asm feeds user files to (an error or a program that
+# disassembles) and of the engine snapshot container (LoadFrom errors or
+# yields an engine that keeps running).
 fuzz-short:
 	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzLoadMachine -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzLoadSystem -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/par -run='^$$' -fuzz=FuzzPartitionLookahead -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/par -run='^$$' -fuzz=FuzzSpeculativeReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/iofault -run='^$$' -fuzz=FuzzAppendLogOpen -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssemble -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME)
 
 check: build vet test race fuzz-short crash-smoke soak-short serve-smoke spec-smoke resume-smoke cache-smoke
 
@@ -193,11 +203,11 @@ cache-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' 0 && \
 	./bin/sst-dse -cache-file "$$tmp/results.jsonl" $(RESUME_ARGS) \
 	    >"$$tmp/cold.csv" 2>"$$tmp/cold.err" && \
-	grep -q 'cache policy=.* hits=0 misses=16 ' "$$tmp/cold.err" || \
+	grep -q 'cache entries=16 hits=0 misses=16 ' "$$tmp/cold.err" || \
 	    { echo "cache-smoke: first run summary wrong:"; cat "$$tmp/cold.err"; exit 1; } && \
 	./bin/sst-dse -cache-file "$$tmp/results.jsonl" $(RESUME_ARGS) \
 	    >"$$tmp/warm.csv" 2>"$$tmp/warm.err" && \
-	grep -q 'cache policy=.* hits=16 misses=0 ' "$$tmp/warm.err" || \
+	grep -q 'cache entries=16 hits=16 misses=0 ' "$$tmp/warm.err" || \
 	    { echo "cache-smoke: warm run re-simulated:"; cat "$$tmp/warm.err"; exit 1; } && \
 	cmp "$$tmp/cold.csv" "$$tmp/warm.csv" && \
 	echo "cache-smoke: warm-started grid identical, zero re-simulation"

@@ -111,7 +111,7 @@ func run(path string, execute bool, maxInstrs uint64, dumpRegs bool, format core
 		if strings.HasSuffix(traceOut, ".csv") {
 			write = tracer.WriteCSV
 		}
-		if err := writeFile(traceOut, write); err != nil {
+		if err := cli.WriteFile(traceOut, write); err != nil {
 			return err
 		}
 	}
@@ -120,7 +120,7 @@ func run(path string, execute bool, maxInstrs uint64, dumpRegs bool, format core
 		mips = float64(n) / hostSecs / 1e6
 	}
 	if metricsOut != "" {
-		if err := writeFile(metricsOut, func(w io.Writer) error {
+		if err := cli.WriteFile(metricsOut, func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			return enc.Encode(struct {
@@ -170,17 +170,4 @@ func run(path string, execute bool, maxInstrs uint64, dumpRegs bool, format core
 		}
 	}
 	return nil
-}
-
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -10,8 +10,7 @@
 //	        [-widths 1,2,4,8] [-scale full|small] [-table all|fig10|fig11|fig12]
 //	        [-format table|json|csv] [-j N] [-metrics-out m.json] [-trace-out t.json]
 //	        [-journal sweep.jsonl] [-resume] [-point-timeout 5m]
-//	        [-cache] [-cache-size 4096] [-cache-policy lru|lfu|fifo|tinylfu]
-//	        [-cache-shadow lfu,tinylfu] [-cache-file results.jsonl]
+//	        [-cache] [-cache-size 4096] [-cache-file results.jsonl]
 //	sst-dse -resilience [-mtbf 1,4,24] [-ckpt-cost 60] [-restart-cost 120]
 //	        [-work 24] [-trials 5] [-fault-seed 1] [-format json] [-j N]
 //
@@ -32,12 +31,12 @@
 // -cache memoizes design points content-addressed by their fully-resolved
 // configuration, so repeated or overlapping grids re-simulate only what is
 // new; a hit is field-for-field identical to a fresh simulation.
-// -cache-policy picks the eviction policy, -cache-size the capacity in
-// points, -cache-shadow runs extra policies as metadata-only hit-rate
-// sensors, and -cache-file persists results to an fsync'd JSONL file so a
+// -cache-size is the capacity in points (least recently used evicted
+// first), and -cache-file persists results to an fsync'd JSONL file so a
 // later invocation warm-starts from them (-cache-file implies -cache). A
-// one-line hit/miss summary prints to stderr; -metrics-out includes the
-// full cache and shadow counters.
+// one-line summary prints to stderr ("sst-dse: cache entries=24 hits=0
+// misses=24 hit_rate=0.000 evictions=0 bytes=… warm_starts=0");
+// -metrics-out includes the full cache counters.
 //
 // Exit codes: 0 success, 1 failure, 2 configuration error, 3 sweep
 // completed with failed points, 130 interrupted (Ctrl-C).
@@ -48,15 +47,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
 
-	"sst/internal/cache"
 	"sst/internal/cli"
 	"sst/internal/core"
-	"sst/internal/obs"
 )
 
 func main() {
@@ -68,15 +64,10 @@ func main() {
 		tableFlag  = flag.String("table", "all", "which table: all, fig10, fig11, fig12")
 		formatFlag = flag.String("format", "table", "output format: table, json or csv")
 		csvFlag    = flag.Bool("csv", false, "deprecated: same as -format csv")
-		jFlag      = flag.Int("j", 0, "concurrent sweep workers (0 = GOMAXPROCS)")
-		metricsOut = flag.String("metrics-out", "", "write per-point sweep metrics JSON to this file")
-		traceOut   = flag.String("trace-out", "", "write a host-timeline Chrome trace of the sweep to this file")
-		journal    = flag.String("journal", "", "journal completed design points to this JSONL file (fsync'd per point)")
-		resume     = flag.Bool("resume", false, "with -journal: restore completed points instead of re-running them")
 		pointTO    = flag.Duration("point-timeout", 0, "per-point wall-clock deadline (0 = none); timed-out points are marked failed")
 
-		cacheFlags = cli.RegisterCacheFlags(flag.CommandLine,
-			"memoize design points by config hash (repeated grids re-simulate only what is new)", "design points")
+		sweepFlags = cli.RegisterSweepFlags(flag.CommandLine,
+			"memoize design points by config hash (repeated grids re-simulate only what is new)", "design points", "sweep")
 
 		resFlag     = flag.Bool("resilience", false, "run the checkpoint/MTBF resilience study instead of the DSE sweep")
 		mtbfFlag    = flag.String("mtbf", "1,4,24", "machine MTBF values to study, hours")
@@ -95,9 +86,6 @@ func main() {
 	if err != nil {
 		cli.Exit("sst-dse", cli.Configf("%v", err))
 	}
-	if *resume && *journal == "" {
-		cli.Exit("sst-dse", cli.Configf("-resume needs -journal"))
-	}
 
 	// Ctrl-C or a supervisor's SIGTERM cancels the sweep context: running
 	// design points finish and keep their results (journaled, when -journal
@@ -105,80 +93,19 @@ func main() {
 	// tables are still printed before the 130 exit.
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
-	opts := core.SweepOptions{
-		Workers: *jFlag, Context: ctx,
-		Journal: *journal, Resume: *resume, PointTimeout: *pointTO,
+	opts, err := sweepFlags.Options(ctx)
+	if err != nil {
+		cli.Exit("sst-dse", err)
 	}
-	sc, cerr := cacheFlags.Open()
-	if cerr != nil {
-		cli.Exit("sst-dse", cerr)
-	}
-	if sc != nil {
-		defer sc.Close()
-		opts.Cache = sc
-	}
-	var col *obs.SweepCollector
-	if *metricsOut != "" || *traceOut != "" {
-		col = &obs.SweepCollector{}
-		opts.Metrics = col
-	}
+	opts.PointTimeout = *pointTO
+	opts = sweepFlags.Observe(opts)
 
 	if *resFlag {
 		err = runResilience(*mtbfFlag, *ckptFlag, *restartFlag, *workFlag, *trialsFlag, *seedFlag, format, opts)
 	} else {
 		err = run(*appsFlag, *techsFlag, *widthsFlag, *scaleFlag, *tableFlag, format, opts)
 	}
-	if sc != nil {
-		cli.PrintCacheSummary("sst-dse", sc)
-	}
-	if werr := writeSweepObs(col, sc, *metricsOut, *traceOut); werr != nil && err == nil {
-		err = werr
-	}
-	cli.Exit("sst-dse", err)
-}
-
-// writeSweepObs flushes the sweep collector to the requested files. With a
-// cache attached, the metrics JSON carries the cache's RunReport snapshot
-// (hits/misses/evictions/bytes and per-shadow-policy stats) after the
-// per-point metrics.
-func writeSweepObs(col *obs.SweepCollector, sc *cache.Cache, metricsOut, traceOut string) error {
-	if col == nil {
-		return nil
-	}
-	if metricsOut != "" {
-		if err := writeFile(metricsOut, func(w io.Writer) error {
-			if err := col.WriteJSON(w); err != nil {
-				return err
-			}
-			if sc == nil {
-				return nil
-			}
-			rcol := obs.NewCollector()
-			rcol.AttachCache(sc)
-			return rcol.Report().WriteJSON(w)
-		}); err != nil {
-			return err
-		}
-	}
-	if traceOut != "" {
-		if err := writeFile(traceOut, col.WriteChromeJSON); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	cli.Exit("sst-dse", sweepFlags.Finish("sst-dse", err))
 }
 
 func run(appsFlag, techsFlag, widthsFlag, scaleFlag, tableFlag string, format core.Format, opts core.SweepOptions) error {

@@ -4,17 +4,42 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"sst/internal/cache"
 	"sst/internal/cli"
 	"sst/internal/core"
-	"sst/internal/obs"
-	"syscall"
 )
+
+// sweepOptions parses args through the command's shared sweep flag group
+// and returns it with the observed options it describes; the cache it
+// opened is closed with the test.
+func sweepOptions(t *testing.T, args ...string) (*cli.SweepFlags, core.SweepOptions) {
+	t.Helper()
+	fs := flag.NewFlagSet("sst-dse", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	sf := cli.RegisterSweepFlags(fs, "memoize", "design points", "sweep")
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parsing %v: %v", args, err)
+	}
+	opts, err := sf.Options(context.Background())
+	if err != nil {
+		t.Fatalf("options for %v: %v", args, err)
+	}
+	if opts.Cache != nil {
+		t.Cleanup(func() { opts.Cache.Close() })
+	}
+	return sf, sf.Observe(opts)
+}
 
 func TestDSESmallSweep(t *testing.T) {
 	if err := run("stream", "ddr3-1333,gddr5-4000", "1,2", "small", "all", core.FormatTable, core.SweepOptions{}); err != nil {
@@ -34,18 +59,11 @@ func TestDSESmallSweep(t *testing.T) {
 }
 
 func TestDSESweepObs(t *testing.T) {
-	col := &obs.SweepCollector{}
-	opts := core.SweepOptions{Workers: 2, Metrics: col}
-	if err := run("stream", "ddr3-1333", "1,2", "small", "fig10", core.FormatTable, opts); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(col.Points()); got != 2 {
-		t.Fatalf("collector saw %d points, want 2", got)
-	}
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "m.json")
 	trace := filepath.Join(dir, "t.json")
-	if err := writeSweepObs(col, nil, metrics, trace); err != nil {
+	sf, opts := sweepOptions(t, "-j", "2", "-metrics-out", metrics, "-trace-out", trace)
+	if err := sf.Finish("sst-dse", run("stream", "ddr3-1333", "1,2", "small", "fig10", core.FormatTable, opts)); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{metrics, trace} {
@@ -56,6 +74,11 @@ func TestDSESweepObs(t *testing.T) {
 		var v any
 		if err := json.Unmarshal(data, &v); err != nil {
 			t.Fatalf("%s: invalid JSON: %v", path, err)
+		}
+		if path == metrics {
+			if rows, _ := v.(map[string]any)["rows"].([]any); len(rows) != 2 {
+				t.Fatalf("metrics carry %d points, want 2:\n%s", len(rows), data)
+			}
 		}
 	}
 }
@@ -140,20 +163,15 @@ func TestDSEJournalResume(t *testing.T) {
 // requires the second pass to be all hits; the cache stats also land in
 // the -metrics-out JSON.
 func TestDSECachedSweep(t *testing.T) {
-	sc, err := core.NewSweepCache(64, cache.LRU, []cache.PolicyType{cache.LFU, cache.TinyLFU}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	opts := core.SweepOptions{Workers: 2, Cache: sc}
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	sf, opts := sweepOptions(t, "-j", "2", "-cache", "-cache-size", "64", "-metrics-out", metrics)
+	sc := opts.Cache
 	if err := run("stream", "ddr3-1333", "1,2", "small", "grid", core.FormatCSV, opts); err != nil {
 		t.Fatal(err)
 	}
 	if st := sc.Stats(); st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("cold pass stats %+v", st)
 	}
-	col := &obs.SweepCollector{}
-	opts.Metrics = col
 	if err := run("stream", "ddr3-1333", "1,2", "small", "grid", core.FormatCSV, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +180,7 @@ func TestDSECachedSweep(t *testing.T) {
 		t.Fatalf("warm pass stats %+v, want 2 hits 2 misses", st)
 	}
 
-	metrics := filepath.Join(t.TempDir(), "m.json")
-	if err := writeSweepObs(col, sc, metrics, ""); err != nil {
+	if err := sf.Finish("sst-dse", nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(metrics)
@@ -176,19 +193,42 @@ func TestDSECachedSweep(t *testing.T) {
 		t.Fatalf("metrics JSON: %v", err)
 	}
 	var rep struct {
-		Cache *struct {
-			Policy  string `json:"policy"`
-			Hits    int64  `json:"hits"`
-			Shadows []struct {
-				Policy string `json:"policy"`
-			} `json:"shadows"`
-		} `json:"cache"`
+		Cache map[string]any `json:"cache"`
 	}
 	if err := dec.Decode(&rep); err != nil {
 		t.Fatalf("metrics JSON cache report: %v", err)
 	}
-	if rep.Cache == nil || rep.Cache.Policy != "lru" || rep.Cache.Hits != 2 || len(rep.Cache.Shadows) != 2 {
+	if rep.Cache["capacity"] != 64.0 || rep.Cache["entries"] != 2.0 || rep.Cache["hits"] != 2.0 ||
+		rep.Cache["misses"] != 2.0 || rep.Cache["evictions"] != 0.0 {
 		t.Fatalf("cache report in metrics JSON = %+v", rep.Cache)
+	}
+	for _, gone := range []string{"policy", "rejected", "shadows"} {
+		if _, ok := rep.Cache[gone]; ok {
+			t.Errorf("cache report still carries %q: %+v", gone, rep.Cache)
+		}
+	}
+}
+
+// TestDSERemovedCacheFlags: the policy and shadow-sensor flags are gone —
+// the command rejects them as unknown flags with the configuration exit
+// code. The test re-executes its own binary as sst-dse.
+func TestDSERemovedCacheFlags(t *testing.T) {
+	if args := os.Getenv("SST_DSE_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"sst-dse"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, args := range []string{"-cache-policy lru", "-cache-shadow lfu"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestDSERemovedCacheFlags$")
+		cmd.Env = append(os.Environ(), "SST_DSE_MAIN_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != cli.ExitConfig {
+			t.Errorf("sst-dse %s: %v, want exit %d\n%s", args, err, cli.ExitConfig, out)
+		}
+		if !strings.Contains(string(out), "flag provided but not defined") {
+			t.Errorf("sst-dse %s: not rejected as an unknown flag:\n%s", args, out)
+		}
 	}
 }
 

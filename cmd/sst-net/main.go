@@ -7,8 +7,7 @@
 //	sst-net [-nodes 32] [-steps 6] [-fractions 1,0.5,0.25,0.125]
 //	        [-format table|json|csv] [-j N] [-metrics-out m.json] [-trace-out t.json]
 //	        [-journal net.jsonl] [-resume]
-//	        [-cache] [-cache-size 4096] [-cache-policy lru|lfu|fifo|tinylfu]
-//	        [-cache-shadow lfu,tinylfu] [-cache-file results.jsonl]
+//	        [-cache] [-cache-size 4096] [-cache-file results.jsonl]
 //	sst-net -scaling [-nodes 16] [-ranks 1,2,4,8] [-horizon 2ms]
 //	        [-sync all|global,pairwise,speculative,adaptive] [-format ...]
 //
@@ -27,10 +26,10 @@
 // the degradation and power studies share one cache (and run the same
 // grid), so the power study's cells hit instead of simulating twice.
 // -cache-file persists results to an fsync'd JSONL file so a later
-// invocation warm-starts from them (implies -cache); -cache-shadow runs
-// extra eviction policies as metadata-only hit-rate sensors. A one-line
-// hit/miss summary prints to stderr; -metrics-out includes the full cache
-// and shadow counters.
+// invocation warm-starts from them (implies -cache). A one-line summary
+// prints to stderr ("sst-net: cache entries=16 hits=16 misses=16
+// hit_rate=0.500 evictions=0 bytes=… warm_starts=0"); -metrics-out
+// includes the full cache counters.
 //
 // Exit codes: 0 success, 1 failure, 2 configuration error, 3 study
 // completed with failed cells, 130 interrupted (Ctrl-C).
@@ -49,14 +48,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"sst/internal/cli"
 	"sst/internal/core"
-	"sst/internal/obs"
 	"sst/internal/par"
 	"sst/internal/sim"
 )
@@ -68,18 +65,13 @@ func main() {
 		fracFlag    = flag.String("fractions", "1,0.5,0.25,0.125", "injection bandwidth fractions")
 		formatFlag  = flag.String("format", "table", "output format: table, json or csv")
 		csvFlag     = flag.Bool("csv", false, "deprecated: same as -format csv")
-		jFlag       = flag.Int("j", 0, "concurrent sweep workers (0 = GOMAXPROCS)")
-		metricsOut  = flag.String("metrics-out", "", "write per-point sweep metrics JSON to this file")
-		traceOut    = flag.String("trace-out", "", "write a host-timeline Chrome trace of the degradation sweep to this file")
 		scalingFlag = flag.Bool("scaling", false, "run the parallel-simulator scaling study instead (E6)")
 		ranksFlag   = flag.String("ranks", "1,2,4,8", "rank counts for -scaling")
 		horizonFlag = flag.String("horizon", "2ms", "simulated horizon for -scaling")
 		syncFlag    = flag.String("sync", "all", "sync modes for -scaling: all, or comma-separated from "+strings.Join(par.SyncModeNames(), ", "))
-		journal     = flag.String("journal", "", "journal completed study cells to this JSONL file (fsync'd per cell)")
-		resume      = flag.Bool("resume", false, "with -journal: restore completed cells instead of re-running them")
 
-		cacheFlags = cli.RegisterCacheFlags(flag.CommandLine,
-			"memoize study cells by config hash (the power study hits on the degradation study's cells)", "study cells")
+		sweepFlags = cli.RegisterSweepFlags(flag.CommandLine,
+			"memoize study cells by config hash (the power study hits on the degradation study's cells)", "study cells", "degradation sweep")
 	)
 	flag.Parse()
 	format, err := core.ParseFormat(*formatFlag)
@@ -89,8 +81,8 @@ func main() {
 	if *csvFlag {
 		format = core.FormatCSV
 	}
-	if *resume && *journal == "" {
-		cli.Exit("sst-net", cli.Configf("-resume needs -journal"))
+	if err := sweepFlags.Check(); err != nil {
+		cli.Exit("sst-net", err)
 	}
 	// Either SIGINT or SIGTERM drains the sweep and flushes journals.
 	ctx, stop := cli.SignalContext(context.Background())
@@ -98,22 +90,12 @@ func main() {
 	if *scalingFlag {
 		cli.Exit("sst-net", runScaling(*nodesFlag, *ranksFlag, *horizonFlag, *syncFlag, format, ctx))
 	}
-	sc, cerr := cacheFlags.Open()
-	if cerr != nil {
-		cli.Exit("sst-net", cerr)
+	opts, err := sweepFlags.Options(ctx)
+	if err != nil {
+		cli.Exit("sst-net", err)
 	}
-	opts := core.SweepOptions{
-		Workers: *jFlag, Context: ctx,
-		Journal: *journal, Resume: *resume, Cache: sc,
-	}
-	err = run(*nodesFlag, *stepsFlag, *fracFlag, format, opts, *metricsOut, *traceOut)
-	if sc != nil {
-		cli.PrintCacheSummary("sst-net", sc)
-		if cerr := sc.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	cli.Exit("sst-net", err)
+	err = run(*nodesFlag, *stepsFlag, *fracFlag, format, opts, sweepFlags)
+	cli.Exit("sst-net", sweepFlags.Finish("sst-net", err))
 }
 
 // runScaling drives the E6 parallel-scaling study: the heterogeneous
@@ -154,7 +136,7 @@ func runScaling(nodes int, ranksFlag, horizonFlag, syncFlag string, format core.
 	return core.WriteResults(os.Stdout, format, res)
 }
 
-func run(nodes, steps int, fracFlag string, format core.Format, opts core.SweepOptions, metricsOut, traceOut string) error {
+func run(nodes, steps int, fracFlag string, format core.Format, opts core.SweepOptions, sf *cli.SweepFlags) error {
 	spec := core.JobSpec{Kind: "net", Nodes: nodes, Steps: steps}
 	for _, f := range strings.Split(fracFlag, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
@@ -175,20 +157,16 @@ func run(nodes, steps int, fracFlag string, format core.Format, opts core.SweepO
 	if err != nil {
 		return cli.Configf("%v", err)
 	}
-	// Each study is one sweep, so each gets its own collector (point
-	// indices are per-sweep). The journal — and the result cache, which
-	// rides in opts.Cache — are shared: both studies run the same grid, so
-	// the power study resumes (or hits) off the degradation study's
-	// completed cells instead of simulating them twice.
+	// Each study is one sweep, so each is observed by its own collector.
+	// The journal — and the result cache, which rides in opts.Cache — are
+	// shared: both studies run the same grid, so the power study resumes
+	// (or hits) off the degradation study's completed cells instead of
+	// simulating them twice.
 	popts := opts
 	if opts.Journal != "" {
 		popts.Resume = true
 	}
-	var dcol, pcol *obs.SweepCollector
-	if metricsOut != "" || traceOut != "" {
-		dcol, pcol = &obs.SweepCollector{}, &obs.SweepCollector{}
-		opts.Metrics, popts.Metrics = dcol, pcol
-	}
+	opts, popts = sf.Observe(opts), sf.Observe(popts)
 	// Both studies render whatever cells completed even when some failed
 	// or the sweep was interrupted; the error still propagates so the
 	// exit code reflects the incomplete run.
@@ -203,41 +181,8 @@ func run(nodes, steps int, fracFlag string, format core.Format, opts core.SweepO
 	if err := core.WriteResults(os.Stdout, format, show...); err != nil {
 		return err
 	}
-	if metricsOut != "" {
-		if err := writeFile(metricsOut, func(w io.Writer) error {
-			if err := core.WriteResults(w, core.FormatJSON, dcol, pcol); err != nil {
-				return err
-			}
-			if opts.Cache == nil {
-				return nil
-			}
-			rcol := obs.NewCollector()
-			rcol.AttachCache(opts.Cache)
-			return rcol.Report().WriteJSON(w)
-		}); err != nil {
-			return err
-		}
-	}
-	if traceOut != "" {
-		if err := writeFile(traceOut, dcol.WriteChromeJSON); err != nil {
-			return err
-		}
-	}
 	if derr != nil {
 		return fmt.Errorf("study incomplete (tables above show completed cells): %w", derr)
 	}
 	return perr
-}
-
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -4,22 +4,53 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
+	"time"
 
-	"sst/internal/cache"
 	"sst/internal/cli"
 	"sst/internal/core"
-	"syscall"
-	"time"
 )
 
+// sweepFlags parses args through the command's shared sweep flag group.
+func sweepFlags(t *testing.T, args ...string) *cli.SweepFlags {
+	t.Helper()
+	fs := flag.NewFlagSet("sst-net", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	sf := cli.RegisterSweepFlags(fs, "memoize", "study cells", "degradation sweep")
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parsing %v: %v", args, err)
+	}
+	return sf
+}
+
+// sweepOptions is sweepFlags plus the options they describe; the cache
+// they opened is closed with the test.
+func sweepOptions(t *testing.T, args ...string) (*cli.SweepFlags, core.SweepOptions) {
+	t.Helper()
+	sf := sweepFlags(t, args...)
+	opts, err := sf.Options(context.Background())
+	if err != nil {
+		t.Fatalf("options for %v: %v", args, err)
+	}
+	if opts.Cache != nil {
+		t.Cleanup(func() { opts.Cache.Close() })
+	}
+	return sf, opts
+}
+
 func TestNetStudySmall(t *testing.T) {
-	if err := run(8, 2, "1,0.5", core.FormatTable, core.SweepOptions{}, "", ""); err != nil {
+	if err := run(8, 2, "1,0.5", core.FormatTable, core.SweepOptions{}, sweepFlags(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(8, 2, "1", core.FormatCSV, core.SweepOptions{Workers: 2}, "", ""); err != nil {
+	if err := run(8, 2, "1", core.FormatCSV, core.SweepOptions{Workers: 2}, sweepFlags(t)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -28,7 +59,8 @@ func TestNetStudyObsFiles(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "m.json")
 	trace := filepath.Join(dir, "t.json")
-	if err := run(8, 2, "1,0.5", core.FormatJSON, core.SweepOptions{Workers: 2}, metrics, trace); err != nil {
+	sf, opts := sweepOptions(t, "-j", "2", "-metrics-out", metrics, "-trace-out", trace)
+	if err := sf.Finish("sst-net", run(8, 2, "1,0.5", core.FormatJSON, opts, sf)); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{metrics, trace} {
@@ -68,13 +100,13 @@ func TestNetScalingStudy(t *testing.T) {
 }
 
 func TestNetStudyBadFractions(t *testing.T) {
-	err := run(8, 2, "1,zero", core.FormatTable, core.SweepOptions{}, "", "")
+	err := run(8, 2, "1,zero", core.FormatTable, core.SweepOptions{}, sweepFlags(t))
 	if err == nil {
 		t.Error("bad fraction accepted")
 	} else if cli.Code(err) != cli.ExitConfig {
 		t.Errorf("bad fraction maps to exit %d, want %d", cli.Code(err), cli.ExitConfig)
 	}
-	if err := run(8, 2, "2.5", core.FormatTable, core.SweepOptions{}, "", ""); err == nil {
+	if err := run(8, 2, "2.5", core.FormatTable, core.SweepOptions{}, sweepFlags(t)); err == nil {
 		t.Error("fraction > 1 accepted")
 	}
 }
@@ -85,7 +117,7 @@ func TestNetStudyBadFractions(t *testing.T) {
 func TestNetStudyJournalResume(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "net.jsonl")
-	if err := run(8, 2, "1,0.5", core.FormatCSV, core.SweepOptions{Workers: 2, Journal: journal}, "", ""); err != nil {
+	if err := run(8, 2, "1,0.5", core.FormatCSV, core.SweepOptions{Workers: 2, Journal: journal}, sweepFlags(t)); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(journal)
@@ -97,7 +129,7 @@ func TestNetStudyJournalResume(t *testing.T) {
 	}
 	// Resume against the complete journal: every cell restores, no
 	// simulation re-runs, and the study still succeeds.
-	if err := run(8, 2, "1,0.5", core.FormatCSV, core.SweepOptions{Workers: 2, Journal: journal, Resume: true}, "", ""); err != nil {
+	if err := run(8, 2, "1,0.5", core.FormatCSV, core.SweepOptions{Workers: 2, Journal: journal, Resume: true}, sweepFlags(t)); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 }
@@ -107,7 +139,7 @@ func TestNetStudyJournalResume(t *testing.T) {
 func TestNetStudyInterruptedExitCode(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := run(8, 2, "1,0.5", core.FormatTable, core.SweepOptions{Workers: 1, Context: ctx}, "", "")
+	err := run(8, 2, "1,0.5", core.FormatTable, core.SweepOptions{Workers: 1, Context: ctx}, sweepFlags(t))
 	if err == nil {
 		t.Fatal("cancelled study reported success")
 	}
@@ -121,12 +153,9 @@ func TestNetStudyInterruptedExitCode(t *testing.T) {
 // cells are served from the degradation study's results — half the
 // accesses hit on the very first run, and a rerun is all hits.
 func TestNetStudyCacheSharedAcrossStudies(t *testing.T) {
-	sc, err := core.NewSweepCache(64, cache.LRU, []cache.PolicyType{cache.LFU}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if err := run(8, 2, "1,0.5", core.FormatCSV, core.SweepOptions{Workers: 2, Cache: sc}, "", ""); err != nil {
+	sf, opts := sweepOptions(t, "-j", "2", "-cache", "-cache-size", "64")
+	sc := opts.Cache
+	if err := run(8, 2, "1,0.5", core.FormatCSV, opts, sf); err != nil {
 		t.Fatal(err)
 	}
 	st := sc.Stats()
@@ -134,7 +163,7 @@ func TestNetStudyCacheSharedAcrossStudies(t *testing.T) {
 		t.Fatalf("first run stats %+v, want every degradation miss mirrored by a power hit", st)
 	}
 	cells := st.Misses
-	if err := run(8, 2, "1,0.5", core.FormatCSV, core.SweepOptions{Workers: 2, Cache: sc}, "", ""); err != nil {
+	if err := run(8, 2, "1,0.5", core.FormatCSV, opts, sf); err != nil {
 		t.Fatal(err)
 	}
 	st = sc.Stats()
@@ -146,13 +175,9 @@ func TestNetStudyCacheSharedAcrossStudies(t *testing.T) {
 // TestNetStudyCacheMetricsOut: the -metrics-out JSON carries the cache
 // report after the per-point metrics.
 func TestNetStudyCacheMetricsOut(t *testing.T) {
-	sc, err := core.NewSweepCache(64, cache.LRU, []cache.PolicyType{cache.TinyLFU}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
 	metrics := filepath.Join(t.TempDir(), "m.json")
-	if err := run(8, 2, "1", core.FormatCSV, core.SweepOptions{Workers: 2, Cache: sc}, metrics, ""); err != nil {
+	sf, opts := sweepOptions(t, "-j", "2", "-cache", "-cache-size", "64", "-metrics-out", metrics)
+	if err := sf.Finish("sst-net", run(8, 2, "1", core.FormatCSV, opts, sf)); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(metrics)
@@ -165,18 +190,43 @@ func TestNetStudyCacheMetricsOut(t *testing.T) {
 		t.Fatalf("metrics JSON: %v", err)
 	}
 	var rep struct {
-		Cache *struct {
-			Policy  string `json:"policy"`
-			Shadows []struct {
-				Policy string `json:"policy"`
-			} `json:"shadows"`
-		} `json:"cache"`
+		Cache map[string]any `json:"cache"`
 	}
 	if err := dec.Decode(&rep); err != nil {
 		t.Fatalf("metrics JSON cache report: %v", err)
 	}
-	if rep.Cache == nil || rep.Cache.Policy != "lru" || len(rep.Cache.Shadows) != 1 {
+	// Every cell misses in the degradation study and hits in the power
+	// study.
+	if rep.Cache["capacity"] != 64.0 || rep.Cache["hits"] != rep.Cache["misses"] || rep.Cache["hits"] == 0.0 || rep.Cache["evictions"] != 0.0 {
 		t.Fatalf("cache report in metrics JSON = %+v", rep.Cache)
+	}
+	for _, gone := range []string{"policy", "rejected", "shadows"} {
+		if _, ok := rep.Cache[gone]; ok {
+			t.Errorf("cache report still carries %q: %+v", gone, rep.Cache)
+		}
+	}
+}
+
+// TestNetRemovedCacheFlags: the policy and shadow-sensor flags are gone —
+// the command rejects them as unknown flags with the configuration exit
+// code. The test re-executes its own binary as sst-net.
+func TestNetRemovedCacheFlags(t *testing.T) {
+	if args := os.Getenv("SST_NET_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"sst-net"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, args := range []string{"-cache-policy lru", "-cache-shadow lfu"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNetRemovedCacheFlags$")
+		cmd.Env = append(os.Environ(), "SST_NET_MAIN_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != cli.ExitConfig {
+			t.Errorf("sst-net %s: %v, want exit %d\n%s", args, err, cli.ExitConfig, out)
+		}
+		if !strings.Contains(string(out), "flag provided but not defined") {
+			t.Errorf("sst-net %s: not rejected as an unknown flag:\n%s", args, out)
+		}
 	}
 }
 
@@ -193,7 +243,7 @@ func TestNetSIGTERMDrains(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("SIGTERM did not cancel the signal context")
 	}
-	err := run(8, 2, "1,0.5", core.FormatTable, core.SweepOptions{Workers: 1, Context: ctx}, "", "")
+	err := run(8, 2, "1,0.5", core.FormatTable, core.SweepOptions{Workers: 1, Context: ctx}, sweepFlags(t))
 	if err == nil {
 		t.Fatal("study under SIGTERM reported success")
 	}

@@ -166,29 +166,16 @@ func (ob obsFlags) flush(tracer *obs.Tracer, rep *obs.RunReport) error {
 		if strings.HasSuffix(ob.traceOut, ".csv") {
 			write = tracer.WriteCSV
 		}
-		if err := writeFile(ob.traceOut, write); err != nil {
+		if err := cli.WriteFile(ob.traceOut, write); err != nil {
 			return err
 		}
 	}
 	if ob.metricsOut != "" && rep != nil {
-		if err := writeFile(ob.metricsOut, rep.WriteJSON); err != nil {
+		if err := cli.WriteFile(ob.metricsOut, rep.WriteJSON); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // runSystem executes a multi-node communication-profile simulation,
@@ -373,7 +360,7 @@ func runSystemPar(name string, topo noc.Topology, netCfg noc.NetConfig,
 		if strings.HasSuffix(ob.traceOut, ".csv") {
 			write = tr.WriteCSV
 		}
-		if err := writeFile(rankPath(ob.traceOut, i), write); err != nil {
+		if err := cli.WriteFile(rankPath(ob.traceOut, i), write); err != nil {
 			return err
 		}
 	}

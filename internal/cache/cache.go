@@ -5,12 +5,10 @@
 // equivalent to re-simulating the point, and invalidation reduces to "the
 // key changed".
 //
-// The cache separates the value store from eviction metadata: pluggable
-// policies (FIFO, LRU, LFU, TinyLFU with doorkeeper admission) order keys
-// and nominate victims without ever touching values. That split buys
-// shadow sensors: extra policies run metadata-only against the live access
-// stream and report the hit rate they *would* achieve, so an operator can
-// compare policies on real traffic before choosing one.
+// The cache is one bounded LRU table: a resident sst-serve needs a bound,
+// and recency is the policy repeated and overlapping grids reward. No
+// measured stream reaches the default capacity (EXPERIMENTS.md E16), so
+// there is no second policy to choose.
 //
 // An optional persistent tier appends every stored entry to an fsync'd
 // JSONL file (an iofault.AppendLog, the crash-tolerant log the sweep
@@ -26,6 +24,7 @@
 package cache
 
 import (
+	"container/list"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -44,10 +43,6 @@ type Codec struct {
 type Options struct {
 	// Capacity bounds resident entries; <= 0 means 1024.
 	Capacity int
-	// Policy selects the active eviction policy (default LRU).
-	Policy PolicyType
-	// Shadows lists policies to run as metadata-only hit/miss sensors.
-	Shadows []PolicyType
 	// Path, when non-empty, names the persistent JSONL tier: existing
 	// entries are loaded at New (tolerating a torn final line) and every
 	// Put is appended and fsync'd. Requires Codec.
@@ -61,21 +56,17 @@ type Options struct {
 	FS iofault.FS
 }
 
-// Stats is a point-in-time snapshot of cache behavior, including the
-// shadow sensors' counters. It marshals to the JSON reported through
-// internal/obs RunReports.
+// Stats is a point-in-time snapshot of cache behavior. It marshals to the
+// JSON reported through internal/obs RunReports.
 type Stats struct {
-	Policy     string        `json:"policy"`
-	Capacity   int           `json:"capacity"`
-	Entries    int           `json:"entries"`
-	Bytes      int64         `json:"bytes"`
-	Hits       int64         `json:"hits"`
-	Misses     int64         `json:"misses"`
-	Evictions  int64         `json:"evictions"`
-	Rejected   int64         `json:"rejected"`
-	WarmStarts int64         `json:"warm_starts"`
-	HitRate    float64       `json:"hit_rate"`
-	Shadows    []ShadowStats `json:"shadows,omitempty"`
+	Capacity   int     `json:"capacity"`
+	Entries    int     `json:"entries"`
+	Bytes      int64   `json:"bytes"`
+	Hits       int64   `json:"hits"`
+	Misses     int64   `json:"misses"`
+	Evictions  int64   `json:"evictions"`
+	WarmStarts int64   `json:"warm_starts"`
+	HitRate    float64 `json:"hit_rate"`
 
 	// AppendFailures counts persistent-tier appends that failed (short
 	// write, ENOSPC, fsync error); Degraded reports that the file tier has
@@ -84,71 +75,30 @@ type Stats struct {
 	Degraded       bool  `json:"degraded,omitempty"`
 }
 
-// ShadowStats is one shadow sensor's would-be hit/miss tally.
-type ShadowStats struct {
-	Policy  string  `json:"policy"`
-	Hits    int64   `json:"hits"`
-	Misses  int64   `json:"misses"`
-	HitRate float64 `json:"hit_rate"`
-}
+// PolicyType and LRU are a vestige: the frozen bench/ calls
+// core.NewSweepCache(4096, cache.LRU, nil, ""), so the name and its one
+// value stay until the next benchmark unfreeze (see ROADMAP.md). Nothing
+// reads them.
+type PolicyType int
 
-// shadow runs one policy metadata-only against the live access stream.
-type shadow struct {
-	typ      PolicyType
-	capacity int
-	pol      evictor
-	hits     int64
-	misses   int64
-}
+// LRU is the cache's only eviction order.
+const LRU PolicyType = iota
 
-// access mirrors Cache.Get on metadata: a resident key is a would-be hit.
-func (s *shadow) access(key string) {
-	if r, ok := s.pol.(recorder); ok {
-		r.record(key)
-	}
-	if s.pol.has(key) {
-		s.hits++
-		s.pol.touch(key)
-		return
-	}
-	s.misses++
-}
-
-// insert mirrors Cache.Put on metadata, honoring the policy's admission
-// filter and capacity.
-func (s *shadow) insert(key string) {
-	if s.pol.has(key) {
-		s.pol.touch(key)
-		return
-	}
-	if a, ok := s.pol.(admitter); ok && s.pol.len() >= s.capacity && !a.admit(key) {
-		return
-	}
-	s.pol.add(key)
-	for s.pol.len() > s.capacity {
-		v, ok := s.pol.victim()
-		if !ok {
-			break
-		}
-		s.pol.remove(v)
-	}
-}
-
-// entry is one resident value plus its size accounting.
+// entry is one resident value; it lives in the recency list's element.
 type entry struct {
+	key  string
 	v    any
 	size int64
 }
 
-// Cache is a bounded, content-addressed key→value store with pluggable
-// eviction. All methods are safe for concurrent use by sweep workers.
+// Cache is a bounded, content-addressed key→value store evicting the
+// least recently used entry. All methods are safe for concurrent use by
+// sweep workers.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	ptype    PolicyType
-	policy   evictor
-	values   map[string]entry
-	shadows  []*shadow
+	items    map[string]*list.Element // of *entry
+	order    *list.List               // front = most recently used
 	codec    Codec
 
 	log *iofault.AppendLog // the persistent tier; nil when absent or degraded
@@ -157,7 +107,6 @@ type Cache struct {
 	hits           int64
 	misses         int64
 	evictions      int64
-	rejected       int64
 	warmStarts     int64
 	appendFailures int64
 	degraded       bool
@@ -179,13 +128,9 @@ func New(opts Options) (*Cache, error) {
 	}
 	c := &Cache{
 		capacity: capacity,
-		ptype:    opts.Policy,
-		policy:   newEvictor(opts.Policy, capacity),
-		values:   make(map[string]entry, capacity),
+		items:    make(map[string]*list.Element, capacity),
+		order:    list.New(),
 		codec:    opts.Codec,
-	}
-	for _, st := range opts.Shadows {
-		c.shadows = append(c.shadows, &shadow{typ: st, capacity: capacity, pol: newEvictor(st, capacity)})
 	}
 	if opts.Path != "" {
 		if opts.Codec.Encode == nil || opts.Codec.Decode == nil {
@@ -225,25 +170,18 @@ func (c *Cache) openFile(fsys iofault.FS, path string) error {
 	return nil
 }
 
-// Get returns the value stored under key. Every lookup — hit or miss —
-// feeds the active policy's frequency estimator and the shadow sensors.
+// Get returns the value stored under key and marks it most recently used.
 func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, s := range c.shadows {
-		s.access(key)
-	}
-	if r, ok := c.policy.(recorder); ok {
-		r.record(key)
-	}
-	ent, ok := c.values[key]
+	el, ok := c.items[key]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.policy.touch(key)
-	return ent.v, true
+	c.order.MoveToFront(el)
+	return el.Value.(*entry).v, true
 }
 
 // Put stores a deep-copy-owned value under key. size is the caller's
@@ -254,9 +192,6 @@ func (c *Cache) Get(key string) (any, bool) {
 func (c *Cache) Put(key string, v any, size int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, s := range c.shadows {
-		s.insert(key)
-	}
 	var encoded []byte
 	if c.codec.Encode != nil && (size <= 0 || c.log != nil) {
 		var err error
@@ -270,53 +205,33 @@ func (c *Cache) Put(key string, v any, size int64) error {
 			size = 1
 		}
 	}
-	if old, ok := c.values[key]; ok {
-		// Content-addressed: a re-store under the same key carries the
-		// same value; refresh size accounting and recency only.
-		c.bytes += size - old.size
-		c.values[key] = entry{v: v, size: size}
-		c.policy.touch(key)
-		return nil
-	}
-	if a, ok := c.policy.(admitter); ok && len(c.values) >= c.capacity && !a.admit(key) {
-		c.rejected++
-		return nil
-	}
-	c.insertLocked(key, v, size)
-	if c.log != nil {
+	if c.insertLocked(key, v, size) && c.log != nil {
 		c.appendLocked(key, encoded, size)
 	}
 	return nil
 }
 
-// insertLocked stores the value and evicts past capacity. Caller holds mu.
-func (c *Cache) insertLocked(key string, v any, size int64) {
-	if old, ok := c.values[key]; ok {
-		c.bytes += size - old.size
-		c.values[key] = entry{v: v, size: size}
-		c.policy.touch(key)
-		return
+// insertLocked stores the value as most recently used, evicts past
+// capacity and reports whether key is new. Content-addressed: a re-store
+// under a resident key carries the same value, so it refreshes size
+// accounting and recency only. Caller holds mu.
+func (c *Cache) insertLocked(key string, v any, size int64) bool {
+	if el, ok := c.items[key]; ok {
+		ent := el.Value.(*entry)
+		c.bytes += size - ent.size
+		ent.v, ent.size = v, size
+		c.order.MoveToFront(el)
+		return false
 	}
-	c.values[key] = entry{v: v, size: size}
+	c.items[key] = c.order.PushFront(&entry{key: key, v: v, size: size})
 	c.bytes += size
-	c.policy.add(key)
-	for len(c.values) > c.capacity {
-		victim, ok := c.policy.victim()
-		if !ok {
-			break
-		}
-		c.removeLocked(victim)
+	for len(c.items) > c.capacity {
+		ent := c.order.Remove(c.order.Back()).(*entry)
+		delete(c.items, ent.key)
+		c.bytes -= ent.size
 		c.evictions++
 	}
-}
-
-// removeLocked drops a key from the store and the policy.
-func (c *Cache) removeLocked(key string) {
-	if ent, ok := c.values[key]; ok {
-		c.bytes -= ent.size
-		delete(c.values, key)
-	}
-	c.policy.remove(key)
+	return true
 }
 
 // appendLocked makes one persistent-tier record durable, like a sweep
@@ -343,22 +258,20 @@ func (c *Cache) appendLocked(key string, encoded []byte, size int64) {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.values)
+	return len(c.items)
 }
 
-// Stats snapshots the counters, including each shadow sensor's.
+// Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := Stats{
-		Policy:     c.ptype.String(),
 		Capacity:   c.capacity,
-		Entries:    len(c.values),
+		Entries:    len(c.items),
 		Bytes:      c.bytes,
 		Hits:       c.hits,
 		Misses:     c.misses,
 		Evictions:  c.evictions,
-		Rejected:   c.rejected,
 		WarmStarts: c.warmStarts,
 
 		AppendFailures: c.appendFailures,
@@ -366,13 +279,6 @@ func (c *Cache) Stats() Stats {
 	}
 	if total := c.hits + c.misses; total > 0 {
 		s.HitRate = float64(c.hits) / float64(total)
-	}
-	for _, sh := range c.shadows {
-		ss := ShadowStats{Policy: sh.typ.String(), Hits: sh.hits, Misses: sh.misses}
-		if total := sh.hits + sh.misses; total > 0 {
-			ss.HitRate = float64(sh.hits) / float64(total)
-		}
-		s.Shadows = append(s.Shadows, ss)
 	}
 	return s
 }

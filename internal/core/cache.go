@@ -74,13 +74,8 @@ func ResultCodec() cache.Codec {
 }
 
 // NewSweepCache builds a result cache wired with the core codec; path ""
-// means memory-only.
-func NewSweepCache(capacity int, policy cache.PolicyType, shadows []cache.PolicyType, path string) (*cache.Cache, error) {
-	return cache.New(cache.Options{
-		Capacity: capacity,
-		Policy:   policy,
-		Shadows:  shadows,
-		Path:     path,
-		Codec:    ResultCodec(),
-	})
+// means memory-only. The second and third parameters are ignored: the
+// frozen bench/ calls this four-argument form (see cache.PolicyType).
+func NewSweepCache(capacity int, _ cache.PolicyType, _ []cache.PolicyType, path string) (*cache.Cache, error) {
+	return cache.New(cache.Options{Capacity: capacity, Path: path, Codec: ResultCodec()})
 }

@@ -54,47 +54,6 @@ func (l *latticeNode) burn() {
 	}
 }
 
-// BuildLattice partitions `nodes` ring-connected nodes over the runner and
-// starts their event chains: each node processes one compute event per
-// eventSpacing and one neighbor message per linkLatency. All links share
-// one latency, so it exercises the uniform-lookahead case.
-func BuildLattice(r *par.Runner, nodes int, eventSpacing, linkLatency sim.Time) ([]*latticeNode, error) {
-	nranks := r.NumRanks()
-	type half struct{ a, b *sim.Port }
-	halves := make([]half, nodes)
-	for i := 0; i < nodes; i++ {
-		ra := i % nranks
-		rb := ((i + 1) % nodes) % nranks
-		a, b, err := r.Connect(fmt.Sprintf("lat%d", i), linkLatency, ra, rb)
-		if err != nil {
-			return nil, err
-		}
-		halves[i] = half{a, b}
-	}
-	out := make([]*latticeNode, nodes)
-	for i := 0; i < nodes; i++ {
-		n := &latticeNode{name: fmt.Sprintf("node%d", i), out: halves[i].a}
-		halves[(i-1+nodes)%nodes].b.SetHandler(n.recv)
-		rk := r.Rank(i % nranks)
-		rk.Add(n)
-		eng := rk.Engine()
-		node := n
-		var work sim.Handler
-		sends := sim.Time(0)
-		work = func(any) {
-			node.burn()
-			sends += eventSpacing
-			if sends >= linkLatency {
-				sends = 0
-				node.out.Send(node.received)
-			}
-			eng.Schedule(eventSpacing, work, nil)
-		}
-		eng.Schedule(sim.Time(i%7), work, nil)
-	}
-	return out, nil
-}
-
 // Heterogeneous lattice constants: a duty-cycled chatty pair coupled by
 // one tight link plus a bursty periphery on links an order of magnitude
 // slower. This is the configuration where topology-aware (pairwise) sync

@@ -38,16 +38,12 @@ type FailureProcess struct {
 	rng     *sim.RNG
 	mtbfS   float64
 	target  Killable
-	record  bool
-	trace   Trace
-	kills   uint64
 	stopped bool
 }
 
 // NewFailureProcess arms exponential failures with mean mtbfS seconds
-// against target, scheduling on eng. With record set, each kill is logged
-// to the process's Trace.
-func NewFailureProcess(eng *sim.Engine, target Killable, seed uint64, mtbfS float64, record bool) (*FailureProcess, error) {
+// against target, scheduling on eng.
+func NewFailureProcess(eng *sim.Engine, target Killable, seed uint64, mtbfS float64) (*FailureProcess, error) {
 	if math.IsNaN(mtbfS) || mtbfS <= 0 {
 		return nil, fmt.Errorf("fault: MTBF %v must be positive seconds", mtbfS)
 	}
@@ -56,7 +52,6 @@ func NewFailureProcess(eng *sim.Engine, target Killable, seed uint64, mtbfS floa
 		rng:    NewStream(seed, "mtbf:"+target.Name()),
 		mtbfS:  mtbfS,
 		target: target,
-		record: record,
 	}
 	f.arm()
 	return f, nil
@@ -68,12 +63,6 @@ func (f *FailureProcess) arm() {
 		if f.stopped {
 			return
 		}
-		f.kills++
-		if f.record {
-			f.trace = append(f.trace, Event{
-				At: f.eng.Now(), Kind: Kill, Target: f.target.Name(), Seq: f.kills,
-			})
-		}
 		f.target.Kill()
 		f.arm()
 	}, nil)
@@ -81,12 +70,6 @@ func (f *FailureProcess) arm() {
 
 // Stop disarms the process; already-scheduled failures become no-ops.
 func (f *FailureProcess) Stop() { f.stopped = true }
-
-// Kills returns how many failures have fired.
-func (f *FailureProcess) Kills() uint64 { return f.kills }
-
-// Trace returns the kill log (nil unless record was requested).
-func (f *FailureProcess) FaultTrace() Trace { return f.trace }
 
 // CheckpointModel describes an application doing coordinated
 // checkpoint/restart on a failing machine: W seconds of useful work, split
@@ -231,7 +214,7 @@ func (m CheckpointModel) Simulate(seed uint64, intervalS float64) (RunStats, err
 	eng := sim.NewEngine()
 	w := &ckptWorker{eng: eng, m: m, intervalS: intervalS}
 	w.startSegment()
-	fp, err := NewFailureProcess(eng, w, seed, m.MTBFS, false)
+	fp, err := NewFailureProcess(eng, w, seed, m.MTBFS)
 	if err != nil {
 		return RunStats{}, err
 	}

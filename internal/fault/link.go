@@ -172,20 +172,6 @@ func corrupt(payload any, rng *sim.RNG) any {
 	}
 }
 
-// Stats reports one direction's census.
-type LinkDirStats struct {
-	Sent, Drops, Corrupts, Delays uint64
-}
-
-// StatsA returns the census for sends leaving port a; StatsB for port b.
-func (inj *LinkInjector) StatsA() LinkDirStats { return inj.a.stats() }
-func (inj *LinkInjector) StatsB() LinkDirStats { return inj.b.stats() }
-
-func (d *linkDir) stats() LinkDirStats {
-	return LinkDirStats{Sent: d.sent, Drops: d.drops, Corrupts: d.corrupts, Delays: d.delays}
-}
-
 // TraceA returns the fault trace for sends leaving port a (nil unless
-// LinkFaults.Record was set); TraceB for port b.
+// LinkFaults.Record was set).
 func (inj *LinkInjector) TraceA() Trace { return inj.a.trace }
-func (inj *LinkInjector) TraceB() Trace { return inj.b.trace }

@@ -48,6 +48,11 @@ var mnemonics = func() map[string]Opcode {
 	return m
 }()
 
+// maxSpaceBytes bounds the bytes one program may reserve with .space:
+// the source is untrusted (sst-asm reads user files), and a one-line
+// directive must not be able to size the assembler's memory.
+const maxSpaceBytes = 1 << 20
+
 // Assemble translates SR1 assembly text into a Program.
 //
 // Syntax:
@@ -61,11 +66,13 @@ var mnemonics = func() map[string]Opcode {
 //	b     label             # pseudo: jal r0, label
 //	.org  addr              # set code origin (before first instruction)
 //	.word label, value      # place an 8-byte datum at a data label
-//	.space label, n         # reserve n zeroed bytes at a data label
+//	.space label, n         # reserve n zeroed bytes at a data label;
+//	                        # (at most 1 MiB per program)
 //
 // Comments run from '#' or ';' to end of line. Data is placed after code,
 // 8-byte aligned.
 func Assemble(src string) (*Program, error) {
+	var space int64 // bytes reserved by .space so far
 	type pendingInstr struct {
 		line   int
 		op     Opcode
@@ -124,6 +131,9 @@ func Assemble(src string) (*Program, error) {
 			if len(pend) > 0 || orgSet {
 				return nil, fmt.Errorf("isa: line %d: .org must appear once, before code", ln+1)
 			}
+			if len(args) != 1 {
+				return nil, fmt.Errorf("isa: line %d: .org needs exactly one address", ln+1)
+			}
 			v, err := parseInt(args[0])
 			if err != nil {
 				return nil, fmt.Errorf("isa: line %d: %v", ln+1, err)
@@ -151,6 +161,10 @@ func Assemble(src string) (*Program, error) {
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("isa: line %d: bad .space size %q", ln+1, args[1])
 			}
+			if n > maxSpaceBytes-space {
+				return nil, fmt.Errorf("isa: line %d: .space %d exceeds the program's %d-byte limit", ln+1, n, maxSpaceBytes)
+			}
+			space += n
 			data = append(data, datum{label: args[0], words: make([]uint64, (n+7)/8), line: ln + 1})
 		case "li", "mv", "b", "not", "neg":
 			n := pseudoLen(mnem, args)

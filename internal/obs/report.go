@@ -43,8 +43,7 @@ type RunReport struct {
 	Trace  *TraceMetrics      `json:"trace,omitempty"`
 	Links  []LinkStats        `json:"links,omitempty"`
 	Par    *par.RunnerMetrics `json:"par,omitempty"`
-	// Cache is the sweep result cache's counter snapshot, including each
-	// shadow policy's would-be hit rate.
+	// Cache is the sweep result cache's counter snapshot.
 	Cache *cache.Stats `json:"cache,omitempty"`
 }
 
@@ -87,26 +86,18 @@ func (r *RunReport) Table() *stats.Table {
 		}
 	}
 	if cs := r.Cache; cs != nil {
-		t.AddRow("cache.policy", cs.Policy)
 		t.AddRow("cache.entries", cs.Entries)
 		t.AddRow("cache.bytes", cs.Bytes)
 		t.AddRow("cache.hits", cs.Hits)
 		t.AddRow("cache.misses", cs.Misses)
 		t.AddRow("cache.hit_rate", cs.HitRate)
 		t.AddRow("cache.evictions", cs.Evictions)
-		t.AddRow("cache.rejected", cs.Rejected)
 		t.AddRow("cache.warm_starts", cs.WarmStarts)
 		if cs.Degraded {
 			// Storage under the warm-start file failed mid-run; the cache
 			// dropped it and served the sweep from memory alone.
 			t.AddRow("cache.degraded", true)
 			t.AddRow("cache.append_failures", cs.AppendFailures)
-		}
-		for _, ss := range cs.Shadows {
-			prefix := "cache.shadow." + ss.Policy + "."
-			t.AddRow(prefix+"hits", ss.Hits)
-			t.AddRow(prefix+"misses", ss.Misses)
-			t.AddRow(prefix+"hit_rate", ss.HitRate)
 		}
 	}
 	return t
@@ -166,8 +157,7 @@ func (c *Collector) AttachTracer(t *Tracer) { c.tracer = t }
 func (c *Collector) AttachRunner(r *par.Runner) { c.runner = r }
 
 // AttachCache additionally records a sweep result cache whose counter
-// snapshot (hit/miss/eviction/bytes plus per-shadow-policy stats) is
-// folded into the report.
+// snapshot (hit/miss/eviction/bytes) is folded into the report.
 func (c *Collector) AttachCache(sc *cache.Cache) { c.cache = sc }
 
 // Report snapshots the metrics. Call it after the run completes (it reads

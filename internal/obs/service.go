@@ -81,7 +81,6 @@ func (r *ServiceReport) Table() *stats.Table {
 	t.AddRow("points.quarantined", r.Quarantined)
 	t.AddRow("points.reports_dropped", r.ReportsDropped)
 	if cs := r.Cache; cs != nil {
-		t.AddRow("cache.policy", cs.Policy)
 		t.AddRow("cache.entries", cs.Entries)
 		t.AddRow("cache.hits", cs.Hits)
 		t.AddRow("cache.misses", cs.Misses)

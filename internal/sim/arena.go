@@ -15,27 +15,17 @@ package sim
 type EventArena struct {
 	free []*event
 	qbuf []*event
-	// max is the high-water trim: Harvest keeps at most this many events,
-	// bounding what a pathological point (huge pending-queue spike) can
-	// make every later point carry. Non-positive means DefaultArenaEvents.
-	max int
 }
 
-// DefaultArenaEvents bounds the retained free list of an EventArena:
-// far above any model's steady-state pending count, low enough that a
-// resident server's per-worker arenas stay small (~4 MB at 64 B/event).
+// DefaultArenaEvents is the high-water trim of an EventArena: Harvest
+// keeps at most this many events, bounding what a pathological point (a
+// huge pending-queue spike) can make every later point carry. It is far
+// above any model's steady-state pending count, low enough that a resident
+// server's per-worker arenas stay small (~4 MB at 64 B/event).
 const DefaultArenaEvents = 1 << 16
 
-// NewEventArena returns an empty arena with the default high-water trim.
-func NewEventArena() *EventArena { return &EventArena{max: DefaultArenaEvents} }
-
-// SetMaxEvents overrides the high-water trim; n <= 0 restores the default.
-func (a *EventArena) SetMaxEvents(n int) {
-	if n <= 0 {
-		n = DefaultArenaEvents
-	}
-	a.max = n
-}
+// NewEventArena returns an empty arena.
+func NewEventArena() *EventArena { return &EventArena{} }
 
 // Len reports how many recycled events the arena currently holds.
 func (a *EventArena) Len() int { return len(a.free) }
@@ -65,15 +55,9 @@ func (a *EventArena) Harvest(e *Engine) {
 		ev.fn, ev.payload, ev.label = nil, nil, ""
 		e.free = append(e.free, ev)
 	}
-	max := a.max
-	if max <= 0 {
-		max = DefaultArenaEvents
-	}
-	if len(e.free) > max {
-		for i := max; i < len(e.free); i++ {
-			e.free[i] = nil
-		}
-		e.free = e.free[:max]
+	if len(e.free) > DefaultArenaEvents {
+		clear(e.free[DefaultArenaEvents:])
+		e.free = e.free[:DefaultArenaEvents]
 	}
 	a.free = e.free
 	a.qbuf = e.q.a[:0]

@@ -27,6 +27,7 @@ package sim
 // path is a nil-map check in Port.SendDelayed.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -187,11 +188,19 @@ func (e *Engine) Snapshot(enc *Encoder) (err error) {
 // The caller must first rebuild the identical model (same components, same
 // registration order) on this engine; Restore discards the build-time event
 // queue, resets time and counters, and replays every component's LoadState,
-// during which components re-create their pending events.
-func (e *Engine) Restore(dec *Decoder) error {
+// during which components re-create their pending events. The snapshot is
+// bytes from disk: what a LoadState rejects by panicking (an event sequence
+// or time the counters rule out, a payload of the wrong type) comes back as
+// an error, the way Snapshot treats SaveState.
+func (e *Engine) Restore(dec *Decoder) (err error) {
 	if e.snap == nil {
 		return fmt.Errorf("sim: restore on an engine without EnableSnapshots")
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sim: restore failed: %v", r)
+		}
+	}()
 	// Drop the build-time queue and clock lane: every pending event and
 	// tick is re-created by its owning component from the snapshot.
 	clear(e.lane)
@@ -289,10 +298,16 @@ func ReadSnapshot(r io.Reader) ([]byte, error) {
 	if n > maxSnapshot {
 		return nil, fmt.Errorf("sim: snapshot body length %d exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// The length is a claim until the bytes arrive: read incrementally so
+	// memory is bounded by what the file holds, not by what its header says.
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF && buf.Len() > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("sim: snapshot body: %w", err)
 	}
+	body := buf.Bytes()
 	var sum [4]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
 		return nil, fmt.Errorf("sim: snapshot checksum: %w", err)

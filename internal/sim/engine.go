@@ -224,29 +224,6 @@ func (e *Engine) push(t Time, prio Priority, label string, fn Handler, payload a
 	e.q.Push(ev)
 }
 
-// FreeListLen reports how many recycled event structs the engine holds.
-func (e *Engine) FreeListLen() int { return len(e.free) }
-
-// TrimFreeList drops recycled events beyond max, returning how many were
-// released to the garbage collector. Long-lived engines (a resident
-// service, the parallel runtime's ranks) call it after a load spike so the
-// free list tracks the steady-state high-water mark instead of the
-// all-time one.
-func (e *Engine) TrimFreeList(max int) int {
-	if max < 0 {
-		max = 0
-	}
-	dropped := len(e.free) - max
-	if dropped <= 0 {
-		return 0
-	}
-	for i := max; i < len(e.free); i++ {
-		e.free[i] = nil
-	}
-	e.free = e.free[:max]
-	return dropped
-}
-
 // Stop makes the current Run return after the in-flight handler completes.
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -263,9 +240,6 @@ func (e *Engine) Interrupted() bool { return e.intr.Load() }
 
 // ClearInterrupt re-arms an interrupted engine.
 func (e *Engine) ClearInterrupt() { e.intr.Store(false) }
-
-// Stopped reports whether Stop has been called since the last Run.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // setIdleHook installs the parallel runtime's blocking hook. Internal to
 // the sim/par pair.

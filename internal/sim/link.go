@@ -19,9 +19,6 @@ func (p *Port) Name() string { return p.name }
 // Link returns the link this port belongs to, or nil when unconnected.
 func (p *Port) Link() *Link { return p.link }
 
-// Peer returns the port at the other end of the link.
-func (p *Port) Peer() *Port { return p.peer }
-
 // Deliver invokes the port's handler directly at the current time. It is
 // used by the parallel runtime when draining cross-rank mailboxes; normal
 // components use Send on the peer instead.
@@ -35,9 +32,6 @@ func (p *Port) Deliver(payload any) {
 // SetHandler installs the function invoked when a payload arrives at this
 // port. It must be set before the peer sends.
 func (p *Port) SetHandler(h Handler) { p.handler = h }
-
-// Connected reports whether the port has been wired to a link.
-func (p *Port) Connected() bool { return p.link != nil }
 
 // Latency returns the latency of the attached link.
 func (p *Port) Latency() Time {

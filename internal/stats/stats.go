@@ -309,9 +309,6 @@ type Scope struct {
 	prefix string
 }
 
-// Prefix returns the scope's prefix.
-func (s *Scope) Prefix() string { return s.prefix }
-
 // Counter creates and registers a counter named prefix.name.
 func (s *Scope) Counter(name string) *Counter {
 	c := NewCounter(name)
