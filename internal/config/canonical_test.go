@@ -1,10 +1,169 @@
 package config
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"io"
+	"sort"
 	"strings"
 	"testing"
+
+	"sst/internal/dram"
+	"sst/internal/sim"
 )
+
+// canonicalHashFmt is the reference rendering of MachineConfig.CanonicalHash:
+// the same stream written with fmt's reflective %#v. The production appender
+// must match it byte for byte (TestCanonicalMatchesFmt, FuzzConfigHash), so a
+// field added to a component config without a matching appender line fails
+// here instead of silently dropping out of the key.
+func canonicalHashFmt(m MachineConfig) (string, error) {
+	cp := m
+	if err := cp.Validate(); err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\nname=%q\ncores=%d\n", canonVersionMachine, cp.Name, cp.Node.Cores)
+	coherence := cp.Node.Coherence
+	if coherence == "" {
+		coherence = "bus"
+	}
+	fmt.Fprintf(h, "coherence=%s\nmax_ops=%d\n", coherence, cp.MaxOps)
+	core, err := cp.Node.CPU.ToCoreConfig("cpu")
+	if err != nil {
+		return "", err
+	}
+	fmt.Fprintf(h, "cpu.kind=%s\ncpu=%#v\n", cp.Node.CPU.Kind, core)
+	if err := hashCacheLevelFmt(h, "l1", cp.Node.L1, core.Freq); err != nil {
+		return "", err
+	}
+	if err := hashCacheLevelFmt(h, "l2", cp.Node.L2, core.Freq); err != nil {
+		return "", err
+	}
+	dcfg, err := cp.Node.Mem.ToDRAMConfig()
+	if err != nil {
+		return "", err
+	}
+	if err := dcfg.Validate(); err != nil {
+		return "", err
+	}
+	fmt.Fprintf(h, "dram=%#v\ndram.capacity_gb=%v\n", dcfg, cp.Node.Mem.Capacity())
+	fmt.Fprintf(h, "workload=%#v\n", cp.Workload)
+	return fmt.Sprintf("m1:%x", h.Sum(nil)), nil
+}
+
+func hashCacheLevelFmt(w io.Writer, name string, spec *CacheSpec, freq sim.Hz) error {
+	if spec == nil {
+		fmt.Fprintf(w, "%s=none\n", name)
+		return nil
+	}
+	cfg, err := spec.ToCacheConfig(name, freq)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s=%#v\n", name, cfg)
+	return nil
+}
+
+// keyUniverse is every machine shape the studies content-address: the
+// Fig. 10-12 sweep node (seven apps x six memory technologies x widths
+// 1/2/4/8 at both problem scales), plus multicore bus and directory nodes,
+// a node without L2, the cache-less near-memory node, the other core kinds
+// and cache policies, truncated streams and synthetic workloads.
+func keyUniverse() []MachineConfig {
+	type size struct{ smallN, fullN, fullIters int }
+	apps := map[string]size{
+		"hpccg": {6, 18, 1}, "lulesh": {768, 16384, 1}, "stencil": {8, 16, 2},
+		"stream": {1024, 8192, 2}, "fea": {1024, 8192, 2}, "gups": {4000, 30000, 1},
+		"minimd": {512, 4096, 1},
+	}
+	var techs []string
+	for name := range dram.Presets() {
+		techs = append(techs, name)
+	}
+	sort.Strings(techs)
+	sweep := func(app, tech string, width int, full bool) MachineConfig {
+		sz := apps[app]
+		wl := WorkloadSpec{Kind: app, N: sz.smallN, Iters: 1}
+		if full {
+			wl.N, wl.Iters = sz.fullN, sz.fullIters
+		}
+		return MachineConfig{
+			Name: fmt.Sprintf("%s-%s-w%d", app, tech, width),
+			Node: NodeSpec{
+				Cores: 1,
+				CPU: CPUSpec{Kind: "superscalar", Freq: "3.2GHz", Width: width,
+					Predictor: 1024, LoadQ: 8 * width, StoreQ: 8 * width},
+				L1:  &CacheSpec{Size: "32KB", Assoc: 4, HitLat: 2, MSHRs: 16, Prefetch: true, PrefetchDeg: 2},
+				L2:  &CacheSpec{Size: "256KB", Assoc: 8, HitLat: 10, MSHRs: 32, Prefetch: true, PrefetchDeg: 8},
+				Mem: MemSpec{Preset: tech, Channels: 1, CapacityGB: 4},
+			},
+			Workload: wl,
+		}
+	}
+	var out []MachineConfig
+	for app := range apps {
+		for _, tech := range techs {
+			for _, w := range []int{1, 2, 4, 8} {
+				out = append(out, sweep(app, tech, w, false), sweep(app, tech, w, true))
+			}
+		}
+	}
+	variant := func(f func(m *MachineConfig)) {
+		m := sweep("stream", "ddr3-1333", 4, false)
+		l1, l2 := *m.Node.L1, *m.Node.L2 // no aliasing between variants
+		m.Node.L1, m.Node.L2 = &l1, &l2
+		f(&m)
+		out = append(out, m)
+	}
+	variant(func(m *MachineConfig) { m.Node.Cores = 4 })
+	variant(func(m *MachineConfig) { m.Node.Cores, m.Node.Coherence = 16, "directory" })
+	variant(func(m *MachineConfig) { m.Node.L2 = nil })
+	variant(func(m *MachineConfig) {
+		m.Node.L1, m.Node.L2 = nil, nil
+		m.Node.CPU = CPUSpec{Kind: "threaded", Freq: "1GHz", Threads: 16}
+		m.Node.Mem = MemSpec{Preset: "ddr3-1333", Channels: 4}
+	})
+	variant(func(m *MachineConfig) { m.Node.CPU = CPUSpec{Kind: "inorder", Freq: "1GHz"} })
+	variant(func(m *MachineConfig) { m.Node.CPU = CPUSpec{Kind: "ooo", Freq: "2GHz", Width: 4, ROB: 64} })
+	variant(func(m *MachineConfig) { m.Node.L1.Policy, m.Node.L1.Repl = "writethrough", "random" })
+	variant(func(m *MachineConfig) { m.Node.L2.Repl, m.Node.L2.Line = "fifo", 128 })
+	variant(func(m *MachineConfig) { m.MaxOps, m.Workload.Seed = 12345, 7 })
+	variant(func(m *MachineConfig) { m.Name = "quote\"<&>\u00e9\x00" })
+	variant(func(m *MachineConfig) { m.Node.Mem.CapacityGB = 0.125 })
+	for _, p := range []string{"stream", "compute", "irregular"} {
+		variant(func(m *MachineConfig) { m.Workload = WorkloadSpec{Kind: "synthetic", Profile: p} })
+		variant(func(m *MachineConfig) {
+			m.Workload = WorkloadSpec{Kind: "synthetic", Profile: p, Ops: 1 << 40, Seed: ^uint64(0)}
+		})
+	}
+	return out
+}
+
+// TestCanonicalMatchesFmt proves the strconv appender renders the same key
+// as the fmt oracle for every registered shape, so caches and journals
+// written before the appender existed stay valid.
+func TestCanonicalMatchesFmt(t *testing.T) {
+	seen := map[string]bool{}
+	for _, m := range keyUniverse() {
+		got, err := m.CanonicalHash()
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		want, err := canonicalHashFmt(m)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", m.Name, err)
+		}
+		if got != want {
+			t.Errorf("%s (%s/%d): appender %s, fmt oracle %s", m.Name, m.Workload.Kind, m.Workload.N, got, want)
+		}
+		seen[got] = true
+	}
+	if n := len(keyUniverse()); len(seen) != n {
+		t.Errorf("%d configs produced only %d distinct keys", n, len(seen))
+	}
+}
 
 func mustMachine(t *testing.T, js string) *MachineConfig {
 	t.Helper()
@@ -130,41 +289,9 @@ func TestCanonicalHashInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestCanonicalHashSystem(t *testing.T) {
-	s, err := LoadSystem(strings.NewReader(fuzzSystemSeed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, err := s.CanonicalHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(h1, "s1:") {
-		t.Errorf("unexpected system hash shape %q", h1)
-	}
-	// Ranks defaulted vs explicit node count hash identically.
-	s2 := *s
-	s2.Ranks = 32 // 4×4×2 torus has 32 nodes
-	h2, err := s2.CanonicalHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Errorf("defaulted vs explicit ranks hash differently")
-	}
-	s3 := *s
-	s3.App = "sage"
-	h3, err := s3.CanonicalHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h3 == h1 {
-		t.Error("app change did not change the system hash")
-	}
-}
-
 // FuzzConfigHash asserts canonical-hash stability under re-serialization:
-// any config that loads must (a) hash deterministically, (b) hash the same
+// any config that loads must (a) hash deterministically and byte-identically
+// to the fmt oracle, (b) hash the same
 // after a marshal→unmarshal round trip (which re-orders nothing
 // semantically but rewrites all JSON syntax), and (c) hash differently
 // when a load-bearing field is changed.
@@ -181,6 +308,9 @@ func FuzzConfigHash(f *testing.F) {
 		h1, err := m.CanonicalHash()
 		if err != nil {
 			t.Fatalf("validated config fails CanonicalHash: %v", err)
+		}
+		if want, err := canonicalHashFmt(*m); err != nil || h1 != want {
+			t.Fatalf("appender %s, fmt oracle %s (err %v)", h1, want, err)
 		}
 		if h2, _ := m.CanonicalHash(); h2 != h1 {
 			t.Fatalf("hash not deterministic: %s vs %s", h1, h2)
@@ -211,4 +341,14 @@ func FuzzConfigHash(f *testing.F) {
 			t.Fatal("name change did not change the hash")
 		}
 	})
+}
+
+func BenchmarkCanonicalHash(b *testing.B) {
+	m := keyUniverse()[0]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.CanonicalHash(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -46,6 +46,7 @@ type Journal struct {
 	mu   sync.Mutex
 	log  *iofault.AppendLog
 	done map[string]journalEntry
+	line []byte // Record's encode buffer, reused under mu
 }
 
 // OpenJournalFS opens (creating if absent) the journal at path on fsys —
@@ -80,11 +81,14 @@ func (j *Journal) Completed(key string) (journalEntry, bool) {
 }
 
 // Record appends one point's outcome — including its retry history — and
-// fsyncs it. result is ignored when perr is non-nil. Write and fsync
-// failures wrap ErrJournal: the record cannot be trusted to survive a
-// crash, so the sweep must fail loudly rather than pretend the point is
-// durable. After the first such failure every later Record fails the same
-// way without writing (see iofault.AppendLog.Append).
+// fsyncs it. result is ignored when perr is non-nil; otherwise it must be
+// compact JSON exactly as json.Marshal emits it, because it is written
+// verbatim (every caller passes json.Marshal output, so re-encoding it
+// would only re-scan it). Write and fsync failures wrap ErrJournal: the
+// record cannot be trusted to survive a crash, so the sweep must fail
+// loudly rather than pretend the point is durable. After the first such
+// failure every later Record fails the same way without writing (see
+// iofault.AppendLog.Append).
 func (j *Journal) Record(key string, result json.RawMessage, retries []RetryRecord, perr error) error {
 	ent := journalEntry{Key: key, Retries: retries}
 	if perr != nil {
@@ -94,17 +98,58 @@ func (j *Journal) Record(key string, result json.RawMessage, retries []RetryReco
 	} else {
 		ent.Result = result
 	}
-	line, err := json.Marshal(ent)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	line, err := appendJournalLine(j.line[:0], &ent)
 	if err != nil {
 		return fmt.Errorf("core: journal: %w: %w", ErrJournal, err)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.line = line
 	if err := j.log.Append(line); err != nil {
 		return fmt.Errorf("core: journal: %w: %w", ErrJournal, err)
 	}
 	j.done[key] = ent
 	return nil
+}
+
+// appendJournalLine is the one encoder of a journal record: the bytes
+// json.Marshal(ent) produces — journalEntry's field order and omitempty
+// rules, strings with encoding/json's HTML escaping — written directly,
+// with ent.Result copied verbatim.
+func appendJournalLine(b []byte, ent *journalEntry) ([]byte, error) {
+	b = append(b, `{"key":`...)
+	b = appendJSONString(b, ent.Key)
+	if ent.Err != "" {
+		b = append(b, `,"err":`...)
+		b = appendJSONString(b, ent.Err)
+	}
+	if len(ent.Retries) > 0 {
+		r, err := json.Marshal(ent.Retries)
+		if err != nil {
+			return b, err
+		}
+		b = append(append(b, `,"retries":`...), r...)
+	}
+	if len(ent.Result) > 0 {
+		b = append(append(b, `,"result":`...), ent.Result...)
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSONString appends s as json.Marshal encodes a string. Printable
+// ASCII that needs no escaping — every key the studies generate — is
+// copied between quotes; anything else goes through encoding/json, so
+// escaping rules are never re-implemented here.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // recordPoint journals one executed point: v on success, perr's first line

@@ -285,3 +285,82 @@ func TestPointTimeoutMarksFailed(t *testing.T) {
 		t.Fatal("timed-out point still produced a result")
 	}
 }
+
+// TestJournalLineMatchesMarshal: the direct record encoder writes the bytes
+// json.Marshal(journalEntry) would — success records, failure records whose
+// text needs HTML or non-ASCII escaping, and records with retries — so
+// journals written by either stay mutually readable and byte-identical.
+func TestJournalLineMatchesMarshal(t *testing.T) {
+	result, err := json.Marshal(map[string]any{"ipc": 1.5, "name": "a<b>&c", "n": []int{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retries := []RetryRecord{{Attempt: 1, BackoffUS: 250, Err: `core: point 3: "panicked" <&>`}, {Attempt: 2, BackoffUS: 500, Err: "é\u2028"}}
+	ents := []journalEntry{
+		{Key: "p0", Result: result},
+		{Key: "mem-tech-width/hpccg/ddr3-1333/4", Result: json.RawMessage("3")},
+		{Key: "p1"},
+		{Key: "p2", Err: `core: point 2: bad <config> & "quotes" \ back`},
+		{Key: "p3", Err: "naïve — 日本語 \x01\t\b\f \xff"},
+		{Key: "k<&>\"é", Err: "boom", Retries: retries},
+		{Key: "p4", Retries: retries, Result: result},
+		{Key: "p5", Retries: []RetryRecord{}, Result: result},
+		{Key: ""},
+	}
+	// Each escaped byte alone, so no test string is escaped only because it
+	// also holds some other special character.
+	for _, c := range []string{"<", ">", "&", `"`, `\`, "\n", "\x1f", "\x7f", "\u2028", "\u2029", "\xc3"} {
+		ents = append(ents, journalEntry{Key: "k" + c, Err: "e" + c + "x"})
+	}
+	for _, ent := range ents {
+		want, err := json.Marshal(ent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendJournalLine(nil, &ent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("entry %q:\n got %s\nwant %s", ent.Key, got, want)
+		}
+	}
+}
+
+// discardFS is MemFS with file contents thrown away, so a benchmark can
+// append forever at constant memory.
+type discardFS struct{ iofault.FS }
+
+type discardFile struct{}
+
+func (discardFS) Create(string) (iofault.File, error)     { return discardFile{}, nil }
+func (discardFS) OpenAppend(string) (iofault.File, error) { return discardFile{}, nil }
+func (discardFile) Write(p []byte) (int, error)           { return len(p), nil }
+func (discardFile) Sync() error                           { return nil }
+func (discardFile) Close() error                          { return nil }
+
+// BenchmarkJournalRecord: one success record per op, storage discarded, so
+// what is measured is encoding and the append-log copy. It allocates
+// nothing.
+func BenchmarkJournalRecord(b *testing.B) {
+	raw, err := json.Marshal(&NodeResult{Name: "stencil-ddr3-1333-w4", IPC: 1.5, Seconds: 0.25})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("p%d", i)
+	}
+	j, err := OpenJournalFS(discardFS{iofault.NewMemFS(0)}, "journal.jsonl", false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := j.Record(keys[i%len(keys)], raw, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -248,25 +248,34 @@ var (
 	}
 )
 
+// presets names the built-in technologies. It points at the exported
+// values so Preset — called once per content-addressed sweep point — is
+// one map lookup and a copy, with no per-call map construction.
+var presets = map[string]*Config{
+	"ddr2-800":   &DDR2_800,
+	"ddr3-800":   &DDR3_800,
+	"ddr3-1066":  &DDR3_1066,
+	"ddr3-1333":  &DDR3_1333,
+	"ddr3-1600":  &DDR3_1600,
+	"gddr5-4000": &GDDR5_4000,
+}
+
 // Presets lists the built-in technologies by name.
 func Presets() map[string]Config {
-	return map[string]Config{
-		"ddr2-800":   DDR2_800,
-		"ddr3-800":   DDR3_800,
-		"ddr3-1066":  DDR3_1066,
-		"ddr3-1333":  DDR3_1333,
-		"ddr3-1600":  DDR3_1600,
-		"gddr5-4000": GDDR5_4000,
+	out := make(map[string]Config, len(presets))
+	for name, c := range presets {
+		out[name] = *c
 	}
+	return out
 }
 
 // Preset returns a named preset.
 func Preset(name string) (Config, error) {
-	c, ok := Presets()[name]
+	c, ok := presets[name]
 	if !ok {
 		return Config{}, fmt.Errorf("dram: unknown preset %q", name)
 	}
-	return c, nil
+	return *c, nil
 }
 
 // WithChannels returns a copy of the config with the given channel count.
