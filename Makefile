@@ -7,8 +7,8 @@
 #   make bench      — the perf gate: the event-kernel hot loop and the clock
 #                     tick (alone, with 8 handlers, and merged against a
 #                     16-deep event heap), the parallel window barrier
-#                     (conservative sync modes plus the low-lookahead
-#                     lattice where speculative sync must beat pairwise),
+#                     (pairwise sync plus the low-lookahead lattice where
+#                     speculative sync must beat pairwise),
 #                     the sweep scheduler at 1/2/4/8 workers and the result
 #                     cache's hit and miss paths, the canonical config hash
 #                     and one journal record, with -benchmem, checked
@@ -23,6 +23,7 @@
 #                     of untrusted bytes: the config loaders, the rank
 #                     partitioner and speculative replay, the append-log
 #                     scanner, the SR1 assembler (FuzzAssemble), the
+#                     binary trace reader (FuzzTraceStream), the
 #                     engine snapshot container (FuzzSnapshotDecode), the
 #                     canonical config hash against its fmt oracle
 #                     (FuzzConfigHash) and the job-submission HTTP body
@@ -126,7 +127,9 @@ race:
 # as an existing sweep journal or cache warm-start file must open to
 # exactly their leading run of valid records, never a panic), of the SR1
 # assembler sst-asm feeds user files to (an error or a program that
-# disassembles) and of the engine snapshot container (LoadFrom errors or
+# disassembles), of the binary trace reader sst-trace replays user files
+# through (no panic, and the accepted ops re-record to a fixed point) and
+# of the engine snapshot container (LoadFrom errors or
 # yields an engine that keeps running), of the canonical config hash (every
 # config that loads hashes deterministically and byte-identically to the
 # fmt oracle) and of the POST /v1/jobs body (202 or a 4xx, never a 5xx,
@@ -139,6 +142,7 @@ fuzz-short:
 	$(GO) test ./internal/par -run='^$$' -fuzz=FuzzSpeculativeReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/iofault -run='^$$' -fuzz=FuzzAppendLogOpen -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssemble -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/frontend -run='^$$' -fuzz=FuzzTraceStream -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzJobSpecHTTP -fuzztime=$(FUZZTIME)
 
@@ -230,10 +234,12 @@ cache-smoke:
 # speculative 2-rank system simulation sliced into periodic snapshots for
 # reference, SIGKILL an identical run mid-flight (exit 137; 0 if it won
 # the race and finished), restore from the snapshot it left behind, and
-# require the finished summary — simulated time, message totals, window
-# and rollback counters — to be byte-identical to the uninterrupted run.
-# The reference is sliced with the same -snapshot-every so both runs
-# commit speculation at the same barriers.
+# require the finished summary — simulated time, message totals, window,
+# rollback and governor fallback/promotion counters — to be byte-identical
+# to the uninterrupted run. The reference is sliced with the same
+# -snapshot-every so both runs commit speculation at the same barriers.
+# The governed run takes about 2 s on a 2-core host, so the kill at 0.8 s
+# lands mid-run and the restore resumes from a real mid-run snapshot.
 SPEC_SMOKE_ARGS = -system configs/system-torus-small.json -par 2 -sync speculative -snapshot-every 500us
 
 spec-smoke:

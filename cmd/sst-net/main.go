@@ -9,7 +9,7 @@
 //	        [-journal net.jsonl] [-resume]
 //	        [-cache] [-cache-size 4096] [-cache-file results.jsonl]
 //	sst-net -scaling [-nodes 16] [-ranks 1,2,4,8] [-horizon 2ms]
-//	        [-sync all|global,pairwise,speculative,adaptive] [-format ...]
+//	        [-sync all|pairwise,speculative] [-format ...]
 //
 // The study's (proxy app, bandwidth fraction) cells are independent
 // simulations; -j sets how many run concurrently (default: GOMAXPROCS).
@@ -36,10 +36,10 @@
 //
 // -scaling instead runs the parallel-simulator scaling study (E6): the
 // heterogeneous-latency lattice partitioned over each rank count, under
-// the sync modes selected by -sync (default all four: the conservative
-// global window and topology-aware pairwise horizons, plus the optimistic
-// speculative and adaptive modes with their rollback counts), reporting
-// wall time and dispatched synchronization windows side by side. It is
+// the sync modes selected by -sync (default all: the conservative
+// topology-aware pairwise horizons and the optimistic speculative mode
+// with its rollback count), reporting wall time and dispatched
+// synchronization windows side by side. It is
 // sequential by design (each point times the host), so -j is ignored
 // there.
 package main
@@ -100,7 +100,7 @@ func main() {
 
 // runScaling drives the E6 parallel-scaling study: the heterogeneous
 // lattice over each rank count, with the -sync flag choosing which sync
-// modes run side by side (default: all four, conservative and optimistic).
+// modes run side by side (default: both, conservative and optimistic).
 func runScaling(nodes int, ranksFlag, horizonFlag, syncFlag string, format core.Format, ctx context.Context) error {
 	var ranks []int
 	for _, s := range strings.Split(ranksFlag, ",") {
@@ -129,7 +129,7 @@ func runScaling(nodes int, ranksFlag, horizonFlag, syncFlag string, format core.
 			modes = append(modes, m)
 		}
 	}
-	res, err := core.ParallelScalingStudyModes(ranks, nodes, horizon, core.SweepOptions{Context: ctx}, modes)
+	res, err := core.ParallelScalingStudy(ranks, nodes, horizon, core.SweepOptions{Context: ctx}, modes)
 	if err != nil {
 		return err
 	}

@@ -230,6 +230,29 @@ func TestNetRemovedCacheFlags(t *testing.T) {
 	}
 }
 
+// TestNetRemovedSyncModes: -sync adaptive (like global, retired) is a
+// configuration error for -scaling (exit 2) whose message lists the modes
+// that remain. The test re-executes its own binary as sst-net.
+func TestNetRemovedSyncModes(t *testing.T) {
+	if args := os.Getenv("SST_NET_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"sst-net"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, args := range []string{"-scaling -sync adaptive", "-scaling -sync pairwise,global"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNetRemovedSyncModes$")
+		cmd.Env = append(os.Environ(), "SST_NET_MAIN_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != cli.ExitConfig {
+			t.Errorf("sst-net %s: %v, want exit %d\n%s", args, err, cli.ExitConfig, out)
+		}
+		if !strings.Contains(string(out), "pairwise, speculative") {
+			t.Errorf("sst-net %s: error does not name the remaining modes:\n%s", args, out)
+		}
+	}
+}
+
 // TestNetSIGTERMDrains: SIGTERM lands on the same 130 contract as
 // SIGINT — the study drains instead of dying mid-cell.
 func TestNetSIGTERMDrains(t *testing.T) {

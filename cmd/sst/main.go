@@ -8,7 +8,7 @@
 //
 //	sst -config machine.json [-stats] [-format table|json|csv]
 //	    [-trace-out run.json] [-trace-cap N] [-metrics-out m.json]
-//	sst -system system.json [-par N] [-sync global|pairwise|speculative|adaptive]
+//	sst -system system.json [-par N] [-sync pairwise|speculative]
 //	    [-snapshot-every 100us] [-snapshot-out run.snap] [-restore run.snap]
 //	    [-trace-out run.json] [-metrics-out m.json]
 //
@@ -21,13 +21,12 @@
 //
 // -par N partitions a -system run over N parallel ranks (the network
 // fabric becomes internal/dnoc, bit-identical to the sequential run);
-// -sync selects the synchronization mode: the conservative pairwise
-// (topology-aware lookahead, the default) and global (single minimum
-// window) modes, the optimistic speculative mode (ranks run past their
-// conservative horizon, checkpoint through the snapshot codec, and roll
-// back and replay when a straggler arrives), or adaptive (speculative
-// with a governor that falls back to conservative windows per rank while
-// its rollback rate spikes). All modes produce bit-identical results.
+// -sync selects the synchronization mode: conservative pairwise
+// (topology-aware lookahead, the default) or optimistic speculative (ranks
+// run past their conservative horizon, checkpoint through the snapshot
+// codec, and roll back and replay when a straggler arrives, with a
+// governor that falls back to conservative windows per rank while its
+// rollback rate spikes). Both modes produce bit-identical results.
 // With -par, -trace-out writes one file per rank: the path gains a
 // ".rankN" suffix before its extension (run.json -> run.rank0.json ...).
 //
@@ -272,10 +271,10 @@ func runSystemPar(name string, topo noc.Topology, netCfg noc.NetConfig,
 		return err
 	}
 	runner.SetSyncMode(mode)
-	if snap.active() || mode.Speculative() {
+	if snap.active() || mode == par.SyncSpeculative {
 		// Must precede model construction: components register their
-		// checkpoint state as they are built. The optimistic sync modes
-		// need it even without -snapshot-every: rollback restores engine
+		// checkpoint state as they are built. Speculative sync needs it
+		// even without -snapshot-every: rollback restores engine
 		// checkpoints taken through the same codec.
 		runner.EnableSnapshots()
 	}
@@ -377,7 +376,7 @@ func runSystemPar(name string, topo noc.Topology, netCfg noc.NetConfig,
 	fmt.Printf("mean msg latency: %.2f us\n", d.MeanLatencyPs()/1e6)
 	fmt.Printf("sync windows:    %d (%d fast-forwards, lookahead %v, imbalance %.2f)\n",
 		m.Windows, m.FastForwards, m.Lookahead, m.Imbalance)
-	if mode.Speculative() {
+	if mode == par.SyncSpeculative {
 		fmt.Printf("rollbacks:       %d (%d events replayed, %d fallbacks, %d promotions)\n",
 			m.Rollbacks, m.Replayed, m.Fallbacks, m.Promotions)
 	}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -164,7 +166,11 @@ func TestRunSystemParallel(t *testing.T) {
 	if err := os.WriteFile(path, []byte(testSystem), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []par.SyncMode{par.SyncGlobal, par.SyncPairwise} {
+	for _, name := range par.SyncModeNames() {
+		mode, err := par.ParseSyncMode(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := runSystem(path, obsFlags{}, 4, mode, snapCfg{}); err != nil {
 			t.Fatalf("sync=%v: %v", mode, err)
 		}
@@ -299,5 +305,28 @@ func TestSIGTERMTriggersInterrupt(t *testing.T) {
 	case <-fired:
 	case <-time.After(5 * time.Second):
 		t.Fatal("OnInterrupt did not fire on SIGTERM")
+	}
+}
+
+// TestRemovedSyncModes: the retired -sync spellings are configuration
+// errors (exit 2) whose message lists the modes that remain. The test
+// re-executes its own binary as sst.
+func TestRemovedSyncModes(t *testing.T) {
+	if args := os.Getenv("SST_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"sst"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, args := range []string{"-sync global", "-sync adaptive"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedSyncModes$")
+		cmd.Env = append(os.Environ(), "SST_MAIN_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != cli.ExitConfig {
+			t.Errorf("sst %s: %v, want exit %d\n%s", args, err, cli.ExitConfig, out)
+		}
+		if !strings.Contains(string(out), "pairwise, speculative") {
+			t.Errorf("sst %s: error does not name the remaining modes:\n%s", args, out)
+		}
 	}
 }

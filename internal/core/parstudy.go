@@ -11,17 +11,17 @@ import (
 
 // The parallel-simulation study exercises the poster's scalability claim:
 // the same multi-node model is partitioned over 1..N ranks and the host
-// wall-clock time per simulated event is measured, under every registered
-// synchronization mode — conservative global and pairwise windows plus the
-// optimistic speculative and adaptive modes. On a multi-core host the
-// windows execute concurrently; on any host the study also verifies that
-// neither the partitioning nor the sync mode changes the event count
-// (bit-level determinism is covered by internal/par's tests).
+// wall-clock time per simulated event is measured, under the conservative
+// pairwise and the optimistic speculative synchronization modes. On a
+// multi-core host the windows execute concurrently; on any host the study
+// also verifies that neither the partitioning nor the sync mode changes
+// the event count (bit-level determinism is covered by internal/par's
+// tests).
 
 // latticeNode is a self-driving model node: it burns host CPU per event
 // (standing in for component model code) and exchanges messages with its
-// ring neighbor. It is checkpointable so the optimistic sync modes, which
-// roll ranks back through engine snapshots, can run the lattice.
+// ring neighbor. It is checkpointable so speculative sync, which rolls
+// ranks back through engine snapshots, can run the lattice.
 type latticeNode struct {
 	name     string
 	out      *sim.Port
@@ -56,9 +56,9 @@ func (l *latticeNode) burn() {
 
 // Heterogeneous lattice constants: a duty-cycled chatty pair coupled by
 // one tight link plus a bursty periphery on links an order of magnitude
-// slower. This is the configuration where topology-aware (pairwise) sync
-// beats a global window: the tight link pins the global lookahead to
-// tightLat for every rank forever, while pairwise horizons are computed
+// slower. This is the configuration where topology-aware (pairwise)
+// horizons pay: the tight link would pin one global window to tightLat for
+// every rank forever, while pairwise horizons are computed
 // from next-event times — so whenever the chatty pair is in the quiet part
 // of its duty cycle, periphery ranks get windows sized by their slow
 // inbound links and run a whole burst per dispatch instead of crawling
@@ -199,29 +199,23 @@ func (p *hetBurst) work(any) {
 }
 
 // ParallelScalingResult is the parallel-scaling study's Result: the
-// rendered table plus, per rank count, the host wall time and the total
-// dispatched window count under each sync mode. WallSeconds refers to the
-// default (pairwise) mode; the legacy Global fields alias the per-mode maps
-// for existing consumers.
+// rendered table plus, per selected sync mode and rank count, the host wall
+// time, the total dispatched window count and the rollback count.
 type ParallelScalingResult struct {
 	TableResult
-	WallSeconds       map[int]float64
-	WallSecondsGlobal map[int]float64
-	Windows           map[int]uint64
-	WindowsGlobal     map[int]uint64
-	// Per-sync-mode maps keyed by par.SyncMode.String() then rank count,
-	// covering the optimistic modes the legacy fields predate.
-	WallSecondsMode map[string]map[int]float64
-	WindowsMode     map[string]map[int]uint64
-	RollbacksMode   map[string]map[int]uint64
+	WallSeconds map[par.SyncMode]map[int]float64
+	Windows     map[par.SyncMode]map[int]uint64
+	Rollbacks   map[par.SyncMode]map[int]uint64
 }
 
 // ParallelScalingStudy runs the heterogeneous lattice at each rank count
-// for the given simulated horizon under all four sync modes, reporting
-// host wall time, dispatched windows, rollbacks and simulated events. The
-// event count must be invariant across every (ranks, mode) cell, and on
-// multi-rank runs the pairwise mode must not dispatch more windows than
-// the global mode — both are checked here, not just reported.
+// for the given simulated horizon under each of the given sync modes (the
+// sst-net -sync flag), reporting host wall time, dispatched windows,
+// rollbacks and simulated events. The event count must be invariant across
+// every (ranks, mode) cell; that is checked here, not just reported.
+// Absent modes report zero in the fixed table columns and are missing from
+// the per-mode maps; the speedup baseline is pairwise when selected,
+// otherwise the first mode.
 //
 // Unlike the design-space sweeps this study stays sequential on purpose:
 // each point measures host wall-clock and already spawns one goroutine per
@@ -229,16 +223,7 @@ type ParallelScalingResult struct {
 // cores and corrupt the very timings being reported. opts.Workers is
 // therefore ignored; opts.Context is still consulted between points so a
 // cancelled sweep stops promptly.
-func ParallelScalingStudy(rankCounts []int, nodes int, horizon sim.Time, opts SweepOptions) (*ParallelScalingResult, error) {
-	return ParallelScalingStudyModes(rankCounts, nodes, horizon, opts,
-		[]par.SyncMode{par.SyncGlobal, par.SyncPairwise, par.SyncSpeculative, par.SyncAdaptive})
-}
-
-// ParallelScalingStudyModes is ParallelScalingStudy restricted to a chosen
-// subset of sync modes (the sst-net -sync flag). Absent modes report zero
-// in the fixed table columns and are missing from the per-mode maps; the
-// speedup baseline is pairwise when selected, otherwise the first mode.
-func ParallelScalingStudyModes(rankCounts []int, nodes int, horizon sim.Time, opts SweepOptions, modes []par.SyncMode) (*ParallelScalingResult, error) {
+func ParallelScalingStudy(rankCounts []int, nodes int, horizon sim.Time, opts SweepOptions, modes []par.SyncMode) (*ParallelScalingResult, error) {
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("core: parallel scaling study needs at least one sync mode")
 	}
@@ -250,22 +235,18 @@ func ParallelScalingStudyModes(rankCounts []int, nodes int, horizon sim.Time, op
 	}
 	t := stats.NewTable(
 		fmt.Sprintf("Parallel simulation scaling: %d-node heterogeneous lattice, %v horizon", nodes, horizon),
-		"ranks", "events", "wall_ms_global", "wall_ms_pairwise", "wall_ms_spec", "wall_ms_adaptive",
-		"windows_global", "windows_pairwise", "windows_spec", "rollbacks_spec", "speedup_vs_1rank")
+		"ranks", "events", "wall_ms_pairwise", "wall_ms_spec",
+		"windows_pairwise", "windows_spec", "rollbacks_spec", "speedup_vs_1rank")
 	ctx := opts.context()
 	res := &ParallelScalingResult{
-		WallSeconds:       map[int]float64{},
-		WallSecondsGlobal: map[int]float64{},
-		Windows:           map[int]uint64{},
-		WindowsGlobal:     map[int]uint64{},
-		WallSecondsMode:   map[string]map[int]float64{},
-		WindowsMode:       map[string]map[int]uint64{},
-		RollbacksMode:     map[string]map[int]uint64{},
+		WallSeconds: map[par.SyncMode]map[int]float64{},
+		Windows:     map[par.SyncMode]map[int]uint64{},
+		Rollbacks:   map[par.SyncMode]map[int]uint64{},
 	}
 	for _, m := range modes {
-		res.WallSecondsMode[m.String()] = map[int]float64{}
-		res.WindowsMode[m.String()] = map[int]uint64{}
-		res.RollbacksMode[m.String()] = map[int]uint64{}
+		res.WallSeconds[m] = map[int]float64{}
+		res.Windows[m] = map[int]uint64{}
+		res.Rollbacks[m] = map[int]uint64{}
 	}
 	type cell struct {
 		wall      float64
@@ -279,7 +260,7 @@ func ParallelScalingStudyModes(rankCounts []int, nodes int, horizon sim.Time, op
 			return cell{}, err
 		}
 		r.SetSyncMode(mode)
-		if mode.Speculative() {
+		if mode == par.SyncSpeculative {
 			// Optimistic execution rolls ranks back through engine
 			// snapshots, so these cells run with checkpoint tracking on —
 			// its bookkeeping cost is part of the mode's measured price.
@@ -308,7 +289,6 @@ func ParallelScalingStudyModes(rankCounts []int, nodes int, horizon sim.Time, op
 			return nil, fmt.Errorf("core: parallel scaling study cancelled: %w", err)
 		}
 		cells := map[par.SyncMode]cell{}
-		has := func(m par.SyncMode) bool { _, ok := cells[m]; return ok }
 		for _, mode := range modes {
 			c, err := run(nr, mode)
 			if err != nil {
@@ -316,38 +296,23 @@ func ParallelScalingStudyModes(rankCounts []int, nodes int, horizon sim.Time, op
 			}
 			cells[mode] = c
 		}
-		g, p := cells[par.SyncGlobal], cells[par.SyncPairwise]
 		bc := cells[baseMode]
 		if nr == rankCounts[0] {
 			base = bc.wall
 			baseEvents = bc.events
 		}
 		for _, mode := range modes {
-			if ev := cells[mode].events; ev != baseEvents {
+			c := cells[mode]
+			if c.events != baseEvents {
 				return nil, fmt.Errorf("core: partitioning or sync mode changed event count at %d ranks: %v %d, reference %d",
-					nr, mode, ev, baseEvents)
+					nr, mode, c.events, baseEvents)
 			}
+			res.WallSeconds[mode][nr] = c.wall
+			res.Windows[mode][nr] = c.windows
+			res.Rollbacks[mode][nr] = c.rollbacks
 		}
-		if nr > 1 && has(par.SyncGlobal) && has(par.SyncPairwise) && p.windows > g.windows {
-			return nil, fmt.Errorf("core: pairwise sync dispatched more windows than global at %d ranks: %d vs %d",
-				nr, p.windows, g.windows)
-		}
-		if has(par.SyncPairwise) {
-			res.WallSeconds[nr] = p.wall
-			res.Windows[nr] = p.windows
-		}
-		if has(par.SyncGlobal) {
-			res.WallSecondsGlobal[nr] = g.wall
-			res.WindowsGlobal[nr] = g.windows
-		}
-		for _, mode := range modes {
-			res.WallSecondsMode[mode.String()][nr] = cells[mode].wall
-			res.WindowsMode[mode.String()][nr] = cells[mode].windows
-			res.RollbacksMode[mode.String()][nr] = cells[mode].rollbacks
-		}
-		s, a := cells[par.SyncSpeculative], cells[par.SyncAdaptive]
-		t.AddRow(nr, bc.events, g.wall*1e3, p.wall*1e3, s.wall*1e3, a.wall*1e3,
-			g.windows, p.windows, s.windows, s.rollbacks, base/bc.wall)
+		p, s := cells[par.SyncPairwise], cells[par.SyncSpeculative]
+		t.AddRow(nr, bc.events, p.wall*1e3, s.wall*1e3, p.windows, s.windows, s.rollbacks, base/bc.wall)
 	}
 	res.TableResult = TableResult{Tab: t}
 	return res, nil

@@ -132,7 +132,7 @@ func runSystemKillRestore(t *testing.T, nranks int, mode par.SyncMode, barrier s
 }
 
 // TestSystemKillRestore is the CLI composition's crash-safety property at
-// every rank count under both sync modes, with barriers in the early and
+// every rank count under every sync mode, with barriers in the early and
 // late thirds of the run.
 func TestSystemKillRestore(t *testing.T) {
 	rankCounts := []int{1, 2, 4, 8}
@@ -140,7 +140,11 @@ func TestSystemKillRestore(t *testing.T) {
 		rankCounts = []int{1, 4}
 	}
 	for _, nranks := range rankCounts {
-		for _, mode := range []par.SyncMode{par.SyncGlobal, par.SyncPairwise} {
+		for _, name := range par.SyncModeNames() {
+			mode, err := par.ParseSyncMode(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ref, end := runSystemRef(t, nranks, mode)
 			if ref.Msgs == 0 || end == 0 {
 				t.Fatal("reference system run did nothing; test is vacuous")

@@ -46,16 +46,11 @@ type nodeState struct {
 // identical seeded faults on every link, runs to a fixed horizon and
 // returns per-node state plus the per-link forward-direction fault traces.
 func runFaultyRing(t *testing.T, nranks, nnodes int, seed uint64) ([]nodeState, []Trace) {
-	return runFaultyRingMode(t, nranks, nnodes, seed, par.SyncPairwise)
-}
-
-func runFaultyRingMode(t *testing.T, nranks, nnodes int, seed uint64, mode par.SyncMode) ([]nodeState, []Trace) {
 	t.Helper()
 	r, err := par.NewRunner(nranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetSyncMode(mode)
 	rankOf := func(i int) int { return i * nranks / nnodes }
 	nodes := make([]*ringNode, nnodes)
 	for i := range nodes {
@@ -118,7 +113,7 @@ func runFaultyRingMode(t *testing.T, nranks, nnodes int, seed uint64, mode par.S
 // TestFaultDeterminismAcrossRankCounts is the headline determinism
 // guarantee: the same fault seed produces a byte-identical failure trace
 // and field-identical component state whether the model runs on 1, 2 or 4
-// ranks, under either synchronization mode.
+// ranks.
 func TestFaultDeterminismAcrossRankCounts(t *testing.T) {
 	const nnodes = 12
 	refStates, refTraces := runFaultyRing(t, 1, nnodes, 2024)
@@ -134,16 +129,13 @@ func TestFaultDeterminismAcrossRankCounts(t *testing.T) {
 	// might normalize away (e.g. nil vs empty slice) fails loudly.
 	refBytes := fmt.Sprintf("%#v", refTraces)
 	for _, nranks := range []int{2, 4} {
-		for _, mode := range []par.SyncMode{par.SyncGlobal, par.SyncPairwise} {
-			states, traces := runFaultyRingMode(t, nranks, nnodes, 2024, mode)
-			if !reflect.DeepEqual(states, refStates) {
-				t.Errorf("nranks=%d sync=%v: node state diverged from sequential run\n got %+v\nwant %+v",
-					nranks, mode, states, refStates)
-			}
-			if got := fmt.Sprintf("%#v", traces); got != refBytes {
-				t.Errorf("nranks=%d sync=%v: fault trace diverged from sequential run byte-for-byte",
-					nranks, mode)
-			}
+		states, traces := runFaultyRing(t, nranks, nnodes, 2024)
+		if !reflect.DeepEqual(states, refStates) {
+			t.Errorf("nranks=%d: node state diverged from sequential run\n got %+v\nwant %+v",
+				nranks, states, refStates)
+		}
+		if got := fmt.Sprintf("%#v", traces); got != refBytes {
+			t.Errorf("nranks=%d: fault trace diverged from sequential run byte-for-byte", nranks)
 		}
 	}
 	// And a different seed must actually change the outcome.

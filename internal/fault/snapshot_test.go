@@ -3,9 +3,9 @@ package fault
 // Crash-safety of the fault layer: a faulty ring with a scheduled kill is
 // snapshotted at a barrier, restored into a freshly built runner, and
 // continued — and both the component states and the recorded fault traces
-// must be byte-identical to the uninterrupted run, at every rank count and
-// under both sync modes, whether the kill was still pending or had already
-// fired when the snapshot was taken.
+// must be byte-identical to the uninterrupted run, at every rank count,
+// whether the kill was still pending or had already fired when the
+// snapshot was taken.
 
 import (
 	"bytes"
@@ -49,7 +49,7 @@ const (
 	ringKillAt   = 1200 * sim.Nanosecond
 )
 
-// buildFaultyRingSnap is runFaultyRingMode's builder with snapshots enabled
+// buildFaultyRingSnap is runFaultyRing's builder with snapshots enabled
 // and a KillAt on one node, factored out so a run can be cut at a barrier
 // and resumed on a fresh, identically built runner.
 func buildFaultyRingSnap(t *testing.T, r *par.Runner, nnodes int, seed uint64) ([]*ringNode, []*LinkInjector, *KillRecord) {
@@ -119,13 +119,12 @@ func ringTraces(injs []*LinkInjector) []Trace {
 }
 
 // runFaultyRingSnapRef runs the killable faulty ring uninterrupted.
-func runFaultyRingSnapRef(t *testing.T, nranks, nnodes int, seed uint64, mode par.SyncMode) ([]ringSig, []Trace) {
+func runFaultyRingSnapRef(t *testing.T, nranks, nnodes int, seed uint64) ([]ringSig, []Trace) {
 	t.Helper()
 	r, err := par.NewRunner(nranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetSyncMode(mode)
 	nodes, injs, rec := buildFaultyRingSnap(t, r, nnodes, seed)
 	if _, err := r.Run(2 * sim.Millisecond); err != nil {
 		t.Fatal(err)
@@ -138,13 +137,12 @@ func runFaultyRingSnapRef(t *testing.T, nranks, nnodes int, seed uint64, mode pa
 
 // runFaultyRingKillRestore cuts the run at the barrier, snapshots, rebuilds
 // from scratch, restores, and finishes.
-func runFaultyRingKillRestore(t *testing.T, nranks, nnodes int, seed uint64, snapMode, restoreMode par.SyncMode, barrier sim.Time) ([]ringSig, []Trace) {
+func runFaultyRingKillRestore(t *testing.T, nranks, nnodes int, seed uint64, barrier sim.Time) ([]ringSig, []Trace) {
 	t.Helper()
 	r1, err := par.NewRunner(nranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.SetSyncMode(snapMode)
 	buildFaultyRingSnap(t, r1, nnodes, seed)
 	if _, err := r1.Run(barrier); err != nil {
 		t.Fatal(err)
@@ -157,7 +155,6 @@ func runFaultyRingKillRestore(t *testing.T, nranks, nnodes int, seed uint64, sna
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2.SetSyncMode(restoreMode)
 	nodes, injs, rec := buildFaultyRingSnap(t, r2, nnodes, seed)
 	if err := r2.LoadFrom(bytes.NewReader(file.Bytes())); err != nil {
 		t.Fatalf("LoadFrom: %v", err)
@@ -181,7 +178,7 @@ func runFaultyRingKillRestore(t *testing.T, nranks, nnodes int, seed uint64, sna
 func TestFaultKillRestoreDeterminism(t *testing.T) {
 	const nnodes = 12
 	const seed = 2024
-	refStates, refTraces := runFaultyRingSnapRef(t, 1, nnodes, seed, par.SyncPairwise)
+	refStates, refTraces := runFaultyRingSnapRef(t, 1, nnodes, seed)
 	var total uint64
 	for _, tr := range refTraces {
 		total += uint64(len(tr))
@@ -199,15 +196,13 @@ func TestFaultKillRestoreDeterminism(t *testing.T) {
 	}
 	for _, barrier := range []sim.Time{500 * sim.Nanosecond, 1500 * sim.Nanosecond} {
 		for _, nranks := range rankCounts {
-			for _, mode := range []par.SyncMode{par.SyncGlobal, par.SyncPairwise} {
-				states, traces := runFaultyRingKillRestore(t, nranks, nnodes, seed, mode, mode, barrier)
-				label := fmt.Sprintf("barrier=%v nranks=%d sync=%v", barrier, nranks, mode)
-				if !reflect.DeepEqual(states, refStates) {
-					t.Errorf("%s: restored node state diverged\n got %+v\nwant %+v", label, states, refStates)
-				}
-				if got := fmt.Sprintf("%#v", traces); got != refBytes {
-					t.Errorf("%s: restored fault trace diverged byte-for-byte", label)
-				}
+			states, traces := runFaultyRingKillRestore(t, nranks, nnodes, seed, barrier)
+			label := fmt.Sprintf("barrier=%v nranks=%d", barrier, nranks)
+			if !reflect.DeepEqual(states, refStates) {
+				t.Errorf("%s: restored node state diverged\n got %+v\nwant %+v", label, states, refStates)
+			}
+			if got := fmt.Sprintf("%#v", traces); got != refBytes {
+				t.Errorf("%s: restored fault trace diverged byte-for-byte", label)
 			}
 		}
 	}

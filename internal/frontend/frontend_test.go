@@ -206,21 +206,7 @@ func TestProfiles(t *testing.T) {
 
 func TestTraceRoundTrip(t *testing.T) {
 	fn := func(raw []uint32) bool {
-		var ops []Op
-		for _, r := range raw {
-			op := Op{Class: Class(r % uint32(numClasses))}
-			switch op.Class {
-			case ClassLoad, ClassStore:
-				op.Addr = uint64(r) * 977
-				op.Size = 8
-			case ClassBranch:
-				op.Taken = r&1 == 0
-			}
-			op.Dst = uint8(r>>8) & 31
-			op.Src1 = uint8(r>>16) & 31
-			op.Src2 = uint8(r>>24) & 31
-			ops = append(ops, op)
-		}
+		ops := traceOps(raw)
 		var buf bytes.Buffer
 		w := NewTraceWriter(&buf)
 		for i := range ops {

@@ -3,6 +3,7 @@ package frontend
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -12,8 +13,9 @@ import (
 //
 //	bits [2:0] class
 //	bit  3     taken (branches)
-//	bit  4     has memory address+size
+//	bit  4     has memory address+size (set exactly for loads and stores)
 //	bit  5     has registers
+//	bits [7:6] reserved, zero
 //
 // followed (when flagged) by 8-byte little-endian address, 1-byte size, and
 // 3 register bytes. PCs are not stored; replay regenerates synthetic PCs.
@@ -26,7 +28,14 @@ const (
 	tagTaken     = 0x08
 	tagHasMem    = 0x10
 	tagHasRegs   = 0x20
+	tagReserved  = 0xc0
 )
+
+// ErrTraceRecord reports a trace record TraceWriter cannot have written: an
+// unknown class, reserved tag bits set, a load or store without its memory
+// field (it would replay as an access to address 0 of size 0), or another
+// class carrying one (its address would be dropped on re-recording).
+var ErrTraceRecord = errors.New("frontend: malformed trace record")
 
 // TraceWriter serializes a stream of Ops.
 type TraceWriter struct {
@@ -138,7 +147,15 @@ func (t *TraceStream) Next(op *Op) bool {
 	}
 	cls := Class(tag & tagClassMask)
 	if cls >= numClasses {
-		t.err = fmt.Errorf("frontend: bad class %d in trace", cls)
+		t.err = fmt.Errorf("%w: bad class %d", ErrTraceRecord, cls)
+		return false
+	}
+	if tag&tagReserved != 0 {
+		t.err = fmt.Errorf("%w: reserved tag bits in %#02x", ErrTraceRecord, tag)
+		return false
+	}
+	if isMem := cls == ClassLoad || cls == ClassStore; isMem != (tag&tagHasMem != 0) {
+		t.err = fmt.Errorf("%w: %v record with memory flag %v", ErrTraceRecord, cls, !isMem)
 		return false
 	}
 	t.pc += 4

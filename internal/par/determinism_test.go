@@ -10,9 +10,9 @@ import (
 // The randomized-topology determinism harness: property-based tests that
 // generate seeded random machine graphs (random fan-outs, latencies, think
 // times, and deterministic node-kill "fault injections"), partition them
-// over 1/2/4/8 ranks, run them under all four sync modes — conservative
-// global and pairwise, optimistic speculative and adaptive — and assert
-// the results are bit-identical to the sequential reference. Every random
+// over 1/2/4/8 ranks, run them under both sync modes — conservative
+// pairwise and optimistic speculative — and assert the results are
+// bit-identical to the sequential 1-rank reference. Every random
 // draw happens before partitioning and depends only on the seed, never on
 // the rank count, the sync mode, or host time — so a failure is always
 // reproducible from its seed.
@@ -195,8 +195,8 @@ func buildDetNodes(t *testing.T, r *Runner, tp detTopo) []*detNode {
 
 // runDetTopo builds and runs one (seed, nranks, mode) configuration.
 // splitAt > 0 additionally stops the run at that time and resumes, to
-// prove window bases survive across Run calls. Speculative modes need a
-// checkpoint-owned model (rollback restores engine snapshots), so they use
+// prove window bases survive across Run calls. Speculative sync needs a
+// checkpoint-owned model (rollback restores engine snapshots), so it uses
 // the snapshot-safe builder, which TestSnapshotBuilderNonIntrusive proves
 // bit-equivalent to the raw one.
 func runDetTopo(t *testing.T, tp detTopo, nranks int, mode SyncMode, splitAt sim.Time) detSig {
@@ -207,7 +207,7 @@ func runDetTopo(t *testing.T, tp detTopo, nranks int, mode SyncMode, splitAt sim
 	}
 	r.SetSyncMode(mode)
 	var nodes []*detNode
-	if mode.Speculative() {
+	if mode == SyncSpeculative {
 		r.EnableSnapshots()
 		nodes = buildDetTopoSnap(t, r, tp)
 	} else {
@@ -254,13 +254,13 @@ var detRankCounts = []int{1, 2, 4, 8}
 
 // allSyncModes is every registered mode, conservative and optimistic; the
 // harness runs each of them against the sequential reference.
-var allSyncModes = []SyncMode{SyncGlobal, SyncPairwise, SyncSpeculative, SyncAdaptive}
+var allSyncModes = []SyncMode{SyncPairwise, SyncSpeculative}
 
 // TestRandomTopologyDeterminism is the headline determinism property: for
-// every generated topology, every rank count and all four sync modes
-// produce results bit-identical to the 1-rank sequential reference — same
-// event totals, same per-node arrival counts/checksums, same final clocks.
-// For the optimistic modes this is the end-to-end rollback correctness
+// every generated topology, every rank count and both sync modes produce
+// results bit-identical to the 1-rank sequential reference — same event
+// totals, same per-node arrival counts/checksums, same final clocks. For
+// the optimistic mode this is the end-to-end rollback correctness
 // proof: any lost, duplicated, or misordered delivery across a
 // checkpoint→straggler→rollback→replay cycle would change a node checksum.
 func TestRandomTopologyDeterminism(t *testing.T) {
@@ -294,8 +294,8 @@ func TestRandomTopologyDeterminism(t *testing.T) {
 
 // TestRandomTopologySplitRunDeterminism re-runs a slice of the topologies
 // with the run split at an arbitrary mid-simulation time, proving that
-// per-rank bases, staged events, and the fast-forward state all survive
-// across Run calls in every mode (for the optimistic modes the split also
+// per-rank bases, staged events, and the window counters all survive
+// across Run calls in every mode (for the optimistic mode the split also
 // proves a Run boundary fully commits speculation: frontiers meet the
 // bound, held sends are released, and the next Run restarts cleanly).
 func TestRandomTopologySplitRunDeterminism(t *testing.T) {

@@ -92,7 +92,7 @@ func FuzzPartitionLookahead(f *testing.F) {
 			ref[src] = dist
 		}
 
-		la := r.LookaheadMatrix()
+		la := r.lookaheadMatrix()
 		if len(la) != nranks {
 			t.Fatalf("matrix has %d rows, want %d", len(la), nranks)
 		}
@@ -108,13 +108,7 @@ func FuzzPartitionLookahead(f *testing.F) {
 				case i != j && la[i][j] == 0:
 					t.Fatalf("zero off-diagonal lookahead la[%d][%d]", i, j)
 				}
-				if got := r.PairLookahead(i, j); got != la[i][j] {
-					t.Fatalf("PairLookahead(%d,%d) = %v, matrix says %v", i, j, got, la[i][j])
-				}
 			}
-		}
-		if r.PairLookahead(-1, 0) != sim.TimeInfinity || r.PairLookahead(0, nranks) != sim.TimeInfinity {
-			t.Fatal("out-of-range PairLookahead must be TimeInfinity")
 		}
 	})
 }

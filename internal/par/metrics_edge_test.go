@@ -11,8 +11,8 @@ import (
 
 // TestMetricsEdgeCases drives Metrics() through the states a consumer can
 // observe outside the happy path: a runner that never ran, a single rank
-// that completed, an interrupted multi-rank run, and a pure fast-forward
-// run. Table-driven so each case documents exactly what it pins.
+// that completed, an interrupted multi-rank run, and sparse runs that
+// must not crawl. Table-driven so each case documents exactly what it pins.
 func TestMetricsEdgeCases(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -108,24 +108,30 @@ func TestMetricsEdgeCases(t *testing.T) {
 			},
 		},
 		{
-			// Global sync's fixed window would need ~10M one-nanosecond
-			// rounds to reach a single event at 10ms; the idle
-			// fast-forward must jump there instead. (Pairwise sync never
-			// even gets stuck: its next-event horizons cover the gap.)
+			// A single event 10ms out behind a 1ns cross link: speculative
+			// sync reaches it in one leg, then commits the idle stretch to
+			// the end in rounds that dispatch no rank (the fast-forwards)
+			// instead of crawling one nanosecond per round. Pairwise sync
+			// never fast-forwards: its next-event horizons cover the gap
+			// (next case).
 			name: "sparse run fast-forwards",
 			build: func(t *testing.T) *Runner {
 				r, err := NewRunner(2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				r.SetSyncMode(SyncGlobal)
+				r.SetSyncMode(SyncSpeculative)
+				r.EnableSnapshots()
 				a, b, err := r.Connect("x", sim.Nanosecond, 0, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				a.SetHandler(func(any) {})
 				b.SetHandler(func(any) {})
-				r.Rank(0).Engine().Schedule(10*sim.Millisecond, func(any) {}, nil)
+				ij := &detInjector{name: "sparse"}
+				ij.set = sim.NewEventSet(r.Rank(0).Engine(), ij.name, func(any) {})
+				r.Rank(0).Add(ij)
+				ij.set.ScheduleAt(10*sim.Millisecond, sim.PrioLink, 0)
 				if _, err := r.Run(11 * sim.Millisecond); err != nil {
 					t.Fatal(err)
 				}
@@ -134,6 +140,9 @@ func TestMetricsEdgeCases(t *testing.T) {
 			check: func(t *testing.T, m RunnerMetrics) {
 				if m.FastForwards == 0 {
 					t.Error("sparse model recorded no fast-forwards")
+				}
+				if m.Ranks[0].Events != 1 {
+					t.Errorf("events = %d, want 1", m.Ranks[0].Events)
 				}
 				if m.Windows > 100 {
 					t.Errorf("windows = %d; fast-forward should keep this tiny", m.Windows)
@@ -169,6 +178,9 @@ func TestMetricsEdgeCases(t *testing.T) {
 			check: func(t *testing.T, m RunnerMetrics) {
 				if m.Windows > 100 {
 					t.Errorf("windows = %d; next-event horizons should keep this tiny", m.Windows)
+				}
+				if m.FastForwards != 0 {
+					t.Errorf("fastForwards = %d under pairwise sync, want 0", m.FastForwards)
 				}
 				if m.Ranks[0].Events != 1 {
 					t.Errorf("events = %d, want 1", m.Ranks[0].Events)
@@ -211,18 +223,18 @@ func TestMetricsEdgeCases(t *testing.T) {
 			},
 		},
 		{
-			name: "global mode reported",
+			name: "speculative mode reported",
 			build: func(t *testing.T) *Runner {
 				r, err := NewRunner(2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				r.SetSyncMode(SyncGlobal)
+				r.SetSyncMode(SyncSpeculative)
 				return r
 			},
 			check: func(t *testing.T, m RunnerMetrics) {
-				if m.Mode != "global" {
-					t.Errorf("mode = %q, want global", m.Mode)
+				if m.Mode != "speculative" {
+					t.Errorf("mode = %q, want speculative", m.Mode)
 				}
 			},
 		},
@@ -247,7 +259,7 @@ func TestStallErrorFormatting(t *testing.T) {
 		if _, _, err := r.Connect("x", 5*sim.Nanosecond, 0, 1); err != nil {
 			t.Fatal(err)
 		}
-		r.SetWatchdog(123 * time.Millisecond)
+		r.watchdog = 123 * time.Millisecond
 		r.ranks[0].base = 20 * sim.Nanosecond
 		r.ranks[0].horizon = 25 * sim.Nanosecond
 		r.ranks[1].base = 22 * sim.Nanosecond

@@ -7,23 +7,20 @@
 // and every cross-rank link has a declared nonzero latency, so link
 // latencies bound how soon one rank can affect another (the lookahead).
 // The coordinator advances each rank through half-open windows bounded by
-// a conservative horizon; the conservative synchronization modes derive
-// that horizon (see SyncMode): the classic global window equal to the
-// single minimum cross-rank latency, and the default topology-aware
-// pairwise mode where each rank's horizon is computed from the other
-// ranks' next-event-time snapshots plus a per-rank-pair lookahead matrix
+// a conservative horizon, computed per rank from the other ranks'
+// next-event-time snapshots plus a per-rank-pair lookahead matrix
 // (all-pairs shortest latency paths over the partitioned link graph).
-// Ranks with no work below their horizon are skipped without a dispatch,
-// and when no rank has work the coordinator fast-forwards every rank
-// straight to the globally earliest pending event. The speculative and
-// adaptive modes (see speculative.go) let ranks execute optimistically
-// past the pairwise horizon, checkpointing through the snapshot codec and
-// rolling back on straggler arrivals; cross-rank sends are held until
-// committed, so no anti-messages are needed. Remote events are staged per
-// destination in canonical (time, send time, source rank, sequence) order
-// and only scheduled once the destination's window covers them, so a
-// parallel run is bit-for-bit deterministic — independent of goroutine
-// scheduling, rank count, and sync mode, conservative or speculative.
+// Ranks with no work below their horizon are skipped without a dispatch.
+// Pairwise sync, the default, stops every rank at its horizon; speculative
+// sync (see speculative.go) lets ranks execute optimistically past it,
+// checkpointing through the snapshot codec and rolling back on straggler
+// arrivals, with a governor that pins a thrashing rank to its horizon for
+// a while. Cross-rank sends are held until committed, so no anti-messages
+// are needed. Remote events are staged per destination in canonical (time,
+// send time, source rank, sequence) order and only scheduled once the
+// destination's window covers them, so a parallel run is bit-for-bit
+// deterministic — independent of goroutine scheduling, rank count, and
+// sync mode.
 package par
 
 import (
@@ -42,13 +39,12 @@ import (
 // carries per-rank diagnostics (clock, pending events, outbox depth).
 var ErrStalled = errors.New("par: runner stalled")
 
-// DefaultWatchdog is the default zero-progress limit. A synchronization
-// window that takes longer than this without any rank finishing is treated
-// as a stall — a zero-delay event loop, a handler blocked on host I/O, or a
+// defaultWatchdog is the zero-progress limit. A synchronization window that
+// takes longer than this without any rank finishing is treated as a stall —
+// a zero-delay event loop, a handler blocked on host I/O, or a
 // mis-partitioned model — and Run returns a diagnostic error instead of
-// hanging. Models whose windows legitimately run longer should raise it via
-// SetWatchdog; SetWatchdog(0) disables the check entirely.
-const DefaultWatchdog = 30 * time.Second
+// hanging.
+const defaultWatchdog = 30 * time.Second
 
 // remoteEvent is one payload crossing a rank boundary. sent (the sender's
 // clock at the Send call) participates in the canonical merge order: a
@@ -91,8 +87,9 @@ type rank struct {
 	// window; the coordinator surfaces it after the barrier.
 	err error
 
-	// Speculative-mode state (see speculative.go). target is the leg bound
-	// for the current round; spec is the per-Run rollback bookkeeping;
+	// target is the bound of the window being dispatched: the horizon
+	// under pairwise sync, the leg target under speculative sync (see
+	// speculative.go). spec is the per-Run rollback bookkeeping;
 	// specOn arms the replay-dedupe guard in the cross-rank intercept.
 	// rollbacks/replayed/fallbacks/promotions are cumulative counters
 	// surfaced through Metrics and persisted by Snapshot; the specPeak*
@@ -151,7 +148,7 @@ func (rk *rank) runWindow(horizon sim.Time) {
 // Deferring delivery to the covering window — rather than scheduling at
 // whichever barrier carried the event across — makes the engine insertion
 // order, and therefore same-timestamp tie-breaking, independent of window
-// boundaries. That is what keeps global and pairwise sync bit-identical.
+// boundaries. That is what keeps every rank count bit-identical.
 func (rk *rank) deliverStaged() {
 	eng := rk.sim.Engine()
 	for len(rk.staging) > 0 && rk.staging[0].time < rk.horizon {
@@ -192,11 +189,13 @@ type Runner struct {
 	la           [][]sim.Time
 	laDirty      bool
 	now          sim.Time
-	watchdog     time.Duration
 	interrupted  atomic.Bool
 	windows      uint64
 	fastForwards uint64
-	// Speculative-mode knobs (see SetSpecLeap / SetSpecDepth).
+	// watchdog is the zero-progress limit; specLeap and specDepth are the
+	// speculative leg length and checkpoint cap. All three are fixed at
+	// their defaults outside this package's tests.
+	watchdog  time.Duration
 	specLeap  int
 	specDepth int
 
@@ -215,9 +214,9 @@ func NewRunner(nranks int) (*Runner, error) {
 	}
 	r := &Runner{
 		lookahead: sim.TimeInfinity,
-		watchdog:  DefaultWatchdog,
-		specLeap:  DefaultSpecLeap,
-		specDepth: DefaultSpecDepth,
+		watchdog:  defaultWatchdog,
+		specLeap:  defaultSpecLeap,
+		specDepth: defaultSpecDepth,
 	}
 	r.minLat = make([][]sim.Time, nranks)
 	for i := range r.minLat {
@@ -245,17 +244,6 @@ func (r *Runner) Rank(i int) *sim.Simulation { return r.ranks[i].sim }
 // processed on every rank.
 func (r *Runner) Now() sim.Time { return r.now }
 
-// SetWatchdog sets the zero-progress limit: if no rank completes a
-// synchronization window within d, Run interrupts the rank engines and
-// returns an ErrStalled diagnostic instead of hanging. d = 0 disables the
-// watchdog. The default is DefaultWatchdog.
-func (r *Runner) SetWatchdog(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	r.watchdog = d
-}
-
 // Interrupt asks a running simulation to stop at the next opportunity:
 // every rank engine is interrupted and the coordinator returns
 // sim.ErrInterrupted after the current window's barrier. Safe to call from
@@ -268,8 +256,8 @@ func (r *Runner) Interrupt() {
 }
 
 // Lookahead returns the global synchronization floor (min cross-rank
-// latency; 0 with no cross links). Pairwise mode may run individual ranks
-// through far wider windows — see PairLookahead.
+// latency; 0 with no cross links). Pairwise horizons may run individual
+// ranks through far wider windows — see horizonFor.
 func (r *Runner) Lookahead() sim.Time {
 	if r.crossLinks == 0 {
 		return 0
@@ -334,13 +322,12 @@ func (r *Runner) Connect(name string, latency sim.Time, rankA, rankB int) (*sim.
 	return a, b, nil
 }
 
-// horizonFor computes how far rank i may safely advance this round. In
-// global mode it is the shared window base plus the single minimum
-// cross-rank latency. In pairwise mode it is derived from the snapshot of
-// every rank's next-event time nw[j] (engine queue or staged remote, taken
-// while all workers are parked): any event that can still reach rank i
-// starts from some currently scheduled event at some rank j and travels at
-// least the shortest-path latency la[j][i], so nothing can arrive before
+// horizonFor computes how far rank i may safely advance this round, from
+// the snapshot of every rank's next-event time nw[j] (engine queue or
+// staged remote, taken while all workers are parked): any event that can
+// still reach rank i starts from some currently scheduled event at some
+// rank j and travels at least the shortest-path latency la[j][i], so
+// nothing can arrive before
 //
 //	min over j != i of  nw[j] + la[j][i]
 //
@@ -350,43 +337,35 @@ func (r *Runner) Connect(name string, latency sim.Time, rankA, rankB int) (*sim.
 // topology-aware in practice: a tightly-coupled cluster with nothing
 // scheduled stops pacing everyone else, and loosely-coupled ranks get
 // windows sized by their slow inbound links rather than by the busiest
-// pair's tight one. Both variants are clamped to [rank base, until].
+// pair's tight one. The result is clamped to [rank base, until].
 func (r *Runner) horizonFor(i int, la [][]sim.Time, nw []sim.Time, until sim.Time) sim.Time {
 	rk := r.ranks[i]
-	var h sim.Time
-	if r.mode == SyncGlobal {
-		h = r.now + r.lookahead
-		if h < r.now { // overflow: effectively unconstrained
-			h = sim.TimeInfinity
+	h := sim.TimeInfinity
+	minIn := sim.TimeInfinity
+	for j := range r.ranks {
+		if j == i {
+			continue
 		}
-	} else {
-		h = sim.TimeInfinity
-		minIn := sim.TimeInfinity
-		for j := range r.ranks {
-			if j == i {
-				continue
-			}
-			l := la[j][i]
-			if l == sim.TimeInfinity {
-				continue
-			}
-			if l < minIn {
-				minIn = l
-			}
-			c := nw[j] + l
-			if c < nw[j] { // overflow: that rank is unconstraining
-				continue
-			}
-			if c < h {
-				h = c
-			}
+		l := la[j][i]
+		if l == sim.TimeInfinity {
+			continue
 		}
-		// Round trip for traffic rank i itself originates (la is
-		// symmetric, so min inbound == min outbound).
-		if rt := 2 * minIn; minIn != sim.TimeInfinity && rt > minIn {
-			if c := nw[i] + rt; c >= nw[i] && c < h {
-				h = c
-			}
+		if l < minIn {
+			minIn = l
+		}
+		c := nw[j] + l
+		if c < nw[j] { // overflow: that rank is unconstraining
+			continue
+		}
+		if c < h {
+			h = c
+		}
+	}
+	// Round trip for traffic rank i itself originates (la is symmetric, so
+	// min inbound == min outbound).
+	if rt := 2 * minIn; minIn != sim.TimeInfinity && rt > minIn {
+		if c := nw[i] + rt; c >= nw[i] && c < h {
+			h = c
 		}
 	}
 	if h > until {
@@ -431,39 +410,15 @@ func (r *Runner) Run(until sim.Time) (uint64, error) {
 	if r.crossLinks > 0 && (r.lookahead == 0 || r.lookahead == sim.TimeInfinity) {
 		return 0, fmt.Errorf("par: no usable lookahead")
 	}
-	if r.mode.Speculative() && r.crossLinks > 0 {
+	for _, rk := range r.ranks {
+		rk.err = nil
+	}
+	if r.mode == SyncSpeculative && r.crossLinks > 0 {
 		return r.runSpeculative(until)
 	}
 	la := r.lookaheadMatrix()
-	// Persistent workers for this Run call: one goroutine per rank,
-	// handed a horizon per window. This keeps per-window cost to a pair
-	// of channel operations instead of goroutine churn. Workers publish a
-	// state snapshot and announce themselves on the barrier channel after
-	// each window; the coordinator counts arrivals (with a watchdog)
-	// instead of blocking on an uninterruptible WaitGroup.
-	work := make([]chan sim.Time, len(r.ranks))
-	barrier := make(chan int, len(r.ranks))
-	for i, rk := range r.ranks {
-		rk.err = nil
-		work[i] = make(chan sim.Time)
-		go func(rk *rank, ch <-chan sim.Time) {
-			for horizon := range ch {
-				rk.runWindow(horizon)
-				rk.publish()
-				barrier <- rk.id
-			}
-		}(rk, work[i])
-	}
-	closed := false
-	closeWorkers := func() {
-		if !closed {
-			closed = true
-			for _, ch := range work {
-				close(ch)
-			}
-		}
-	}
-	defer closeWorkers()
+	w := r.startWorkers()
+	defer w.stop()
 
 	var total uint64
 	active := make([]*rank, 0, len(r.ranks))
@@ -487,6 +442,7 @@ func (r *Runner) Run(until sim.Time) (uint64, error) {
 				continue
 			}
 			if nw[i] < rk.horizon {
+				rk.target = rk.horizon
 				active = append(active, rk)
 				continue
 			}
@@ -497,44 +453,17 @@ func (r *Runner) Run(until sim.Time) (uint64, error) {
 			}
 		}
 		if len(active) == 0 {
-			// Idle fast-forward: no rank has work below its horizon. A
-			// min-reduction over next-event times lets the coordinator
-			// jump every base straight to the earliest pending event —
-			// or finish — instead of crawling there window by window.
-			next := sim.TimeInfinity
+			// The rank holding the earliest pending event always has it
+			// below its own horizon (every other bound on it is that time
+			// plus a positive latency), so an empty round means nothing is
+			// pending before until: the run is over.
 			for _, rk := range r.ranks {
-				if t := rk.nextWork(); t < next {
-					next = t
+				if rk.base < until {
+					rk.base = until
 				}
 			}
-			if next >= until {
-				for _, rk := range r.ranks {
-					if rk.base < until {
-						rk.base = until
-					}
-				}
-				if until == sim.TimeInfinity {
-					// Globally idle: rest the clock at the furthest rank.
-					for _, rk := range r.ranks {
-						if c := rk.sim.Engine().Now(); c > r.now {
-							r.now = c
-						}
-					}
-				} else if r.now < until {
-					r.now = until
-				}
-				break
-			}
-			for _, rk := range r.ranks {
-				if rk.base < next {
-					rk.base = next
-				}
-			}
-			r.fastForwards++
-			if next > r.now {
-				r.now = next
-			}
-			continue
+			r.settle(until)
+			break
 		}
 		// Delivery phase: schedule staged remote events now covered by
 		// each active rank's window, in canonical heap order.
@@ -543,27 +472,8 @@ func (r *Runner) Run(until sim.Time) (uint64, error) {
 		}
 		// Parallel phase: each active rank runs its events strictly below
 		// its horizon.
-		for _, rk := range active {
-			rk.err = nil
-			work[rk.id] <- rk.horizon
-		}
-		if err := r.waitWindow(barrier, active); err != nil {
+		if err := r.dispatch(w, active); err != nil {
 			return total, err
-		}
-		// A rank whose handlers panicked has reported via rk.err; stop
-		// with every rank's failure rather than continuing a corrupted
-		// simulation.
-		var rankErrs []error
-		for _, rk := range active {
-			if rk.err != nil {
-				rankErrs = append(rankErrs, rk.err)
-			}
-		}
-		if len(rankErrs) > 0 {
-			return total, errors.Join(rankErrs...)
-		}
-		if r.interrupted.Load() {
-			return total, fmt.Errorf("par: run interrupted at window %v: %w", r.now, sim.ErrInterrupted)
 		}
 		// Exchange phase: sharded — only ranks that ran produced mail,
 		// and each nonempty outbox batch goes straight into its
@@ -611,23 +521,95 @@ func (r *Runner) Run(until sim.Time) (uint64, error) {
 	return total, nil
 }
 
-// waitWindow collects one barrier arrival per dispatched rank. With a
-// watchdog set, a period with no arrivals counts as zero progress: the
-// rank engines are interrupted (which unsticks even zero-delay event loops
-// — the engine polls its interrupt flag every few events) and, once the
-// surviving ranks check in or a grace period expires, a diagnostic
-// ErrStalled is returned.
+// settle rests the global clock once every base has reached until: at
+// until itself, or — for a run to global idleness — at the furthest rank.
+func (r *Runner) settle(until sim.Time) {
+	if until != sim.TimeInfinity {
+		if r.now < until {
+			r.now = until
+		}
+		return
+	}
+	for _, rk := range r.ranks {
+		if c := rk.sim.Engine().Now(); c > r.now {
+			r.now = c
+		}
+	}
+}
+
+// workers is one Run call's persistent rank goroutines, shared by the
+// conservative and speculative loops: each is handed a bound per window,
+// which keeps per-window cost to a pair of channel operations instead of
+// goroutine churn. A worker publishes a state snapshot and announces
+// itself on the barrier channel after each window; the coordinator counts
+// arrivals (with a watchdog) instead of blocking on an uninterruptible
+// WaitGroup. The barrier holds one slot per rank so a worker never blocks
+// on arrival, not even one that finishes after a stall was reported.
+type workers struct {
+	work    []chan sim.Time
+	barrier chan int
+}
+
+func (r *Runner) startWorkers() *workers {
+	w := &workers{work: make([]chan sim.Time, len(r.ranks)), barrier: make(chan int, len(r.ranks))}
+	for i, rk := range r.ranks {
+		w.work[i] = make(chan sim.Time)
+		go func(rk *rank, ch <-chan sim.Time) {
+			for bound := range ch {
+				rk.runWindow(bound)
+				rk.publish()
+				w.barrier <- rk.id
+			}
+		}(rk, w.work[i])
+	}
+	return w
+}
+
+// stop ends the worker goroutines; a worker stuck past a stall is abandoned
+// and exits once its window returns.
+func (w *workers) stop() {
+	for _, ch := range w.work {
+		close(ch)
+	}
+}
+
+// dispatch runs one window: every active rank executes its events strictly
+// below rk.target on its worker, and the coordinator waits for all of them.
+// A stall, any rank's handler panic (every failing rank's, joined — a
+// corrupted simulation must not continue) or an interrupt ends the run.
+func (r *Runner) dispatch(w *workers, active []*rank) error {
+	for _, rk := range active {
+		rk.err = nil
+		w.work[rk.id] <- rk.target
+	}
+	if err := r.waitWindow(w.barrier, active); err != nil {
+		return err
+	}
+	var rankErrs []error
+	for _, rk := range active {
+		if rk.err != nil {
+			rankErrs = append(rankErrs, rk.err)
+		}
+	}
+	if len(rankErrs) > 0 {
+		return errors.Join(rankErrs...)
+	}
+	if r.interrupted.Load() {
+		return fmt.Errorf("par: run interrupted at window %v: %w", r.now, sim.ErrInterrupted)
+	}
+	return nil
+}
+
+// waitWindow collects one barrier arrival per dispatched rank. A watchdog
+// period with no arrivals counts as zero progress: the rank engines are
+// interrupted (which unsticks even zero-delay event loops — the engine
+// polls its interrupt flag every few events) and, once the surviving
+// ranks check in or a grace period expires, a diagnostic ErrStalled is
+// returned.
 func (r *Runner) waitWindow(barrier <-chan int, active []*rank) error {
 	need := len(active)
 	arrived := make([]bool, len(r.ranks))
 	got := 0
-	if r.watchdog <= 0 {
-		for got < need {
-			arrived[<-barrier] = true
-			got++
-		}
-		return nil
-	}
 	timer := time.NewTimer(r.watchdog)
 	defer timer.Stop()
 	stalled := false
@@ -725,27 +707,28 @@ type RankMetrics struct {
 	Rollbacks uint64 `json:"rollbacks"`
 	// Replayed counts events this rank re-executed during rollback
 	// recovery (already-committed prefix replays plus discarded
-	// speculation). Zero in conservative modes.
+	// speculation). Zero under pairwise sync.
 	Replayed uint64 `json:"replayed_events"`
-	// Fallbacks counts adaptive-mode demotions: episodes where the rank's
-	// rollback rate crossed the governor threshold and it was pinned to
-	// its pairwise-conservative horizon for a cooldown.
+	// Fallbacks counts speculative-mode demotions: episodes where the
+	// rank's rollback rate crossed the governor threshold and it was
+	// pinned to its pairwise horizon for a cooldown.
 	Fallbacks uint64 `json:"fallbacks"`
-	// Promotions counts adaptive-mode re-promotions after a cooldown.
+	// Promotions counts speculative-mode re-promotions after a cooldown.
 	Promotions uint64 `json:"promotions"`
 }
 
 // RunnerMetrics summarizes a parallel run for the observability layer.
 type RunnerMetrics struct {
-	// Mode is the synchronization mode the runner used ("global" or
-	// "pairwise").
+	// Mode is the synchronization mode the runner used ("pairwise" or
+	// "speculative").
 	Mode string `json:"mode"`
-	// Windows is the number of synchronization rounds the coordinator ran
-	// (rounds resolved purely by fast-forward are counted separately).
+	// Windows is the number of synchronization rounds the coordinator
+	// dispatched (rounds that dispatched no rank are counted separately).
 	Windows uint64 `json:"windows"`
-	// FastForwards counts idle fast-forwards: rounds at which no rank had
-	// work below its horizon and the coordinator jumped every base
-	// straight to the globally earliest pending event.
+	// FastForwards counts speculative rounds that dispatched no rank and
+	// only advanced commit bases and idle frontiers. Always zero under
+	// pairwise sync, where the rank holding the earliest pending event is
+	// always dispatched.
 	FastForwards uint64 `json:"fast_forwards"`
 	// Lookahead is the global conservative floor (min cross-rank link
 	// latency; 0 with no cross links).
@@ -756,7 +739,7 @@ type RunnerMetrics struct {
 	Imbalance float64 `json:"imbalance"`
 	// Rollbacks / Replayed / Fallbacks / Promotions are the speculative-
 	// mode totals over all ranks (see RankMetrics for the per-rank
-	// meaning). All zero in conservative modes.
+	// meaning). All zero under pairwise sync.
 	Rollbacks  uint64 `json:"rollbacks"`
 	Replayed   uint64 `json:"replayed_events"`
 	Fallbacks  uint64 `json:"fallbacks"`

@@ -54,7 +54,7 @@ func TestWatchdogZeroDelayLoop(t *testing.T) {
 	// Rank 1 has normal sparse work.
 	r.Rank(1).Engine().Schedule(time0(5), func(any) {}, nil)
 
-	r.SetWatchdog(50 * time.Millisecond)
+	r.watchdog = 50 * time.Millisecond
 	_, err = runWithDeadline(t, 10*time.Second, r)
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
@@ -80,7 +80,7 @@ func TestWatchdogDoesNotFireOnProgress(t *testing.T) {
 	buildRing(t, r, 4, 300, 10*sim.Nanosecond)
 	first := forwarders["n0"]
 	r.Rank(0).Engine().Schedule(0, func(any) { first.recv(0) }, nil)
-	r.SetWatchdog(250 * time.Millisecond)
+	r.watchdog = 250 * time.Millisecond
 	if _, err := r.RunAll(); err != nil {
 		t.Fatalf("healthy run errored: %v", err)
 	}

@@ -43,56 +43,36 @@ package par
 // drain a slot), snapshot buffers are pooled and reused, and the
 // delivered-event log is pruned whenever the rollback target advances.
 //
-// Adaptive mode adds a per-rank governor: a rank whose rollback count
-// within a policy window crosses a threshold is demoted to its pairwise
-// horizon for a cooldown, then re-promoted. Rollbacks depend only on
-// simulation content — never on host timing — so demotion decisions, and
-// therefore results, stay bit-identical run to run.
+// Every speculative run has a per-rank governor: a rank whose rollback
+// count within a policy window crosses a threshold is demoted to its
+// pairwise horizon for a cooldown, then re-promoted. Rollbacks depend only
+// on simulation content — never on host timing — so demotion decisions,
+// and therefore results, stay bit-identical run to run.
 
 import (
-	"errors"
 	"fmt"
 
 	"sst/internal/sim"
 )
 
 const (
-	// DefaultSpecLeap is how many multiples of a rank's inbound lookahead
-	// one speculative leg may run past its frontier.
-	DefaultSpecLeap = 8
-	// DefaultSpecDepth is how many engine checkpoints a rank retains; at
+	// defaultSpecLeap is how many multiples of a rank's inbound lookahead
+	// one speculative leg may run past its frontier. Larger legs amortize
+	// more barrier rounds but risk longer replays on a rollback.
+	defaultSpecLeap = 8
+	// defaultSpecDepth is how many engine checkpoints a rank retains; at
 	// the cap the rank falls back to conservative legs until commits free
 	// a slot, which is what bounds speculative memory.
-	DefaultSpecDepth = 4
+	defaultSpecDepth = 4
 
-	// Adaptive-mode demotion policy: adaptThreshold rollbacks within a
-	// adaptWindow-round window demote the rank to conservative legs for
-	// adaptCooldown rounds. All three count coordinator rounds, which are
-	// a pure function of simulation content.
-	adaptWindow    = 16
-	adaptThreshold = 4
-	adaptCooldown  = 64
+	// Governor policy: govThreshold rollbacks within a govWindow-round
+	// window demote the rank to conservative legs for govCooldown rounds.
+	// All three count coordinator rounds, which are a pure function of
+	// simulation content.
+	govWindow    = 16
+	govThreshold = 4
+	govCooldown  = 64
 )
-
-// SetSpecLeap sets how many inbound-lookahead multiples a speculative leg
-// may run past the rank's frontier (default DefaultSpecLeap). Larger legs
-// amortize more barrier rounds but risk longer replays on a rollback.
-func (r *Runner) SetSpecLeap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.specLeap = n
-}
-
-// SetSpecDepth sets how many checkpoints each rank may retain (default
-// DefaultSpecDepth). This is the speculative memory cap: a rank at the
-// cap executes conservatively until commits drain a slot.
-func (r *Runner) SetSpecDepth(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.specDepth = n
-}
 
 // specCkpt is one rollback checkpoint: the engine snapshot taken at a leg
 // boundary, plus the send counter and handled count needed to replay from
@@ -125,7 +105,7 @@ type specState struct {
 	// pool recycles checkpoint blobs; enc is the reusable snapshot encoder.
 	pool [][]byte
 	enc  *sim.Encoder
-	// Adaptive-governor state, in coordinator rounds.
+	// Governor state, in coordinator rounds.
 	winStart     uint64
 	winRollbacks int
 	demotedUntil uint64
@@ -313,7 +293,7 @@ func (rk *rank) specDeliver() {
 }
 
 // specTarget picks rank i's leg target for this round: the conservative
-// horizon when the rank is demoted (adaptive governor) or at its
+// horizon when the governor has demoted the rank or it is at its
 // checkpoint cap, otherwise up to specLeap inbound lookaheads past its
 // frontier. Always clamped to until so Run(until) ends with every frontier
 // committed (which is what lets Runner.Snapshot between Run calls work
@@ -321,23 +301,21 @@ func (rk *rank) specDeliver() {
 func (r *Runner) specTarget(rk *rank, la [][]sim.Time, round uint64, until sim.Time) sim.Time {
 	sp := rk.spec
 	h := rk.horizon
-	if r.mode == SyncAdaptive {
-		if round >= sp.demotedUntil && sp.demotedUntil != 0 {
-			sp.demotedUntil = 0
-			sp.winStart, sp.winRollbacks = round, 0
-			rk.promotions++
-		}
-		if sp.demotedUntil != 0 {
-			return h
-		}
-		if round-sp.winStart >= adaptWindow {
-			sp.winStart, sp.winRollbacks = round, 0
-		}
-		if sp.winRollbacks >= adaptThreshold {
-			sp.demotedUntil = round + adaptCooldown
-			rk.fallbacks++
-			return h
-		}
+	if round >= sp.demotedUntil && sp.demotedUntil != 0 {
+		sp.demotedUntil = 0
+		sp.winStart, sp.winRollbacks = round, 0
+		rk.promotions++
+	}
+	if sp.demotedUntil != 0 {
+		return h
+	}
+	if round-sp.winStart >= govWindow {
+		sp.winStart, sp.winRollbacks = round, 0
+	}
+	if sp.winRollbacks >= govThreshold {
+		sp.demotedUntil = round + govCooldown
+		rk.fallbacks++
+		return h
 	}
 	if len(sp.ckpts) >= r.specDepth {
 		return h
@@ -391,7 +369,6 @@ func (r *Runner) runSpeculative(until sim.Time) (uint64, error) {
 		return n
 	}
 	for i, rk := range r.ranks {
-		rk.err = nil
 		rk.specOn = true
 		evStart[i] = rk.sim.Engine().Handled()
 		rk.spec = &specState{frontier: rk.base}
@@ -411,28 +388,8 @@ func (r *Runner) runSpeculative(until sim.Time) (uint64, error) {
 		}
 	}
 
-	work := make([]chan sim.Time, len(r.ranks))
-	barrier := make(chan int, len(r.ranks))
-	for i, rk := range r.ranks {
-		work[i] = make(chan sim.Time)
-		go func(rk *rank, ch <-chan sim.Time) {
-			for horizon := range ch {
-				rk.runWindow(horizon)
-				rk.publish()
-				barrier <- rk.id
-			}
-		}(rk, work[i])
-	}
-	closed := false
-	closeWorkers := func() {
-		if !closed {
-			closed = true
-			for _, ch := range work {
-				close(ch)
-			}
-		}
-	}
-	defer closeWorkers()
+	w := r.startWorkers()
+	defer w.stop()
 
 	active := make([]*rank, 0, len(r.ranks))
 	nw := make([]sim.Time, len(r.ranks))
@@ -477,16 +434,7 @@ func (r *Runner) runSpeculative(until sim.Time) (uint64, error) {
 			r.now = min
 		}
 		if done {
-			if until == sim.TimeInfinity {
-				// Globally idle: rest the clock at the furthest rank.
-				for _, rk := range r.ranks {
-					if c := rk.sim.Engine().Now(); c > r.now {
-						r.now = c
-					}
-				}
-			} else if r.now < until {
-				r.now = until
-			}
+			r.settle(until)
 			break
 		}
 		// Phase 3: rollbacks. A staged arrival below the frontier means
@@ -531,25 +479,9 @@ func (r *Runner) runSpeculative(until sim.Time) (uint64, error) {
 		}
 		for _, rk := range active {
 			rk.specDeliver()
-			rk.err = nil
 		}
-		for _, rk := range active {
-			work[rk.id] <- rk.target
-		}
-		if err := r.waitWindow(barrier, active); err != nil {
+		if err := r.dispatch(w, active); err != nil {
 			return total(), err
-		}
-		var rankErrs []error
-		for _, rk := range active {
-			if rk.err != nil {
-				rankErrs = append(rankErrs, rk.err)
-			}
-		}
-		if len(rankErrs) > 0 {
-			return total(), errors.Join(rankErrs...)
-		}
-		if r.interrupted.Load() {
-			return total(), fmt.Errorf("par: run interrupted at window %v: %w", r.now, sim.ErrInterrupted)
 		}
 		// Phase 5: frontier + checkpoint.
 		for _, rk := range active {

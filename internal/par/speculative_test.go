@@ -1,11 +1,11 @@
 package par
 
-// Rollback-storm and replay-correctness tests for the optimistic sync
-// modes. The determinism harness (determinism_test.go) proves speculation
-// is invisible in the results; the tests here prove the opposite side of
-// the contract — that under a hostile workload speculation actually
-// happens, stays within its memory budget, keeps making forward progress,
-// and that the adaptive governor notices a storm and demotes.
+// Rollback-storm and replay-correctness tests for speculative sync. The
+// determinism harness (determinism_test.go) proves speculation is
+// invisible in the results; the tests here prove the opposite side of the
+// contract — that under a hostile workload speculation actually happens,
+// stays within its memory budget, keeps making forward progress, and that
+// the governor notices a storm and demotes.
 
 import (
 	"bytes"
@@ -20,7 +20,7 @@ import (
 // 4-node all-cross ring (node i on rank i%2, so every ring hop changes
 // ranks) at the minimum 1ns latency, zero think time, and a burst of
 // staggered token injections so both ranks always have local work to
-// mis-execute ahead of a straggler. Lookahead 1ns with DefaultSpecLeap 8
+// mis-execute ahead of a straggler. Lookahead 1ns with defaultSpecLeap 8
 // means every leg outruns the neighbor's sends by ~8ns — a sustained
 // rollback storm.
 func stormTopo() detTopo {
@@ -41,43 +41,46 @@ func stormTopo() detTopo {
 	return tp
 }
 
-// runStorm runs the storm topology at 2 ranks under the given mode with
-// the snapshot-owned builder (speculation needs checkpointable models) and
-// returns the runner for metrics and peak inspection plus the signature.
-func runStorm(t *testing.T, mode SyncMode) (*Runner, detSig) {
+// runStorm runs the storm topology at 2 ranks under speculative sync with
+// the snapshot-owned builder (speculation needs checkpointable models),
+// checks the result is bit-identical to the sequential reference, and
+// returns the runner for metrics and peak inspection.
+func runStorm(t *testing.T) *Runner {
 	t.Helper()
 	tp := stormTopo()
+	ref := runDetTopo(t, tp, 1, SyncPairwise, 0)
 	r, err := NewRunner(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetSyncMode(mode)
-	r.SetWatchdog(10 * time.Second)
+	r.SetSyncMode(SyncSpeculative)
+	r.watchdog = 10 * time.Second
 	r.EnableSnapshots()
 	nodes := buildDetTopoSnap(t, r, tp)
 	total, err := r.RunAll()
 	if err != nil {
-		t.Fatalf("%s storm run: %v", mode, err)
+		t.Fatalf("storm run: %v", err)
 	}
 	sig := detSig{Total: total, Nodes: make([]nodeSig, len(nodes))}
 	for i, nd := range nodes {
 		sig.Nodes[i] = nodeSig{Count: nd.count, Sum: nd.sum, Last: nd.last}
 	}
-	return r, sig
+	diffSig(t, "rollback storm", sig, ref)
+	m := r.Metrics()
+	t.Logf("storm: %d rollbacks, %d events replayed, %d fallbacks, %d promotions",
+		m.Rollbacks, m.Replayed, m.Fallbacks, m.Promotions)
+	return r
 }
 
-// TestRollbackStorm drives the zero-slack chatty topology under pure
-// speculation and asserts the storm actually happened (sustained
-// rollbacks), the run still finished correctly (no watchdog trip, results
-// bit-identical to the sequential reference), and the speculative memory
-// stayed within its configured budget: checkpoint count never exceeded the
-// depth cap and the delivered-log high-water mark stayed bounded rather
-// than scaling with the run length.
+// TestRollbackStorm drives the zero-slack chatty topology under speculative
+// sync and asserts the storm actually happened (sustained rollbacks), the
+// run still finished correctly (no watchdog trip, results bit-identical to
+// the sequential reference), and the speculative memory stayed within its
+// configured budget: checkpoint count never exceeded the depth cap and the
+// delivered-log high-water mark stayed bounded rather than scaling with
+// the run length.
 func TestRollbackStorm(t *testing.T) {
-	ref := runDetTopo(t, stormTopo(), 1, SyncPairwise, 0)
-	r, sig := runStorm(t, SyncSpeculative)
-	diffSig(t, "rollback storm (speculative)", sig, ref)
-
+	r := runStorm(t)
 	m := r.Metrics()
 	if m.Rollbacks < 20 {
 		t.Errorf("storm produced only %d rollbacks; topology no longer provokes speculation", m.Rollbacks)
@@ -85,12 +88,9 @@ func TestRollbackStorm(t *testing.T) {
 	if m.Replayed < m.Rollbacks {
 		t.Errorf("replayed %d < rollbacks %d: every rollback replays at least one event", m.Replayed, m.Rollbacks)
 	}
-	if m.Fallbacks != 0 || m.Promotions != 0 {
-		t.Errorf("pure speculative mode reported adaptive activity: %d fallbacks, %d promotions", m.Fallbacks, m.Promotions)
-	}
 	for _, rk := range r.ranks {
-		if rk.specPeakCkpts > DefaultSpecDepth {
-			t.Errorf("rank %d held %d checkpoints, cap %d", rk.id, rk.specPeakCkpts, DefaultSpecDepth)
+		if rk.specPeakCkpts > defaultSpecDepth {
+			t.Errorf("rank %d held %d checkpoints, cap %d", rk.id, rk.specPeakCkpts, defaultSpecDepth)
 		}
 		// The delivered log only spans the uncommitted window (≤ depth
 		// legs of ≤ leap×lookahead each); at ~8 deliveries/ns that is a
@@ -105,33 +105,27 @@ func TestRollbackStorm(t *testing.T) {
 	}
 }
 
-// TestRollbackStormAdaptive runs the same storm under the adaptive
-// governor: it must detect the rollback spike and demote to conservative
-// execution within a bounded number of windows (surfacing as at least one
-// fallback), finish bit-identical to the reference, and — because it spends
-// the storm running conservatively — roll back substantially less than pure
-// speculation does.
+// TestRollbackStormAdaptive runs the same storm and checks the governor
+// that every speculative run carries: it must detect the rollback spike
+// and demote the rank to conservative legs (surfacing as at least one
+// fallback) within a bounded number of rounds, re-promote only after a
+// demotion, and still finish bit-identical to the reference.
 func TestRollbackStormAdaptive(t *testing.T) {
-	ref := runDetTopo(t, stormTopo(), 1, SyncPairwise, 0)
-	spec, specSig := runStorm(t, SyncSpeculative)
-	diffSig(t, "storm reference (speculative)", specSig, ref)
-	adpt, adptSig := runStorm(t, SyncAdaptive)
-	diffSig(t, "rollback storm (adaptive)", adptSig, ref)
-
-	sm, am := spec.Metrics(), adpt.Metrics()
-	if am.Fallbacks == 0 {
-		t.Errorf("adaptive governor never demoted during a storm of %d rollbacks", am.Rollbacks)
+	r := runStorm(t)
+	m := r.Metrics()
+	if m.Fallbacks == 0 {
+		t.Errorf("governor never demoted during a storm of %d rollbacks", m.Rollbacks)
 	}
-	if am.Rollbacks >= sm.Rollbacks {
-		t.Errorf("adaptive rolled back %d times, pure speculative %d: demotion bought nothing", am.Rollbacks, sm.Rollbacks)
-	}
-	// Demotion must engage within the governor's detection latency: a rank
-	// cannot accumulate more than one adaptation window's worth of
-	// rollbacks per demote-promote cycle, so the per-rank total is bounded
-	// by cycles × window rather than by the run length.
-	for _, rk := range adpt.ranks {
+	for _, rk := range r.ranks {
+		if rk.promotions > rk.fallbacks {
+			t.Errorf("rank %d: %d promotions but only %d demotions", rk.id, rk.promotions, rk.fallbacks)
+		}
+		// Demotion must engage within the governor's detection latency: a
+		// rank cannot accumulate more than one governor window's worth of
+		// rollbacks per demote-promote cycle, so the per-rank total is
+		// bounded by cycles × window rather than by the run length.
 		cycles := rk.fallbacks + 1 // +1 for the window that first trips
-		if max := (cycles + rk.promotions) * adaptWindow; rk.rollbacks > max {
+		if max := (cycles + rk.promotions) * govWindow; rk.rollbacks > max {
 			t.Errorf("rank %d: %d rollbacks across %d demotions — governor reacted too slowly (bound %d)",
 				rk.id, rk.rollbacks, rk.fallbacks, max)
 		}
@@ -139,9 +133,10 @@ func TestRollbackStormAdaptive(t *testing.T) {
 }
 
 // TestParseSyncMode pins the mode registry round-trip: every registered
-// mode parses back from its String form, aliases work, and garbage is
-// rejected with an error that names every valid spelling (the CLI -sync
-// flag help is generated from the same registry).
+// mode parses back from its String form, and garbage — including the
+// retired "global" and "adaptive" spellings — is rejected with an error
+// that names every valid spelling (the CLI -sync flag help is generated
+// from the same registry).
 func TestParseSyncMode(t *testing.T) {
 	names := SyncModeNames()
 	if len(names) != len(allSyncModes) {
@@ -156,7 +151,7 @@ func TestParseSyncMode(t *testing.T) {
 			t.Errorf("ParseSyncMode(%q) = %v, want %v", m.String(), got, m)
 		}
 	}
-	for _, bad := range []string{"", "bogus", "Speculative", "time-warp", "pairwise "} {
+	for _, bad := range []string{"", "bogus", "Speculative", "time-warp", "pairwise ", "global", "adaptive"} {
 		_, err := ParseSyncMode(bad)
 		if err == nil {
 			t.Errorf("ParseSyncMode(%q) accepted garbage", bad)
@@ -166,12 +161,6 @@ func TestParseSyncMode(t *testing.T) {
 			if !strings.Contains(err.Error(), name) {
 				t.Errorf("ParseSyncMode(%q) error %q does not list valid mode %q", bad, err, name)
 			}
-		}
-	}
-	spec := map[SyncMode]bool{SyncSpeculative: true, SyncAdaptive: true}
-	for _, m := range allSyncModes {
-		if m.Speculative() != spec[m] {
-			t.Errorf("%v.Speculative() = %v, want %v", m, m.Speculative(), spec[m])
 		}
 	}
 }
@@ -187,10 +176,10 @@ func runSpecFuzz(t *testing.T, tp detTopo, nranks int, mode SyncMode, leap, dept
 	}
 	r.SetSyncMode(mode)
 	if leap > 0 {
-		r.SetSpecLeap(leap)
+		r.specLeap = leap
 	}
 	if depth > 0 {
-		r.SetSpecDepth(depth)
+		r.specDepth = depth
 	}
 	r.EnableSnapshots()
 	nodes := buildDetTopoSnap(t, r, tp)
@@ -206,10 +195,11 @@ func runSpecFuzz(t *testing.T, tp detTopo, nranks int, mode SyncMode, leap, dept
 }
 
 // FuzzSpeculativeReplay fuzzes the checkpoint→straggler→rollback→replay
-// cycle: a seeded random topology is run optimistically with fuzzed leap
-// and depth knobs (including the degenerate leap=1/depth=1 corner, which
-// checkpoints every leg) and compared against a straight-line conservative
-// run of the identical machine — first by order-insensitive signature
+// cycle: a seeded random topology is run optimistically at a fuzzed rank
+// count (2, 4 or 8, chosen by sel) with fuzzed leap and depth knobs
+// (including the degenerate leap=1/depth=1 corner, which checkpoints every
+// leg) and compared against a straight-line conservative run of the
+// identical machine — first by order-insensitive signature
 // against the sequential reference, then byte-for-byte on every node's
 // serialized state against a pairwise run at the same rank count. Any
 // delivery lost, duplicated, reordered into visibility, or re-executed
@@ -218,20 +208,16 @@ func FuzzSpeculativeReplay(f *testing.F) {
 	f.Add(int64(9000), uint8(8), uint8(4), uint8(0))
 	f.Add(int64(9001), uint8(1), uint8(1), uint8(1))
 	f.Add(int64(9017), uint8(3), uint8(2), uint8(2))
-	f.Add(int64(424242), uint8(16), uint8(8), uint8(0x81))
+	f.Add(int64(424242), uint8(16), uint8(8), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, leap, depth, sel uint8) {
-		nranks := []int{2, 4, 8}[int(sel&0x7f)%3]
-		mode := SyncSpeculative
-		if sel&0x80 != 0 {
-			mode = SyncAdaptive
-		}
+		nranks := []int{2, 4, 8}[int(sel)%3]
 		tp := genDetTopo(seed)
 		ref := runDetTopo(t, tp, 1, SyncPairwise, 0)
 		pwSig, pwNodes := runSpecFuzz(t, tp, nranks, SyncPairwise, 0, 0)
 		diffSig(t, "fuzz pairwise baseline", pwSig, ref)
-		spSig, spNodes := runSpecFuzz(t, tp, nranks, mode,
+		spSig, spNodes := runSpecFuzz(t, tp, nranks, SyncSpeculative,
 			1+int(leap)%32, 1+int(depth)%8)
-		diffSig(t, "fuzz "+mode.String(), spSig, ref)
+		diffSig(t, "fuzz speculative", spSig, ref)
 		for i := range spNodes {
 			a, b := sim.NewEncoder(), sim.NewEncoder()
 			spNodes[i].SaveState(a)

@@ -7,35 +7,29 @@ import (
 	"sst/internal/sim"
 )
 
-// SyncMode selects how conservative window horizons are derived from the
-// partitioned link graph.
+// SyncMode selects whether ranks stop at their conservative horizons or
+// may run past them.
 type SyncMode int
 
 const (
 	// SyncPairwise derives each rank's horizon from the pairwise lookahead
 	// matrix: rank i may advance to min over ranks j that can reach it of
-	// (j's base time + the shortest-path latency j→i). Ranks coupled only
-	// through high-latency links get wide windows regardless of how small
-	// the minimum latency elsewhere in the machine is. This is the default.
+	// (j's next-event time + the shortest-path latency j→i). Ranks coupled
+	// only through high-latency links get wide windows regardless of how
+	// small the minimum latency elsewhere in the machine is. This is the
+	// default.
 	SyncPairwise SyncMode = iota
-	// SyncGlobal is the classic conservative barrier: every rank advances
-	// through one shared window equal to the single minimum cross-rank
-	// link latency. Kept as the comparison baseline (`-sync global`).
-	SyncGlobal
 	// SyncSpeculative lets ranks execute optimistically past their pairwise
 	// horizon, checkpointing engine state through the snapshot codec at leg
 	// boundaries. A straggler cross-rank event triggers a rollback to the
 	// last checkpoint at or below the committed frontier and a deterministic
 	// replay; only committed events are ever released to other ranks, so no
-	// anti-messages exist. Requires EnableSnapshots and a fully
-	// checkpointable model when cross-rank links are present.
+	// anti-messages exist. A per-rank governor demotes a rank whose
+	// rollback rate spikes to its pairwise horizon for a cooldown, then
+	// re-promotes it; the decision depends only on simulation content, so
+	// results stay bit-identical to pairwise. Requires EnableSnapshots and
+	// a fully checkpointable model when cross-rank links are present.
 	SyncSpeculative
-	// SyncAdaptive is SyncSpeculative with a per-rank governor: a rank whose
-	// rollback rate spikes is demoted to its pairwise-conservative horizon
-	// for a cooldown, then re-promoted. The demotion decision depends only
-	// on simulation content, never host timing, so results stay
-	// bit-identical to every other mode.
-	SyncAdaptive
 )
 
 // syncModeNames is the registry of mode spellings, indexed by SyncMode.
@@ -43,21 +37,13 @@ const (
 // flag help, the parser and its error message can never drift apart.
 var syncModeNames = [...]string{
 	SyncPairwise:    "pairwise",
-	SyncGlobal:      "global",
 	SyncSpeculative: "speculative",
-	SyncAdaptive:    "adaptive",
 }
 
 // SyncModeNames returns the flag spellings of every registered mode, in
 // declaration order. CLI flag help should be built from this list.
 func SyncModeNames() []string {
 	return append([]string(nil), syncModeNames[:]...)
-}
-
-// Speculative reports whether the mode executes optimistically (and thus
-// needs snapshots enabled before the model is built).
-func (m SyncMode) Speculative() bool {
-	return m == SyncSpeculative || m == SyncAdaptive
 }
 
 // String returns the flag spelling of the mode.
@@ -80,14 +66,11 @@ func ParseSyncMode(s string) (SyncMode, error) {
 }
 
 // SetSyncMode selects the synchronization mode for subsequent Run calls.
-// All modes produce bit-identical simulation results; they differ only in
+// Both modes produce bit-identical simulation results; they differ only in
 // how far each rank may run between barriers and whether that execution is
-// provisional (speculative/adaptive) or final (global/pairwise). Must not
-// be called while a Run is in flight.
+// provisional (speculative) or final (pairwise). Must not be called while a
+// Run is in flight.
 func (r *Runner) SetSyncMode(m SyncMode) { r.mode = m }
-
-// SyncMode returns the active synchronization mode.
-func (r *Runner) SyncMode() SyncMode { return r.mode }
 
 // recordLink folds one cross-rank link into the direct-latency adjacency
 // used to build the pairwise lookahead matrix.
@@ -138,27 +121,6 @@ func (r *Runner) lookaheadMatrix() [][]sim.Time {
 	return la
 }
 
-// LookaheadMatrix returns a copy of the pairwise lookahead matrix (see
-// lookaheadMatrix for its semantics). Diagnostic/testing accessor.
-func (r *Runner) LookaheadMatrix() [][]sim.Time {
-	la := r.lookaheadMatrix()
-	out := make([][]sim.Time, len(la))
-	for i := range la {
-		out[i] = append([]sim.Time(nil), la[i]...)
-	}
-	return out
-}
-
-// PairLookahead returns the conservative lookahead from rank src to rank
-// dst: the earliest an event leaving src can affect dst, relative to src's
-// clock. sim.TimeInfinity when no link path connects them.
-func (r *Runner) PairLookahead(src, dst int) sim.Time {
-	if src < 0 || src >= len(r.ranks) || dst < 0 || dst >= len(r.ranks) {
-		return sim.TimeInfinity
-	}
-	return r.lookaheadMatrix()[src][dst]
-}
-
 // rankLookahead is the width of rank i's inbound constraint: the minimum
 // pairwise lookahead over ranks that can reach it. TimeInfinity when
 // nothing can.
@@ -181,9 +143,9 @@ func (r *Runner) rankLookahead(la [][]sim.Time, i int) sim.Time {
 // destination's window horizon passes their timestamp, so the insertion
 // order seen by the engine — and therefore same-timestamp tie-breaking —
 // is identical no matter which barrier round carried the event across.
-// That is what keeps results bit-identical between sync modes, whose
-// window boundaries differ, and what matches the sequential reference,
-// which inserts each delivery into the queue at its send time.
+// That is what keeps results bit-identical between rank counts and sync
+// modes, whose window boundaries differ, and what matches the sequential
+// reference, which inserts each delivery into the queue at its send time.
 type remoteHeap []remoteEvent
 
 func remoteLess(a, b *remoteEvent) bool {

@@ -8,45 +8,42 @@ import (
 
 // BenchmarkParallelWindow measures the per-window synchronization cost of
 // the runner — barrier, horizon computation, and mailbox exchange — under
-// both sync modes. Four ranks in a ring, each with one local event and one
+// pairwise sync. Four ranks in a ring, each with one local event and one
 // remote send per 100ns window, so b.N iterations is b.N windows and ns/op
 // is the steady-state cost of one conservative window. Gated against
 // BENCH_baseline.json by `make bench`.
 func BenchmarkParallelWindow(b *testing.B) {
-	for _, mode := range []SyncMode{SyncGlobal, SyncPairwise} {
-		b.Run("sync="+mode.String(), func(b *testing.B) {
-			r, err := NewRunner(4)
+	b.Run("sync=pairwise", func(b *testing.B) {
+		r, err := NewRunner(4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		outs := make([]*sim.Port, 4)
+		for i := 0; i < 4; i++ {
+			a, pb, err := r.Connect("ring"+itoa(i), 100*sim.Nanosecond, i, (i+1)%4)
 			if err != nil {
 				b.Fatal(err)
 			}
-			r.SetSyncMode(mode)
-			outs := make([]*sim.Port, 4)
-			for i := 0; i < 4; i++ {
-				a, pb, err := r.Connect("ring"+itoa(i), 100*sim.Nanosecond, i, (i+1)%4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				a.SetHandler(func(any) {})
-				pb.SetHandler(func(any) {})
-				outs[i] = a
-			}
-			for i := 0; i < 4; i++ {
-				eng := r.Rank(i).Engine()
-				out := outs[i]
-				var tick func(any)
-				tick = func(any) {
-					out.Send(0)
-					eng.Schedule(100*sim.Nanosecond, tick, nil)
-				}
+			a.SetHandler(func(any) {})
+			pb.SetHandler(func(any) {})
+			outs[i] = a
+		}
+		for i := 0; i < 4; i++ {
+			eng := r.Rank(i).Engine()
+			out := outs[i]
+			var tick func(any)
+			tick = func(any) {
+				out.Send(0)
 				eng.Schedule(100*sim.Nanosecond, tick, nil)
 			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			if _, err := r.Run(sim.Time(b.N) * 100 * sim.Nanosecond); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
+			eng.Schedule(100*sim.Nanosecond, tick, nil)
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		if _, err := r.Run(sim.Time(b.N) * 100 * sim.Nanosecond); err != nil {
+			b.Fatal(err)
+		}
+	})
 	for _, mode := range []SyncMode{SyncPairwise, SyncSpeculative} {
 		mode := mode
 		b.Run("topo=lowlat/sync="+mode.String(), func(b *testing.B) {
@@ -56,8 +53,8 @@ func BenchmarkParallelWindow(b *testing.B) {
 }
 
 // lowlatTick is the workload for the low-lookahead variant: a dense local
-// tick (one event per nanosecond, checkpoint-owned so the speculative mode
-// can snapshot it) with a sparse cross-rank send every 64 ticks.
+// tick (one event per nanosecond, checkpoint-owned so speculative sync can
+// snapshot it) with a sparse cross-rank send every 64 ticks.
 type lowlatTick struct {
 	name string
 	set  *sim.EventSet
@@ -84,7 +81,7 @@ func benchLowLat(b *testing.B, mode SyncMode) {
 		b.Fatal(err)
 	}
 	r.SetSyncMode(mode)
-	if mode.Speculative() {
+	if mode == SyncSpeculative {
 		r.EnableSnapshots()
 	}
 	outs := make([]*sim.Port, 4)
