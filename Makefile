@@ -108,7 +108,8 @@ vet:
 	$(GO) vet ./...
 
 # The sweep scheduler (internal/core), the PDES runtime (internal/par), the
-# event kernel they drive (internal/sim), the fault injectors that hook
+# event kernel they drive (internal/sim), the network partitioned across
+# its rank goroutines (internal/noc), the fault injectors that hook
 # all three (internal/fault), the shared result cache the sweep workers
 # probe concurrently (internal/cache), the sweep service's worker pool
 # and admission queue (internal/serve) and the storage fault model every
@@ -116,7 +117,7 @@ vet:
 # places goroutines touch shared structures; the race detector must stay
 # clean there.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/par/... ./internal/core/... ./internal/fault/... ./internal/cache/... ./internal/serve/... ./internal/iofault/...
+	$(GO) test -race ./internal/sim/... ./internal/par/... ./internal/noc/... ./internal/core/... ./internal/fault/... ./internal/cache/... ./internal/serve/... ./internal/iofault/...
 
 # Coverage-guided fuzzing of the AMM JSON loaders (arbitrary input must
 # produce a validated config or an error, never a panic or a NaN/Inf/zero

@@ -335,7 +335,7 @@ func BenchmarkAblationNetworkFidelity(b *testing.B) {
 		var tDet sim.Time
 		det.NIC(hot).SetReceiver(func(int, int, any) { tDet = eD.Now() })
 		for n := 0; n < hot; n++ {
-			det.NIC(n).Send(hot, msg, nil, nil)
+			det.NIC(n).SendTimed(hot, msg, nil)
 		}
 		eD.RunAll()
 		tab.AddRow("detailed", tDet.Seconds()*1e3,

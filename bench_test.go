@@ -24,7 +24,6 @@ import (
 
 	"sst/internal/cache"
 	"sst/internal/core"
-	"sst/internal/dnoc"
 	"sst/internal/noc"
 	"sst/internal/par"
 	"sst/internal/sim"
@@ -371,54 +370,61 @@ func BenchmarkFig4CacheRates(b *testing.B) {
 }
 
 // BenchmarkFig15DistNetwork runs the distributed-network study: the same
-// 64-node torus traffic simulated over 1-8 parallel ranks. Per-message
-// delivery times are independent of the partitioning (asserted exactly in
-// internal/dnoc's tests); here the study reports wall time per rank count
-// and asserts the message count is invariant.
+// 64-node torus traffic simulated on one engine (the reference) and over
+// 1-8 parallel ranks. Per-message delivery times are independent of the
+// partitioning (asserted exactly in internal/noc's tests); here the study
+// reports wall time per rank count and asserts the message count matches
+// the single-engine run.
 func BenchmarkFig15DistNetwork(b *testing.B) {
 	topo, err := noc.NewTorus3D(8, 8, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := noc.DefaultConfig()
+	// traffic schedules every node's 24 sends; engineOf picks the engine
+	// that owns a node's NIC.
+	traffic := func(net *noc.Network, engineOf func(node int) *sim.Engine) {
+		for n := 0; n < topo.NumNodes(); n++ {
+			net.NIC(n).SetReceiver(func(int, int, any) {})
+			node := n
+			for m := 0; m < 24; m++ {
+				engineOf(node).ScheduleAt(sim.Time(node*977+m*31000)*sim.Nanosecond, sim.PrioLink, func(any) {
+					net.NIC(node).Send((node*13+5)%topo.NumNodes(), 4096+node, nil, nil)
+				}, nil)
+			}
+		}
+	}
 	for i := 0; i < b.N; i++ {
 		tab := stats.NewTable("Distributed network simulation: 64-node torus over parallel ranks",
 			"ranks", "messages", "wall_ms")
-		var want uint64
+		engine := sim.NewEngine()
+		ref, err := noc.NewNetwork(engine, "net", topo, cfg, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		traffic(ref, func(int) *sim.Engine { return engine })
+		start := time.Now()
+		engine.RunAll()
+		tab.AddRow("1 engine", ref.Messages(), float64(time.Since(start).Microseconds())/1e3)
 		for _, nranks := range []int{1, 2, 4, 8} {
 			runner, err := par.NewRunner(nranks)
 			if err != nil {
 				b.Fatal(err)
 			}
-			d, err := dnoc.New(runner, topo, cfg, nil)
+			net, err := noc.NewPartitionedNetwork(runner, topo, cfg, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			for n := 0; n < topo.NumNodes(); n++ {
-				d.NIC(n).SetReceiver(func(int, int, any) {})
-			}
-			for n := 0; n < topo.NumNodes(); n++ {
-				node := n
-				eng := runner.Rank(d.RankOfNode(n)).Engine()
-				for m := 0; m < 24; m++ {
-					mm := m
-					eng.ScheduleAt(sim.Time(node*977+mm*31000)*sim.Nanosecond, sim.PrioLink, func(any) {
-						d.NIC(node).Send((node*13+5)%topo.NumNodes(), 4096+node, nil, nil)
-					}, nil)
-				}
-			}
+			traffic(net, func(node int) *sim.Engine { return runner.Rank(net.RankOfNode(node)).Engine() })
 			start := time.Now()
 			if _, err := runner.RunAll(); err != nil {
 				b.Fatal(err)
 			}
 			wall := time.Since(start)
-			if want == 0 {
-				want = d.Messages()
+			if net.Messages() != ref.Messages() {
+				b.Fatalf("%d ranks delivered %d messages, the single engine %d", nranks, net.Messages(), ref.Messages())
 			}
-			if d.Messages() != want {
-				b.Fatalf("rank count changed message count: %d vs %d", d.Messages(), want)
-			}
-			tab.AddRow(nranks, d.Messages(), float64(wall.Microseconds())/1e3)
+			tab.AddRow(nranks, net.Messages(), float64(wall.Microseconds())/1e3)
 		}
 		printOnce(tab)
 	}

@@ -19,23 +19,27 @@
 // emits the result and metrics as one JSON object instead of the human
 // summary.
 //
-// -par N partitions a -system run over N parallel ranks (the network
-// fabric becomes internal/dnoc, bit-identical to the sequential run);
+// A -system run always partitions the network over -par N parallel ranks
+// (default 1, a plain sequential loop) and prints one summary at every N;
 // -sync selects the synchronization mode: conservative pairwise
 // (topology-aware lookahead, the default) or optimistic speculative (ranks
 // run past their conservative horizon, checkpoint through the snapshot
 // codec, and roll back and replay when a straggler arrives, with a
 // governor that falls back to conservative windows per rank while its
-// rollback rate spikes). Both modes produce bit-identical results.
-// With -par, -trace-out writes one file per rank: the path gains a
-// ".rankN" suffix before its extension (run.json -> run.rank0.json ...).
+// rollback rate spikes). Both modes produce bit-identical results, and so
+// do all N above 1. Against -par 1, simulated time, message and byte
+// counts, utilization and energy agree, but packets reaching one link at
+// the same picosecond from two ranks are served in canonical cross-rank
+// order instead of one engine's insertion order, which can move
+// individual latencies (see DESIGN.md §4). With -par above 1, -trace-out
+// writes one file per rank: the path gains a ".rankN" suffix before its
+// extension (run.json -> run.rank0.json ...).
 //
 // -snapshot-every T writes a consistent snapshot of the whole -system
 // simulation to -snapshot-out every T of simulated time (atomic
 // write-then-rename, so a crash never leaves a torn file); -restore
 // resumes a run from such a snapshot and produces results bit-identical
-// to the uninterrupted run. Both imply the partitioned execution path and
-// work at any -par count, including 1.
+// to the uninterrupted run, at any -par count.
 //
 // Exit codes: 0 success, 1 failure, 2 configuration error, 130
 // interrupted (Ctrl-C).
@@ -57,7 +61,6 @@ import (
 	"sst/internal/cli"
 	"sst/internal/config"
 	"sst/internal/core"
-	"sst/internal/dnoc"
 	"sst/internal/iofault"
 	"sst/internal/noc"
 	"sst/internal/obs"
@@ -135,8 +138,7 @@ type snapCfg struct {
 	fs      iofault.FS // host-storage seam; nil = the real disk
 }
 
-// active reports whether the run needs the snapshot-capable execution
-// path.
+// active reports whether the run writes or restores snapshots.
 func (s snapCfg) active() bool { return s.every > 0 || s.restore != "" }
 
 // fsys resolves the snapshot storage seam: the crash-point harness
@@ -177,10 +179,17 @@ func (ob obsFlags) flush(tracer *obs.Tracer, rep *obs.RunReport) error {
 	return nil
 }
 
-// runSystem executes a multi-node communication-profile simulation,
-// sequentially or (nranks > 1, or when snapshotting) partitioned over
-// parallel ranks.
+// runSystem executes a multi-node communication-profile simulation over
+// nranks parallel ranks: the network is partitioned over the runner, and
+// the application's rank scripts are grouped by home rank into one
+// workload.App per partition. At one rank the runner runs a plain
+// sequential loop. With tracing on, each rank's engine gets its own tracer
+// and file; with snap active, the run is sliced into snapshot intervals
+// and/or resumed from a prior snapshot.
 func runSystem(path string, ob obsFlags, nranks int, mode par.SyncMode, snap snapCfg) error {
+	if nranks < 1 {
+		return cli.Configf("-par %d: need at least one rank", nranks)
+	}
 	sys, err := config.LoadSystemFile(path)
 	if err != nil {
 		return cli.Configf("%v", err)
@@ -213,63 +222,10 @@ func runSystem(path string, ob obsFlags, nranks int, mode par.SyncMode, snap sna
 	if ranks == 0 {
 		ranks = topo.NumNodes()
 	}
-	// Snapshot/restore rides on the partitioned path (its runner owns the
-	// quiescent barriers snapshots are taken at); it works at -par 1 too.
-	if nranks > 1 || snap.active() {
-		return runSystemPar(sys.Name, topo, netCfg, profile, ranks, ob, nranks, mode, snap)
+	if ranks < 0 || ranks > topo.NumNodes() {
+		return cli.Configf("%d ranks for %d nodes", ranks, topo.NumNodes())
 	}
-	engine := sim.NewEngine()
-	net, err := noc.NewNetwork(engine, "net", topo, netCfg, nil)
-	if err != nil {
-		return err
-	}
-	app, err := workload.NewApp(engine, profile.Name, net, profile.Scripts(ranks))
-	if err != nil {
-		return err
-	}
-	tracer := ob.attachTracer(engine)
-	col := obs.NewCollector()
-	col.Attach(engine)
-	if tracer != nil {
-		col.AttachTracer(tracer)
-	}
-	app.Start(nil)
-	defer cli.OnInterrupt(engine.Interrupt)()
-	engine.RunAll()
-	if !app.Done() {
-		if engine.Interrupted() {
-			return fmt.Errorf("interrupted at %v: %w", engine.Now(), sim.ErrInterrupted)
-		}
-		return fmt.Errorf("application deadlocked at %v", engine.Now())
-	}
-	if err := ob.flush(tracer, col.Report()); err != nil {
-		return err
-	}
-	energy := net.Energy(noc.DefaultPowerParams())
-	fmt.Printf("system:          %s (%s, %d ranks)\n", sys.Name, topo.Name(), ranks)
-	fmt.Printf("app:             %s, %d steps\n", profile.Name, profile.Steps)
-	fmt.Printf("simulated time:  %.3f ms\n", app.Elapsed().Seconds()*1e3)
-	fmt.Printf("messages:        %d (%.2f MB)\n", ranks*profile.Steps, float64(net.BytesDelivered())/1e6)
-	fmt.Printf("mean msg latency: %.2f us\n", net.MessageLatencyMean()/1e6)
-	fmt.Printf("max recv wait:   %.3f ms\n", app.MaxWaitTime().Seconds()*1e3)
-	fmt.Printf("link utilization: mean %.3f, hottest %.3f\n", net.LinkUtilization(), net.HottestLinkUtilization())
-	fmt.Printf("network energy:  %.3f J (%.2f W provisioned static)\n", energy.TotalJ(), energy.StaticW)
-	return nil
-}
-
-// runSystemPar is the distributed variant of runSystem: the network fabric
-// is internal/dnoc partitioned over the runner, and the application's rank
-// scripts are grouped by home rank into one workload.App per partition.
-// Results are bit-identical to the sequential run (asserted by
-// internal/dnoc's and internal/par's tests). With tracing on, each rank's
-// engine gets its own tracer and file; with snap active, the run is sliced
-// into snapshot intervals and/or resumed from a prior snapshot.
-func runSystemPar(name string, topo noc.Topology, netCfg noc.NetConfig,
-	profile workload.CommProfile, ranks int, ob obsFlags, nranks int, mode par.SyncMode, snap snapCfg) error {
-	runner, err := par.NewRunner(nranks)
-	if err != nil {
-		return err
-	}
+	runner, _ := par.NewRunner(nranks) // nranks >= 1 cannot fail
 	runner.SetSyncMode(mode)
 	if snap.active() || mode == par.SyncSpeculative {
 		// Must precede model construction: components register their
@@ -278,20 +234,19 @@ func runSystemPar(name string, topo noc.Topology, netCfg noc.NetConfig,
 		// checkpoints taken through the same codec.
 		runner.EnableSnapshots()
 	}
-	d, err := dnoc.New(runner, topo, netCfg, nil)
+	net, err := noc.NewPartitionedNetwork(runner, topo, netCfg, nil)
 	if err != nil {
 		return err
 	}
-	scripts := profile.Scripts(ranks)
 	// Group the app ranks by the partition that owns their node: one
 	// workload.App per par-rank, each driving only its local NICs.
 	// Script send/recv peers are global node ids, so the grouping is
 	// invisible to the protocol.
 	ports := make([][]workload.MessagePort, nranks)
 	local := make([][]*workload.Script, nranks)
-	for i, s := range scripts {
-		home := d.RankOfNode(i)
-		ports[home] = append(ports[home], d.NIC(i))
+	for i, s := range profile.Scripts(ranks) {
+		home := net.RankOfNode(i)
+		ports[home] = append(ports[home], net.NIC(i))
 		local[home] = append(local[home], s)
 	}
 	apps := make([]*workload.App, 0, nranks)
@@ -305,19 +260,16 @@ func runSystemPar(name string, topo noc.Topology, netCfg noc.NetConfig,
 		}
 		apps = append(apps, app)
 	}
-	// One tracer per rank engine; each flushes to its own ".rankN" file.
-	var tracers []*obs.Tracer
-	if ob.traceOut != "" {
-		tracers = make([]*obs.Tracer, nranks)
-		for i := range tracers {
-			tracers[i] = obs.NewTracer(ob.traceCap)
-			runner.Rank(i).Engine().SetTracer(tracers[i])
-		}
+	// One tracer per rank engine; with several ranks each flushes to its
+	// own ".rankN" file.
+	tracers := make([]*obs.Tracer, nranks)
+	for i := range tracers {
+		tracers[i] = ob.attachTracer(runner.Rank(i).Engine())
 	}
 	col := obs.NewCollector()
 	col.Attach(runner.Rank(0).Engine())
 	col.AttachRunner(runner)
-	if tracers != nil {
+	if tracers[0] != nil {
 		// The report's trace counters follow rank 0, like the engine row.
 		col.AttachTracer(tracers[0])
 	}
@@ -344,36 +296,38 @@ func runSystemPar(name string, topo noc.Topology, netCfg noc.NetConfig,
 	if err != nil {
 		return err
 	}
-	var elapsed sim.Time
+	var elapsed, maxWait sim.Time
 	for _, app := range apps {
 		if !app.Done() {
 			return fmt.Errorf("application deadlocked (rank group %s)", app.Name())
 		}
-		if e := app.Elapsed(); e > elapsed {
-			elapsed = e
-		}
+		elapsed = max(elapsed, app.Elapsed())
+		maxWait = max(maxWait, app.MaxWaitTime())
 	}
-	rep := col.Report()
 	for i, tr := range tracers {
-		write := tr.WriteChromeJSON
-		if strings.HasSuffix(ob.traceOut, ".csv") {
-			write = tr.WriteCSV
+		out := obsFlags{traceOut: ob.traceOut}
+		if nranks > 1 {
+			out.traceOut = rankPath(ob.traceOut, i)
 		}
-		if err := cli.WriteFile(rankPath(ob.traceOut, i), write); err != nil {
+		if err := out.flush(tr, nil); err != nil {
 			return err
 		}
 	}
-	mOnly := obsFlags{metricsOut: ob.metricsOut}
-	if err := mOnly.flush(nil, rep); err != nil {
+	if err := ob.flush(nil, col.Report()); err != nil {
 		return err
 	}
 	m := runner.Metrics()
+	meanUtil, hotUtil := net.LinkUtilization(elapsed)
+	energy := net.Energy(noc.DefaultPowerParams(), elapsed)
 	fmt.Printf("system:          %s (%s, %d ranks over %d partitions, %s sync)\n",
-		name, topo.Name(), ranks, nranks, m.Mode)
+		sys.Name, topo.Name(), ranks, nranks, m.Mode)
 	fmt.Printf("app:             %s, %d steps\n", profile.Name, profile.Steps)
 	fmt.Printf("simulated time:  %.3f ms\n", elapsed.Seconds()*1e3)
-	fmt.Printf("messages:        %d (%.2f MB)\n", d.Messages(), float64(d.BytesDelivered())/1e6)
-	fmt.Printf("mean msg latency: %.2f us\n", d.MeanLatencyPs()/1e6)
+	fmt.Printf("messages:        %d (%.2f MB)\n", net.Messages(), float64(net.BytesDelivered())/1e6)
+	fmt.Printf("mean msg latency: %.2f us\n", net.MessageLatencyMean()/1e6)
+	fmt.Printf("max recv wait:   %.3f ms\n", maxWait.Seconds()*1e3)
+	fmt.Printf("link utilization: mean %.3f, hottest %.3f\n", meanUtil, hotUtil)
+	fmt.Printf("network energy:  %.3f J (%.2f W provisioned static)\n", energy.TotalJ(), energy.StaticW)
 	fmt.Printf("sync windows:    %d (%d fast-forwards, lookahead %v, imbalance %.2f)\n",
 		m.Windows, m.FastForwards, m.Lookahead, m.Imbalance)
 	if mode == par.SyncSpeculative {

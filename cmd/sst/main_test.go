@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -160,6 +161,73 @@ func TestRunSystemFile(t *testing.T) {
 	}
 }
 
+// systemSummary runs a -system file and returns its summary lines by
+// label.
+func systemSummary(t *testing.T, path string, nranks int) map[string]string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = runSystem(path, obsFlags{}, nranks, par.SyncPairwise, snapCfg{})
+	os.Stdout = stdout
+	w.Close()
+	if err != nil {
+		t.Fatalf("-par %d: %v", nranks, err)
+	}
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]string{}
+	for _, l := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		label, value, _ := strings.Cut(l, ":")
+		lines[label] = strings.TrimSpace(value)
+	}
+	return lines
+}
+
+// TestSystemSummaryAcrossPar: every -par prints the network's own message
+// count (576 on this 8-node Charon run, not ranks x steps), and -par 1 and
+// -par 2 agree on messages, bytes, simulated time, utilization and energy.
+func TestSystemSummaryAcrossPar(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.json")
+	if err := os.WriteFile(path, []byte(testSystem), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	one, two := systemSummary(t, path, 1), systemSummary(t, path, 2)
+	if !strings.HasPrefix(one["messages"], "576 ") {
+		t.Errorf("-par 1 messages: %q, want 576", one["messages"])
+	}
+	for _, label := range []string{"simulated time", "messages", "link utilization", "network energy"} {
+		if one[label] == "" || one[label] != two[label] {
+			t.Errorf("%s: -par 1 %q, -par 2 %q", label, one[label], two[label])
+		}
+	}
+}
+
+// TestRunSystemBadShape: -par below 1 and more app ranks than nodes are
+// configuration errors, not panics.
+func TestRunSystemBadShape(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "s.json")
+	if err := os.WriteFile(path, []byte(testSystem), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runSystem(path, obsFlags{}, 0, par.SyncPairwise, snapCfg{}); cli.Code(err) != cli.ExitConfig {
+		t.Errorf("-par 0: %v, want a configuration error", err)
+	}
+	wide := filepath.Join(dir, "wide.json")
+	if err := os.WriteFile(wide, []byte(strings.Replace(testSystem, `"steps": 2`, `"steps": 2, "ranks": 9`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runSystem(wide, obsFlags{}, 2, par.SyncPairwise, snapCfg{}); cli.Code(err) != cli.ExitConfig {
+		t.Errorf("9 ranks on 8 nodes: %v, want a configuration error", err)
+	}
+}
+
 func TestRunSystemParallel(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.json")
@@ -219,6 +287,17 @@ func TestRunSystemParallelTrace(t *testing.T) {
 			t.Errorf("rank %d trace recorded no spans", rank)
 		}
 	}
+	// At -par 1 the trace goes to exactly the path given.
+	single := filepath.Join(dir, "one.json")
+	if err := runSystem(path, obsFlags{traceOut: single}, 1, par.SyncPairwise, snapCfg{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(single); err != nil {
+		t.Errorf("-par 1 trace: %v", err)
+	}
+	if _, err := os.Stat(rankPath(single, 0)); err == nil {
+		t.Error("-par 1 trace written under a rank suffix")
+	}
 }
 
 func TestRankPath(t *testing.T) {
@@ -238,7 +317,7 @@ func TestRankPath(t *testing.T) {
 // TestRunSystemSnapshotRestore: slicing a run into snapshot intervals must
 // leave a loadable snapshot, and restoring from a mid-run snapshot must
 // reproduce the uninterrupted run's summary (asserted in detail by
-// internal/dnoc's tests; here we assert the CLI plumbing completes and the
+// internal/noc's tests; here we assert the CLI plumbing completes and the
 // snapshot file round-trips).
 func TestRunSystemSnapshotRestore(t *testing.T) {
 	dir := t.TempDir()

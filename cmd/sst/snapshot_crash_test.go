@@ -5,7 +5,7 @@ package main
 // whatever file survives must be a complete, loadable snapshot — the
 // previous interval's or the new one, never a torn container. (That the
 // restored run then reproduces the uninterrupted run bit-for-bit is
-// asserted by internal/par's and internal/dnoc's snapshot tests; here we
+// asserted by internal/par's and internal/noc's snapshot tests; here we
 // pin the storage layer's half of the contract.)
 
 import (

@@ -287,26 +287,18 @@ func (nc *DetailedNIC) Node() int { return nc.node }
 // SetReceiver installs the message-delivery callback.
 func (nc *DetailedNIC) SetReceiver(fn func(src, size int, payload any)) { nc.recv = fn }
 
-// Send mirrors noc.NIC.Send: injection-bandwidth-limited segmentation into
-// the fabric. The source queue is unbounded (the standard open-loop
+// SendTimed mirrors NIC.SendTimed: injection-bandwidth-limited
+// segmentation into the fabric, returning the time the last byte is
+// injected. The source queue is unbounded (the standard open-loop
 // assumption); bounded buffers begin at the first router.
-func (nc *DetailedNIC) Send(dst, size int, payload any, onSent func()) {
+func (nc *DetailedNIC) SendTimed(dst, size int, payload any) sim.Time {
 	d := nc.net
 	now := d.engine.Now()
-	if size <= 0 {
-		size = 1
-	}
-	remaining := size
-	injectAt := now
-	if nc.freeAt > injectAt {
-		injectAt = nc.freeAt
-	}
+	size = max(size, 1)
+	injectAt := max(now, nc.freeAt)
 	srcRouter := d.topo.RouterOf(nc.node)
-	for remaining > 0 {
-		pk := remaining
-		if pk > d.cfg.MaxPacketBytes {
-			pk = d.cfg.MaxPacketBytes
-		}
+	for remaining := size; remaining > 0; {
+		pk := min(remaining, d.cfg.MaxPacketBytes)
 		remaining -= pk
 		p := &dpacket{
 			src: nc.node, dst: dst, size: pk,
@@ -327,7 +319,5 @@ func (nc *DetailedNIC) Send(dst, size int, payload any, onSent func()) {
 		}, nil)
 	}
 	nc.freeAt = injectAt
-	if onSent != nil {
-		d.engine.ScheduleAt(injectAt, sim.PrioLink, func(any) { onSent() }, nil)
-	}
+	return injectAt
 }

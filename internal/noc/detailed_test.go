@@ -37,7 +37,7 @@ func TestDetailedTorusDatelineDeadlockFree(t *testing.T) {
 		for i := 0; i < msgs; i++ {
 			src := rng.Intn(topo.NumNodes())
 			dst := rng.Intn(topo.NumNodes())
-			d.NIC(src).Send(dst, 1+int(rng.Uint64n(8000)), nil, nil)
+			d.NIC(src).SendTimed(dst, 1+int(rng.Uint64n(8000)), nil)
 		}
 		e.RunAll()
 		if total != msgs {
@@ -60,7 +60,7 @@ func TestDetailedTorusAllToAllStress(t *testing.T) {
 	for s := 0; s < n; s++ {
 		for r := 0; r < n; r++ {
 			if s != r {
-				d.NIC(s).Send(r, 8<<10, nil, nil)
+				d.NIC(s).SendTimed(r, 8<<10, nil)
 			}
 		}
 	}
@@ -96,7 +96,7 @@ func TestDetailedMatchesFastUncontended(t *testing.T) {
 	eD, det := newDetailed(t, topo, cfg, 0)
 	var tDet sim.Time
 	det.NIC(3).SetReceiver(func(int, int, any) { tDet = eD.Now() })
-	det.NIC(0).Send(3, 1024, nil, nil)
+	det.NIC(0).SendTimed(3, 1024, nil)
 	eD.RunAll()
 
 	if tFast == 0 || tDet != tFast {
@@ -115,7 +115,7 @@ func TestDetailedBackpressureBoundsBuffers(t *testing.T) {
 	const msgs = 16
 	for i := 0; i < 7; i++ {
 		for m := 0; m < msgs; m++ {
-			d.NIC(i).Send(7, 32<<10, nil, nil)
+			d.NIC(i).SendTimed(7, 32<<10, nil)
 		}
 	}
 	e.RunAll()
@@ -141,7 +141,7 @@ func TestDetailedCongestionSlowerThanFast(t *testing.T) {
 			e, d := newDetailed(t, topo, cfg, 0)
 			d.NIC(15).SetReceiver(func(int, int, any) { last = e.Now() })
 			for i := 0; i < 15; i++ {
-				d.NIC(i).Send(15, 256<<10, nil, nil)
+				d.NIC(i).SendTimed(15, 256<<10, nil)
 			}
 			e.RunAll()
 			return last
@@ -184,7 +184,7 @@ func TestDetailedDeadlockFreeRandomTraffic(t *testing.T) {
 		for i := 0; i < msgs; i++ {
 			src := rng.Intn(topo.NumNodes())
 			dst := rng.Intn(topo.NumNodes())
-			d.NIC(src).Send(dst, 1+int(rng.Uint64n(6000)), nil, nil)
+			d.NIC(src).SendTimed(dst, 1+int(rng.Uint64n(6000)), nil)
 		}
 		e.RunAll()
 		if total != msgs {
@@ -198,7 +198,7 @@ func TestDetailedLoopbackAndAccessors(t *testing.T) {
 	e, d := newDetailed(t, topo, DefaultConfig(), 0)
 	ok := false
 	d.NIC(2).SetReceiver(func(src, size int, payload any) { ok = src == 2 && payload == "x" })
-	d.NIC(2).Send(2, 64, "x", nil)
+	d.NIC(2).SendTimed(2, 64, "x")
 	e.RunAll()
 	if !ok {
 		t.Fatal("loopback failed")

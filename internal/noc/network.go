@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 
+	"sst/internal/par"
 	"sst/internal/sim"
 	"sst/internal/stats"
 )
@@ -48,7 +49,9 @@ func DefaultConfig() NetConfig {
 	}
 }
 
-// packet is one wormhole-approximated transfer unit.
+// packet is one wormhole-approximated transfer unit. Exactly one pending
+// event references a packet at any time: it is the event payload itself on
+// one rank and travels by value across ranks.
 type packet struct {
 	src, dst int
 	size     int // this packet's bytes
@@ -57,61 +60,151 @@ type packet struct {
 	payload  any
 	sentAt   sim.Time
 	hops     int
+	at       int // router the packet's next event runs at; -1 delivers it (loopback)
 }
 
-// dlink is a directed link's serialization state.
+// dlink is a directed link's serialization state, owned by the rank of its
+// source router.
 type dlink struct {
 	freeAt sim.Time
-	busy   uint64 // accumulated occupancy, ps
 	bytes  uint64
 }
 
-// Network is a complete interconnect instance: topology + routers + links +
-// NICs. It is driven entirely by the simulation engine.
+// Network is the analytic interconnect: topology, routers, FIFO links with
+// unbounded queues, and NICs. It runs on one engine (NewNetwork) or with its
+// routers partitioned across the ranks of a par.Runner
+// (NewPartitionedNetwork); both run the same hop, deliver and segmentation
+// code, and a packet crossing a partition boundary travels through the
+// runner's deterministic mailboxes. All in-fabric work is scheduled through
+// one sim.EventSet per rank, so on snapshot-enabled engines in-flight
+// packets are plain data and the network checkpoints at any rank count.
 type Network struct {
-	name   string
-	engine *sim.Engine
-	topo   Topology
-	cfg    NetConfig
+	name string
+	topo Topology
+	cfg  NetConfig
+	part []int // router -> rank
 
 	// links[a] maps next-router b to the a→b directed link.
 	links []map[int]*dlink
 	nics  []*NIC
+	ranks []*netRank
+	// xmit[a][b] is the sending port of the a→b rank channel.
+	xmit [][]*sim.Port
+}
 
-	packets  *stats.Counter
+// netRank is one rank's slice of the network: its engine, its pending
+// fabric events and every piece of link, NIC and statistics state that
+// engine mutates. It is the rank's checkpoint owner (see checkpoint.go).
+type netRank struct {
+	net      *Network
+	eng      *sim.Engine
+	evs      *sim.EventSet
+	links    []*dlink // directed links whose source router lives here
+	nics     []*NIC   // NICs homed here, ascending node id
+	reg      *stats.Registry
 	messages *stats.Counter
 	bytes    *stats.Counter
 	msgLat   *stats.Histogram
-	hopHist  *stats.Histogram
 }
 
-// NewNetwork builds the network. scope may be nil.
-func NewNetwork(engine *sim.Engine, name string, topo Topology, cfg NetConfig, scope *stats.Scope) (*Network, error) {
+// NewNetwork builds the network on a single engine. The scope argument is
+// unused: the network keeps its statistics with its checkpoint state.
+func NewNetwork(engine *sim.Engine, name string, topo Topology, cfg NetConfig, _ *stats.Scope) (*Network, error) {
+	return newNetwork(name, topo, cfg, []*sim.Engine{engine}, make([]int, topo.NumRouters()))
+}
+
+// NewPartitionedNetwork builds the network across the runner's ranks.
+// partition maps each router to a rank (nil partitions round-robin); a
+// node's NIC lives on its router's rank, and traffic generators must send
+// from that rank's engine. The per-hop latency (link + router) is the
+// cross-rank lookahead: a packet leaving rank A can never affect rank B
+// sooner. On a snapshot-enabled runner (par.Runner.EnableSnapshots before
+// this call) every rank's slice registers as checkpoint owner "dnoc".
+func NewPartitionedNetwork(runner *par.Runner, topo Topology, cfg NetConfig, partition func(router int) int) (*Network, error) {
+	hopLat := cfg.LinkLatency + cfg.RouterLatency
+	if hopLat == 0 {
+		return nil, fmt.Errorf("noc: zero per-hop latency leaves no lookahead")
+	}
+	nranks := runner.NumRanks()
+	if partition == nil {
+		partition = func(r int) int { return r % nranks }
+	}
+	part := make([]int, topo.NumRouters())
+	for r := range part {
+		if part[r] = partition(r); part[r] < 0 || part[r] >= nranks {
+			return nil, fmt.Errorf("noc: router %d partitioned to invalid rank %d", r, part[r])
+		}
+	}
+	engines := make([]*sim.Engine, nranks)
+	for i := range engines {
+		engines[i] = runner.Rank(i).Engine()
+	}
+	n, err := newNetwork("dnoc", topo, cfg, engines, part)
+	if err != nil {
+		return nil, err
+	}
+	// One mailbox channel per ordered rank pair that any link crosses; only
+	// a→b traffic uses the a→b channel.
+	n.xmit = make([][]*sim.Port, nranks)
+	for a := range n.xmit {
+		n.xmit[a] = make([]*sim.Port, nranks)
+	}
+	for _, l := range topo.Links() {
+		for _, ab := range [2][2]int{{part[l[0]], part[l[1]]}, {part[l[1]], part[l[0]]}} {
+			a, b := ab[0], ab[1]
+			if a == b || n.xmit[a][b] != nil {
+				continue
+			}
+			pa, pb, err := runner.Connect(fmt.Sprintf("dnoc-%d-%d", a, b), hopLat, a, b)
+			if err != nil {
+				return nil, err
+			}
+			pa.SetHandler(func(any) {})
+			pb.SetHandler(n.arrive)
+			n.xmit[a][b] = pa
+		}
+	}
+	return n, nil
+}
+
+// newNetwork builds the network over one engine per rank, with part mapping
+// each router to its rank.
+func newNetwork(name string, topo Topology, cfg NetConfig, engines []*sim.Engine, part []int) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{name: name, engine: engine, topo: topo, cfg: cfg}
+	n := &Network{name: name, topo: topo, cfg: cfg, part: part}
+	n.ranks = make([]*netRank, len(engines))
+	for i, eng := range engines {
+		rk := &netRank{net: n, eng: eng, reg: stats.NewRegistry()}
+		rk.evs = sim.NewEventSet(eng, fmt.Sprintf("%s.r%d", name, i), rk.dispatch)
+		sc := rk.reg.Scope(fmt.Sprintf("%s.%d", name, i))
+		rk.messages = sc.Counter("messages")
+		rk.bytes = sc.Counter("bytes")
+		rk.msgLat = sc.Histogram("latency_ps")
+		n.ranks[i] = rk
+	}
 	n.links = make([]map[int]*dlink, topo.NumRouters())
 	for i := range n.links {
 		n.links[i] = make(map[int]*dlink)
 	}
 	for _, l := range topo.Links() {
-		a, b := l[0], l[1]
-		n.links[a][b] = &dlink{}
-		n.links[b][a] = &dlink{}
+		for _, ab := range [2][2]int{{l[0], l[1]}, {l[1], l[0]}} {
+			dl := &dlink{}
+			n.links[ab[0]][ab[1]] = dl
+			rk := n.ranks[part[ab[0]]]
+			rk.links = append(rk.links, dl)
+		}
 	}
 	n.nics = make([]*NIC, topo.NumNodes())
 	for i := range n.nics {
-		n.nics[i] = &NIC{net: n, node: i}
+		nc := &NIC{net: n, node: i, rank: part[topo.RouterOf(i)]}
+		n.nics[i] = nc
+		n.ranks[nc.rank].nics = append(n.ranks[nc.rank].nics, nc)
 	}
-	if scope == nil {
-		scope = stats.NewRegistry().Scope(name)
+	for _, rk := range n.ranks {
+		rk.eng.RegisterCheckpoint(name, rk) // no-op without snapshots
 	}
-	n.packets = scope.Counter("packets")
-	n.messages = scope.Counter("messages")
-	n.bytes = scope.Counter("bytes")
-	n.msgLat = scope.Histogram("message_latency_ps")
-	n.hopHist = scope.Histogram("hops")
 	return n, nil
 }
 
@@ -127,11 +220,40 @@ func (n *Network) Config() NetConfig { return n.cfg }
 // NIC returns node i's network interface.
 func (n *Network) NIC(i int) *NIC { return n.nics[i] }
 
-// MessageLatencyMean returns the average end-to-end message latency (ps).
-func (n *Network) MessageLatencyMean() float64 { return n.msgLat.Mean() }
+// RankOfNode returns the rank a node's NIC lives on.
+func (n *Network) RankOfNode(node int) int { return n.nics[node].rank }
+
+// Messages returns the number of messages delivered.
+func (n *Network) Messages() uint64 {
+	var m uint64
+	for _, rk := range n.ranks {
+		m += rk.messages.Count()
+	}
+	return m
+}
 
 // BytesDelivered returns total payload bytes delivered.
-func (n *Network) BytesDelivered() uint64 { return n.bytes.Count() }
+func (n *Network) BytesDelivered() uint64 {
+	var b uint64
+	for _, rk := range n.ranks {
+		b += rk.bytes.Count()
+	}
+	return b
+}
+
+// MessageLatencyMean returns the average end-to-end message latency (ps).
+func (n *Network) MessageLatencyMean() float64 {
+	var sum float64
+	var cnt uint64
+	for _, rk := range n.ranks {
+		sum += rk.msgLat.Mean() * float64(rk.msgLat.N())
+		cnt += rk.msgLat.N()
+	}
+	if cnt == 0 {
+		return 0
+	}
+	return sum / float64(cnt)
+}
 
 // serialize computes the occupancy of size bytes at bw bytes/s.
 func serialize(size int, bw float64) sim.Time {
@@ -142,8 +264,28 @@ func serialize(size int, bw float64) sim.Time {
 	return t
 }
 
-// hop forwards a packet from router r; -1 routes deliver to the NIC.
-func (n *Network) hop(p *packet, r int) {
+// dispatch runs one of the rank's fabric events.
+func (rk *netRank) dispatch(pl any) {
+	p := pl.(*packet)
+	if p.at < 0 {
+		rk.net.deliver(p)
+		return
+	}
+	rk.net.hop(p)
+}
+
+// arrive continues a packet that crossed onto this rank.
+func (n *Network) arrive(payload any) {
+	p := payload.(packet)
+	n.hop(&p)
+}
+
+// hop forwards a packet from router p.at, on that router's rank: the
+// packet claims the next link in FIFO order and reaches the next router
+// after serialization, wire and router latency. Route -1 delivers to the
+// NIC.
+func (n *Network) hop(p *packet) {
+	r := p.at
 	nxt := n.topo.Route(r, p.dst)
 	if nxt < 0 {
 		n.deliver(p)
@@ -153,111 +295,103 @@ func (n *Network) hop(p *packet, r int) {
 	if l == nil {
 		panic(fmt.Sprintf("noc: topology %s routed %d->%d without a link", n.topo.Name(), r, nxt))
 	}
-	now := n.engine.Now()
-	start := now
-	if l.freeAt > start {
-		start = l.freeAt
-	}
+	from := n.part[r]
+	now := n.ranks[from].eng.Now()
+	start := max(now, l.freeAt)
 	ser := serialize(p.size, n.cfg.LinkBandwidth)
 	l.freeAt = start + ser
-	l.busy += uint64(ser)
 	l.bytes += uint64(p.size)
 	p.hops++
+	p.at = nxt
+	if to := n.part[nxt]; to != from {
+		// The channel's latency is the link+router latency; queueing and
+		// serialization ride as extra delay.
+		n.xmit[from][to].SendDelayed(start+ser-now, *p)
+		return
+	}
 	arrive := start + ser + n.cfg.LinkLatency + n.cfg.RouterLatency
-	n.engine.ScheduleAt(arrive, sim.PrioLink, func(any) { n.hop(p, nxt) }, nil)
+	n.ranks[from].evs.ScheduleAt(arrive, sim.PrioLink, p)
 }
 
-// deliver hands a packet to the destination NIC.
+// deliver hands a packet to its destination NIC, on that NIC's rank; the
+// last packet completes the message.
 func (n *Network) deliver(p *packet) {
-	n.packets.Inc()
+	if !p.last {
+		return
+	}
 	nic := n.nics[p.dst]
-	if p.last {
-		n.messages.Inc()
-		n.bytes.Add(uint64(p.msgSize))
-		n.msgLat.Observe(uint64(n.engine.Now() - p.sentAt))
-		n.hopHist.Observe(uint64(p.hops))
-		nic.received++
-		if nic.recv != nil {
-			nic.recv(p.src, p.msgSize, p.payload)
-		}
+	rk := n.ranks[nic.rank]
+	rk.messages.Inc()
+	rk.bytes.Add(uint64(p.msgSize))
+	rk.msgLat.Observe(uint64(rk.eng.Now() - p.sentAt))
+	if nic.recv != nil {
+		nic.recv(p.src, p.msgSize, p.payload)
 	}
 }
 
 // NIC is a node's network interface: an injection-bandwidth-limited port
-// into the fabric plus a receive callback.
+// into the fabric plus a receive callback, homed on its router's rank.
 type NIC struct {
 	net    *Network
 	node   int
+	rank   int
 	freeAt sim.Time
 	recv   func(src, size int, payload any)
-
-	sent     uint64
-	received uint64
 }
 
 // Node returns the NIC's node id.
 func (nc *NIC) Node() int { return nc.node }
 
-// SetReceiver installs the message-delivery callback. Messages between the
-// same (src,dst) pair arrive in send order (deterministic routing + FIFO
-// links).
+// SetReceiver installs the message-delivery callback, which runs on the
+// NIC's rank. Messages between the same (src,dst) pair arrive in send order
+// (deterministic routing + FIFO links).
 func (nc *NIC) SetReceiver(fn func(src, size int, payload any)) { nc.recv = fn }
 
-// Sent and Received count completed messages.
-func (nc *NIC) Sent() uint64     { return nc.sent }
-func (nc *NIC) Received() uint64 { return nc.received }
-
-// Send transmits size payload bytes to dst. onSent (optional) fires when
-// the last byte has been injected (the send buffer is free); the payload is
-// delivered to dst's receiver when the last packet arrives.
-func (nc *NIC) Send(dst, size int, payload any, onSent func()) {
-	if dst < 0 || dst >= len(nc.net.nics) {
+// SendTimed transmits size payload bytes to dst, segmented into packets
+// that enter the fabric at the injection bandwidth, and returns the time
+// the last byte is injected (the send buffer is free). The payload is
+// delivered to dst's receiver when the last packet arrives. It must run
+// from an event on the NIC's rank; senders that need a wake-up schedule it
+// at the returned time through their own events.
+func (nc *NIC) SendTimed(dst, size int, payload any) sim.Time {
+	n := nc.net
+	if dst < 0 || dst >= len(n.nics) {
 		panic(fmt.Sprintf("noc: send to invalid node %d", dst))
 	}
-	n := nc.net
-	now := n.engine.Now()
-	nc.sent++
-	if size <= 0 {
-		size = 1
-	}
-	remaining := size
-	injectAt := now
-	if nc.freeAt > injectAt {
-		injectAt = nc.freeAt
-	}
+	rk := n.ranks[nc.rank]
+	now := rk.eng.Now()
+	size = max(size, 1)
+	injectAt := max(now, nc.freeAt)
 	srcRouter := n.topo.RouterOf(nc.node)
-	for remaining > 0 {
+	for remaining := size; remaining > 0; {
 		pk := min(remaining, n.cfg.MaxPacketBytes)
 		remaining -= pk
 		p := &packet{
 			src: nc.node, dst: dst, size: pk,
-			last: remaining == 0, sentAt: now,
-			msgSize: size,
+			last: remaining == 0, sentAt: now, msgSize: size,
+			at: srcRouter,
 		}
 		if p.last {
 			p.payload = payload
 		}
-		ser := serialize(pk, n.cfg.InjectionBandwidth)
-		injectAt += ser
+		if nc.node == dst {
+			p.at = -1 // loopback skips the fabric
+		}
+		injectAt += serialize(pk, n.cfg.InjectionBandwidth)
 		// The packet enters the first router after its injection
 		// serialization plus the NIC link latency.
-		at := injectAt + n.cfg.LinkLatency
-		if nc.node == dst {
-			// Loopback: skip the fabric.
-			n.engine.ScheduleAt(at, sim.PrioLink, func(any) { n.deliver(p) }, nil)
-			continue
-		}
-		n.engine.ScheduleAt(at, sim.PrioLink, func(any) { n.hop(p, srcRouter) }, nil)
+		rk.evs.ScheduleAt(injectAt+n.cfg.LinkLatency, sim.PrioLink, p)
 	}
 	nc.freeAt = injectAt
-	if onSent != nil {
-		n.engine.ScheduleAt(injectAt, sim.PrioLink, func(any) { onSent() }, nil)
-	}
+	return injectAt
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// Send is SendTimed with an optional callback: onSent fires when the last
+// byte has been injected. The callback is an unowned event, so a snapshot
+// taken while one is pending is rejected.
+func (nc *NIC) Send(dst, size int, payload any, onSent func()) {
+	doneAt := nc.SendTimed(dst, size, payload)
+	if onSent != nil {
+		nc.net.ranks[nc.rank].eng.ScheduleAt(doneAt, sim.PrioLink, func(any) { onSent() }, nil)
 	}
-	return b
 }

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"sst/internal/sim"
-	"sst/internal/stats"
 )
 
 // allTopologies returns a representative instance of each topology kind.
@@ -116,8 +115,7 @@ func TestTopologyValidation(t *testing.T) {
 func newNet(t testing.TB, topo Topology, cfg NetConfig) (*sim.Engine, *Network) {
 	t.Helper()
 	e := sim.NewEngine()
-	reg := stats.NewRegistry()
-	n, err := NewNetwork(e, "net", topo, cfg, reg.Scope("net"))
+	n, err := NewNetwork(e, "net", topo, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +220,9 @@ func TestMessageSegmentation(t *testing.T) {
 	if deliveries != 1 {
 		t.Fatalf("message delivered %d times (per-packet leak?)", deliveries)
 	}
-	// 10 packets on the wire.
-	if n.packets.Count() != 10 {
-		t.Errorf("packets = %d, want 10", n.packets.Count())
+	// 10 packets on the wire, each an injection and an arrival event.
+	if e.Handled() != 20 {
+		t.Errorf("events = %d, want 20 (10 packets)", e.Handled())
 	}
 }
 
@@ -310,8 +308,8 @@ func TestNICCounters(t *testing.T) {
 	n.NIC(0).Send(1, 64, nil, nil)
 	n.NIC(0).Send(1, 64, nil, nil)
 	e.RunAll()
-	if n.NIC(0).Sent() != 2 || n.NIC(1).Received() != 2 {
-		t.Fatalf("sent=%d received=%d", n.NIC(0).Sent(), n.NIC(1).Received())
+	if n.Messages() != 2 {
+		t.Fatalf("messages = %d", n.Messages())
 	}
 	if n.BytesDelivered() != 128 {
 		t.Fatalf("bytes = %d", n.BytesDelivered())
@@ -459,7 +457,7 @@ func TestNetworkEnergyAccounting(t *testing.T) {
 	n.NIC(0).Send(3, 1<<20, nil, nil)
 	e.RunAll()
 	p := DefaultPowerParams()
-	en := n.Energy(p)
+	en := n.Energy(p, e.Now())
 	if en.DynamicJ <= 0 || en.StaticJ <= 0 || en.StaticW <= 0 {
 		t.Fatalf("energy = %+v", en)
 	}
@@ -476,7 +474,7 @@ func TestNetworkEnergyAccounting(t *testing.T) {
 	cfg2.LinkBandwidth /= 2
 	cfg2.InjectionBandwidth /= 2
 	_, n2 := newNet(t, topo, cfg2)
-	if w2 := n2.Energy(p).StaticW; w2 >= en.StaticW {
+	if w2 := n2.Energy(p, e.Now()).StaticW; w2 >= en.StaticW {
 		t.Errorf("down-provisioned static power %.3g >= full %.3g", w2, en.StaticW)
 	}
 }
@@ -487,18 +485,18 @@ func TestLinkUtilization(t *testing.T) {
 	cfg.LinkLatency, cfg.RouterLatency = 0, 0
 	e, n := newNet(t, topo, cfg)
 	n.NIC(1).SetReceiver(func(int, int, any) {})
-	if n.LinkUtilization() != 0 || n.HottestLinkUtilization() != 0 {
+	if avg, hot := n.LinkUtilization(e.Now()); avg != 0 || hot != 0 {
 		t.Fatal("utilization nonzero before any time passes")
 	}
 	for i := 0; i < 8; i++ {
 		n.NIC(0).Send(1, 1<<20, nil, nil)
 	}
 	e.RunAll()
-	hot := n.HottestLinkUtilization()
+	avg, hot := n.LinkUtilization(e.Now())
 	if hot < 0.5 || hot > 1.01 {
 		t.Errorf("hottest link utilization = %.3f, want near saturation", hot)
 	}
-	if avg := n.LinkUtilization(); avg <= 0 || avg > hot {
+	if avg <= 0 || avg > hot {
 		t.Errorf("avg utilization = %.3f (hot %.3f)", avg, hot)
 	}
 }

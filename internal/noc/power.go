@@ -1,5 +1,7 @@
 package noc
 
+import "sst/internal/sim"
+
 // PowerParams models interconnect power: per-byte link energy plus
 // bandwidth-proportional static link power (SerDes lanes burn power in
 // proportion to their provisioned rate, which is why reducing injection
@@ -39,10 +41,10 @@ type NetworkEnergy struct {
 // TotalJ returns dynamic plus static energy.
 func (e NetworkEnergy) TotalJ() float64 { return e.DynamicJ + e.StaticJ }
 
-// Energy integrates a network's energy over the simulation so far: dynamic
+// Energy integrates a network's energy over elapsed simulated time: dynamic
 // energy from per-link byte counts, static energy from provisioned
 // bandwidth times elapsed time.
-func (n *Network) Energy(p PowerParams) NetworkEnergy {
+func (n *Network) Energy(p PowerParams, elapsed sim.Time) NetworkEnergy {
 	var dynBytesHops uint64
 	links := 0
 	for _, m := range n.links {
@@ -53,54 +55,36 @@ func (n *Network) Energy(p PowerParams) NetworkEnergy {
 	}
 	dyn := float64(dynBytesHops) * (p.LinkEnergyPerByteJ + p.RouterEnergyPerByteJ)
 	// Injection/ejection dynamic energy.
-	dyn += float64(n.bytes.Count()) * p.LinkEnergyPerByteJ
+	dyn += float64(n.BytesDelivered()) * p.LinkEnergyPerByteJ
 
 	gbps := n.cfg.LinkBandwidth / 1e9
 	injGbps := n.cfg.InjectionBandwidth / 1e9
 	staticW := float64(links)/2*p.IdleWPerGBps*gbps +
 		float64(len(n.nics))*p.NICIdleWPerGBps*injGbps
-	elapsed := n.engine.Now().Seconds()
 	return NetworkEnergy{
 		DynamicJ: dyn,
-		StaticJ:  staticW * elapsed,
+		StaticJ:  staticW * elapsed.Seconds(),
 		StaticW:  staticW,
 	}
 }
 
-// LinkUtilization returns the mean busy fraction across directed links.
-func (n *Network) LinkUtilization() float64 {
-	now := n.engine.Now()
-	if now == 0 {
-		return 0
-	}
-	var busy uint64
+// LinkUtilization returns the mean and the busiest directed link's busy
+// fraction over elapsed simulated time — the latter is the congestion
+// indicator for topology studies. A link is busy for the time its bytes
+// take to serialize at LinkBandwidth.
+func (n *Network) LinkUtilization(elapsed sim.Time) (mean, hottest float64) {
+	var total, hot uint64
 	count := 0
 	for _, m := range n.links {
 		for _, l := range m {
-			busy += l.busy
+			total += l.bytes
+			hot = max(hot, l.bytes)
 			count++
 		}
 	}
-	if count == 0 {
-		return 0
+	if elapsed <= 0 || count == 0 {
+		return 0, 0
 	}
-	return float64(busy) / float64(count) / float64(now)
-}
-
-// HottestLinkUtilization returns the busiest directed link's busy fraction
-// — the congestion indicator for topology studies.
-func (n *Network) HottestLinkUtilization() float64 {
-	now := n.engine.Now()
-	if now == 0 {
-		return 0
-	}
-	var max uint64
-	for _, m := range n.links {
-		for _, l := range m {
-			if l.busy > max {
-				max = l.busy
-			}
-		}
-	}
-	return float64(max) / float64(now)
+	busy := func(bytes float64) float64 { return bytes / n.cfg.LinkBandwidth / elapsed.Seconds() }
+	return busy(float64(total) / float64(count)), busy(float64(hot))
 }

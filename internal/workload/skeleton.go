@@ -80,19 +80,14 @@ type rankState struct {
 	waitTime     sim.Time
 }
 
-// MessagePort is the NIC capability a rank needs: both noc.NIC and
-// noc.DetailedNIC satisfy it, so skeleton apps are fidelity-agnostic.
+// MessagePort is the NIC capability a rank needs: both noc.NIC (on one
+// engine or partitioned) and noc.DetailedNIC satisfy it, so skeleton apps
+// are fidelity-agnostic. SendTimed reports when injection completes instead
+// of calling back, so the app owns the completion wake-up as a
+// checkpointable event.
 type MessagePort interface {
-	Send(dst, size int, payload any, onSent func())
-	SetReceiver(fn func(src, size int, payload any))
-}
-
-// TimedPort is the checkpoint-friendly send capability: the port reports
-// when injection completes instead of calling back, so the app can own the
-// completion wake-up as a serializable event (dnoc.NIC implements it).
-// Apps prefer it over the callback form whenever the port provides it.
-type TimedPort interface {
 	SendTimed(dst, size int, payload any) sim.Time
+	SetReceiver(fn func(src, size int, payload any))
 }
 
 // App runs a set of rank scripts over a network. Build the scripts, call
@@ -126,20 +121,8 @@ func NewApp(engine *sim.Engine, name string, net *noc.Network, scripts []*Script
 	return NewAppOnPorts(engine, name, ports, scripts)
 }
 
-// NewAppDetailed wires the scripts over the detailed (credit-based)
-// network model instead.
-func NewAppDetailed(engine *sim.Engine, name string, net *noc.DetailedNetwork, scripts []*Script) (*App, error) {
-	if len(scripts) > net.Topology().NumNodes() {
-		return nil, fmt.Errorf("workload: %d ranks exceed %d nodes", len(scripts), net.Topology().NumNodes())
-	}
-	ports := make([]MessagePort, len(scripts))
-	for i := range scripts {
-		ports[i] = net.NIC(i)
-	}
-	return NewAppOnPorts(engine, name, ports, scripts)
-}
-
-// NewAppOnPorts wires scripts[i] to ports[i] directly.
+// NewAppOnPorts wires scripts[i] to ports[i] directly: the detailed network's
+// NICs, or one partition's NICs of a partitioned network.
 func NewAppOnPorts(engine *sim.Engine, name string, ports []MessagePort, scripts []*Script) (*App, error) {
 	if len(ports) != len(scripts) {
 		return nil, fmt.Errorf("workload: %d ports for %d scripts", len(ports), len(scripts))
@@ -220,27 +203,10 @@ func (r *rankState) advance() {
 			return
 		case sopSend:
 			r.pc++
-			if tp, ok := a.ports[r.id].(TimedPort); ok {
-				// Timed form: block until injection completes, with
-				// the wake-up owned by the app's event set.
-				doneAt := tp.SendTimed(op.peer, op.bytes, nil)
-				a.wake.ScheduleAt(doneAt, sim.PrioLink, r.id)
-				return
-			}
-			sent := false
-			resumed := false
-			a.ports[r.id].Send(op.peer, op.bytes, nil, func() {
-				sent = true
-				if resumed {
-					r.advance()
-				}
-			})
-			if !sent {
-				// Injection completes later: block until the
-				// send buffer frees (blocking-send semantics).
-				resumed = true
-				return
-			}
+			// Blocking send: wake when injection completes.
+			doneAt := a.ports[r.id].SendTimed(op.peer, op.bytes, nil)
+			a.wake.ScheduleAt(doneAt, sim.PrioLink, r.id)
+			return
 		case sopRecv:
 			if r.arrived[op.peer] > 0 {
 				r.arrived[op.peer]--

@@ -450,7 +450,11 @@ func TestAppOverDetailedNetwork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			app, err = NewAppDetailed(e, p.Name, net, p.Scripts(n))
+			ports := make([]MessagePort, n)
+			for i := range ports {
+				ports[i] = net.NIC(i)
+			}
+			app, err = NewAppOnPorts(e, p.Name, ports, p.Scripts(n))
 			if err != nil {
 				t.Fatal(err)
 			}
