@@ -4,9 +4,10 @@
 #                     with concurrency (sim kernel, parallel runtime,
 #                     sweeps, fault injection) + a short fuzz pass over the
 #                     config parsers and the rank-partitioning lookahead
-#   make bench      — the perf gate: the event-kernel hot loop and the clock
+#   make bench      — the perf gate: the event-kernel hot loop, the clock
 #                     tick (alone, with 8 handlers, and merged against a
-#                     16-deep event heap), the parallel window barrier
+#                     16-deep event heap) and the lane dispatch (four
+#                     monotone lanes merged), the parallel window barrier
 #                     (pairwise sync plus the low-lookahead lattice where
 #                     speculative sync must beat pairwise),
 #                     the sweep scheduler at 1/2/4/8 workers and the result
@@ -59,7 +60,8 @@
 #   make profile    — where a sweep's host time goes: CPU-profile the
 #                     single-worker sweep benchmark into bin/sweep.cpu.pprof
 #                     and print each layer's share of the samples (the table
-#                     EXPERIMENTS.md E8 commits)
+#                     EXPERIMENTS.md E8 commits); `make profile-gups` does
+#                     the same for the full-scale gups grid, the miss path
 #   make soak       — the memory-discipline gate: serve 250 journaled jobs
 #                     through one resident server and require flat heap and
 #                     goroutine counts plus full arena reuse, with a heap
@@ -74,7 +76,7 @@ FUZZTIME ?= 5s
 # the concurrent sweep scheduler (root package). -count and the regexes are
 # shared between `bench` and `bench-baseline` so the two always measure the
 # same thing.
-BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|ClockTick8Handlers|ClockTickWithHeap)$$' -benchmem ./internal/sim && \
+BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|ClockTick8Handlers|ClockTickWithHeap|LaneDispatch)$$' -benchmem ./internal/sim && \
           $(GO) test -run='^$$' -bench='^BenchmarkParallelWindow$$' -benchmem ./internal/par && \
           $(GO) test -run='^$$' -bench='^BenchmarkSweep(Workers|CacheHit|CacheMiss)$$' -benchmem . && \
           $(GO) test -run='^$$' -bench='^BenchmarkCanonicalHash$$' -benchmem ./internal/config && \
@@ -85,16 +87,17 @@ BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|Clock
 # bench`: the warm-arena sweep stays ~10-60x below the pre-arena numbers
 # (88,572,996 B/op and 1,869,553 allocs/op) however the baseline is
 # regenerated, and the cold cache-miss path cannot quietly bloat either.
-# The event kernel's loops — aperiodic events, clock ticks, and the two
-# merged — are held to zero: they allocate nothing, ever. A cache-hit point
-# costs a lookup and a copy: the all-hit sweep stays near its 285 allocs and
-# 25.8 KB per op (909 and 95.7 KB while the config hash went through fmt and
-# journal records through a second json.Marshal), the canonical hash to its
-# key string plus the config parsing under it, and a journal record to zero.
-BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=60000000,BenchmarkSweepCacheHit=28500,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0' \
-                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=36000,BenchmarkSweepCacheHit=314,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0'
+# The event kernel's loops — aperiodic events, clock ticks, the two merged,
+# and monotone lanes — are held to zero: they allocate nothing, ever. A
+# cache-hit point costs a lookup and a copy: the all-hit sweep stays near its
+# 285 allocs and 25.8 KB per op (909 and 95.7 KB while the config hash went
+# through fmt and journal records through a second json.Marshal), the
+# canonical hash to its key string plus the config parsing under it, and a
+# journal record to zero.
+BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=60000000,BenchmarkSweepCacheHit=28500,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0' \
+                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=36000,BenchmarkSweepCacheHit=314,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0'
 
-.PHONY: build test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile
+.PHONY: build test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile profile-gups
 
 build:
 	$(GO) build ./...
@@ -158,10 +161,13 @@ loc:
 	         END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Per-layer share of the single-worker sweep's CPU samples. Every function's
-# self time goes to exactly one row, so the rows sum to 100 %: "sim heap" is
-# the binary event queue (push, Pop and the sifts and compares under them),
+# self time goes to exactly one row, so the rows sum to 100 %: "sim queue" is
+# what holds pending events in order — the binary event heap (push, Pop and
+# the sifts and compares under them) and the monotone lanes (lane.go) —
 # "sim clock/dispatch" the rest of the kernel, then one row per model
-# package, the Go runtime (GC, allocation, scheduling) and everything else.
+# package, the Go runtime (GC, allocation, scheduling, maps) and everything
+# else. PROFILE_BENCH picks the benchmark; profile-gups sets it to the
+# full-scale gups grid.
 PROFILE_BENCH ?= BenchmarkSweepWorkers/workers=1$$
 
 profile:
@@ -170,16 +176,19 @@ profile:
 	@$(GO) tool pprof -top -nodecount=100000 -nodefraction=0 bin/sweep.test bin/sweep.cpu.pprof 2>/dev/null | awk ' \
 	    $$2 !~ /%$$/ || $$1 == "flat" { next } \
 	    { name = $$6; pct = $$2 + 0; layer = "other" } \
-	    name ~ /internal\/sim\.\(\*Engine\)\.push|internal\/sim\.\(\*eventQueue\)|internal\/sim\.\(\*event\)/ { layer = "sim heap" } \
+	    name ~ /internal\/sim\.\(\*Engine\)\.push|internal\/sim\.\(\*eventQueue\)|internal\/sim\.\(\*event\)|internal\/sim\.\(\*Lane\)/ { layer = "sim queue" } \
 	    layer == "other" && name ~ /internal\/sim\./ { layer = "sim clock/dispatch" } \
 	    name ~ /internal\/cpu\./ { layer = "cpu" } \
 	    name ~ /internal\/mem\./ { layer = "mem" } \
 	    name ~ /internal\/dram\./ { layer = "dram" } \
 	    name ~ /internal\/frontend\./ { layer = "frontend" } \
-	    name ~ /^runtime\./ { layer = "runtime" } \
+	    name ~ /^runtime\.|^internal\/runtime\// { layer = "runtime" } \
 	    { share[layer] += pct } \
-	    END { n = split("sim heap,sim clock/dispatch,cpu,mem,dram,frontend,runtime,other", order, ","); \
+	    END { n = split("sim queue,sim clock/dispatch,cpu,mem,dram,frontend,runtime,other", order, ","); \
 	          for (i = 1; i <= n; i++) printf "%-20s %5.1f %%\n", order[i], share[order[i]] }'
+
+profile-gups:
+	$(MAKE) profile PROFILE_BENCH='BenchmarkSweepGups$$$$'
 
 # The crash-point gate: every test named TestCrashPoints* drives the
 # internal/iofault exploration harness over one persistence surface —

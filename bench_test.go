@@ -80,6 +80,25 @@ func BenchmarkSweepWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepGups is the memory miss path's sweep: the full-scale gups
+// grid (DDR2/DDR3-1333/GDDR5 x widths 1-8, 12 points) on one worker with a
+// warm arena. gups hits L1 half the time at IPC ~0.008, so MSHRs, fills,
+// the DRAM scheduler and the event lanes carrying their completions do the
+// work; `make profile-gups` profiles it.
+func BenchmarkSweepGups(b *testing.B) {
+	opts := core.SweepOptions{Workers: 1, Arena: core.NewArenaPool()}
+	sweep := func() {
+		if _, err := core.MemTechWidthSweep([]string{"gups"}, sweepTechs, sweepWidths, core.Full, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sweep() // warm the arena
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+}
+
 // BenchmarkSweepCacheHit measures the all-hit path: the same sweep served
 // entirely from a warm result cache. The perf gate pins this orders of
 // magnitude below the workers=1 cold sweep — a hit is a hash, a map probe

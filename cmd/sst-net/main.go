@@ -88,7 +88,14 @@ func main() {
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
 	if *scalingFlag {
-		cli.Exit("sst-net", runScaling(*nodesFlag, *ranksFlag, *horizonFlag, *syncFlag, format, ctx))
+		if err := sweepFlags.Start(); err != nil {
+			cli.Exit("sst-net", err)
+		}
+		err := runScaling(*nodesFlag, *ranksFlag, *horizonFlag, *syncFlag, format, ctx)
+		if perr := sweepFlags.Stop(); err == nil {
+			err = perr
+		}
+		cli.Exit("sst-net", err)
 	}
 	opts, err := sweepFlags.Options(ctx)
 	if err != nil {

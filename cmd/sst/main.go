@@ -11,13 +11,15 @@
 //	sst -system system.json [-par N] [-sync pairwise|speculative]
 //	    [-snapshot-every 100us] [-snapshot-out run.snap] [-restore run.snap]
 //	    [-trace-out run.json] [-metrics-out m.json]
+//	sst ... [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -trace-out records per-event spans (simulated time, component label,
 // host handler time) into a bounded ring and writes a Chrome trace_event
 // file loadable in Perfetto (or CSV when the path ends in .csv).
 // -metrics-out writes the run's engine/link metrics as JSON. -format json
 // emits the result and metrics as one JSON object instead of the human
-// summary.
+// summary. -cpuprofile and -memprofile write host CPU and allocation
+// profiles of the run for `go tool pprof`.
 //
 // A -system run always partitions the network over -par N parallel ranks
 // (default 1, a plain sequential loop) and prints one summary at every N;
@@ -95,6 +97,7 @@ func main() {
 		snapEvery  = flag.String("snapshot-every", "", "write a snapshot every this much simulated time (e.g. 100us; -system only)")
 		snapOut    = flag.String("snapshot-out", "sst.snap", "snapshot file for -snapshot-every")
 		restore    = flag.String("restore", "", "resume a -system run from this snapshot file")
+		profile    = cli.RegisterProfileFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	format, err := core.ParseFormat(*formatFlag)
@@ -115,6 +118,9 @@ func main() {
 		}
 	}
 	ob := obsFlags{traceOut: *traceOut, traceCap: *traceCap, metricsOut: *metricsOut, format: format}
+	if err := profile.Start(); err != nil {
+		cli.Exit("sst", err)
+	}
 	switch {
 	case *cfgPath != "":
 		if snap.active() {
@@ -126,6 +132,9 @@ func main() {
 	default:
 		flag.Usage()
 		os.Exit(cli.ExitConfig)
+	}
+	if perr := profile.Stop(); err == nil {
+		err = perr
 	}
 	cli.Exit("sst", err)
 }

@@ -13,10 +13,12 @@ import (
 )
 
 // SweepFlags is the flag group the sweep commands (sst-dse, sst-net)
-// share on top of -cache*: worker count, journal/resume and the two
-// observability outputs, with the cache and the collectors they imply.
+// share on top of -cache*: worker count, journal/resume, the two
+// observability outputs and the host profiles, with the cache and the
+// collectors they imply.
 type SweepFlags struct {
 	*CacheFlags
+	*ProfileFlags
 	workers              *int
 	journal              *string
 	resume               *bool
@@ -33,12 +35,13 @@ func RegisterSweepFlags(fs *flag.FlagSet, cacheHelp, unit, traced string) *Sweep
 	many := unit[strings.LastIndexByte(unit, ' ')+1:]
 	one := strings.TrimSuffix(many, "s")
 	return &SweepFlags{
-		CacheFlags: RegisterCacheFlags(fs, cacheHelp, unit),
-		workers:    fs.Int("j", 0, "concurrent sweep workers (0 = GOMAXPROCS)"),
-		journal:    fs.String("journal", "", "journal completed "+unit+" to this JSONL file (fsync'd per "+one+")"),
-		resume:     fs.Bool("resume", false, "with -journal: restore completed "+many+" instead of re-running them"),
-		metricsOut: fs.String("metrics-out", "", "write per-point sweep metrics JSON to this file"),
-		traceOut:   fs.String("trace-out", "", "write a host-timeline Chrome trace of the "+traced+" to this file"),
+		CacheFlags:   RegisterCacheFlags(fs, cacheHelp, unit),
+		ProfileFlags: RegisterProfileFlags(fs),
+		workers:      fs.Int("j", 0, "concurrent sweep workers (0 = GOMAXPROCS)"),
+		journal:      fs.String("journal", "", "journal completed "+unit+" to this JSONL file (fsync'd per "+one+")"),
+		resume:       fs.Bool("resume", false, "with -journal: restore completed "+many+" instead of re-running them"),
+		metricsOut:   fs.String("metrics-out", "", "write per-point sweep metrics JSON to this file"),
+		traceOut:     fs.String("trace-out", "", "write a host-timeline Chrome trace of the "+traced+" to this file"),
 	}
 }
 
@@ -50,14 +53,17 @@ func (f *SweepFlags) Check() error {
 	return nil
 }
 
-// Options opens the result cache and returns the sweep options the parsed
-// flags describe. Finish closes what it opened.
+// Options opens the result cache, starts any -cpuprofile and returns the
+// sweep options the parsed flags describe. Finish closes what it opened.
 func (f *SweepFlags) Options(ctx context.Context) (core.SweepOptions, error) {
 	if err := f.Check(); err != nil {
 		return core.SweepOptions{}, err
 	}
 	var err error
 	if f.cache, err = f.Open(); err != nil {
+		return core.SweepOptions{}, err
+	}
+	if err := f.Start(); err != nil {
 		return core.SweepOptions{}, err
 	}
 	return core.SweepOptions{
@@ -78,12 +84,15 @@ func (f *SweepFlags) Observe(opts core.SweepOptions) core.SweepOptions {
 	return opts
 }
 
-// Finish ends a sweep command: it writes the observed sweeps' per-point
-// metrics (a JSON array when there were several) followed by the cache's
-// RunReport to -metrics-out and the first sweep's host timeline to
-// -trace-out, prints the cache summary and closes the cache. It returns
-// err, or else the first error of its own.
+// Finish ends a sweep command: it stops the host profiles and writes them,
+// writes the observed sweeps' per-point metrics (a JSON array when there
+// were several) followed by the cache's RunReport to -metrics-out and the
+// first sweep's host timeline to -trace-out, prints the cache summary and
+// closes the cache. It returns err, or else the first error of its own.
 func (f *SweepFlags) Finish(prog string, err error) error {
+	if perr := f.Stop(); err == nil {
+		err = perr
+	}
 	if werr := f.writeObs(); err == nil {
 		err = werr
 	}

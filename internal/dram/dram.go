@@ -41,6 +41,12 @@ type channel struct {
 	refreshArmed bool
 	lastAccess   sim.Time
 
+	// done carries the channel's completions: each issued request's
+	// dataEnd starts no earlier than busFreeAt, the previous dataEnd, so
+	// they are strictly increasing and the lane never falls back to the
+	// heap.
+	done sim.Lane
+
 	// kickFn/refreshFn are the channel's retry and refresh events, bound
 	// once at construction so arming them never allocates.
 	kickFn    sim.Handler
@@ -115,6 +121,7 @@ func New(engine *sim.Engine, name string, cfg Config, scope *stats.Scope) (*Memo
 			m.kick(ch)
 		}
 		ch.refreshFn = func(any) { m.refresh(ch) }
+		ch.done.Init(engine, sim.PrioLink, name)
 		m.chans[i] = ch
 	}
 	if scope == nil {
@@ -273,7 +280,7 @@ func (m *Memory) issue(ch *channel, req *request, now sim.Time) {
 	m.bytes.Add(uint64(m.cfg.LineBytes))
 
 	req.ch, req.dataEnd = ch, dataEnd
-	m.engine.ScheduleLabeledAt(dataEnd, sim.PrioLink, m.name, m.completeFn, req)
+	ch.done.ScheduleAt(dataEnd, m.completeFn, req)
 }
 
 // complete finishes one transfer: the request is recycled before its done

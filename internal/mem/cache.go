@@ -122,12 +122,57 @@ type mshr struct {
 	write    bool     // fill target state is modified
 	upgrade  bool     // line present in S, waiting for exclusivity
 	prefetch bool     // fill initiated by the prefetcher, no demand waiter yet
+	slot     int      // index in the cache's mshrFile while outstanding
 	waiters  []func()
 
 	fillFn     func(excl bool) // lower fill completion (Fetcher path)
 	fillTrueFn func()          // lower fill completion (plain Device path)
 	fetchFn    sim.Handler     // deferred lowerFetch after lookup latency
 	upgradeFn  func()          // upgrade completion
+}
+
+// mshrFile is a cache's table of outstanding misses: a tag array scanned
+// linearly, which beats hashing at MSHR counts (at most 32 in every shipped
+// configuration), with each entry's index kept in its mshr so removal is a
+// swap with the last entry.
+type mshrFile struct {
+	tags []uint64
+	ms   []*mshr
+}
+
+// newMSHRFile sizes the file for n MSHRs. The count comes from a config,
+// so the up-front capacity is capped; a larger file grows as misses fill it.
+func newMSHRFile(n int) mshrFile {
+	n = min(max(n, 0), 64)
+	return mshrFile{tags: make([]uint64, 0, n), ms: make([]*mshr, 0, n)}
+}
+
+func (f *mshrFile) len() int { return len(f.tags) }
+
+// find returns the outstanding miss on tag, or nil.
+func (f *mshrFile) find(tag uint64) *mshr {
+	for i, t := range f.tags {
+		if t == tag {
+			return f.ms[i]
+		}
+	}
+	return nil
+}
+
+// add records m, whose tag must not already be outstanding.
+func (f *mshrFile) add(m *mshr) {
+	m.slot = len(f.tags)
+	f.tags = append(f.tags, m.tag)
+	f.ms = append(f.ms, m)
+}
+
+// remove drops m from the file.
+func (f *mshrFile) remove(m *mshr) {
+	i, last := m.slot, len(f.tags)-1
+	f.tags[i], f.ms[i] = f.tags[last], f.ms[last]
+	f.ms[i].slot = i
+	f.ms[last] = nil
+	f.tags, f.ms = f.tags[:last], f.ms[:last]
 }
 
 // stalled is an access waiting for a free MSHR.
@@ -239,10 +284,18 @@ type Cache struct {
 	stamp     uint64
 	rng       *sim.RNG
 
-	mshrs    map[uint64]*mshr
+	mshrs    mshrFile
 	mshrFree []*mshr
-	stalls   []stalled
-	portFree sim.Time
+	// stalls[stallHead:] are the accesses waiting for a free MSHR, oldest
+	// first.
+	stalls    []stalled
+	stallHead int
+	portFree  sim.Time
+	// resp carries responses: each is due at start + HitLatency, and
+	// start = max(now, portFree) never decreases, so they are monotone (an
+	// upgrade completing without a coherence domain below falls back to
+	// the heap when it undercuts the queue).
+	resp sim.Lane
 
 	// backing is the contiguous line array behind sets; linePool, when
 	// non-nil, is where ReleaseLines returns it at teardown.
@@ -287,10 +340,11 @@ func NewCachePool(engine *sim.Engine, cfg CacheConfig, lower Device, scope *stat
 		cfg:      cfg,
 		engine:   engine,
 		lower:    lower,
-		mshrs:    make(map[uint64]*mshr),
+		mshrs:    newMSHRFile(cfg.MSHRs),
 		rng:      sim.NewRNG(cfg.Seed ^ 0xcafe),
 		linePool: pool,
 	}
+	c.resp.Init(engine, sim.PrioLink, cfg.Name)
 	for s := uint(0); ; s++ {
 		if 1<<s == cfg.LineBytes {
 			c.lineShift = s
@@ -399,7 +453,7 @@ func (c *Cache) respond(extra sim.Time, done func()) {
 	if done == nil {
 		return
 	}
-	c.engine.ScheduleLabeled(c.cfg.HitLatency+extra, sim.PrioLink, c.cfg.Name, runPayload, done)
+	c.resp.Schedule(c.cfg.HitLatency+extra, runPayload, done)
 }
 
 // newMSHR takes an MSHR from the free list (or allocates one) and binds
@@ -484,7 +538,7 @@ func (c *Cache) accessLine(op Op, lineAddr uint64, done func()) {
 	}
 
 	// Miss path.
-	if pending, ok := c.mshrs[tag]; ok {
+	if pending := c.mshrs.find(tag); pending != nil {
 		// Secondary miss: piggyback on the outstanding fill. A demand
 		// access promotes a prefetch fill and keeps the stream going.
 		if pending.prefetch {
@@ -531,9 +585,9 @@ func (c *Cache) prefetchAhead(lineAddr uint64) {
 // re-enters accessLine, which may even turn it into a hit if a concurrent
 // fill brought the line in.
 func (c *Cache) startMiss(op Op, tag, lineAddr uint64, done func()) {
-	if len(c.mshrs) >= c.cfg.MSHRs {
+	if c.mshrs.len() >= c.cfg.MSHRs {
 		c.mshrStalls.Inc()
-		c.stalls = append(c.stalls, stalled{op: op, lineAddr: lineAddr, done: done})
+		c.pushStall(stalled{op: op, lineAddr: lineAddr, done: done})
 		return
 	}
 	c.misses.Inc()
@@ -547,14 +601,14 @@ func (c *Cache) startMiss(op Op, tag, lineAddr uint64, done func()) {
 	if done != nil {
 		m.waiters = append(m.waiters, done)
 	}
-	c.mshrs[tag] = m
+	c.mshrs.add(m)
 	// Charge the lookup latency before the fetch leaves this level.
 	c.engine.ScheduleLabeled(c.cfg.HitLatency, sim.PrioLink, c.cfg.Name, m.fetchFn, nil)
 }
 
 // startUpgrade requests exclusivity for a Shared line.
 func (c *Cache) startUpgrade(tag, lineAddr uint64, done func()) {
-	if pending, ok := c.mshrs[tag]; ok {
+	if pending := c.mshrs.find(tag); pending != nil {
 		pending.write = true
 		if done != nil {
 			pending.waiters = append(pending.waiters, done)
@@ -576,14 +630,14 @@ func (c *Cache) startUpgrade(tag, lineAddr uint64, done func()) {
 	if done != nil {
 		m.waiters = append(m.waiters, done)
 	}
-	c.mshrs[tag] = m
+	c.mshrs.add(m)
 	up.Upgrade(lineAddr, c.cfg.LineBytes, m.upgradeFn)
 }
 
 // finishUpgrade completes an exclusivity request: the Shared line becomes
 // Modified and the waiters run.
 func (c *Cache) finishUpgrade(m *mshr) {
-	delete(c.mshrs, m.tag)
+	c.mshrs.remove(m)
 	if ln := c.findLine(m.tag); ln != nil {
 		ln.st = modified
 	}
@@ -598,7 +652,7 @@ func (c *Cache) finishUpgrade(m *mshr) {
 // retries stalled accesses.
 func (c *Cache) finishFill(m *mshr, excl bool) {
 	tag := m.tag
-	delete(c.mshrs, tag)
+	c.mshrs.remove(m)
 	c.missLatency.Observe(uint64(c.engine.Now() - m.start))
 	ln := c.victim(tag)
 	ln.valid = true
@@ -621,11 +675,28 @@ func (c *Cache) finishFill(m *mshr, excl bool) {
 	c.freeMSHR(m)
 }
 
-// retryStalls re-runs accesses that were blocked on a full MSHR file.
+// pushStall queues an access behind a full MSHR file. A queue that never
+// drains is compacted in place rather than grown past its dead prefix.
+func (c *Cache) pushStall(s stalled) {
+	if len(c.stalls) == cap(c.stalls) && c.stallHead > 0 {
+		n := copy(c.stalls, c.stalls[c.stallHead:])
+		clear(c.stalls[n:])
+		c.stalls, c.stallHead = c.stalls[:n], 0
+	}
+	c.stalls = append(c.stalls, s)
+}
+
+// retryStalls re-runs accesses that were blocked on a full MSHR file. It
+// dequeues by index and clears each slot, so retired callbacks are not
+// pinned and a drained queue reuses its backing array.
 func (c *Cache) retryStalls() {
-	for len(c.stalls) > 0 && len(c.mshrs) < c.cfg.MSHRs {
-		s := c.stalls[0]
-		c.stalls = c.stalls[1:]
+	for c.stallHead < len(c.stalls) && c.mshrs.len() < c.cfg.MSHRs {
+		s := c.stalls[c.stallHead]
+		c.stalls[c.stallHead] = stalled{}
+		c.stallHead++
+		if c.stallHead == len(c.stalls) {
+			c.stalls, c.stallHead = c.stalls[:0], 0
+		}
 		c.accessLine(s.op, s.lineAddr, s.done)
 	}
 }
@@ -676,13 +747,13 @@ func (c *Cache) maybePrefetch(lineAddr uint64) {
 	if c.findLine(tag) != nil {
 		return
 	}
-	if _, pending := c.mshrs[tag]; pending || len(c.mshrs) >= c.cfg.MSHRs {
+	if c.mshrs.len() >= c.cfg.MSHRs || c.mshrs.find(tag) != nil {
 		return
 	}
 	c.prefetches.Inc()
 	m := c.newMSHR(Read, tag, lineAddr)
 	m.prefetch = true
-	c.mshrs[tag] = m
+	c.mshrs.add(m)
 	c.lowerFetch(m)
 }
 

@@ -10,8 +10,8 @@ package sim
 // number so that same-timestamp tie-breaking — and therefore the entire
 // continuation — is bit-identical to a run that was never snapshotted.
 // Snapshot verifies the ownership accounting (sum of PendingOwned over the
-// registered components must equal Pending: the queue length plus one tick
-// per armed clock) so a model that
+// registered components must equal Pending: the queue length plus the
+// lanes' entries, one tick per armed clock among them) so a model that
 // schedules an untracked closure fails loudly at snapshot time instead of
 // silently dropping the event at restore time.
 //
@@ -201,10 +201,15 @@ func (e *Engine) Restore(dec *Decoder) (err error) {
 			err = fmt.Errorf("sim: restore failed: %v", r)
 		}
 	}()
-	// Drop the build-time queue and clock lane: every pending event and
-	// tick is re-created by its owning component from the snapshot.
-	clear(e.lane)
-	e.lane = e.lane[:0]
+	// Drop the build-time queue and lanes: every pending event and tick is
+	// re-created by its owning component from the snapshot.
+	for _, l := range e.lanes {
+		l.drop()
+		l.listed = false
+	}
+	clear(e.lanes)
+	e.lanes = e.lanes[:0]
+	e.laneN = 0
 	for {
 		ev := e.q.Pop()
 		if ev == nil {
@@ -791,8 +796,8 @@ func (c *Clock) SaveState(enc *Encoder) {
 }
 
 // LoadState restores the cycle position and, if the clock was armed, puts
-// it back in the engine's clock lane with the tick's original sequence
-// (Engine.Restore emptied the lane of build-time arms).
+// the tick back in the clock's lane with its original sequence
+// (Engine.Restore emptied the lanes of build-time arms).
 func (c *Clock) LoadState(dec *Decoder) error {
 	cycle := Cycle(dec.U64())
 	armed := dec.Bool()
@@ -811,10 +816,9 @@ func (c *Clock) LoadState(dec *Decoder) error {
 	}
 	c.cycle = cycle
 	c.armed = armed
-	c.nextAt = at
 	c.tickSeq = tickSeq
 	if armed {
-		e.lane = append(e.lane, c)
+		c.lane.arm(at, tickSeq)
 	}
 	return nil
 }

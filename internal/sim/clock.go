@@ -17,11 +17,11 @@ type ClockHandler func(cycle Cycle) bool
 // a tick counts as a single dispatched event regardless of how many handlers
 // are registered, and handlers run in registration order for determinism.
 //
-// An armed clock's pending tick is not an event on the engine's queue: the
-// clock sits in the engine's clock lane with the tick's (nextAt, prio,
-// tickSeq), and the engine merges the lane with the queue at dispatch under
-// the one (time, priority, sequence) order. Re-arming takes a sequence
-// number exactly as scheduling an event does.
+// An armed clock's pending tick is not an event on the engine's heap: it is
+// the one entry of the clock's own Lane, which the engine merges with the
+// heap and its other lanes at dispatch under the one (time, priority,
+// sequence) order. Re-arming takes a sequence number exactly as scheduling
+// an event does.
 //
 // Cycle-to-time conversion is exact (128-bit intermediate), so a 2.9 GHz
 // clock does not drift against a 1333 MHz memory clock over billions of
@@ -35,14 +35,13 @@ type Clock struct {
 	// under, or the clock's own label if it gave none.
 	labels []string
 	armed  bool
-	prio   Priority
 	label  string
 
-	// nextAt and tickSeq are the time and engine sequence number of the
-	// pending tick while the clock is in the engine's lane. tickSeq is
-	// saved in snapshots so a restored clock re-arms with identical
+	// lane carries the pending tick while the clock is armed. tickSeq is
+	// the engine sequence number of the latest tick scheduled; it is saved
+	// in snapshots so a restored clock re-arms with identical
 	// same-timestamp ordering (see checkpoint.go).
-	nextAt  Time
+	lane    Lane
 	tickSeq uint64
 }
 
@@ -52,8 +51,10 @@ func NewClock(engine *Engine, freq Hz) *Clock {
 	if freq == 0 {
 		panic("sim: zero-frequency clock")
 	}
-	return &Clock{engine: engine, freq: freq, prio: PrioClock,
-		label: fmt.Sprintf("clock@%v", freq)}
+	c := &Clock{engine: engine, freq: freq, label: fmt.Sprintf("clock@%v", freq)}
+	c.lane.Init(engine, PrioClock, c.label)
+	c.lane.clock = c
+	return c
 }
 
 // Freq returns the clock frequency.
@@ -108,26 +109,14 @@ func (c *Clock) arm() {
 	c.schedule()
 }
 
-// schedule puts the tick for c.cycle into the engine's clock lane, taking
-// the next engine sequence number as a scheduled event would.
+// schedule puts the tick for c.cycle into the clock's lane, taking the
+// next engine sequence number as a scheduled event would. The lane holds
+// only this tick, so it is empty here and the tick cannot undercut it.
 func (c *Clock) schedule() {
 	e := c.engine
-	c.nextAt = c.freq.CycleTime(c.cycle)
 	c.tickSeq = e.seq
+	c.lane.arm(c.freq.CycleTime(c.cycle), e.seq)
 	e.seq++
-	e.lane = append(e.lane, c)
-}
-
-// tickBefore reports whether c's pending tick precedes an event or tick at
-// (t, prio, seq) in the engine's dispatch order.
-func (c *Clock) tickBefore(t Time, prio Priority, seq uint64) bool {
-	if c.nextAt != t {
-		return c.nextAt < t
-	}
-	if c.prio != prio {
-		return c.prio < prio
-	}
-	return c.tickSeq < seq
 }
 
 // traced runs one handler under an active tracer, emitting the per-handler
@@ -155,7 +144,7 @@ func (c *Clock) tick() {
 		// The handler runs with its label as the engine's current label,
 		// so events it schedules inherit the component's attribution. The
 		// label is left in place: nothing schedules between handlers, and
-		// dispatchTick restores the engine's label after the whole tick.
+		// dispatchLane restores the engine's label after the whole tick.
 		e.curLabel = c.labels[i]
 		var keep bool
 		if e.tracer == nil {

@@ -7,14 +7,14 @@ import (
 )
 
 // laneClock is what a scenario needs of a clock, so one scenario can run
-// against the real Clock (ticks in the engine's clock lane) and against
+// against the real Clock (ticks in the clock's lane) and against
 // heapClock (ticks as queue events).
 type laneClock interface {
 	RegisterNamed(name string, h ClockHandler)
 	Cycle() Cycle
 }
 
-// heapClock is the order oracle: the clock as it was before the clock lane,
+// heapClock is the order oracle: the clock as it was before lanes,
 // its tick an ordinary queue event re-armed through ScheduleLabeledAt. It
 // exists only here; everything it does goes through the engine's public
 // scheduling path, so whatever order the binary heap gives it is the order
@@ -66,7 +66,9 @@ func (c *heapClock) tick(any) {
 		e.curLabel = label
 		start := time.Now()
 		keep := h(c.cycle)
-		e.tracer.Event(e.now, label, time.Since(start))
+		if e.tracer != nil {
+			e.tracer.Event(e.now, label, time.Since(start))
+		}
 		e.curLabel = prev
 		if keep {
 			keepH, keepL = append(keepH, h), append(keepL, c.labels[i])
@@ -172,34 +174,7 @@ func laneScenario(seed uint64, newClock func(*Engine, Hz) laneClock) (log []stri
 		}
 	}
 
-	drv := NewRNG(seed ^ 0x9e3779b97f4a7c15) // slicing decisions
-	for slice := 0; e.Pending() > 0; slice++ {
-		if slice > 10000 {
-			panic("laneScenario: model does not terminate")
-		}
-		switch drv.Intn(4) {
-		case 0:
-			e.Run(e.now + Time(drv.Intn(4000)))
-		case 1:
-			e.Run(boundary(drv))
-		case 2:
-			for k := 1 + drv.Intn(5); k > 0; k-- {
-				e.Step()
-			}
-		case 3:
-			// The horizon, not until, ends this slice: a finite until past
-			// it would move now beyond events the horizon held back.
-			e.setHorizon(boundary(drv) + Time(drv.Intn(2)))
-			e.RunAll()
-			e.setHorizon(TimeInfinity)
-		}
-		if e.Interrupted() {
-			log = append(log, "interrupted")
-			e.ClearInterrupt()
-		}
-		log = append(log, fmt.Sprintf("slice %d: now %d handled %d pending %d next %d seq %d peak %d",
-			slice, e.now, e.Handled(), e.Pending(), e.NextEventTime(), e.NextSeq(), e.PeakPending()))
-	}
+	log = append(log, runSliced(e, seed, boundary)...)
 	for i, c := range clocks {
 		log = append(log, fmt.Sprintf("clock %d at cycle %d", i, c.Cycle()))
 	}
@@ -209,7 +184,7 @@ func laneScenario(seed uint64, newClock func(*Engine, Hz) laneClock) (log []stri
 	return log, spans
 }
 
-// TestClockLaneMatchesHeapOrder is the proof obligation of the clock lane:
+// TestClockLaneMatchesHeapOrder is the proof obligation of clock lanes:
 // on seeded random scenarios, dispatching ticks from the lane merged with
 // the queue is indistinguishable — dispatch order, counters at every slice,
 // tracer spans — from ticks that are queue events.
@@ -236,6 +211,41 @@ func TestClockLaneMatchesHeapOrder(t *testing.T) {
 	if ticks < 100*seeds {
 		t.Fatalf("scenarios too small to mean anything: %d spans over %d seeds", ticks, seeds)
 	}
+}
+
+// runSliced runs e to completion in seeded slices — Run(until) on and off
+// cycle boundaries, bursts of Step, and a lowered horizon — and returns a
+// log line per slice with every engine counter a run report can read.
+func runSliced(e *Engine, seed uint64, boundary func(*RNG) Time) (log []string) {
+	drv := NewRNG(seed ^ 0x9e3779b97f4a7c15) // slicing decisions
+	for slice := 0; e.Pending() > 0; slice++ {
+		if slice > 10000 {
+			panic("runSliced: model does not terminate")
+		}
+		switch drv.Intn(4) {
+		case 0:
+			e.Run(e.now + Time(drv.Intn(4000)))
+		case 1:
+			e.Run(boundary(drv))
+		case 2:
+			for k := 1 + drv.Intn(5); k > 0; k-- {
+				e.Step()
+			}
+		case 3:
+			// The horizon, not until, ends this slice: a finite until past
+			// it would move now beyond events the horizon held back.
+			e.setHorizon(boundary(drv) + Time(drv.Intn(2)))
+			e.RunAll()
+			e.setHorizon(TimeInfinity)
+		}
+		if e.Interrupted() {
+			log = append(log, "interrupted")
+			e.ClearInterrupt()
+		}
+		log = append(log, fmt.Sprintf("slice %d: now %d handled %d pending %d next %d seq %d peak %d",
+			slice, e.now, e.Handled(), e.Pending(), e.NextEventTime(), e.NextSeq(), e.PeakPending()))
+	}
+	return log
 }
 
 // firstDiff returns the first index at which a and b differ, -1 if none.

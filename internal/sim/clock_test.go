@@ -181,7 +181,7 @@ func BenchmarkClockTick8Handlers(b *testing.B) {
 	e.RunAll()
 }
 
-// BenchmarkClockTickWithHeap is the clock lane's merge under load: one clock
+// BenchmarkClockTickWithHeap is a clock lane's merge under load: one clock
 // ticking against a steady 16 pending aperiodic events (the queue depth the
 // sweep profile shows), each rescheduling itself, so every dispatch compares
 // the lane's tick with a non-trivial heap top. About 0.7 aperiodic events

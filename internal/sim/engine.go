@@ -32,13 +32,15 @@ type Engine struct {
 	q       eventQueue
 	stopped bool
 
-	// lane holds the armed clocks, each standing for its one pending tick
-	// at (nextAt, prio, tickSeq). Ticks never enter q: peek merges the
-	// lane's minimum against the heap top under the same (time, priority,
-	// sequence) order, so dispatch order is what a single heap would give
-	// while the periodic re-arm costs an append instead of two sifts. A
-	// linear scan suffices: a node has one or two clocks.
-	lane []*Clock
+	// lanes lists the engine's busy Lanes (lane.go): each armed clock's
+	// pending tick and every monotone producer's FIFO, plus any emptied
+	// since the last merge scan. peek merges their heads with the heap top
+	// under the one (time, priority, sequence) order, so dispatch order is
+	// what a single heap would give while a lane append costs no sifts. A
+	// linear scan suffices: a node keeps a handful of lanes busy at once.
+	// laneN counts the events waiting in them.
+	lanes []*Lane
+	laneN int
 
 	// handled counts events dispatched since construction.
 	handled uint64
@@ -83,6 +85,13 @@ type Engine struct {
 	// registry (see checkpoint.go). Nil in normal runs; the dispatch and
 	// schedule paths never touch it.
 	snap *engineSnap
+
+	// ringed lists every lane holding a ring and rings the scrubbed rings
+	// free for the next lane that needs one; EventArena moves both between
+	// engines with the event free list. Only a lane's first ring touches
+	// them, so they sit after the fields every dispatch reads.
+	ringed []*Lane
+	rings  [][]laneEvent
 }
 
 // Tracer observes dispatched events when installed with SetTracer. at is
@@ -106,8 +115,9 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Handled() uint64 { return e.handled }
 
 // Pending returns the number of events waiting to be dispatched: the
-// queued events plus one pending tick per armed clock.
-func (e *Engine) Pending() int { return e.q.Len() + len(e.lane) }
+// queued events plus the lanes' entries (one pending tick per armed clock
+// among them).
+func (e *Engine) Pending() int { return e.q.Len() + e.laneN }
 
 // PeakPending returns the high-water mark of Pending since construction — a
 // capacity statistic for run reports. The mark is observed at dispatch
@@ -126,38 +136,52 @@ func (e *Engine) PeakPending() int {
 // unchanged except for one nil check.
 func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
-// NextEventTime returns the timestamp of the earliest pending event or
-// clock tick, or TimeInfinity when nothing is pending. The parallel runtime
-// uses it to fast-forward across globally idle windows.
+// NextEventTime returns the timestamp of the earliest pending event, lane
+// entry or clock tick, or TimeInfinity when nothing is pending. The
+// parallel runtime uses it to fast-forward across globally idle windows.
 func (e *Engine) NextEventTime() Time {
 	_, at := e.peek()
 	return at
 }
 
-// peek finds what dispatches next without removing it: the armed clock
-// e.lane[lane] when lane >= 0, else the queue's top. at is its timestamp,
-// TimeInfinity when nothing is pending. An engine with no armed clock pays
+// peek finds what dispatches next without removing it: the head of
+// e.lanes[lane] when lane >= 0, else the queue's top. at is its timestamp,
+// TimeInfinity when nothing is pending. An engine with no listed lane pays
 // one length check.
 func (e *Engine) peek() (lane int, at Time) {
-	if len(e.lane) != 0 {
+	if len(e.lanes) != 0 {
 		return e.peekLane()
 	}
 	return -1, e.q.topTime()
 }
 
-// peekLane is peek's merge, given at least one armed clock: the lane's
-// earliest tick wins unless the heap top precedes it.
+// peekLane is peek's merge, given at least one listed lane: the earliest
+// lane head wins unless the heap top precedes it. The scan also unlists
+// the lanes that have emptied since the last one.
 func (e *Engine) peekLane() (lane int, at Time) {
-	c := e.lane[0]
-	for i, k := range e.lane[1:] {
-		if k.tickBefore(c.nextAt, c.prio, c.tickSeq) {
-			lane, c = i+1, k
+	var l *Lane
+	for i := 0; i < len(e.lanes); {
+		k := e.lanes[i]
+		if k.n == 0 {
+			k.listed = false
+			last := len(e.lanes) - 1
+			e.lanes[i] = e.lanes[last]
+			e.lanes[last] = nil
+			e.lanes = e.lanes[:last]
+			continue
 		}
+		if l == nil || k.before(l.at, l.prio, l.seq) {
+			lane, l = i, k
+		}
+		i++
 	}
-	if ev := e.q.Peek(); ev != nil && !c.tickBefore(ev.time, ev.prio, ev.seq) {
+	if l == nil {
+		return -1, e.q.topTime()
+	}
+	if ev := e.q.Peek(); ev != nil && !l.before(ev.time, ev.prio, ev.seq) {
 		return -1, ev.time
 	}
-	return lane, c.nextAt
+	return lane, l.at
 }
 
 // Schedule arranges for fn(payload) to run after delay, with default link
@@ -263,7 +287,7 @@ func (e *Engine) Step() bool {
 		e.peak = n
 	}
 	if lane >= 0 {
-		e.dispatchTick(lane)
+		e.dispatchLane(lane)
 	} else {
 		e.dispatch(e.q.Pop())
 	}
@@ -302,30 +326,46 @@ func (e *Engine) dispatch(ev *event) {
 	e.curLabel = prev
 }
 
-// dispatchTick takes the armed clock e.lane[i] out of the lane and delivers
-// its tick, with the same bookkeeping dispatch gives a queued event labeled
-// with the clock: one handled event, one tracer span under the clock's
-// label, the engine's label restored afterwards (each handler runs under
-// its own; see Clock.tick). The clock re-enters the lane from inside tick
-// if any handler remains.
-func (e *Engine) dispatchTick(i int) {
-	c := e.lane[i]
-	last := len(e.lane) - 1
-	e.lane[i] = e.lane[last]
-	e.lane[last] = nil
-	e.lane = e.lane[:last]
-	if c.nextAt < e.now {
-		panic(fmt.Sprintf("sim: time ran backwards: %v -> %v", e.now, c.nextAt))
+// dispatchLane takes the head of e.lanes[i] and dispatches it with the same
+// bookkeeping dispatch gives a queued event under the lane's label: one
+// handled event, one tracer span, the engine's label restored afterwards.
+// A clock's tick is one such event however many handlers share the clock;
+// it calls Clock.tick directly, which runs each handler under its own
+// label.
+func (e *Engine) dispatchLane(i int) {
+	l := e.lanes[i]
+	if l.at < e.now {
+		panic(fmt.Sprintf("sim: time ran backwards: %v -> %v", e.now, l.at))
 	}
-	e.now = c.nextAt
+	e.now = l.at
 	e.handled++
+	e.laneN--
+	if c := l.clock; c != nil {
+		l.n = 0 // the tick was the lane's only entry; tick may re-arm it
+		prev := e.curLabel
+		if e.tracer == nil {
+			c.tick()
+		} else {
+			start := time.Now()
+			c.tick()
+			e.tracer.Event(e.now, l.label, time.Since(start))
+		}
+		e.curLabel = prev
+		return
+	}
+	fn, payload := l.pop()
+	if e.tracer == nil && len(l.label)|len(e.curLabel) == 0 {
+		fn(payload)
+		return
+	}
 	prev := e.curLabel
+	e.curLabel = l.label
 	if e.tracer == nil {
-		c.tick()
+		fn(payload)
 	} else {
 		start := time.Now()
-		c.tick()
-		e.tracer.Event(e.now, c.label, time.Since(start))
+		fn(payload)
+		e.tracer.Event(e.now, l.label, time.Since(start))
 	}
 	e.curLabel = prev
 }
@@ -346,10 +386,10 @@ func (e *Engine) Run(until Time) uint64 {
 			break
 		}
 		// peek, spelled out: its call to peekLane puts it over the
-		// compiler's inlining budget, and an engine with no armed clock
+		// compiler's inlining budget, and an engine with no listed lane
 		// must pay one length check here, not a call per event.
 		lane, at := -1, e.q.topTime()
-		if len(e.lane) != 0 {
+		if len(e.lanes) != 0 {
 			lane, at = e.peekLane()
 		}
 		for at >= e.horizon { // also "nothing pending": horizon <= TimeInfinity
@@ -365,7 +405,7 @@ func (e *Engine) Run(until Time) uint64 {
 			e.peak = n
 		}
 		if lane >= 0 {
-			e.dispatchTick(lane)
+			e.dispatchLane(lane)
 		} else {
 			e.dispatch(e.q.Pop())
 		}

@@ -11,6 +11,12 @@ type Port struct {
 	peer    *Port
 	handler Handler
 	prio    Priority
+
+	// lane carries this port's local sends to the peer, bound on the
+	// first one. A plain local link delivers after a constant latency, so
+	// its sends arrive in send order (extra delay that breaks the order
+	// falls back to the heap; see Lane).
+	lane Lane
 }
 
 // Name returns the port's diagnostic name.
@@ -89,7 +95,15 @@ func (p *Port) SendDelayed(extra Time, payload any) {
 		l.trackSend(p, delay, payload)
 		return
 	}
-	l.engine.ScheduleLabeled(delay, peer.prio, l.name, peer.handler, payload)
+	if l.intercept != nil {
+		// A fault interceptor's delays owe the send order nothing.
+		l.engine.ScheduleLabeled(delay, peer.prio, l.name, peer.handler, payload)
+		return
+	}
+	if p.lane.eng == nil {
+		p.lane.Init(l.engine, peer.prio, l.name)
+	}
+	p.lane.Schedule(delay, peer.handler, payload)
 }
 
 // Link is a bidirectional, latency-bearing connection between two ports.
