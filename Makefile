@@ -26,6 +26,8 @@
 #                     scanner, the SR1 assembler (FuzzAssemble), the
 #                     binary trace reader (FuzzTraceStream), the
 #                     engine snapshot container (FuzzSnapshotDecode), the
+#                     owned-event ledger against its map+sort oracle
+#                     (FuzzEventSetLedger), the
 #                     canonical config hash against its fmt oracle
 #                     (FuzzConfigHash) and the job-submission HTTP body
 #                     (FuzzJobSpecHTTP); crashes fail the target
@@ -134,7 +136,9 @@ race:
 # disassembles), of the binary trace reader sst-trace replays user files
 # through (no panic, and the accepted ops re-record to a fixed point) and
 # of the engine snapshot container (LoadFrom errors or
-# yields an engine that keeps running), of the canonical config hash (every
+# yields an engine that keeps running), of the owned-event ledger (random
+# schedule/dispatch/save/restore sequences over an EventSet and a tracked
+# link save the bytes of a map+sort oracle), of the canonical config hash (every
 # config that loads hashes deterministically and byte-identically to the
 # fmt oracle) and of the POST /v1/jobs body (202 or a 4xx, never a 5xx,
 # panic or hang).
@@ -148,6 +152,7 @@ fuzz-short:
 	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssemble -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/frontend -run='^$$' -fuzz=FuzzTraceStream -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzEventSetLedger -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzJobSpecHTTP -fuzztime=$(FUZZTIME)
 
 check: build vet test race fuzz-short crash-smoke soak-short serve-smoke spec-smoke resume-smoke cache-smoke
