@@ -253,7 +253,7 @@ cache-smoke:
 # rollback and governor fallback/promotion counters — to be byte-identical
 # to the uninterrupted run. The reference is sliced with the same
 # -snapshot-every so both runs commit speculation at the same barriers.
-# The governed run takes about 2 s on a 2-core host, so the kill at 0.8 s
+# The governed run takes about 0.7 s on a 2-core host, so the kill at 0.3 s
 # lands mid-run and the restore resumes from a real mid-run snapshot.
 SPEC_SMOKE_ARGS = -system configs/system-torus-small.json -par 2 -sync speculative -snapshot-every 500us
 
@@ -261,7 +261,7 @@ spec-smoke:
 	$(GO) build -o bin/sst ./cmd/sst
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' 0 && \
 	./bin/sst $(SPEC_SMOKE_ARGS) -snapshot-out "$$tmp/ref.snap" >"$$tmp/ref.out" && \
-	{ timeout --preserve-status -s KILL -k 5 0.8 ./bin/sst $(SPEC_SMOKE_ARGS) -snapshot-out "$$tmp/run.snap" \
+	{ timeout --preserve-status -s KILL -k 5 0.3 ./bin/sst $(SPEC_SMOKE_ARGS) -snapshot-out "$$tmp/run.snap" \
 	    >/dev/null 2>&1; rc=$$?; [ $$rc -eq 137 ] || [ $$rc -eq 0 ] || \
 	    { echo "spec-smoke: killed run exited $$rc, want 137 (or 0)"; exit 1; }; } && \
 	./bin/sst $(SPEC_SMOKE_ARGS) -restore "$$tmp/run.snap" -snapshot-out "$$tmp/run.snap" >"$$tmp/restored.out" && \

@@ -120,8 +120,8 @@ func BuildLatticeHetero(r *par.Runner, nodes int) ([]*latticeNode, error) {
 	}{{halves[0].a, 0}, {halves[0].b, sim.Nanosecond}} {
 		rk := r.Rank(i % nranks)
 		c := &hetChat{
-			name: fmt.Sprintf("chat%d", i), node: out[i], port: cfg.port,
-			eng: rk.Engine(), per: int(hetTightLat / hetChatStep),
+			hetDriver: hetDriver{name: fmt.Sprintf("chat%d", i), node: out[i], eng: rk.Engine()},
+			port:      cfg.port, per: int(hetTightLat / hetChatStep),
 		}
 		c.set = sim.NewEventSet(c.eng, c.name, c.work)
 		rk.Add(c)
@@ -131,7 +131,7 @@ func BuildLatticeHetero(r *par.Runner, nodes int) ([]*latticeNode, error) {
 	// message at the end of each burst, then silence until the next burst.
 	for i := 2; i < nodes; i++ {
 		rk := r.Rank(i % nranks)
-		p := &hetBurst{name: fmt.Sprintf("burst%d", i), node: out[i], eng: rk.Engine()}
+		p := &hetBurst{hetDriver{name: fmt.Sprintf("burst%d", i), node: out[i], eng: rk.Engine()}}
 		p.set = sim.NewEventSet(p.eng, p.name, p.work)
 		rk.Add(p)
 		p.set.ScheduleAt(sim.Time(i%7)*sim.Nanosecond, sim.PrioLink, 0)
@@ -139,28 +139,32 @@ func BuildLatticeHetero(r *par.Runner, nodes int) ([]*latticeNode, error) {
 	return out, nil
 }
 
-// hetChat drives one side of the chatty pair as a checkpointable component:
-// the pending tick lives in its EventSet and the duty-cycle counter rides
-// in its saved state.
-type hetChat struct {
-	name  string
-	node  *latticeNode
-	port  *sim.Port
-	eng   *sim.Engine
-	set   *sim.EventSet
-	per   int
-	count int
+// hetDriver is a checkpoint-owned event chain: its pending event lives in
+// its EventSet and its counter n rides in its saved state.
+type hetDriver struct {
+	name string
+	node *latticeNode
+	eng  *sim.Engine
+	set  *sim.EventSet
+	n    int
 }
 
-func (c *hetChat) Name() string                     { return c.name }
-func (c *hetChat) SaveState(enc *sim.Encoder)       { enc.I64(int64(c.count)); c.set.Save(enc) }
-func (c *hetChat) LoadState(dec *sim.Decoder) error { c.count = int(dec.I64()); return c.set.Load(dec) }
-func (c *hetChat) PendingOwned() int                { return c.set.PendingOwned() }
+func (d *hetDriver) Name() string                     { return d.name }
+func (d *hetDriver) SaveState(enc *sim.Encoder)       { enc.I64(int64(d.n)); d.set.Save(enc) }
+func (d *hetDriver) LoadState(dec *sim.Decoder) error { d.n = int(dec.I64()); return d.set.Load(dec) }
+func (d *hetDriver) PendingOwned() int                { return d.set.PendingOwned() }
+
+// hetChat drives one side of the chatty pair.
+type hetChat struct {
+	hetDriver
+	port *sim.Port
+	per  int
+}
 
 func (c *hetChat) work(any) {
 	c.node.burn()
-	c.count++
-	if c.count%c.per == 0 {
+	c.n++
+	if c.n%c.per == 0 {
 		c.port.Send(c.node.received)
 	}
 	now := c.eng.Now()
@@ -171,26 +175,14 @@ func (c *hetChat) work(any) {
 	c.set.ScheduleAt(now+hetChatStep, sim.PrioLink, 0)
 }
 
-// hetBurst drives one periphery node's duty-cycled bursts, checkpoint-owned
-// like hetChat.
-type hetBurst struct {
-	name string
-	node *latticeNode
-	eng  *sim.Engine
-	set  *sim.EventSet
-	k    int
-}
-
-func (p *hetBurst) Name() string                     { return p.name }
-func (p *hetBurst) SaveState(enc *sim.Encoder)       { enc.I64(int64(p.k)); p.set.Save(enc) }
-func (p *hetBurst) LoadState(dec *sim.Decoder) error { p.k = int(dec.I64()); return p.set.Load(dec) }
-func (p *hetBurst) PendingOwned() int                { return p.set.PendingOwned() }
+// hetBurst drives one periphery node's duty-cycled bursts.
+type hetBurst struct{ hetDriver }
 
 func (p *hetBurst) work(any) {
 	p.node.burn()
-	p.k++
+	p.n++
 	now := p.eng.Now()
-	if p.k%hetBurstLen == 0 {
+	if p.n%hetBurstLen == 0 {
 		p.node.out.Send(p.node.received)
 		p.set.ScheduleAt(now+hetBurstGap-sim.Time(hetBurstLen-1)*hetBurstStep, sim.PrioLink, 0)
 		return

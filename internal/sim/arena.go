@@ -58,10 +58,7 @@ func (a *EventArena) Lend(e *Engine) {
 // cap, and the engine is left empty. Safe after an interrupted or panicked
 // run — nothing of the run survives but the bare structs and rings.
 func (a *EventArena) Harvest(e *Engine) {
-	for _, ev := range e.q.a {
-		ev.fn, ev.payload, ev.label = nil, nil, ""
-		e.free = append(e.free, ev)
-	}
+	e.discard()
 	if len(e.free) > DefaultArenaEvents {
 		clear(e.free[DefaultArenaEvents:])
 		e.free = e.free[:DefaultArenaEvents]
@@ -71,10 +68,6 @@ func (a *EventArena) Harvest(e *Engine) {
 	e.free = nil
 	e.q.a = nil
 
-	for _, l := range e.lanes {
-		l.drop()
-		l.listed = false
-	}
 	// Rings are taken from the end of the list, so harvesting in reverse
 	// hands a same-shaped next point's lanes, in first-use order, the
 	// rings they held here, already grown to fit.
@@ -93,8 +86,7 @@ func (a *EventArena) Harvest(e *Engine) {
 		}
 	}
 	clear(e.rings[len(a.rings):])
-	clear(e.lanes)
 	clear(e.ringed)
 	a.lanes, a.ringed = e.lanes[:0], e.ringed[:0]
-	e.rings, e.lanes, e.ringed, e.laneN = nil, nil, nil, 0
+	e.rings, e.lanes, e.ringed = nil, nil, nil
 }

@@ -40,7 +40,7 @@ type Clock struct {
 	// lane carries the pending tick while the clock is armed. tickSeq is
 	// the engine sequence number of the latest tick scheduled; it is saved
 	// in snapshots so a restored clock re-arms with identical
-	// same-timestamp ordering (see checkpoint.go).
+	// same-timestamp ordering (see SaveState).
 	lane    Lane
 	tickSeq uint64
 }
@@ -178,4 +178,51 @@ func (c *Clock) tick() {
 	} else {
 		c.armed = false
 	}
+}
+
+// PendingOwned implements PendingOwner: an armed clock owns its pending tick.
+func (c *Clock) PendingOwned() int {
+	if c.armed {
+		return 1
+	}
+	return 0
+}
+
+// SaveState writes the clock's cycle position and pending-tick identity.
+// The handler list itself is not serialized: the rebuilt model re-registers
+// the same handlers in the same order; the count is saved as a consistency
+// check.
+func (c *Clock) SaveState(enc *Encoder) {
+	enc.U64(uint64(c.cycle))
+	enc.Bool(c.armed)
+	enc.U64(c.tickSeq)
+	enc.U64(uint64(len(c.handlers)))
+}
+
+// LoadState restores the cycle position and, if the clock was armed, puts
+// the tick back in the clock's lane with its original sequence
+// (Engine.Restore emptied the lanes of build-time arms).
+func (c *Clock) LoadState(dec *Decoder) error {
+	cycle := Cycle(dec.U64())
+	armed := dec.Bool()
+	tickSeq := dec.U64()
+	nh := dec.U64()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if int(nh) != len(c.handlers) {
+		return fmt.Errorf("sim: clock %s has %d handlers, snapshot had %d (handler registration diverged)", c.label, len(c.handlers), nh)
+	}
+	e := c.engine
+	at := c.freq.CycleTime(cycle)
+	if armed && (tickSeq >= e.seq || at < e.now) {
+		return fmt.Errorf("sim: clock %s: restored tick (cycle %d at %v, seq %d) not after the restored engine (now %v, next seq %d)", c.label, cycle, at, tickSeq, e.now, e.seq)
+	}
+	c.cycle = cycle
+	c.armed = armed
+	c.tickSeq = tickSeq
+	if armed {
+		c.lane.arm(at, tickSeq)
+	}
+	return nil
 }

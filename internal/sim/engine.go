@@ -203,11 +203,16 @@ func (e *Engine) ScheduleLabeled(delay Time, prio Priority, label string, fn Han
 	if fn == nil {
 		panic("sim: Schedule with nil handler")
 	}
-	t := e.now + delay
-	if t < e.now {
-		t = TimeInfinity // overflow clamps to the end of time
+	e.push(e.after(delay), prio, label, fn, payload)
+}
+
+// after returns the time delay from now; overflow clamps to the end of
+// time.
+func (e *Engine) after(delay Time) Time {
+	if t := e.now + delay; t >= e.now {
+		return t
 	}
-	e.push(t, prio, label, fn, payload)
+	return TimeInfinity
 }
 
 // ScheduleAt is SchedulePrio with an absolute timestamp. Scheduling into
@@ -228,7 +233,17 @@ func (e *Engine) ScheduleLabeledAt(t Time, prio Priority, label string, fn Handl
 	e.push(t, prio, label, fn, payload)
 }
 
+// push enqueues an event under the next sequence number.
 func (e *Engine) push(t Time, prio Priority, label string, fn Handler, payload any) {
+	seq := e.seq
+	e.seq = seq + 1
+	e.pushAt(t, prio, label, fn, payload, seq)
+}
+
+// pushAt enqueues an event with an explicit sequence number, without
+// advancing the counter: push's body, and the restore path's with a
+// previously assigned number.
+func (e *Engine) pushAt(t Time, prio Priority, label string, fn Handler, payload any, seq uint64) {
 	var ev *event
 	if n := len(e.free) - 1; n >= 0 {
 		ev = e.free[n]
@@ -237,15 +252,32 @@ func (e *Engine) push(t Time, prio Priority, label string, fn Handler, payload a
 	} else {
 		ev = new(event)
 	}
-	ev.time, ev.prio, ev.seq, ev.fn, ev.payload = t, prio, e.seq, fn, payload
+	ev.time, ev.prio, ev.seq, ev.fn, ev.payload = t, prio, seq, fn, payload
 	if label != "" {
 		// Recycled events always arrive with a cleared label, so the
 		// unlabeled hot path skips the string store (and its write
 		// barrier) entirely.
 		ev.label = label
 	}
-	e.seq++
 	e.q.Push(ev)
+}
+
+// discard drops every pending event: queued events are scrubbed of their
+// handler, payload and label and join the free list, and the lanes are
+// emptied and unlisted (Restore, EventArena.Harvest).
+func (e *Engine) discard() {
+	for _, ev := range e.q.a {
+		ev.fn, ev.payload, ev.label = nil, nil, ""
+		e.free = append(e.free, ev)
+	}
+	clear(e.q.a)
+	e.q.a = e.q.a[:0]
+	for _, l := range e.lanes {
+		l.drop()
+		l.listed = false
+	}
+	clear(e.lanes)
+	e.lanes, e.laneN = e.lanes[:0], 0
 }
 
 // Stop makes the current Run return after the in-flight handler completes.

@@ -77,12 +77,7 @@ func (l *Lane) Init(e *Engine, prio Priority, label string) {
 // Schedule arranges for fn(payload) to run after delay at the lane's
 // priority, attributed to the lane's label.
 func (l *Lane) Schedule(delay Time, fn Handler, payload any) {
-	now := l.eng.now
-	t := now + delay
-	if t < now {
-		t = TimeInfinity // overflow clamps to the end of time
-	}
-	l.schedule(t, fn, payload)
+	l.schedule(l.eng.after(delay), fn, payload)
 }
 
 // ScheduleAt is Schedule with an absolute timestamp. As with

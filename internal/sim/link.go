@@ -17,6 +17,11 @@ type Port struct {
 	// its sends arrive in send order (extra delay that breaks the order
 	// falls back to the heap; see Lane).
 	lane Lane
+
+	// track, set by Simulation.Connect on a snapshot-enabled engine, holds
+	// this port's local deliveries still in flight to the peer so the link
+	// can carry them across a checkpoint. Nil otherwise.
+	track *EventSet
 }
 
 // Name returns the port's diagnostic name.
@@ -91,8 +96,8 @@ func (p *Port) SendDelayed(extra Time, payload any) {
 	if peer.handler == nil {
 		panic(fmt.Sprintf("sim: port %q has no handler (send from %q)", peer.name, p.name))
 	}
-	if l.inflight != nil {
-		l.trackSend(p, delay, payload)
+	if p.track != nil {
+		p.track.ScheduleAt(l.engine.after(delay), peer.prio, payload)
 		return
 	}
 	if l.intercept != nil {
@@ -124,12 +129,6 @@ type Link struct {
 	// deliver: interception happens first, on the sending side, so it
 	// behaves identically for local and cross-rank links.
 	intercept LinkInterceptor
-
-	// inflight, when allocated by trackForSnapshots, records local
-	// deliveries still pending by their event sequence so the link can
-	// carry them across a checkpoint (see checkpoint.go). Nil unless the
-	// engine has snapshots enabled.
-	inflight map[uint64]linkEvent
 }
 
 // LinkInterceptor inspects a send in flight: it receives the sending port,

@@ -111,3 +111,18 @@ func (r *RNG) Perm(out []int) {
 		out[i], out[j] = out[j], out[i]
 	}
 }
+
+// SaveState writes the generator's exact 256-bit state.
+func (r *RNG) SaveState(enc *Encoder) {
+	for _, s := range r.s {
+		enc.U64(s)
+	}
+}
+
+// LoadState restores the generator state.
+func (r *RNG) LoadState(dec *Decoder) error {
+	for i := range r.s {
+		r.s[i] = dec.U64()
+	}
+	return dec.Err()
+}

@@ -96,13 +96,16 @@ func (s *Simulation) Components() []Component {
 }
 
 // Connect creates a link between two components' ports and records it.
-// When the engine has snapshots enabled the link tracks its in-flight
-// deliveries and registers as a checkpoint owner.
+// When the engine has snapshots enabled each port's in-flight deliveries
+// go through an EventSet and the link registers as a checkpoint owner.
 func (s *Simulation) Connect(name string, latency Time) (*Port, *Port) {
 	a, b := Connect(s.engine, name, latency)
 	s.links = append(s.links, a.link)
 	if s.engine.SnapshotsEnabled() {
-		a.link.trackForSnapshots()
+		for _, p := range [2]*Port{a, b} {
+			peer := p.peer
+			p.track = NewEventSet(s.engine, name, func(pl any) { peer.handler(pl) })
+		}
 		s.engine.RegisterCheckpoint("link:"+name, a.link)
 	}
 	return a, b
