@@ -6,8 +6,8 @@
 #                     config parsers and the rank-partitioning lookahead
 #   make bench      — the perf gate: the event-kernel hot loop, the clock
 #                     tick (alone, with 8 handlers, and merged against a
-#                     16-deep event heap) and the lane dispatch (four
-#                     monotone lanes merged), the parallel window barrier
+#                     16-deep event heap) and the lane dispatch (four and
+#                     256 monotone lanes in the lane heap), the parallel window barrier
 #                     (pairwise sync plus the low-lookahead lattice where
 #                     speculative sync must beat pairwise),
 #                     the sweep scheduler at 1/2/4/8 workers and the result
@@ -63,7 +63,8 @@
 #                     single-worker sweep benchmark into bin/sweep.cpu.pprof
 #                     and print each layer's share of the samples (the table
 #                     EXPERIMENTS.md E8 commits); `make profile-gups` does
-#                     the same for the full-scale gups grid, the miss path
+#                     the same for the full-scale gups grid, the miss path,
+#                     and `make profile-net` for Fig. 9's network study
 #   make soak       — the memory-discipline gate: serve 250 journaled jobs
 #                     through one resident server and require flat heap and
 #                     goroutine counts plus full arena reuse, with a heap
@@ -90,16 +91,17 @@ BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|Clock
 # (88,572,996 B/op and 1,869,553 allocs/op) however the baseline is
 # regenerated, and the cold cache-miss path cannot quietly bloat either.
 # The event kernel's loops — aperiodic events, clock ticks, the two merged,
-# and monotone lanes — are held to zero: they allocate nothing, ever. A
+# and monotone lanes at four and at 256 lanes — are held to zero: they
+# allocate nothing, ever. A
 # cache-hit point costs a lookup and a copy: the all-hit sweep stays near its
 # 285 allocs and 25.8 KB per op (909 and 95.7 KB while the config hash went
 # through fmt and journal records through a second json.Marshal), the
 # canonical hash to its key string plus the config parsing under it, and a
 # journal record to zero.
-BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=60000000,BenchmarkSweepCacheHit=28500,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0' \
-                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=36000,BenchmarkSweepCacheHit=314,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0'
+BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=60000000,BenchmarkSweepCacheHit=28500,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0' \
+                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=36000,BenchmarkSweepCacheHit=314,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0'
 
-.PHONY: build test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile profile-gups
+.PHONY: build test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile profile-gups profile-net
 
 build:
 	$(GO) build ./...
@@ -168,11 +170,12 @@ loc:
 # Per-layer share of the single-worker sweep's CPU samples. Every function's
 # self time goes to exactly one row, so the rows sum to 100 %: "sim queue" is
 # what holds pending events in order — the binary event heap (push, Pop and
-# the sifts and compares under them) and the monotone lanes (lane.go) —
-# "sim clock/dispatch" the rest of the kernel, then one row per model
-# package, the Go runtime (GC, allocation, scheduling, maps) and everything
-# else. PROFILE_BENCH picks the benchmark; profile-gups sets it to the
-# full-scale gups grid.
+# the sifts and compares under them), the monotone lanes and the lane heap
+# that merges them (lane.go) — "sim clock/dispatch" the rest of the kernel,
+# then one row per model package, the Go runtime (GC, allocation,
+# scheduling, maps) and everything else. PROFILE_BENCH picks the benchmark;
+# profile-gups sets it to the full-scale gups grid, profile-net to Fig. 9's
+# network study (BenchmarkNetStudy), where the noc row is the model.
 PROFILE_BENCH ?= BenchmarkSweepWorkers/workers=1$$
 
 profile:
@@ -181,19 +184,23 @@ profile:
 	@$(GO) tool pprof -top -nodecount=100000 -nodefraction=0 bin/sweep.test bin/sweep.cpu.pprof 2>/dev/null | awk ' \
 	    $$2 !~ /%$$/ || $$1 == "flat" { next } \
 	    { name = $$6; pct = $$2 + 0; layer = "other" } \
-	    name ~ /internal\/sim\.\(\*Engine\)\.push|internal\/sim\.\(\*eventQueue\)|internal\/sim\.\(\*event\)|internal\/sim\.\(\*Lane\)/ { layer = "sim queue" } \
+	    name ~ /internal\/sim\.\(\*Engine\)\.(push|resift|lane)|internal\/sim\.\(\*eventQueue\)|internal\/sim\.\(\*event\)|internal\/sim\.\(\*Lane\)/ { layer = "sim queue" } \
 	    layer == "other" && name ~ /internal\/sim\./ { layer = "sim clock/dispatch" } \
 	    name ~ /internal\/cpu\./ { layer = "cpu" } \
 	    name ~ /internal\/mem\./ { layer = "mem" } \
 	    name ~ /internal\/dram\./ { layer = "dram" } \
 	    name ~ /internal\/frontend\./ { layer = "frontend" } \
+	    name ~ /internal\/noc\./ { layer = "noc" } \
 	    name ~ /^runtime\.|^internal\/runtime\// { layer = "runtime" } \
 	    { share[layer] += pct } \
-	    END { n = split("sim queue,sim clock/dispatch,cpu,mem,dram,frontend,runtime,other", order, ","); \
+	    END { n = split("sim queue,sim clock/dispatch,cpu,mem,dram,frontend,noc,runtime,other", order, ","); \
 	          for (i = 1; i <= n; i++) printf "%-20s %5.1f %%\n", order[i], share[order[i]] }'
 
 profile-gups:
 	$(MAKE) profile PROFILE_BENCH='BenchmarkSweepGups$$$$'
+
+profile-net:
+	$(MAKE) profile PROFILE_BENCH='BenchmarkNetStudy$$$$'
 
 # The crash-point gate: every test named TestCrashPoints* drives the
 # internal/iofault exploration harness over one persistence surface —

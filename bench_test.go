@@ -99,6 +99,26 @@ func BenchmarkSweepGups(b *testing.B) {
 	}
 }
 
+// BenchmarkNetStudy is the network's study: Fig. 9's DefaultNetStudy (four
+// application proxies x four injection fractions on a 32-node torus) on
+// one worker with a warm arena. No clock runs here; the NICs' injections
+// and the links' arrivals ride their lanes through the lane heap, so the
+// event kernel's merge, the noc hop path and the workload scripts do the
+// work; `make profile-net` profiles it.
+func BenchmarkNetStudy(b *testing.B) {
+	opts := core.SweepOptions{Workers: 1, Arena: core.NewArenaPool()}
+	study := func() {
+		if _, err := core.NetDegradationStudy(core.DefaultNetStudy(), opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	study() // warm the arena
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		study()
+	}
+}
+
 // BenchmarkSweepCacheHit measures the all-hit path: the same sweep served
 // entirely from a warm result cache. The perf gate pins this orders of
 // magnitude below the workers=1 cold sweep — a hit is a hash, a map probe

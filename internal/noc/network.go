@@ -51,7 +51,8 @@ func DefaultConfig() NetConfig {
 
 // packet is one wormhole-approximated transfer unit. Exactly one pending
 // event references a packet at any time: it is the event payload itself on
-// one rank and travels by value across ranks.
+// one rank and travels by value across ranks. A packet is recycled through
+// its rank's free list once delivered or copied onto another rank.
 type packet struct {
 	src, dst int
 	size     int // this packet's bytes
@@ -64,10 +65,20 @@ type packet struct {
 }
 
 // dlink is a directed link's serialization state, owned by the rank of its
-// source router.
+// source router. Its arrivals at the next router leave in freeAt order, a
+// constant latency after serialization, so they ride the link's own lane.
 type dlink struct {
 	freeAt sim.Time
 	bytes  uint64
+	lane   sim.Lane
+}
+
+// outLink is one of a router's outgoing directed links: the router it
+// leads to and its state. A router has a handful (a torus at most six), so
+// a linear scan finds one.
+type outLink struct {
+	next int
+	link *dlink
 }
 
 // Network is the analytic interconnect: topology, routers, FIFO links with
@@ -78,14 +89,17 @@ type dlink struct {
 // runner's deterministic mailboxes. All in-fabric work is scheduled through
 // one sim.EventSet per rank, so on snapshot-enabled engines in-flight
 // packets are plain data and the network checkpoints at any rank count.
+// Every NIC and every directed link is a monotone producer — a NIC injects
+// at max(now, freeAt), a link delivers at freeAt plus a constant latency —
+// so each schedules on its own sim.Lane through the rank's set.
 type Network struct {
 	name string
 	topo Topology
 	cfg  NetConfig
 	part []int // router -> rank
 
-	// links[a] maps next-router b to the a→b directed link.
-	links []map[int]*dlink
+	// links[a] lists router a's outgoing links in topology order.
+	links [][]outLink
 	nics  []*NIC
 	ranks []*netRank
 	// xmit[a][b] is the sending port of the a→b rank channel.
@@ -99,8 +113,10 @@ type netRank struct {
 	net      *Network
 	eng      *sim.Engine
 	evs      *sim.EventSet
-	links    []*dlink // directed links whose source router lives here
-	nics     []*NIC   // NICs homed here, ascending node id
+	label    string    // trace label of the rank's fabric events
+	links    []*dlink  // directed links whose source router lives here
+	nics     []*NIC    // NICs homed here, ascending node id
+	free     []*packet // recycled packets
 	reg      *stats.Registry
 	messages *stats.Counter
 	bytes    *stats.Counter
@@ -160,7 +176,7 @@ func NewPartitionedNetwork(runner *par.Runner, topo Topology, cfg NetConfig, par
 				return nil, err
 			}
 			pa.SetHandler(func(any) {})
-			pb.SetHandler(n.arrive)
+			pb.SetHandler(n.ranks[b].arrive)
 			n.xmit[a][b] = pa
 		}
 	}
@@ -176,36 +192,48 @@ func newNetwork(name string, topo Topology, cfg NetConfig, engines []*sim.Engine
 	n := &Network{name: name, topo: topo, cfg: cfg, part: part}
 	n.ranks = make([]*netRank, len(engines))
 	for i, eng := range engines {
-		rk := &netRank{net: n, eng: eng, reg: stats.NewRegistry()}
-		rk.evs = sim.NewEventSet(eng, fmt.Sprintf("%s.r%d", name, i), rk.dispatch)
+		rk := &netRank{net: n, eng: eng, label: fmt.Sprintf("%s.r%d", name, i), reg: stats.NewRegistry()}
+		// The set holds the one method value of rk.dispatch every fabric
+		// event runs: a method value made per schedule would allocate.
+		rk.evs = sim.NewEventSet(eng, rk.label, rk.dispatch)
 		sc := rk.reg.Scope(fmt.Sprintf("%s.%d", name, i))
 		rk.messages = sc.Counter("messages")
 		rk.bytes = sc.Counter("bytes")
 		rk.msgLat = sc.Histogram("latency_ps")
 		n.ranks[i] = rk
 	}
-	n.links = make([]map[int]*dlink, topo.NumRouters())
-	for i := range n.links {
-		n.links[i] = make(map[int]*dlink)
-	}
+	n.links = make([][]outLink, topo.NumRouters())
 	for _, l := range topo.Links() {
 		for _, ab := range [2][2]int{{l[0], l[1]}, {l[1], l[0]}} {
-			dl := &dlink{}
-			n.links[ab[0]][ab[1]] = dl
 			rk := n.ranks[part[ab[0]]]
+			dl := &dlink{}
+			dl.lane.Init(rk.eng, sim.PrioLink, rk.label)
+			n.links[ab[0]] = append(n.links[ab[0]], outLink{ab[1], dl})
 			rk.links = append(rk.links, dl)
 		}
 	}
 	n.nics = make([]*NIC, topo.NumNodes())
 	for i := range n.nics {
 		nc := &NIC{net: n, node: i, rank: part[topo.RouterOf(i)]}
+		rk := n.ranks[nc.rank]
+		nc.lane.Init(rk.eng, sim.PrioLink, rk.label)
 		n.nics[i] = nc
-		n.ranks[nc.rank].nics = append(n.ranks[nc.rank].nics, nc)
+		rk.nics = append(rk.nics, nc)
 	}
 	for _, rk := range n.ranks {
 		rk.eng.RegisterCheckpoint(name, rk) // no-op without snapshots
 	}
 	return n, nil
+}
+
+// link returns the a→b directed link, nil if there is none.
+func (n *Network) link(a, b int) *dlink {
+	for _, o := range n.links[a] {
+		if o.next == b {
+			return o.link
+		}
+	}
+	return nil
 }
 
 // Name returns the component name.
@@ -264,69 +292,86 @@ func serialize(size int, bw float64) sim.Time {
 	return t
 }
 
+// newPacket takes a packet from the rank's free list, or allocates one.
+func (rk *netRank) newPacket() *packet {
+	if k := len(rk.free) - 1; k >= 0 {
+		p := rk.free[k]
+		rk.free = rk.free[:k]
+		return p
+	}
+	return new(packet)
+}
+
+// recycle returns a packet no event references any more to the free list,
+// cleared so it holds no payload and SendTimed need set only what it uses.
+func (rk *netRank) recycle(p *packet) {
+	*p = packet{}
+	rk.free = append(rk.free, p)
+}
+
 // dispatch runs one of the rank's fabric events.
 func (rk *netRank) dispatch(pl any) {
 	p := pl.(*packet)
 	if p.at < 0 {
-		rk.net.deliver(p)
+		rk.deliver(p)
 		return
 	}
-	rk.net.hop(p)
+	rk.hop(p)
 }
 
 // arrive continues a packet that crossed onto this rank.
-func (n *Network) arrive(payload any) {
-	p := payload.(packet)
-	n.hop(&p)
+func (rk *netRank) arrive(payload any) {
+	p := rk.newPacket()
+	*p = payload.(packet)
+	rk.hop(p)
 }
 
-// hop forwards a packet from router p.at, on that router's rank: the
+// hop forwards a packet from router p.at, which lives on this rank: the
 // packet claims the next link in FIFO order and reaches the next router
 // after serialization, wire and router latency. Route -1 delivers to the
 // NIC.
-func (n *Network) hop(p *packet) {
+func (rk *netRank) hop(p *packet) {
+	n := rk.net
 	r := p.at
 	nxt := n.topo.Route(r, p.dst)
 	if nxt < 0 {
-		n.deliver(p)
+		rk.deliver(p)
 		return
 	}
-	l := n.links[r][nxt]
+	l := n.link(r, nxt)
 	if l == nil {
 		panic(fmt.Sprintf("noc: topology %s routed %d->%d without a link", n.topo.Name(), r, nxt))
 	}
-	from := n.part[r]
-	now := n.ranks[from].eng.Now()
+	now := rk.eng.Now()
 	start := max(now, l.freeAt)
 	ser := serialize(p.size, n.cfg.LinkBandwidth)
 	l.freeAt = start + ser
 	l.bytes += uint64(p.size)
 	p.hops++
 	p.at = nxt
-	if to := n.part[nxt]; to != from {
+	if from, to := n.part[r], n.part[nxt]; to != from {
 		// The channel's latency is the link+router latency; queueing and
 		// serialization ride as extra delay.
 		n.xmit[from][to].SendDelayed(start+ser-now, *p)
+		rk.recycle(p)
 		return
 	}
-	arrive := start + ser + n.cfg.LinkLatency + n.cfg.RouterLatency
-	n.ranks[from].evs.ScheduleAt(arrive, sim.PrioLink, p)
+	rk.evs.ScheduleOn(&l.lane, l.freeAt+n.cfg.LinkLatency+n.cfg.RouterLatency, p)
 }
 
-// deliver hands a packet to its destination NIC, on that NIC's rank; the
-// last packet completes the message.
-func (n *Network) deliver(p *packet) {
-	if !p.last {
-		return
+// deliver hands a packet to its destination NIC, which lives on this rank,
+// and recycles it; the last packet completes the message.
+func (rk *netRank) deliver(p *packet) {
+	if p.last {
+		nic := rk.net.nics[p.dst]
+		rk.messages.Inc()
+		rk.bytes.Add(uint64(p.msgSize))
+		rk.msgLat.Observe(uint64(rk.eng.Now() - p.sentAt))
+		if nic.recv != nil {
+			nic.recv(p.src, p.msgSize, p.payload)
+		}
 	}
-	nic := n.nics[p.dst]
-	rk := n.ranks[nic.rank]
-	rk.messages.Inc()
-	rk.bytes.Add(uint64(p.msgSize))
-	rk.msgLat.Observe(uint64(rk.eng.Now() - p.sentAt))
-	if nic.recv != nil {
-		nic.recv(p.src, p.msgSize, p.payload)
-	}
+	rk.recycle(p)
 }
 
 // NIC is a node's network interface: an injection-bandwidth-limited port
@@ -337,6 +382,9 @@ type NIC struct {
 	rank   int
 	freeAt sim.Time
 	recv   func(src, size int, payload any)
+	// lane carries the NIC's packets into the first router (or, for
+	// loopback, to delivery), in injection order.
+	lane sim.Lane
 }
 
 // Node returns the NIC's node id.
@@ -366,13 +414,12 @@ func (nc *NIC) SendTimed(dst, size int, payload any) sim.Time {
 	for remaining := size; remaining > 0; {
 		pk := min(remaining, n.cfg.MaxPacketBytes)
 		remaining -= pk
-		p := &packet{
-			src: nc.node, dst: dst, size: pk,
-			last: remaining == 0, sentAt: now, msgSize: size,
-			at: srcRouter,
-		}
-		if p.last {
-			p.payload = payload
+		// Field by field into a cleared packet: a composite literal is
+		// built in a temporary and block-copied.
+		p := rk.newPacket()
+		p.src, p.dst, p.size, p.msgSize, p.sentAt, p.at = nc.node, dst, pk, size, now, srcRouter
+		if remaining == 0 {
+			p.last, p.payload = true, payload
 		}
 		if nc.node == dst {
 			p.at = -1 // loopback skips the fabric
@@ -380,7 +427,7 @@ func (nc *NIC) SendTimed(dst, size int, payload any) sim.Time {
 		injectAt += serialize(pk, n.cfg.InjectionBandwidth)
 		// The packet enters the first router after its injection
 		// serialization plus the NIC link latency.
-		rk.evs.ScheduleAt(injectAt+n.cfg.LinkLatency, sim.PrioLink, p)
+		rk.evs.ScheduleOn(&nc.lane, injectAt+n.cfg.LinkLatency, p)
 	}
 	nc.freeAt = injectAt
 	return injectAt

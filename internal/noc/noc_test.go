@@ -500,3 +500,38 @@ func TestLinkUtilization(t *testing.T) {
 		t.Errorf("avg utilization = %.3f (hot %.3f)", avg, hot)
 	}
 }
+
+// TestSendAllocFree pins the fabric's steady state: once a single-engine
+// torus is warm — packets on the free list, lane rings and the event free
+// list grown — a round of all-to-all multi-packet messages sent through
+// SendTimed allocates nothing, injections and forwarded hops included. A
+// handler made per schedule (the method value rk.dispatch instead of the
+// one the rank's EventSet holds) allocates a closure per event and fails
+// this.
+func TestSendAllocFree(t *testing.T) {
+	topo, err := NewTorus3D(4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, n := newNet(t, topo, DefaultConfig())
+	delivered := 0
+	for i := 0; i < topo.NumNodes(); i++ {
+		n.NIC(i).SetReceiver(func(int, int, any) { delivered++ })
+	}
+	round := func() {
+		for src := 0; src < topo.NumNodes(); src++ {
+			for dst := 0; dst < topo.NumNodes(); dst++ {
+				n.NIC(src).SendTimed(dst, 3*DefaultConfig().MaxPacketBytes, nil)
+			}
+		}
+		e.RunAll()
+	}
+	round()
+	round()
+	if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
+		t.Fatalf("a warm all-to-all round allocates %v times, want 0", allocs)
+	}
+	if want := 8 * topo.NumNodes() * topo.NumNodes(); delivered != want {
+		t.Fatalf("delivered %d messages, want %d", delivered, want)
+	}
+}

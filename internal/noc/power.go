@@ -47,9 +47,9 @@ func (e NetworkEnergy) TotalJ() float64 { return e.DynamicJ + e.StaticJ }
 func (n *Network) Energy(p PowerParams, elapsed sim.Time) NetworkEnergy {
 	var dynBytesHops uint64
 	links := 0
-	for _, m := range n.links {
-		for _, l := range m {
-			dynBytesHops += l.bytes
+	for _, out := range n.links {
+		for _, o := range out {
+			dynBytesHops += o.link.bytes
 			links++
 		}
 	}
@@ -75,10 +75,10 @@ func (n *Network) Energy(p PowerParams, elapsed sim.Time) NetworkEnergy {
 func (n *Network) LinkUtilization(elapsed sim.Time) (mean, hottest float64) {
 	var total, hot uint64
 	count := 0
-	for _, m := range n.links {
-		for _, l := range m {
-			total += l.bytes
-			hot = max(hot, l.bytes)
+	for _, out := range n.links {
+		for _, o := range out {
+			total += o.link.bytes
+			hot = max(hot, o.link.bytes)
 			count++
 		}
 	}

@@ -93,6 +93,11 @@ func (m *Mesh2D) Route(r, dstNode int) int {
 // system interconnect.
 type Torus3D struct {
 	X, Y, Z int
+
+	// coords[r] is router r's (x, y, z), precomputed by NewTorus3D:
+	// Route needs both ends' coordinates on every hop, and the three
+	// divisions cost more than the rest of routing.
+	coords [][3]int
 }
 
 // NewTorus3D validates dimensions.
@@ -100,7 +105,11 @@ func NewTorus3D(x, y, z int) (*Torus3D, error) {
 	if x <= 0 || y <= 0 || z <= 0 {
 		return nil, fmt.Errorf("noc: torus dimensions %dx%dx%d invalid", x, y, z)
 	}
-	return &Torus3D{X: x, Y: y, Z: z}, nil
+	t := &Torus3D{X: x, Y: y, Z: z, coords: make([][3]int, x*y*z)}
+	for r := range t.coords {
+		t.coords[r] = [3]int{r % x, r / x % y, r / (x * y)}
+	}
+	return t, nil
 }
 
 func (t *Torus3D) Name() string       { return fmt.Sprintf("torus-%dx%dx%d", t.X, t.Y, t.Z) }
@@ -112,6 +121,10 @@ func (t *Torus3D) Diameter() int { return t.X/2 + t.Y/2 + t.Z/2 }
 
 // Coords splits a router id into its (x, y, z) torus coordinates.
 func (t *Torus3D) Coords(r int) (x, y, z int) {
+	if r < len(t.coords) {
+		c := &t.coords[r]
+		return c[0], c[1], c[2]
+	}
 	return r % t.X, r / t.X % t.Y, r / (t.X * t.Y)
 }
 

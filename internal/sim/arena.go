@@ -16,8 +16,8 @@ type EventArena struct {
 	free  []*event
 	qbuf  []*event
 	rings [][]laneEvent
-	// lanes and ringed are the backing of the engine's active-lane and
-	// ring-holder lists, kept so a warm point does not regrow them.
+	// lanes and ringed are the backing of the engine's lane heap and
+	// ring-holder list, kept so a warm point does not regrow them.
 	lanes, ringed []*Lane
 }
 

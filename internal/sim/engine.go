@@ -32,13 +32,14 @@ type Engine struct {
 	q       eventQueue
 	stopped bool
 
-	// lanes lists the engine's busy Lanes (lane.go): each armed clock's
-	// pending tick and every monotone producer's FIFO, plus any emptied
-	// since the last merge scan. peek merges their heads with the heap top
-	// under the one (time, priority, sequence) order, so dispatch order is
-	// what a single heap would give while a lane append costs no sifts. A
-	// linear scan suffices: a node keeps a handful of lanes busy at once.
-	// laneN counts the events waiting in them.
+	// lanes is the lane heap (lane.go): the engine's busy Lanes — each
+	// armed clock's pending tick and every monotone producer's FIFO — in a
+	// binary heap keyed by their heads. peek merges the top lane's head
+	// with the event heap's top under the one (time, priority, sequence)
+	// order, so dispatch order is what a single heap would give while a
+	// lane append costs no sifts and a lane dispatch one sift of a heap
+	// holding a lane per busy producer rather than an event per pending
+	// entry. laneN counts the events waiting in the lanes.
 	lanes []*Lane
 	laneN int
 
@@ -144,44 +145,25 @@ func (e *Engine) NextEventTime() Time {
 	return at
 }
 
-// peek finds what dispatches next without removing it: the head of
-// e.lanes[lane] when lane >= 0, else the queue's top. at is its timestamp,
-// TimeInfinity when nothing is pending. An engine with no listed lane pays
-// one length check.
-func (e *Engine) peek() (lane int, at Time) {
+// peek finds what dispatches next without removing it: the head of the
+// top lane of the lane heap when lane is true, else the queue's top. at is
+// its timestamp, TimeInfinity when nothing is pending. An engine with no
+// busy lane pays one length check.
+func (e *Engine) peek() (lane bool, at Time) {
 	if len(e.lanes) != 0 {
 		return e.peekLane()
 	}
-	return -1, e.q.topTime()
+	return false, e.q.topTime()
 }
 
-// peekLane is peek's merge, given at least one listed lane: the earliest
-// lane head wins unless the heap top precedes it. The scan also unlists
-// the lanes that have emptied since the last one.
-func (e *Engine) peekLane() (lane int, at Time) {
-	var l *Lane
-	for i := 0; i < len(e.lanes); {
-		k := e.lanes[i]
-		if k.n == 0 {
-			k.listed = false
-			last := len(e.lanes) - 1
-			e.lanes[i] = e.lanes[last]
-			e.lanes[last] = nil
-			e.lanes = e.lanes[:last]
-			continue
-		}
-		if l == nil || k.before(l.at, l.prio, l.seq) {
-			lane, l = i, k
-		}
-		i++
-	}
-	if l == nil {
-		return -1, e.q.topTime()
-	}
+// peekLane is peek's merge, given a busy lane: the top lane's head wins
+// unless the queue's top precedes it.
+func (e *Engine) peekLane() (lane bool, at Time) {
+	l := e.lanes[0]
 	if ev := e.q.Peek(); ev != nil && !l.before(ev.time, ev.prio, ev.seq) {
-		return -1, ev.time
+		return false, ev.time
 	}
-	return lane, l.at
+	return true, l.at
 }
 
 // Schedule arranges for fn(payload) to run after delay, with default link
@@ -264,7 +246,7 @@ func (e *Engine) pushAt(t Time, prio Priority, label string, fn Handler, payload
 
 // discard drops every pending event: queued events are scrubbed of their
 // handler, payload and label and join the free list, and the lanes are
-// emptied and unlisted (Restore, EventArena.Harvest).
+// emptied and leave the lane heap (Restore, EventArena.Harvest).
 func (e *Engine) discard() {
 	for _, ev := range e.q.a {
 		ev.fn, ev.payload, ev.label = nil, nil, ""
@@ -274,7 +256,6 @@ func (e *Engine) discard() {
 	e.q.a = e.q.a[:0]
 	for _, l := range e.lanes {
 		l.drop()
-		l.listed = false
 	}
 	clear(e.lanes)
 	e.lanes, e.laneN = e.lanes[:0], 0
@@ -312,14 +293,14 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	lane, _ := e.peek()
-	if lane < 0 && e.q.Len() == 0 {
+	if !lane && e.q.Len() == 0 {
 		return false
 	}
 	if n := e.Pending(); n > e.peak {
 		e.peak = n
 	}
-	if lane >= 0 {
-		e.dispatchLane(lane)
+	if lane {
+		e.dispatchLane()
 	} else {
 		e.dispatch(e.q.Pop())
 	}
@@ -358,14 +339,15 @@ func (e *Engine) dispatch(ev *event) {
 	e.curLabel = prev
 }
 
-// dispatchLane takes the head of e.lanes[i] and dispatches it with the same
-// bookkeeping dispatch gives a queued event under the lane's label: one
-// handled event, one tracer span, the engine's label restored afterwards.
-// A clock's tick is one such event however many handlers share the clock;
-// it calls Clock.tick directly, which runs each handler under its own
-// label.
-func (e *Engine) dispatchLane(i int) {
-	l := e.lanes[i]
+// dispatchLane takes the head of the top lane and dispatches it with the
+// same bookkeeping dispatch gives a queued event under the lane's label:
+// one handled event, one tracer span, the engine's label restored
+// afterwards. A clock's tick is one such event however many handlers share
+// the clock; it calls Clock.tick directly, which runs each handler under
+// its own label. The lane stays in the lane heap under the dispatched
+// head's key through the handler and is re-sifted once after it.
+func (e *Engine) dispatchLane() {
+	l := e.lanes[0]
 	if l.at < e.now {
 		panic(fmt.Sprintf("sim: time ran backwards: %v -> %v", e.now, l.at))
 	}
@@ -383,11 +365,14 @@ func (e *Engine) dispatchLane(i int) {
 			e.tracer.Event(e.now, l.label, time.Since(start))
 		}
 		e.curLabel = prev
+		e.resift(l)
 		return
 	}
-	fn, payload := l.pop()
+	fn, payload := l.fn, l.payload
 	if e.tracer == nil && len(l.label)|len(e.curLabel) == 0 {
 		fn(payload)
+		l.next()
+		e.resift(l)
 		return
 	}
 	prev := e.curLabel
@@ -400,6 +385,8 @@ func (e *Engine) dispatchLane(i int) {
 		e.tracer.Event(e.now, l.label, time.Since(start))
 	}
 	e.curLabel = prev
+	l.next()
+	e.resift(l)
 }
 
 // Run dispatches events until the queue drains, Stop is called, or the next
@@ -418,9 +405,9 @@ func (e *Engine) Run(until Time) uint64 {
 			break
 		}
 		// peek, spelled out: its call to peekLane puts it over the
-		// compiler's inlining budget, and an engine with no listed lane
+		// compiler's inlining budget, and an engine with no busy lane
 		// must pay one length check here, not a call per event.
-		lane, at := -1, e.q.topTime()
+		lane, at := false, e.q.topTime()
 		if len(e.lanes) != 0 {
 			lane, at = e.peekLane()
 		}
@@ -436,8 +423,8 @@ func (e *Engine) Run(until Time) uint64 {
 		if n := e.Pending(); n > e.peak {
 			e.peak = n
 		}
-		if lane >= 0 {
-			e.dispatchLane(lane)
+		if lane {
+			e.dispatchLane()
 		} else {
 			e.dispatch(e.q.Pop())
 		}

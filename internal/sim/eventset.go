@@ -63,6 +63,21 @@ func (s *EventSet) ScheduleAt(t Time, prio Priority, payload any) {
 	s.eng.ScheduleLabeledAt(t, prio, s.label, s.add(seq, t, prio, payload), payload)
 }
 
+// ScheduleOn schedules the set's dispatch function on payload at absolute
+// time t on lane l, a monotone producer's lane bound to the set's engine,
+// with the lane's priority and label (an entry that undercuts the lane's
+// tail goes to the heap, as for any lane entry). With tracking active the
+// event enters the ledger exactly as ScheduleAt's would, so tracked and
+// untracked sets share this one path; a restored event goes to the heap,
+// and the merge keeps it in order with the lane's later entries.
+func (s *EventSet) ScheduleOn(l *Lane, t Time, payload any) {
+	fn := s.fn
+	if s.pend != nil {
+		fn = s.add(s.eng.NextSeq(), t, l.prio, payload)
+	}
+	l.ScheduleAt(t, fn, payload)
+}
+
 // add appends an event, whose seq must follow every tracked one, to the
 // ledger and returns its handler: retire the event, then run the set's
 // dispatch function.

@@ -17,13 +17,15 @@ const minLaneRing = 4
 
 // Lane is a FIFO of events owned by one producer whose events come out in
 // time order: a cache's responses, a DRAM channel's completions, a link
-// port's deliveries, a clock's ticks. Every entry has the lane's priority
-// and label and takes the next engine sequence number when scheduled, so
-// the lane is sorted under the engine's (time, priority, sequence) order
-// as long as the producer's times never decrease. The engine merges the
-// heads of its non-empty lanes with the heap top under that one order, so
-// dispatch is exactly what a single heap would give while a monotone
-// producer pays a ring append instead of two heap sifts.
+// port's deliveries, a clock's ticks, a network interface's injections and
+// a network link's arrivals. Every entry has the lane's priority and label
+// and takes the next engine sequence number when scheduled, so the lane is
+// sorted under the engine's (time, priority, sequence) order as long as
+// the producer's times never decrease. The engine keeps its non-empty
+// lanes in a binary heap keyed by their heads and merges the top lane's
+// head with the event heap's top under that one order, so dispatch is
+// exactly what a single heap would give while a monotone producer pays a
+// ring append instead of two sifts of a heap holding every pending event.
 //
 // Monotonicity is the producer's claim, not a precondition: an event
 // earlier than the lane's newest entry goes to the engine's heap instead,
@@ -36,7 +38,7 @@ const minLaneRing = 4
 // through the engine's EventArena.
 type Lane struct {
 	// The head entry, valid when n > 0. at, seq and prio sit together so
-	// the engine's merge scan reads one spot of the Lane.
+	// the lane heap's compares read one spot of the Lane.
 	at      Time
 	seq     uint64
 	prio    Priority
@@ -44,11 +46,13 @@ type Lane struct {
 	fn      Handler
 	payload any
 
-	// listed reports whether the lane is in the engine's lanes list. A
-	// lane that empties stays listed until the next merge scan, so a
-	// producer that refills it at once — a clock re-arming from its own
-	// tick — never leaves and re-enters the list.
-	listed bool
+	// hidx is the lane's slot in the engine's lane heap, -1 when it is not
+	// in the heap. A lane is in the heap while it holds entries, and also
+	// while its own head dispatches: it keeps its slot through the
+	// handler, so a producer that refills it at once — a clock re-arming
+	// from its own tick — costs the one re-sift the engine makes after the
+	// handler returns, not a removal and a push.
+	hidx int
 
 	// ring holds the n-1 entries behind the head from ring[head] on,
 	// wrapping; len(ring) is zero or a power of two. tail is the newest
@@ -71,7 +75,7 @@ func (l *Lane) Init(e *Engine, prio Priority, label string) {
 	if l.eng != nil {
 		panic("sim: Lane.Init on a bound lane")
 	}
-	l.eng, l.prio, l.label = e, prio, label
+	l.eng, l.prio, l.label, l.hidx = e, prio, label, -1
 }
 
 // Schedule arranges for fn(payload) to run after delay at the lane's
@@ -111,8 +115,8 @@ func (l *Lane) append(t Time, seq uint64, fn Handler, payload any) {
 	n := l.n
 	if n == 0 {
 		l.at, l.seq, l.fn, l.payload = t, seq, fn, payload
-		if !l.listed {
-			l.list()
+		if l.hidx < 0 {
+			l.eng.pushLane(l)
 		}
 	} else {
 		if n-1 == len(l.ring) {
@@ -134,15 +138,9 @@ func (l *Lane) append(t Time, seq uint64, fn Handler, payload any) {
 func (l *Lane) arm(t Time, seq uint64) {
 	l.at, l.seq, l.tail, l.n = t, seq, t, 1
 	l.eng.laneN++
-	if !l.listed {
-		l.list()
+	if l.hidx < 0 {
+		l.eng.pushLane(l)
 	}
-}
-
-// list adds the lane to the engine's lanes list.
-func (l *Lane) list() {
-	l.listed = true
-	l.eng.lanes = append(l.eng.lanes, l)
 }
 
 // grow gives a lane whose ring is full a ring twice the size, or its first
@@ -169,12 +167,11 @@ func (l *Lane) grow() {
 	l.ring, l.head = r, 0
 }
 
-// pop removes the head entry, moving the next entry up from the ring, and
-// returns the removed entry's handler and payload; the caller has read its
-// time and counts it out of the engine's laneN. An emptied lane stays
-// listed; the engine's next merge scan unlists it unless it refilled.
-func (l *Lane) pop() (fn Handler, payload any) {
-	fn, payload = l.fn, l.payload
+// next drops the head entry once its handler has returned, moving the next
+// entry up from the ring. Until then the dispatched head stays in place and
+// counted in n, so the lane's key in the engine's lane heap does not change
+// under the handler and entries the handler appends queue behind it.
+func (l *Lane) next() {
 	if n := l.n - 1; n != 0 {
 		l.n = n
 		l.advance()
@@ -182,7 +179,6 @@ func (l *Lane) pop() (fn Handler, payload any) {
 		l.n = 0
 		l.fn, l.payload = nil, nil
 	}
-	return fn, payload
 }
 
 // advance moves the ring's first entry up to the head.
@@ -193,13 +189,17 @@ func (l *Lane) advance() {
 	l.head = (l.head + 1) & (len(l.ring) - 1)
 }
 
-// drop discards every pending entry (Engine.Restore, EventArena.Harvest);
-// the ring stays.
+// drop discards every pending entry and leaves the lane out of the heap
+// (Engine.Restore, EventArena.Harvest); the ring stays.
 func (l *Lane) drop() {
 	clear(l.ring)
 	l.fn, l.payload = nil, nil
-	l.head, l.n = 0, 0
+	l.head, l.n, l.hidx = 0, 0, -1
 }
+
+// Len returns the number of entries waiting in the lane, counting, while a
+// handler of the lane runs, the entry being dispatched.
+func (l *Lane) Len() int { return l.n }
 
 // before reports whether the lane's head precedes an event at
 // (t, prio, seq) in the engine's dispatch order.
@@ -211,4 +211,78 @@ func (l *Lane) before(t Time, prio Priority, seq uint64) bool {
 		return l.prio < prio
 	}
 	return l.seq < seq
+}
+
+// The lane heap: Engine.lanes is a binary min-heap of lanes keyed by their
+// heads under the dispatch order, each lane's hidx its slot. Outside a lane
+// dispatch every lane in it is non-empty. During one, the dispatching lane
+// stays in the heap under the key of the head being dispatched, a real
+// key, so the heap stays ordered while the handler pushes other lanes; once
+// the handler has returned, resift moves the lane to its next head's place
+// or out of the heap. A clock's tick re-arms its lane as the tick's last
+// act, when nothing more is pushed, so its new key is in place for resift.
+
+// pushLane adds l, whose head was just set, to the lane heap.
+func (e *Engine) pushLane(l *Lane) {
+	e.lanes = append(e.lanes, l)
+	e.laneUp(l, len(e.lanes)-1)
+}
+
+// resift repairs the lane heap at l, whose head has just dispatched: a
+// lane with entries left sinks to its next head's place, which always
+// follows the head it replaces, and an emptied one leaves the heap.
+func (e *Engine) resift(l *Lane) {
+	i := l.hidx
+	if l.n != 0 {
+		e.laneDown(l, i)
+		return
+	}
+	l.hidx = -1
+	last := len(e.lanes) - 1
+	m := e.lanes[last]
+	e.lanes[last] = nil
+	e.lanes = e.lanes[:last]
+	if i != last && !e.laneDown(m, i) {
+		e.laneUp(m, i)
+	}
+}
+
+// laneUp places l at slot i or above it.
+func (e *Engine) laneUp(l *Lane, i int) {
+	h := e.lanes
+	for i > 0 {
+		p := (i - 1) / 2
+		q := h[p]
+		if !l.before(q.at, q.prio, q.seq) {
+			break
+		}
+		h[i], q.hidx = q, i
+		i = p
+	}
+	h[i], l.hidx = l, i
+}
+
+// laneDown places l at slot i or below it and reports whether it moved.
+func (e *Engine) laneDown(l *Lane, i int) bool {
+	h := e.lanes
+	n, i0 := len(h), i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		k := h[c]
+		if r := c + 1; r < n {
+			if q := h[r]; q.before(k.at, k.prio, k.seq) {
+				c, k = r, q
+			}
+		}
+		if !k.before(l.at, l.prio, l.seq) {
+			break
+		}
+		h[i], k.hidx = k, i
+		i = c
+	}
+	h[i], l.hidx = l, i
+	return i != i0
 }

@@ -30,18 +30,23 @@ func (l *heapLane) ScheduleAt(t Time, fn Handler, p any) {
 }
 
 // lanesScenario builds a seeded random model that mixes heap events,
-// clocks and several lanes, runs it to completion in slices and returns
-// everything observable, as laneScenario does for clocks. With heapOnly
-// the clocks are heapClocks and the lanes heapLanes, so the run is the
-// all-heap reference. fallbacks counts the lane pushes that undercut their
-// lane's tail (always 0 for the reference).
+// clocks and lanes, runs it to completion in slices and returns everything
+// observable, as laneScenario does for clocks. With heapOnly the clocks are
+// heapClocks and the lanes heapLanes, so the run is the all-heap
+// reference. fallbacks counts the lane pushes that undercut their lane's
+// tail (always 0 for the reference).
 //
 // Lane producers are mostly monotone — a push at or after the lane's
 // newest time, often at the same instant — but one push in six lands at
 // or just after now, which undercuts a busy lane and must fall back to the
 // heap. Lanes sit in all three priority bands, one of them unlabeled so
 // the untraced dispatch skips its label work; one seed in four runs with
-// no tracer for that reason.
+// no tracer for that reason. A lane's handler often pushes to its own
+// lane, refilling it from its own dispatch when it held just that entry,
+// and clocks go dormant when their handlers expire and re-arm when a lane
+// event registers a new one. Every third seed runs hundreds of lanes, so
+// the lane heap is deep and the dispatching lane sinks far after its
+// handler.
 func lanesScenario(seed uint64, heapOnly bool) (log, spans []string, fallbacks int) {
 	e := NewEngine()
 	var tr *recTracer
@@ -64,7 +69,11 @@ func lanesScenario(seed uint64, heapOnly bool) (log, spans []string, fallbacks i
 		}
 	}
 	prios := []Priority{PrioClock, PrioLink, PrioLate}
-	real := make([]*Lane, 2+rng.Intn(3))
+	nlanes, budget := 2+rng.Intn(3), 400+rng.Intn(300)
+	if seed%3 == 0 {
+		nlanes, budget = manyLanes+rng.Intn(64), 3000+rng.Intn(1000)
+	}
+	real := make([]*Lane, nlanes)
 	lanes := make([]orderedLane, len(real))
 	newest := make([]Time, len(real)) // each lane's newest entry time
 	for i := range lanes {
@@ -89,8 +98,8 @@ func lanesScenario(seed uint64, heapOnly bool) (log, spans []string, fallbacks i
 		return f.CycleTime(n)
 	}
 
-	budget := 400 + rng.Intn(300)
 	var push func(li int)
+	var register func(ci int)
 	laneEvent := func(li int) Handler {
 		return func(p any) {
 			note(fmt.Sprintf("lane%d %v", li, p))
@@ -109,6 +118,8 @@ func lanesScenario(seed uint64, heapOnly bool) (log, spans []string, fallbacks i
 				e.Stop()
 			case r == 9:
 				e.Interrupt()
+			case r == 10:
+				register(rng.Intn(len(clocks)))
 			}
 		}
 	}
@@ -136,9 +147,11 @@ func lanesScenario(seed uint64, heapOnly bool) (log, spans []string, fallbacks i
 			lanes[li].Schedule(t-e.now, laneEvent(li), pushes)
 		}
 	}
-	for ci := range clocks {
-		name := fmt.Sprintf("h%d", ci)
-		life := 50 + rng.Intn(150)
+	handlers := 0
+	register = func(ci int) {
+		name := fmt.Sprintf("h%d.%d", ci, handlers)
+		handlers++
+		life := 20 + rng.Intn(150)
 		clocks[ci].RegisterNamed(name, func(cy Cycle) bool {
 			note(fmt.Sprintf("tick %s c%d", name, cy))
 			budget--
@@ -150,6 +163,9 @@ func lanesScenario(seed uint64, heapOnly bool) (log, spans []string, fallbacks i
 			}
 			return true
 		})
+	}
+	for ci := range clocks {
+		register(ci)
 	}
 	for li := range lanes {
 		push(li)
@@ -164,19 +180,25 @@ func lanesScenario(seed uint64, heapOnly bool) (log, spans []string, fallbacks i
 	return log, spans, fallbacks
 }
 
-// TestLanesMatchHeapOrder is the proof obligation of monotone lanes: on
-// seeded random models mixing heap events, clocks and lanes — pushes that
-// must fall back to the heap included — dispatching from the lanes merged
-// with the heap is indistinguishable from an all-heap run: the dispatch
-// log with each handler's label, Handled, Pending, PeakPending,
-// NextEventTime and NextSeq after every Run(until), Step or horizon slice,
-// and the tracer's spans.
+// manyLanes is the least lane count of TestLanesMatchHeapOrder's large
+// scenarios: a 32-node torus network keeps 224 lanes.
+const manyLanes = 256
+
+// TestLanesMatchHeapOrder is the proof obligation of monotone lanes and the
+// lane heap: on seeded random models mixing heap events, clocks and up to
+// a few hundred lanes — pushes that must fall back to the heap, lanes that
+// refill from their own dispatch and clocks that go dormant and re-arm
+// included — dispatching from the lane heap merged with the event heap is
+// indistinguishable from an all-heap run: the dispatch log with each
+// handler's label, Handled, Pending, PeakPending, NextEventTime and
+// NextSeq after every Run(until), Step or horizon slice, and the tracer's
+// spans.
 func TestLanesMatchHeapOrder(t *testing.T) {
 	seeds := 300
 	if testing.Short() {
 		seeds = 40
 	}
-	events, fallbacks := 0, 0
+	events, fallbacks, deep := 0, 0, 0
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		wantLog, wantSpans, _ := lanesScenario(seed, true)
 		gotLog, gotSpans, fb := lanesScenario(seed, false)
@@ -190,6 +212,12 @@ func TestLanesMatchHeapOrder(t *testing.T) {
 		}
 		events += len(wantLog)
 		fallbacks += fb
+		if seed%3 == 0 {
+			deep++
+		}
+	}
+	if deep == 0 {
+		t.Fatalf("no scenario ran %d lanes or more", manyLanes)
 	}
 	if events < 200*seeds {
 		t.Fatalf("scenarios too small to mean anything: %d log lines over %d seeds", events, seeds)
@@ -265,30 +293,36 @@ func TestLaneRingsRecycleThroughArena(t *testing.T) {
 	}
 }
 
-// BenchmarkLaneDispatch is the lane path's steady state: four lanes, each
-// holding four self-rescheduling entries at its own period, so every
-// dispatch merges four lane heads against an empty heap, pops one (moving
-// the next up from the ring) and appends it back at the ring's tail.
+// BenchmarkLaneDispatch is the lane path's steady state: lanes=N lanes,
+// each holding four self-rescheduling entries at its own period, so every
+// dispatch takes the top of an N-lane heap against an empty event heap,
+// appends the entry back at its lane's tail, moves the next entry up from
+// the ring and sinks the lane to its new head's place. lanes=4 is a node's
+// handful of busy producers, lanes=256 a network's NICs and links.
 // ns/op is per dispatched event.
 func BenchmarkLaneDispatch(b *testing.B) {
-	e := NewEngine()
-	lanes := make([]Lane, 4)
-	n := 0
-	for i := range lanes {
-		l := &lanes[i]
-		l.Init(e, PrioLink, "")
-		d := Time(3 + i)
-		var h Handler
-		h = func(any) {
-			if n++; n < b.N {
-				l.Schedule(4*d, h, nil)
+	for _, nl := range []int{4, manyLanes} {
+		b.Run(fmt.Sprintf("lanes=%d", nl), func(b *testing.B) {
+			e := NewEngine()
+			lanes := make([]Lane, nl)
+			n := 0
+			for i := range lanes {
+				l := &lanes[i]
+				l.Init(e, PrioLink, "")
+				d := Time(3 + i)
+				var h Handler
+				h = func(any) {
+					if n++; n < b.N {
+						l.Schedule(4*d, h, nil)
+					}
+				}
+				for k := Time(1); k <= 4; k++ {
+					l.Schedule(k*d, h, nil)
+				}
 			}
-		}
-		for k := Time(1); k <= 4; k++ {
-			l.Schedule(k*d, h, nil)
-		}
+			b.ResetTimer()
+			b.ReportAllocs()
+			e.RunAll()
+		})
 	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	e.RunAll()
 }

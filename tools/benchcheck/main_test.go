@@ -400,7 +400,8 @@ func TestBaselineMemoryDiscipline(t *testing.T) {
 	// The event kernel's loops are allocation-free by contract: a ceiling
 	// of zero, which -update cannot regenerate away.
 	for _, name := range []string{"BenchmarkEngineHotLoop", "BenchmarkClockTick",
-		"BenchmarkClockTick8Handlers", "BenchmarkClockTickWithHeap"} {
+		"BenchmarkClockTick8Handlers", "BenchmarkClockTickWithHeap",
+		"BenchmarkLaneDispatch/lanes=4", "BenchmarkLaneDispatch/lanes=256"} {
 		e, ok := base.Entries[name]
 		if !ok {
 			t.Errorf("baseline lacks %s", name)
