@@ -202,6 +202,25 @@ func TestDistributedAccessors(t *testing.T) {
 	}
 }
 
+// twoQueued reports whether, after a run to cut, some NIC lane and some
+// lane of a link within one rank provably still hold two packets. A
+// producer's k-th entry runs a constant latency after freeAt_k =
+// max(now, freeAt_k-1) + ser_k, scheduled at some now <= cut, so when its
+// freeAt lies more than one full packet's serialization past the cut, its
+// last two entries both run after it.
+func twoQueued(n *Network, cut sim.Time) (nic, link bool) {
+	for _, nc := range n.nics {
+		nic = nic || nc.freeAt > cut+serialize(n.cfg.MaxPacketBytes, n.cfg.InjectionBandwidth)
+	}
+	for a, outs := range n.links {
+		for _, o := range outs {
+			local := n.part[a] == n.part[o.next]
+			link = link || local && o.link.freeAt > cut+serialize(n.cfg.MaxPacketBytes, n.cfg.LinkBandwidth)
+		}
+	}
+	return nic, link
+}
+
 // TestSnapshotWithQueuedLanes cuts a snapshot while NIC and link lanes hold
 // queued packets, at one and at two ranks: every node sends a burst of
 // multi-packet messages at time zero, so each NIC's lane holds a message's
@@ -260,18 +279,9 @@ func TestSnapshotWithQueuedLanes(t *testing.T) {
 		if _, err := cut.Run(barrier); err != nil {
 			t.Fatal(err)
 		}
-		nicQueued, linkQueued := 0, 0
-		for _, rk := range cutNet.ranks {
-			for _, nc := range rk.nics {
-				nicQueued = max(nicQueued, nc.lane.Len())
-			}
-			for _, l := range rk.links {
-				linkQueued = max(linkQueued, l.lane.Len())
-			}
-		}
-		if nicQueued < 2 || linkQueued < 2 {
-			t.Fatalf("nranks=%d: at the cut the fullest NIC lane holds %d packets, link lane %d; want both >= 2",
-				nranks, nicQueued, linkQueued)
+		if nic, link := twoQueued(cutNet, barrier); !nic || !link {
+			t.Fatalf("nranks=%d: at the cut a NIC lane holds two packets: %v, a link lane: %v; want both",
+				nranks, nic, link)
 		}
 		var file bytes.Buffer
 		if err := cut.SaveTo(&file); err != nil {

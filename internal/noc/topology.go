@@ -121,11 +121,8 @@ func (t *Torus3D) Diameter() int { return t.X/2 + t.Y/2 + t.Z/2 }
 
 // Coords splits a router id into its (x, y, z) torus coordinates.
 func (t *Torus3D) Coords(r int) (x, y, z int) {
-	if r < len(t.coords) {
-		c := &t.coords[r]
-		return c[0], c[1], c[2]
-	}
-	return r % t.X, r / t.X % t.Y, r / (t.X * t.Y)
+	c := t.coords[r]
+	return c[0], c[1], c[2]
 }
 
 func (t *Torus3D) id(x, y, z int) int { return z*t.X*t.Y + y*t.X + x }

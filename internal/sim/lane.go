@@ -197,10 +197,6 @@ func (l *Lane) drop() {
 	l.head, l.n, l.hidx = 0, 0, -1
 }
 
-// Len returns the number of entries waiting in the lane, counting, while a
-// handler of the lane runs, the entry being dispatched.
-func (l *Lane) Len() int { return l.n }
-
 // before reports whether the lane's head precedes an event at
 // (t, prio, seq) in the engine's dispatch order.
 func (l *Lane) before(t Time, prio Priority, seq uint64) bool {
