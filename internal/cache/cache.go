@@ -32,11 +32,18 @@ import (
 	"sst/internal/iofault"
 )
 
-// Codec serializes cache values for the persistent tier. Encode/Decode
-// must round-trip exactly (encoding/json on float64 fields does).
+// Codec serializes cache values for the persistent tier. A value is
+// stored with raw, its own encoding, made once by whoever produced it
+// (see Store); the codec wraps those bytes into a record instead of
+// encoding the value again. Encode/Decode must round-trip exactly
+// (encoding/json on float64 fields does).
 type Codec struct {
-	Encode func(v any) ([]byte, error)
-	Decode func(data []byte) (any, error)
+	// Encode appends v's persistent-tier record to b. raw is the encoding
+	// v was stored with, nil when it was stored by Put.
+	Encode func(b []byte, v any, raw []byte) ([]byte, error)
+	// Decode returns the value a record holds and that value's own
+	// encoding, as Encode would receive it. raw must not alias data.
+	Decode func(data []byte) (v any, raw []byte, err error)
 }
 
 // Options configures a Cache.
@@ -45,10 +52,10 @@ type Options struct {
 	Capacity int
 	// Path, when non-empty, names the persistent JSONL tier: existing
 	// entries are loaded at New (tolerating a torn final line) and every
-	// Put is appended and fsync'd. Requires Codec.
+	// new entry is appended and fsync'd. Requires Codec.
 	Path string
-	// Codec serializes values for the persistent tier; also used to size
-	// entries whose Put passes size <= 0.
+	// Codec serializes values for the persistent tier; its record also
+	// sizes entries stored with their encoding (see Store).
 	Codec Codec
 	// FS, when non-nil, is the host-storage seam the persistent tier reads
 	// and writes through; nil means the real filesystem (iofault.Disk).
@@ -84,10 +91,12 @@ type PolicyType int
 // LRU is the cache's only eviction order.
 const LRU PolicyType = iota
 
-// entry is one resident value; it lives in the recency list's element.
+// entry is one resident value and its encoding, immutable once stored;
+// it lives in the recency list's element.
 type entry struct {
 	key  string
 	v    any
+	raw  []byte
 	size int64
 }
 
@@ -102,6 +111,7 @@ type Cache struct {
 	codec    Codec
 
 	log *iofault.AppendLog // the persistent tier; nil when absent or degraded
+	rec []byte             // put's record buffer, reused under mu
 
 	bytes          int64
 	hits           int64
@@ -155,11 +165,11 @@ func (c *Cache) openFile(fsys iofault.FS, path string) error {
 		if json.Unmarshal(line, &fe) != nil || fe.Key == "" {
 			return false
 		}
-		v, err := c.codec.Decode(fe.Val)
+		v, raw, err := c.codec.Decode(fe.Val)
 		if err != nil {
 			return false
 		}
-		c.insertLocked(fe.Key, v, fe.Size)
+		c.insertLocked(fe.Key, v, raw, fe.Size)
 		c.warmStarts++
 		return true
 	})
@@ -172,41 +182,63 @@ func (c *Cache) openFile(fsys iofault.FS, path string) error {
 
 // Get returns the value stored under key and marks it most recently used.
 func (c *Cache) Get(key string) (any, bool) {
+	v, _, ok := c.Lookup(key)
+	return v, ok
+}
+
+// Lookup is Get that also returns the encoding the value was stored with
+// (nil for a value stored by Put). The bytes are shared with the cache and
+// must not be modified.
+func (c *Cache) Lookup(key string) (v any, raw []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil, nil, false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*entry).v, true
+	ent := el.Value.(*entry)
+	return ent.v, ent.raw, true
 }
 
-// Put stores a deep-copy-owned value under key. size is the caller's
-// resident-footprint estimate; <= 0 falls back to the codec's encoded
-// length (or 1). The only error source is the codec: a persistent-tier
-// append failure does not fail the Put — the value stays resident, the
-// cache degrades to in-memory-only and the failure is counted in Stats.
+// Store stores a deep-copy-owned value under key together with raw, its
+// encoding, which Lookup hands back and the persistent tier's record
+// wraps; the cache keeps raw and never modifies it. The entry's size is
+// its record's length. The only error source is the codec: a
+// persistent-tier append failure does not fail the Store — the value stays
+// resident, the cache degrades to in-memory-only and the failure is
+// counted in Stats.
+func (c *Cache) Store(key string, v any, raw []byte) error {
+	return c.put(key, v, raw, 0)
+}
+
+// Put stores a deep-copy-owned value under key without an encoding. size
+// is the caller's resident-footprint estimate; <= 0 means the length of
+// the value's record when the cache has a persistent tier, else 1.
 func (c *Cache) Put(key string, v any, size int64) error {
+	return c.put(key, v, nil, size)
+}
+
+func (c *Cache) put(key string, v any, raw []byte, size int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var encoded []byte
-	if c.codec.Encode != nil && (size <= 0 || c.log != nil) {
+	// Building the record wraps raw and encodes nothing new, so it is also
+	// how an encoded value is sized.
+	var rec []byte
+	if c.codec.Encode != nil && (c.log != nil || size <= 0 && raw != nil) {
 		var err error
-		if encoded, err = c.codec.Encode(v); err != nil {
+		if rec, err = c.codec.Encode(c.rec[:0], v, raw); err != nil {
 			return fmt.Errorf("cache: encoding %q: %w", key, err)
 		}
+		c.rec = rec
 	}
 	if size <= 0 {
-		size = int64(len(encoded))
-		if size <= 0 {
-			size = 1
-		}
+		size = max(int64(len(rec)), 1)
 	}
-	if c.insertLocked(key, v, size) && c.log != nil {
-		c.appendLocked(key, encoded, size)
+	if c.insertLocked(key, v, raw, size) && c.log != nil {
+		c.appendLocked(key, rec, size)
 	}
 	return nil
 }
@@ -215,15 +247,15 @@ func (c *Cache) Put(key string, v any, size int64) error {
 // capacity and reports whether key is new. Content-addressed: a re-store
 // under a resident key carries the same value, so it refreshes size
 // accounting and recency only. Caller holds mu.
-func (c *Cache) insertLocked(key string, v any, size int64) bool {
+func (c *Cache) insertLocked(key string, v any, raw []byte, size int64) bool {
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*entry)
 		c.bytes += size - ent.size
-		ent.v, ent.size = v, size
+		ent.v, ent.raw, ent.size = v, raw, size
 		c.order.MoveToFront(el)
 		return false
 	}
-	c.items[key] = c.order.PushFront(&entry{key: key, v: v, size: size})
+	c.items[key] = c.order.PushFront(&entry{key: key, v: v, raw: raw, size: size})
 	c.bytes += size
 	for len(c.items) > c.capacity {
 		ent := c.order.Remove(c.order.Back()).(*entry)
@@ -241,8 +273,8 @@ func (c *Cache) insertLocked(key string, v any, size int64) bool {
 // partially-appended record harmless on the next start. Degrading closes
 // the failing file (best effort — the storage is already suspect) and
 // runs in-memory-only from here on, counted and surfaced through Stats.
-func (c *Cache) appendLocked(key string, encoded []byte, size int64) {
-	line, err := json.Marshal(fileEntry{Key: key, Size: size, Val: encoded})
+func (c *Cache) appendLocked(key string, rec []byte, size int64) {
+	line, err := json.Marshal(fileEntry{Key: key, Size: size, Val: rec})
 	if err == nil {
 		err = c.log.Append(line)
 	}

@@ -11,11 +11,14 @@ import (
 
 // jsonCodec round-trips string values; enough for metadata-level tests.
 var jsonCodec = Codec{
-	Encode: func(v any) ([]byte, error) { return json.Marshal(v) },
-	Decode: func(data []byte) (any, error) {
+	Encode: func(b []byte, v any, _ []byte) ([]byte, error) {
+		enc, err := json.Marshal(v)
+		return append(b, enc...), err
+	},
+	Decode: func(data []byte) (any, []byte, error) {
 		var s string
 		err := json.Unmarshal(data, &s)
-		return s, err
+		return s, nil, err
 	},
 }
 

@@ -18,57 +18,63 @@ import (
 // caller mutation. Repeated and overlapping grids — the common case for
 // interactive DSE — then pay only for what is new.
 
-// resultEnvelope wraps a cached value for the persistent tier with its
-// concrete type, since a cache file can hold both node results and the
-// scalar times of the network/weak-scaling studies.
+// resultEnvelope is one persistent-tier record: a cached value's own
+// encoding with its concrete type, since a cache file can hold both node
+// results and the scalar times of the network/weak-scaling studies.
 type resultEnvelope struct {
 	Kind string          `json:"kind"`
 	Val  json.RawMessage `json:"val"`
 }
 
 // ResultCodec serializes the value types core studies cache — *NodeResult
-// and sim.Time — using the same exact-round-trip JSON encoding as the
-// sweep journal.
+// and sim.Time. A value is cached with its json.Marshal encoding, made
+// once when its point finished (see grid.attempt) and the same bytes the
+// sweep journal records; Encode wraps those bytes in the envelope exactly
+// as json.Marshal(resultEnvelope) would, and Decode hands them back.
 func ResultCodec() cache.Codec {
 	return cache.Codec{
-		Encode: func(v any) ([]byte, error) {
-			var env resultEnvelope
-			var err error
-			switch x := v.(type) {
+		Encode: func(b []byte, v any, raw []byte) ([]byte, error) {
+			var kind string
+			switch v.(type) {
 			case *NodeResult:
-				env.Kind = "node"
-				env.Val, err = json.Marshal(x)
+				kind = "node"
 			case sim.Time:
-				env.Kind = "time"
-				env.Val, err = json.Marshal(x)
+				kind = "time"
 			default:
 				return nil, fmt.Errorf("core: cache codec: unsupported type %T", v)
 			}
-			if err != nil {
-				return nil, err
+			if len(raw) == 0 {
+				return nil, fmt.Errorf("core: cache codec: %s value stored without its encoding", kind)
 			}
-			return json.Marshal(env)
+			b = append(b, `{"kind":"`...)
+			b = append(b, kind...)
+			b = append(b, `","val":`...)
+			b = append(b, raw...)
+			return append(b, '}'), nil
 		},
-		Decode: func(data []byte) (any, error) {
+		Decode: func(data []byte) (any, []byte, error) {
 			var env resultEnvelope
 			if err := json.Unmarshal(data, &env); err != nil {
-				return nil, err
+				return nil, nil, err
+			}
+			if len(env.Val) == 0 || string(env.Val) == "null" {
+				return nil, nil, fmt.Errorf("core: cache codec: %q record has no value", env.Kind)
 			}
 			switch env.Kind {
 			case "node":
 				res := new(NodeResult)
 				if err := json.Unmarshal(env.Val, res); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
-				return res, nil
+				return res, env.Val, nil
 			case "time":
 				var t sim.Time
 				if err := json.Unmarshal(env.Val, &t); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
-				return t, nil
+				return t, env.Val, nil
 			}
-			return nil, fmt.Errorf("core: cache codec: unknown kind %q", env.Kind)
+			return nil, nil, fmt.Errorf("core: cache codec: unknown kind %q", env.Kind)
 		},
 	}
 }

@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -197,39 +198,76 @@ func TestRunMachinesCached(t *testing.T) {
 }
 
 // TestResultCodecRoundTrip: both cached value kinds survive
-// encode→decode exactly (the persistent tier depends on it).
+// encode→decode exactly (the persistent tier depends on it), and decoding
+// hands back the bytes the value was stored with.
 func TestResultCodecRoundTrip(t *testing.T) {
 	codec := ResultCodec()
 	res, err := RunMachine(SweepMachine("stream", "ddr3-1333", 1, Small))
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := codec.Encode(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := codec.Decode(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, back.(*NodeResult)) {
-		t.Errorf("NodeResult did not round-trip\n got %+v\nwant %+v", back, res)
+	for _, v := range []any{res, sim.Time(123456789)} {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := codec.Encode(nil, v, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, backRaw, err := codec.Decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, v) {
+			t.Errorf("%T did not round-trip\n got %+v\nwant %+v", v, back, v)
+		}
+		if !bytes.Equal(backRaw, raw) {
+			t.Errorf("%T decoded with bytes %s, stored with %s", v, backRaw, raw)
+		}
+		if &backRaw[0] == &blob[len(blob)-len(raw)-1] {
+			t.Errorf("%T decoded bytes alias the record", v)
+		}
 	}
 
-	blob, err = codec.Encode(sim.Time(123456789))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err = codec.Decode(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.(sim.Time) != sim.Time(123456789) {
-		t.Errorf("sim.Time round-trip = %v", back)
-	}
-
-	if _, err := codec.Encode(struct{}{}); err == nil {
+	if _, err := codec.Encode(nil, struct{}{}, []byte("{}")); err == nil {
 		t.Error("codec accepted an unsupported type")
+	}
+	if _, err := codec.Encode(nil, res, nil); err == nil {
+		t.Error("codec wrapped a value stored without its encoding")
+	}
+	for _, rec := range []string{`{"kind":"node"}`, `{"kind":"node","val":null}`, `{"kind":"bogus","val":1}`} {
+		if _, _, err := codec.Decode([]byte(rec)); err == nil {
+			t.Errorf("codec decoded %s", rec)
+		}
+	}
+}
+
+// TestResultCodecMatchesMarshal: the envelope Encode appends is byte for
+// byte what json.Marshal writes for the same kind and value, appended
+// after whatever the buffer already held.
+func TestResultCodecMatchesMarshal(t *testing.T) {
+	codec := ResultCodec()
+	res, err := RunMachine(SweepMachine("gups", "gddr5-4000", 2, Small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, v := range map[string]any{"node": res, "time": sim.Time(987654321)} {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(resultEnvelope{Kind: kind, Val: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := codec.Encode([]byte("prefix"), v, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "prefix"+string(want) {
+			t.Errorf("%s envelope\n got %s\nwant prefix%s", kind, got, want)
+		}
 	}
 }
 

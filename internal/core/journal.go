@@ -82,9 +82,10 @@ func (j *Journal) Completed(key string) (journalEntry, bool) {
 
 // Record appends one point's outcome — including its retry history — and
 // fsyncs it. result is ignored when perr is non-nil; otherwise it must be
-// compact JSON exactly as json.Marshal emits it, because it is written
-// verbatim (every caller passes json.Marshal output, so re-encoding it
-// would only re-scan it). Write and fsync failures wrap ErrJournal: the
+// compact JSON exactly as json.Marshal emits it, because it is copied into
+// the line verbatim. Record keeps result for Completed and never modifies
+// it, so callers may share it: the sweep passes bytes its result cache
+// also holds. Write and fsync failures wrap ErrJournal: the
 // record cannot be trusted to survive a crash, so the sweep must fail
 // loudly rather than pretend the point is durable. After the first such
 // failure every later Record fails the same way without writing (see
@@ -152,18 +153,11 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// recordPoint journals one executed point: v on success, perr's first line
-// otherwise. A record that cannot be written becomes the point's error
-// rather than a silent skip; when the point itself also failed, the two
-// errors are joined so neither is lost.
-func (j *Journal) recordPoint(key string, v any, retries []RetryRecord, perr error) error {
-	var raw json.RawMessage
-	if perr == nil {
-		var err error
-		if raw, err = json.Marshal(v); err != nil {
-			perr = fmt.Errorf("core: journal: serializing point %q: %w", key, err)
-		}
-	}
+// recordPoint journals one executed point: raw, its result's encoding, on
+// success, perr's first line otherwise. A record that cannot be written
+// becomes the point's error rather than a silent skip; when the point
+// itself also failed, the two errors are joined so neither is lost.
+func (j *Journal) recordPoint(key string, raw []byte, retries []RetryRecord, perr error) error {
 	if jerr := j.Record(key, raw, retries, perr); jerr != nil {
 		if perr == nil {
 			return jerr

@@ -327,6 +327,84 @@ func TestJournalLineMatchesMarshal(t *testing.T) {
 	}
 }
 
+// journalLines reads a journal into its lines by key; journal order
+// follows worker completion, so lines are compared by key.
+func journalLines(t *testing.T, path string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		var ent journalEntry
+		if err := json.Unmarshal([]byte(line), &ent); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		lines[ent.Key] = line
+	}
+	return lines
+}
+
+// TestJournalHitMatchesMiss: a point journals the same line whether it was
+// simulated (a miss, which fills the cache), served from the cache (a hit,
+// whose bytes are the ones stored at the miss) or served from a cache
+// warm-started from its file (whose bytes come back from the record). Both
+// cached kinds: node results (the DSE grid) and scalar times (the network
+// study).
+func TestJournalHitMatchesMiss(t *testing.T) {
+	studies := map[string]func(SweepOptions) error{
+		"dse": func(opts SweepOptions) error {
+			_, err := MemTechWidthSweep([]string{"stream", "gups"}, []string{"ddr3-1333"}, []int{1, 2}, Small, opts)
+			return err
+		},
+		"net": func(opts SweepOptions) error {
+			_, err := NetDegradationStudy(NetStudyConfig{Nodes: 8, Fractions: []float64{1, 0.5}, Steps: 2}, opts)
+			return err
+		},
+	}
+	for name, run := range studies {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			file := filepath.Join(dir, "cache.jsonl")
+			c, err := NewSweepCache(64, cachepkg.LRU, nil, file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweep := func(c *cachepkg.Cache, pass string, allHits bool) map[string]string {
+				t.Helper()
+				before := c.Stats()
+				journal := filepath.Join(dir, pass+".jsonl")
+				if err := run(SweepOptions{Workers: 3, Cache: c, Journal: journal}); err != nil {
+					t.Fatalf("%s: %v", pass, err)
+				}
+				st := c.Stats()
+				hits, misses := st.Hits-before.Hits, st.Misses-before.Misses
+				if allHits != (misses == 0) || allHits != (hits > 0) {
+					t.Fatalf("%s: %d hits, %d misses; all hits: %v", pass, hits, misses, allHits)
+				}
+				return journalLines(t, journal)
+			}
+			cold := sweep(c, "cold", false)
+			warm := sweep(c, "warm", true)
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			c2, err := NewSweepCache(64, cachepkg.LRU, nil, file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			started := sweep(c2, "warm-started", true)
+			for pass, lines := range map[string]map[string]string{"warm": warm, "warm-started": started} {
+				if !reflect.DeepEqual(lines, cold) {
+					t.Errorf("%s journal differs from the cold one\n got %v\nwant %v", pass, lines, cold)
+				}
+			}
+		})
+	}
+}
+
 // discardFS is MemFS with file contents thrown away, so a benchmark can
 // append forever at constant memory.
 type discardFS struct{ iofault.FS }

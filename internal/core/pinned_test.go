@@ -15,6 +15,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -125,6 +126,39 @@ func TestPinnedSweepFiles(t *testing.T) {
 		}
 		if got, err := os.ReadFile(filepath.Join(dir, "sweep_cache_v1.jsonl")); err != nil || !bytes.Equal(got, wantCache) {
 			t.Errorf("an all-hit sweep changed the cache file (err %v)", err)
+		}
+	})
+
+	// Every pinned record, decoded and stored again, is rewritten byte for
+	// byte, host time and size included.
+	t.Run("rewrite", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "cache.jsonl")
+		c, err := NewSweepCache(64, cache.LRU, nil, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codec := ResultCodec()
+		for _, line := range bytes.SplitAfter(bytes.TrimSuffix(wantCache, []byte("\n")), []byte("\n")) {
+			var rec struct {
+				Key string
+				Val json.RawMessage
+			}
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatal(err)
+			}
+			v, raw, err := codec.Decode(rec.Val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Store(rec.Key, v, raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, wantCache) {
+			t.Errorf("rewritten cache file differs from the pinned one (err %v)\n got %s\nwant %s", err, got, wantCache)
 		}
 	})
 

@@ -206,24 +206,27 @@ func machineGrid(cfgs []*config.MachineConfig) grid[*NodeResult] {
 }
 
 // attempt runs cell i once: PointTimeout, panic recovery, cache lookup,
-// simulation, cache store, failure labelling. A panic becomes a per-point
-// error (naming the component when the model used sim.Guard) wrapping
-// ErrPanicked, so the retry policy can tell the transient class from
-// deterministic failures and one exploding point costs exactly one grid
-// cell, never the process. A hit is a copy of the stored value and runs
-// nothing; a miss simulates and stores a copy. Key and codec failures are
-// real errors — the config would not simulate, or the result type cannot
-// round-trip — while file-tier I/O failures never reach here: the cache
+// simulation, encoding, cache store, failure labelling. A panic becomes a
+// per-point error (naming the component when the model used sim.Guard)
+// wrapping ErrPanicked, so the retry policy can tell the transient class
+// from deterministic failures and one exploding point costs exactly one
+// grid cell, never the process. A hit is a copy of the stored value plus
+// the stored encoding and runs nothing; a miss simulates, encodes the
+// result once when the cache or the journal (encode) needs it, and stores
+// a copy with those bytes. raw is shared and immutable: the cache keeps
+// it, the journal copies it into its line. Key and encoding failures are
+// real errors — the config would not simulate, or the result cannot be
+// serialized — while file-tier I/O failures never reach here: the cache
 // degrades itself to in-memory-only (a sweep must not fail because its
 // accelerator's disk did).
-func (g *grid[T]) attempt(ctx context.Context, opts SweepOptions, i int, timeout time.Duration) (v T, err error) {
+func (g *grid[T]) attempt(ctx context.Context, opts SweepOptions, i int, timeout time.Duration, encode bool) (v T, raw []byte, err error) {
 	var zero T
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
-		v = zero
+		v, raw = zero, nil
 		if pe, ok := r.(*sim.PanicError); ok {
 			err = fmt.Errorf("core: point %d: %w: %w\n%s", i, ErrPanicked, pe, pe.Stack)
 			return
@@ -238,19 +241,24 @@ func (g *grid[T]) attempt(ctx context.Context, opts SweepOptions, i int, timeout
 	var key string
 	if opts.Cache != nil && g.key != nil {
 		if key, err = g.key(i); err == nil {
-			if hit, ok := opts.Cache.Get(key); ok {
-				return g.clone(hit.(T)), nil
+			if hit, raw, ok := opts.Cache.Lookup(key); ok {
+				return g.clone(hit.(T)), raw, nil
 			}
 		}
 	}
 	if err == nil {
 		v, err = g.run(ctx, i)
 	}
+	if err == nil && (key != "" || encode) {
+		if raw, err = json.Marshal(v); err != nil {
+			err = fmt.Errorf("core: point %d: encoding its result: %w", i, err)
+		}
+	}
 	if err == nil && key != "" {
-		err = opts.Cache.Put(key, g.clone(v), 0)
+		err = opts.Cache.Store(key, g.clone(v), raw)
 	}
 	if err == nil {
-		return v, nil
+		return v, raw, nil
 	}
 	switch {
 	case g.label == nil:
@@ -262,7 +270,7 @@ func (g *grid[T]) attempt(ctx context.Context, opts SweepOptions, i int, timeout
 	case !g.bareErrs:
 		err = fmt.Errorf("%s: %w", g.label(i), err)
 	}
-	return zero, err
+	return zero, nil, err
 }
 
 // runGrid is the point executor: the life of every design point of every
@@ -340,13 +348,14 @@ func runGrid[T any](opts SweepOptions, g grid[T]) ([]T, []error, error) {
 				default:
 					retry := retrier{pol: opts.Retry, base: opts.PointTimeout, point: i}
 					timeout, again := retry.base, true
+					var raw []byte
 					for a := 1; again; a++ {
-						out[i], err = g.attempt(ctx, opts, i, timeout)
+						out[i], raw, err = g.attempt(ctx, opts, i, timeout, j != nil)
 						timeout, again, err = retry.next(ctx, a, err)
 					}
 					attempts += len(retry.recs)
 					if j != nil {
-						err = j.recordPoint(g.name(i), out[i], retry.recs, err)
+						err = j.recordPoint(g.name(i), raw, retry.recs, err)
 					}
 				}
 				errs[i] = err

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"sst/internal/cache"
@@ -73,7 +74,7 @@ var logFormats = []struct {
 			return openLog{}, err
 		}
 		return openLog{
-			append: func(n int) error { return c.Put(key(n), sim.Time(n), 0) },
+			append: func(n int) error { return c.Store(key(n), sim.Time(n), []byte(strconv.Itoa(n))) },
 			has:    func(n int) bool { _, ok := c.Get(key(n)); return ok },
 			close:  c.Close,
 		}, nil
