@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -21,20 +22,31 @@ func NewTable(title string, columns ...string) *Table {
 }
 
 // AddRow appends a row; cells are formatted with %v, floats with 4
-// significant digits.
+// significant digits (%.4g).
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.4g", v)
-		case float32:
-			row[i] = fmt.Sprintf("%.4g", v)
-		default:
-			row[i] = fmt.Sprintf("%v", v)
-		}
+		row[i] = formatCell(c)
 	}
 	t.rows = append(t.rows, row)
+}
+
+// formatCell renders one cell. The kinds result tables are made of —
+// float64, int and string — go through strconv, which writes the bytes fmt
+// would (TestTableCellsMatchFmt, FuzzTableCell); anything else goes
+// through fmt.
+func formatCell(c any) string {
+	switch v := c.(type) {
+	case float64:
+		return strconv.FormatFloat(v, 'g', 4, 64)
+	case int:
+		return strconv.Itoa(v)
+	case string:
+		return v
+	case float32:
+		return fmt.Sprintf("%.4g", v)
+	}
+	return fmt.Sprintf("%v", c)
 }
 
 // NumRows returns the number of data rows.
@@ -98,16 +110,27 @@ func (t *Table) RenderCSV(w io.Writer) {
 // WriteCSV is RenderCSV with an error return, for exporters that must not
 // silently truncate on a failed write.
 func (t *Table) WriteCSV(w io.Writer) error {
-	var sb strings.Builder
+	var b []byte
 	if t.Title != "" {
-		fmt.Fprintf(&sb, "# %s\n", t.Title)
+		b = append(append(append(b, "# "...), t.Title...), '\n')
 	}
-	fmt.Fprintln(&sb, strings.Join(t.Columns, ","))
+	b = appendCSVLine(b, t.Columns)
 	for _, row := range t.rows {
-		fmt.Fprintln(&sb, strings.Join(row, ","))
+		b = appendCSVLine(b, row)
 	}
-	_, err := io.WriteString(w, sb.String())
+	_, err := w.Write(b)
 	return err
+}
+
+// appendCSVLine appends cells joined by commas and a newline.
+func appendCSVLine(b []byte, cells []string) []byte {
+	for i, c := range cells {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, c...)
+	}
+	return append(b, '\n')
 }
 
 // MarshalJSON encodes the table as {"title", "columns", "rows"}. Cells stay

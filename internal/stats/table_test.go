@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -121,5 +122,80 @@ func TestTableEmptyJSON(t *testing.T) {
 	s := buf.String()
 	if strings.Contains(s, "null") {
 		t.Fatalf("empty table serialized nulls:\n%s", s)
+	}
+}
+
+// fmtCell is the cell oracle: what AddRow wrote when every cell went
+// through fmt.
+func fmtCell(c any) string {
+	switch c.(type) {
+	case float64, float32:
+		return fmt.Sprintf("%.4g", c)
+	}
+	return fmt.Sprintf("%v", c)
+}
+
+// TestTableCellsMatchFmt: the strconv cell kinds render exactly as fmt
+// did, at every special value and around %.4g's switches between %e and %f
+// (exponent < -4 or >= 4 after rounding to four digits).
+func TestTableCellsMatchFmt(t *testing.T) {
+	cells := []any{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0.0, math.Copysign(0, -1),
+		5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, math.MaxFloat64, -math.MaxFloat64,
+		1e-4, 9.999e-5, 9.9995e-5, 9.99949e-5, 0.00099995, 1e-5, 0.1, 0.12345, 1, 1.5,
+		999.95, 9999, 9999.4, 9999.5, 1e4, -1e4, 12345, 1e21, 1e100, 1.0 / 3, -2.0 / 3,
+		0, 1, -1, 42, math.MaxInt, math.MinInt,
+		"", "stream", "a,b", "naïve",
+		float32(1.0 / 3), int64(7), uint8(9), true, nil, []int{1, 2},
+	}
+	tab := NewTable("cells")
+	tab.AddRow(cells...)
+	for i, c := range cells {
+		if got, want := tab.Cell(0, i), fmtCell(c); got != want {
+			t.Errorf("cell %d (%T %v) = %q, fmt writes %q", i, c, c, got, want)
+		}
+	}
+}
+
+// FuzzTableCell: any float64 (by bit pattern), int and string cell renders
+// as fmt renders it.
+func FuzzTableCell(f *testing.F) {
+	for _, v := range []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1), 5e-324, 9.9995e-5, 9999.5} {
+		f.Add(math.Float64bits(v), int64(-1), "x,y")
+	}
+	f.Fuzz(func(t *testing.T, bits uint64, n int64, s string) {
+		cells := []any{math.Float64frombits(bits), int(n), s}
+		tab := NewTable("fuzz")
+		tab.AddRow(cells...)
+		for i, c := range cells {
+			if got, want := tab.Cell(0, i), fmtCell(c); got != want {
+				t.Fatalf("%T %v rendered %q, fmt writes %q", c, c, got, want)
+			}
+		}
+	})
+}
+
+// TestTableCSVMatchesFmt: WriteCSV writes what the fmt-joined rendering
+// did, with and without a title.
+func TestTableCSVMatchesFmt(t *testing.T) {
+	for _, title := range []string{"", "Design-space sweep"} {
+		tab := NewTable(title, "app", "width", "ipc", "err")
+		tab.AddRow("stream", 1, 0.6261, "")
+		tab.AddRow("gups", 8, math.NaN(), "core: sweep gups/x/w8: boom")
+		var want strings.Builder
+		if title != "" {
+			fmt.Fprintf(&want, "# %s\n", title)
+		}
+		fmt.Fprintln(&want, strings.Join(tab.Columns, ","))
+		for i := 0; i < tab.NumRows(); i++ {
+			fmt.Fprintln(&want, strings.Join(tab.Row(i), ","))
+		}
+		var got bytes.Buffer
+		if err := tab.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("title %q:\n got %q\nwant %q", title, got.String(), want.String())
+		}
 	}
 }
