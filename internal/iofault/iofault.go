@@ -90,13 +90,13 @@ func (diskFS) OpenAppend(path string) (File, error) {
 	return os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 }
 
-func (diskFS) ReadFile(path string) ([]byte, error)        { return os.ReadFile(path) }
-func (diskFS) ReadDir(path string) ([]os.DirEntry, error)  { return os.ReadDir(path) }
-func (diskFS) Truncate(path string, size int64) error      { return os.Truncate(path, size) }
-func (diskFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
-func (diskFS) Remove(path string) error                    { return os.Remove(path) }
-func (diskFS) RemoveAll(path string) error                 { return os.RemoveAll(path) }
-func (diskFS) MkdirAll(path string) error                  { return os.MkdirAll(path, 0o755) }
+func (diskFS) ReadFile(path string) ([]byte, error)       { return os.ReadFile(path) }
+func (diskFS) ReadDir(path string) ([]os.DirEntry, error) { return os.ReadDir(path) }
+func (diskFS) Truncate(path string, size int64) error     { return os.Truncate(path, size) }
+func (diskFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
+func (diskFS) Remove(path string) error                   { return os.Remove(path) }
+func (diskFS) RemoveAll(path string) error                { return os.RemoveAll(path) }
+func (diskFS) MkdirAll(path string) error                 { return os.MkdirAll(path, 0o755) }
 
 // SyncDir opens the directory and fsyncs it. Platforms whose directory
 // handles reject fsync (some network filesystems) report the error; the

@@ -114,7 +114,7 @@ func TestMemFSRenameDurability(t *testing.T) {
 // past its point.
 func TestMemFSScheduledFaults(t *testing.T) {
 	m := NewMemFS(7)
-	m.FailOp(2, ErrNoSpace)  // op 2: the write below
+	m.FailOp(2, ErrNoSpace) // op 2: the write below
 	m.FailOp(4, ErrSyncFailed)
 
 	f, _ := m.Create("a") // op 1
