@@ -11,7 +11,9 @@
 #                     (pairwise sync plus the low-lookahead lattice where
 #                     speculative sync must beat pairwise),
 #                     the sweep scheduler at 1/2/4/8 workers and the result
-#                     cache's hit and miss paths, the canonical config hash
+#                     cache's hit and miss paths (the hit path also with a
+#                     journal and the result CSV, as sst-serve runs it),
+#                     the canonical config hash
 #                     and one journal record, with -benchmem, checked
 #                     against the committed BENCH_baseline.json (alloc
 #                     counts must not grow; ns/op within tolerance on the
@@ -29,8 +31,10 @@
 #                     owned-event ledger against its map+sort oracle
 #                     (FuzzEventSetLedger), the
 #                     canonical config hash against its fmt oracle
-#                     (FuzzConfigHash) and the job-submission HTTP body
-#                     (FuzzJobSpecHTTP); crashes fail the target
+#                     (FuzzConfigHash), the job-submission HTTP body
+#                     (FuzzJobSpecHTTP) and result-table cells against
+#                     their fmt oracle (FuzzTableCell); crashes fail the
+#                     target
 #   make resume-smoke — the crash-safety gate: SIGINT a journaled sweep
 #                     mid-flight, resume it, and require the resumed grid to
 #                     be byte-identical to an uninterrupted run. Runs inside
@@ -81,7 +85,7 @@ FUZZTIME ?= 5s
 # same thing.
 BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|ClockTick8Handlers|ClockTickWithHeap|LaneDispatch)$$' -benchmem ./internal/sim && \
           $(GO) test -run='^$$' -bench='^BenchmarkParallelWindow$$' -benchmem ./internal/par && \
-          $(GO) test -run='^$$' -bench='^BenchmarkSweep(Workers|CacheHit|CacheMiss)$$' -benchmem . && \
+          $(GO) test -run='^$$' -bench='^BenchmarkSweep(Workers|CacheHit|CacheHitJournaled|CacheMiss)$$' -benchmem . && \
           $(GO) test -run='^$$' -bench='^BenchmarkCanonicalHash$$' -benchmem ./internal/config && \
           $(GO) test -run='^$$' -bench='^BenchmarkJournalRecord$$' -benchmem ./internal/core
 
@@ -89,19 +93,23 @@ BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|Clock
 # absolute hard ceilings by bench-baseline and enforced by every `make
 # bench`: the warm-arena sweep stays ~10-60x below the pre-arena numbers
 # (88,572,996 B/op and 1,869,553 allocs/op) however the baseline is
-# regenerated, and the cold cache-miss path cannot quietly bloat either.
+# regenerated, and the cold cache-miss path cannot quietly bloat either
+# (about 15.9 k allocs and 27.8 MB per op with one result encoding per
+# point).
 # The event kernel's loops — aperiodic events, clock ticks, the two merged,
 # and monotone lanes at four and at 256 lanes — are held to zero: they
 # allocate nothing, ever. A
 # cache-hit point costs a lookup and a copy: the all-hit sweep stays near its
 # 285 allocs and 25.8 KB per op (909 and 95.7 KB while the config hash went
-# through fmt and journal records through a second json.Marshal), the
-# canonical hash to its key string plus the config parsing under it, and a
-# journal record to zero.
-BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=60000000,BenchmarkSweepCacheHit=28500,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0' \
-                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=36000,BenchmarkSweepCacheHit=314,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0'
+# through fmt and journal records through a second json.Marshal); journaled
+# and rendered as sst-serve does, near its 758 allocs and 109.5 KB (881 and
+# 125.2 KB while each hit's journal line re-marshalled its result and table
+# cells went through fmt); the canonical hash to its key string plus the
+# config parsing under it, and a journal record to zero.
+BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=32000000,BenchmarkSweepCacheHit=28500,BenchmarkSweepCacheHitJournaled=120000,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0' \
+                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=18000,BenchmarkSweepCacheHit=314,BenchmarkSweepCacheHitJournaled=834,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0'
 
-.PHONY: build test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile profile-gups profile-net
+.PHONY: build fmt test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile profile-gups profile-net
 
 build:
 	$(GO) build ./...
@@ -113,6 +121,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when gofmt would rewrite any Go file, listing the files.
+fmt:
+	@out=$$(gofmt -l .) && [ -z "$$out" ] || { echo "gofmt -l: needs formatting:"; echo "$$out"; exit 1; }
 
 # The sweep scheduler (internal/core), the PDES runtime (internal/par), the
 # event kernel they drive (internal/sim), the network partitioned across
@@ -142,8 +154,9 @@ race:
 # schedule/dispatch/save/restore sequences over an EventSet and a tracked
 # link save the bytes of a map+sort oracle), of the canonical config hash (every
 # config that loads hashes deterministically and byte-identically to the
-# fmt oracle) and of the POST /v1/jobs body (202 or a 4xx, never a 5xx,
-# panic or hang).
+# fmt oracle), of the POST /v1/jobs body (202 or a 4xx, never a 5xx,
+# panic or hang) and of result-table cells (any float64 bit pattern, int
+# and string renders exactly as fmt's %.4g / %v did).
 fuzz-short:
 	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzLoadMachine -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzLoadSystem -fuzztime=$(FUZZTIME)
@@ -156,8 +169,9 @@ fuzz-short:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzEventSetLedger -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzJobSpecHTTP -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzTableCell -fuzztime=$(FUZZTIME)
 
-check: build vet test race fuzz-short crash-smoke soak-short serve-smoke spec-smoke resume-smoke cache-smoke
+check: build fmt vet test race fuzz-short crash-smoke soak-short serve-smoke spec-smoke resume-smoke cache-smoke
 
 # Non-test Go source lines per package and in total, excluding bench/ (the
 # benchmark is an instrument, not the system): what "a PR with a negative

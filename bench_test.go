@@ -17,6 +17,7 @@ package sst_test
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"testing"
@@ -24,6 +25,7 @@ import (
 
 	"sst/internal/cache"
 	"sst/internal/core"
+	"sst/internal/iofault"
 	"sst/internal/noc"
 	"sst/internal/par"
 	"sst/internal/sim"
@@ -138,6 +140,35 @@ func BenchmarkSweepCacheHit(b *testing.B) {
 		if _, err := core.MemTechWidthSweep(sweepApps, sweepTechs, sweepWidths, core.Small, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSweepCacheHitJournaled is sst-serve's per-point path for a job
+// whose points are all cached: the all-hit sweep journaling every point
+// through an in-memory filesystem, then the grid rendered as the job's
+// result CSV. A hit journals the bytes stored with the cached value, so no
+// point is encoded here; the gate holds its allocations near the plain
+// all-hit sweep's.
+func BenchmarkSweepCacheHitJournaled(b *testing.B) {
+	c, err := core.NewSweepCache(256, cache.LRU, nil, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	opts := core.SweepOptions{Workers: 1, Cache: c, Journal: "sweep.jsonl", FS: iofault.NewMemFS(0)}
+	sweep := func() {
+		grid, err := core.MemTechWidthSweep(sweepApps, sweepTechs, sweepWidths, core.Small, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := grid.WriteCSV(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sweep() // fill the cache
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
 	}
 }
 
