@@ -180,15 +180,16 @@ func (c *Cache) openFile(fsys iofault.FS, path string) error {
 	return nil
 }
 
-// Get returns the value stored under key and marks it most recently used.
+// Get is Lookup without the encoding. Sweeps call Lookup; the frozen
+// bench/ probes call Get.
 func (c *Cache) Get(key string) (any, bool) {
 	v, _, ok := c.Lookup(key)
 	return v, ok
 }
 
-// Lookup is Get that also returns the encoding the value was stored with
-// (nil for a value stored by Put). The bytes are shared with the cache and
-// must not be modified.
+// Lookup returns the value stored under key and the encoding it was
+// stored with (nil for a value stored by Put), and marks it most recently
+// used. The bytes are shared with the cache and must not be modified.
 func (c *Cache) Lookup(key string) (v any, raw []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -216,7 +217,8 @@ func (c *Cache) Store(key string, v any, raw []byte) error {
 
 // Put stores a deep-copy-owned value under key without an encoding. size
 // is the caller's resident-footprint estimate; <= 0 means the length of
-// the value's record when the cache has a persistent tier, else 1.
+// the value's record when the cache has a persistent tier, else 1. Sweeps
+// call Store; the frozen bench/ probes call Put.
 func (c *Cache) Put(key string, v any, size int64) error {
 	return c.put(key, v, nil, size)
 }

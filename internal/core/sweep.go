@@ -211,14 +211,14 @@ func machineGrid(cfgs []*config.MachineConfig) grid[*NodeResult] {
 // wrapping ErrPanicked, so the retry policy can tell the transient class
 // from deterministic failures and one exploding point costs exactly one
 // grid cell, never the process. A hit is a copy of the stored value plus
-// the stored encoding and runs nothing; a miss simulates, encodes the
-// result once when the cache or the journal (encode) needs it, and stores
-// a copy with those bytes. raw is shared and immutable: the cache keeps
-// it, the journal copies it into its line. Key and encoding failures are
-// real errors — the config would not simulate, or the result cannot be
-// serialized — while file-tier I/O failures never reach here: the cache
-// degrades itself to in-memory-only (a sweep must not fail because its
-// accelerator's disk did).
+// the stored encoding and runs nothing. A miss simulates and encodes the
+// result once when the cache needs it or encode is set (for the journal),
+// then stores a copy with those bytes. raw is shared and immutable: the
+// cache keeps it, the journal copies it into its line. Key and encoding
+// failures are real errors — the config would not simulate, or the result
+// cannot be serialized — while file-tier I/O failures never reach here:
+// the cache degrades itself to in-memory-only (a sweep must not fail
+// because its accelerator's disk did).
 func (g *grid[T]) attempt(ctx context.Context, opts SweepOptions, i int, timeout time.Duration, encode bool) (v T, raw []byte, err error) {
 	var zero T
 	defer func() {
@@ -241,8 +241,8 @@ func (g *grid[T]) attempt(ctx context.Context, opts SweepOptions, i int, timeout
 	var key string
 	if opts.Cache != nil && g.key != nil {
 		if key, err = g.key(i); err == nil {
-			if hit, raw, ok := opts.Cache.Lookup(key); ok {
-				return g.clone(hit.(T)), raw, nil
+			if hit, stored, ok := opts.Cache.Lookup(key); ok {
+				return g.clone(hit.(T)), stored, nil
 			}
 		}
 	}
