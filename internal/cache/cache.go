@@ -227,9 +227,9 @@ func (c *Cache) put(key string, v any, raw []byte, size int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Building the record wraps raw and encodes nothing new, so it is also
-	// how an encoded value is sized.
+	// how a stored value is sized.
 	var rec []byte
-	if c.codec.Encode != nil && (c.log != nil || size <= 0 && raw != nil) {
+	if c.codec.Encode != nil && (c.log != nil || raw != nil) {
 		var err error
 		if rec, err = c.codec.Encode(c.rec[:0], v, raw); err != nil {
 			return fmt.Errorf("cache: encoding %q: %w", key, err)
