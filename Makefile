@@ -223,7 +223,7 @@ profile-net:
 # asserts recovery converges at every enumerated crash, under every
 # retention variant.
 crash-smoke:
-	$(GO) test -run='^TestCrashPoints' -count=1 ./internal/iofault/ ./internal/core/ ./internal/cache/ ./internal/serve/ ./cmd/sst/
+	$(GO) test -run='^TestCrashPoints' -count=1 ./internal/iofault/ ./internal/core/ ./internal/cache/ ./internal/serve/
 
 # End-to-end crash-safety check of the resumable sweep path: run the grid
 # once clean for reference, kill a journaled single-worker run mid-flight

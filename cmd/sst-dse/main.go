@@ -63,7 +63,6 @@ func main() {
 		scaleFlag  = flag.String("scale", "full", "problem scale: full or small")
 		tableFlag  = flag.String("table", "all", "which table: all, fig10, fig11, fig12")
 		formatFlag = flag.String("format", "table", "output format: table, json or csv")
-		csvFlag    = flag.Bool("csv", false, "deprecated: same as -format csv")
 		pointTO    = flag.Duration("point-timeout", 0, "per-point wall-clock deadline (0 = none); timed-out points are marked failed")
 
 		sweepFlags = cli.RegisterSweepFlags(flag.CommandLine,
@@ -80,9 +79,6 @@ func main() {
 	flag.Parse()
 
 	format, err := core.ParseFormat(*formatFlag)
-	if err == nil && *csvFlag {
-		format = core.FormatCSV
-	}
 	if err != nil {
 		cli.Exit("sst-dse", cli.Configf("%v", err))
 	}
@@ -122,13 +118,11 @@ func run(appsFlag, techsFlag, widthsFlag, scaleFlag, tableFlag string, format co
 	// Dispatch through the study registry: the same JobSpec surface the
 	// sweep service admits, so the CLI and the service cannot drift on
 	// what a "dse" study means or accepts.
-	study, err := core.NewStudy(core.JobSpec{
-		Kind: "dse", Apps: apps, Techs: techs, Widths: widths, Scale: scaleFlag,
-	})
-	if err != nil {
+	spec := core.JobSpec{Kind: "dse", Apps: apps, Techs: techs, Widths: widths, Scale: scaleFlag}
+	if err := spec.Validate(); err != nil {
 		return cli.Configf("%v", err)
 	}
-	res, err := study.Run(opts)
+	res, err := spec.Run(opts)
 	grid, _ := res.(*core.DSEGrid)
 	if grid == nil {
 		return err

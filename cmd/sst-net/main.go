@@ -64,7 +64,6 @@ func main() {
 		stepsFlag   = flag.Int("steps", 6, "application timesteps")
 		fracFlag    = flag.String("fractions", "1,0.5,0.25,0.125", "injection bandwidth fractions")
 		formatFlag  = flag.String("format", "table", "output format: table, json or csv")
-		csvFlag     = flag.Bool("csv", false, "deprecated: same as -format csv")
 		scalingFlag = flag.Bool("scaling", false, "run the parallel-simulator scaling study instead (E6)")
 		ranksFlag   = flag.String("ranks", "1,2,4,8", "rank counts for -scaling")
 		horizonFlag = flag.String("horizon", "2ms", "simulated horizon for -scaling")
@@ -77,9 +76,6 @@ func main() {
 	format, err := core.ParseFormat(*formatFlag)
 	if err != nil {
 		cli.Exit("sst-net", cli.Configf("%v", err))
-	}
-	if *csvFlag {
-		format = core.FormatCSV
 	}
 	if err := sweepFlags.Check(); err != nil {
 		cli.Exit("sst-net", err)
@@ -155,15 +151,11 @@ func run(nodes, steps int, fracFlag string, format core.Format, opts core.SweepO
 	// Dispatch both studies through the study registry — the same JobSpec
 	// surface the sweep service admits, so the CLI and the service cannot
 	// drift on what the net studies mean or accept.
-	degStudy, err := core.NewStudy(spec)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return cli.Configf("%v", err)
 	}
-	spec.Kind = "net-power"
-	powStudy, err := core.NewStudy(spec)
-	if err != nil {
-		return cli.Configf("%v", err)
-	}
+	powSpec := spec
+	powSpec.Kind = "net-power"
 	// Each study is one sweep, so each is observed by its own collector.
 	// The journal — and the result cache, which rides in opts.Cache — are
 	// shared: both studies run the same grid, so the power study resumes
@@ -177,8 +169,8 @@ func run(nodes, steps int, fracFlag string, format core.Format, opts core.SweepO
 	// Both studies render whatever cells completed even when some failed
 	// or the sweep was interrupted; the error still propagates so the
 	// exit code reflects the incomplete run.
-	deg, derr := degStudy.Run(opts)
-	pow, perr := powStudy.Run(popts)
+	deg, derr := spec.Run(opts)
+	pow, perr := powSpec.Run(popts)
 	var show []core.Result
 	for _, r := range []core.Result{deg, pow} {
 		if r != nil {

@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sst/internal/core"
 	"sst/internal/par"
 	"sst/internal/sim"
 )
@@ -77,7 +78,7 @@ func TestSystemGoldens(t *testing.T) {
 				}
 				path := filepath.Join("..", "..", "configs", config+".json")
 				got := captureStdout(t, func() error {
-					return runSystem(path, obsFlags{}, r.nranks, r.mode, snapCfg{})
+					return runSystem(path, obsFlags{}, r.nranks, r.mode, core.Snapshots{})
 				})
 				if want := readGolden(t, golden); !bytes.Equal(got, want) {
 					t.Errorf("summary differs from testdata/%s\n got:\n%s\nwant:\n%s", golden, got, want)
@@ -92,7 +93,7 @@ func TestSnapshotGolden(t *testing.T) {
 	snapFile := filepath.Join(t.TempDir(), "run.snap")
 	got := captureStdout(t, func() error {
 		return runSystem(path, obsFlags{}, 2, par.SyncSpeculative,
-			snapCfg{every: 500 * sim.Microsecond, out: snapFile})
+			core.Snapshots{Every: 500 * sim.Microsecond, Out: snapFile})
 	})
 	if want := readGolden(t, "system-torus-small.spec.snap.out"); !bytes.Equal(got, want) {
 		t.Errorf("summary differs from testdata/system-torus-small.spec.snap.out\n got:\n%s\nwant:\n%s", got, want)

@@ -51,19 +51,16 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"sst/internal/cli"
 	"sst/internal/config"
 	"sst/internal/core"
-	"sst/internal/iofault"
 	"sst/internal/noc"
 	"sst/internal/obs"
 	"sst/internal/par"
@@ -85,7 +82,6 @@ func main() {
 		cfgPath    = flag.String("config", "", "machine config JSON")
 		sysPath    = flag.String("system", "", "system config JSON")
 		dumpStats  = flag.Bool("stats", false, "dump every component statistic")
-		asCSV      = flag.Bool("csv", false, "deprecated: same as -format csv")
 		formatFlag = flag.String("format", "table", "output format: table, json or csv")
 		timeline   = flag.String("timeline", "", "write a DRAM-traffic time series CSV to this file")
 		samplePd   = flag.String("sample-period", "10us", "timeline sampling period")
@@ -104,16 +100,13 @@ func main() {
 	if err != nil {
 		cli.Exit("sst", cli.Configf("%v", err))
 	}
-	if *asCSV {
-		format = core.FormatCSV
-	}
 	syncMode, err := par.ParseSyncMode(*syncFlag)
 	if err != nil {
 		cli.Exit("sst", cli.Configf("%v", err))
 	}
-	snap := snapCfg{out: *snapOut, restore: *restore}
+	snap := core.Snapshots{Out: *snapOut, Restore: *restore}
 	if *snapEvery != "" {
-		if snap.every, err = sim.ParseTime(*snapEvery); err != nil || snap.every <= 0 {
+		if snap.Every, err = sim.ParseTime(*snapEvery); err != nil || snap.Every <= 0 {
 			cli.Exit("sst", cli.Configf("bad -snapshot-every %q", *snapEvery))
 		}
 	}
@@ -123,7 +116,7 @@ func main() {
 	}
 	switch {
 	case *cfgPath != "":
-		if snap.active() {
+		if snap.Every > 0 || snap.Restore != "" {
 			cli.Exit("sst", cli.Configf("-snapshot-every/-restore apply to -system runs"))
 		}
 		err = run(*cfgPath, *dumpStats, ob, *timeline, *samplePd)
@@ -137,26 +130,6 @@ func main() {
 		err = perr
 	}
 	cli.Exit("sst", err)
-}
-
-// snapCfg carries the crash-safety options of a -system run.
-type snapCfg struct {
-	every   sim.Time   // snapshot interval in simulated time (0 = off)
-	out     string     // snapshot file written at each interval
-	restore string     // snapshot file to resume from ("" = fresh run)
-	fs      iofault.FS // host-storage seam; nil = the real disk
-}
-
-// active reports whether the run writes or restores snapshots.
-func (s snapCfg) active() bool { return s.every > 0 || s.restore != "" }
-
-// fsys resolves the snapshot storage seam: the crash-point harness
-// substitutes an iofault.MemFS, production runs use the disk.
-func (s snapCfg) fsys() iofault.FS {
-	if s.fs != nil {
-		return s.fs
-	}
-	return iofault.Disk
 }
 
 // attachTracer installs a ring tracer on the engine when requested.
@@ -188,87 +161,37 @@ func (ob obsFlags) flush(tracer *obs.Tracer, rep *obs.RunReport) error {
 	return nil
 }
 
-// runSystem executes a multi-node communication-profile simulation over
-// nranks parallel ranks: the network is partitioned over the runner, and
-// the application's rank scripts are grouped by home rank into one
-// workload.App per partition. At one rank the runner runs a plain
-// sequential loop. With tracing on, each rank's engine gets its own tracer
-// and file; with snap active, the run is sliced into snapshot intervals
-// and/or resumed from a prior snapshot.
-func runSystem(path string, ob obsFlags, nranks int, mode par.SyncMode, snap snapCfg) error {
-	if nranks < 1 {
-		return cli.Configf("-par %d: need at least one rank", nranks)
-	}
-	sys, err := config.LoadSystemFile(path)
+// runSystem executes a multi-node communication-profile simulation as a
+// core.System over nranks parallel ranks (at one rank, a plain sequential
+// loop), sliced into snapshots and/or resumed from one as snap says. With
+// tracing on, each rank's engine gets its own tracer and file.
+func runSystem(path string, ob obsFlags, nranks int, mode par.SyncMode, snap core.Snapshots) error {
+	cfg, err := config.LoadSystemFile(path)
 	if err != nil {
 		return cli.Configf("%v", err)
 	}
-	topo, err := sys.Topo.Build()
+	topo, err := cfg.Topo.Build()
 	if err != nil {
 		return cli.Configf("%v", err)
 	}
-	netCfg, err := sys.Net.ToNetConfig()
+	netCfg, err := cfg.Net.ToNetConfig()
 	if err != nil {
 		return cli.Configf("%v", err)
 	}
-	var profile workload.CommProfile
-	switch sys.App {
-	case "cth":
-		profile = workload.CTHProfile
-	case "sage":
-		profile = workload.SAGEProfile
-	case "charon":
-		profile = workload.CharonProfile
-	case "xnobel":
-		profile = workload.XNOBELProfile
-	default:
-		return cli.Configf("unknown app %q", sys.App)
+	profile, _ := workload.LookupProfile(cfg.App) // LoadSystemFile checked the name
+	if cfg.Steps > 0 {
+		profile.Steps = cfg.Steps
 	}
-	if sys.Steps > 0 {
-		profile.Steps = sys.Steps
-	}
-	ranks := sys.Ranks
+	ranks := cfg.Ranks
 	if ranks == 0 {
 		ranks = topo.NumNodes()
 	}
-	if ranks < 0 || ranks > topo.NumNodes() {
-		return cli.Configf("%d ranks for %d nodes", ranks, topo.NumNodes())
-	}
-	runner, _ := par.NewRunner(nranks) // nranks >= 1 cannot fail
-	runner.SetSyncMode(mode)
-	if snap.active() || mode == par.SyncSpeculative {
-		// Must precede model construction: components register their
-		// checkpoint state as they are built. Speculative sync needs it
-		// even without -snapshot-every: rollback restores engine
-		// checkpoints taken through the same codec.
-		runner.EnableSnapshots()
-	}
-	net, err := noc.NewPartitionedNetwork(runner, topo, netCfg, nil)
+	sys, err := core.NewSystem(profile.Name, topo, netCfg, profile.Scripts(ranks), nranks, mode,
+		snap.Every > 0 || snap.Restore != "")
 	if err != nil {
-		return err
+		return cli.Configf("%v", err)
 	}
-	// Group the app ranks by the partition that owns their node: one
-	// workload.App per par-rank, each driving only its local NICs.
-	// Script send/recv peers are global node ids, so the grouping is
-	// invisible to the protocol.
-	ports := make([][]workload.MessagePort, nranks)
-	local := make([][]*workload.Script, nranks)
-	for i, s := range profile.Scripts(ranks) {
-		home := net.RankOfNode(i)
-		ports[home] = append(ports[home], net.NIC(i))
-		local[home] = append(local[home], s)
-	}
-	apps := make([]*workload.App, 0, nranks)
-	for p := 0; p < nranks; p++ {
-		if len(local[p]) == 0 {
-			continue
-		}
-		app, err := workload.NewAppOnPorts(runner.Rank(p).Engine(), fmt.Sprintf("%s.rank%d", profile.Name, p), ports[p], local[p])
-		if err != nil {
-			return err
-		}
-		apps = append(apps, app)
-	}
+	runner, net := sys.Runner, sys.Net
 	// One tracer per rank engine; with several ranks each flushes to its
 	// own ".rankN" file.
 	tracers := make([]*obs.Tracer, nranks)
@@ -282,36 +205,11 @@ func runSystem(path string, ob obsFlags, nranks int, mode par.SyncMode, snap sna
 		// The report's trace counters follow rank 0, like the engine row.
 		col.AttachTracer(tracers[0])
 	}
-	if snap.restore != "" {
-		raw, err := snap.fsys().ReadFile(snap.restore)
-		if err != nil {
-			return err
-		}
-		if err := runner.LoadFrom(bytes.NewReader(raw)); err != nil {
-			return fmt.Errorf("restoring %s: %w", snap.restore, err)
-		}
-		// Restored apps resume mid-script; Start would re-launch them.
-	} else {
-		for _, app := range apps {
-			app.Start(nil)
-		}
-	}
-	defer cli.OnInterrupt(runner.Interrupt)()
-	if snap.every > 0 {
-		err = runSliced(runner, snap)
-	} else {
-		_, err = runner.RunAll()
-	}
+	ctx, stop := cli.SignalContext(context.Background())
+	defer stop()
+	elapsed, maxWait, err := sys.Run(ctx, snap)
 	if err != nil {
 		return err
-	}
-	var elapsed, maxWait sim.Time
-	for _, app := range apps {
-		if !app.Done() {
-			return fmt.Errorf("application deadlocked (rank group %s)", app.Name())
-		}
-		elapsed = max(elapsed, app.Elapsed())
-		maxWait = max(maxWait, app.MaxWaitTime())
 	}
 	for i, tr := range tracers {
 		out := obsFlags{traceOut: ob.traceOut}
@@ -329,7 +227,7 @@ func runSystem(path string, ob obsFlags, nranks int, mode par.SyncMode, snap sna
 	meanUtil, hotUtil := net.LinkUtilization(elapsed)
 	energy := net.Energy(noc.DefaultPowerParams(), elapsed)
 	fmt.Printf("system:          %s (%s, %d ranks over %d partitions, %s sync)\n",
-		sys.Name, topo.Name(), ranks, nranks, m.Mode)
+		cfg.Name, topo.Name(), ranks, nranks, m.Mode)
 	fmt.Printf("app:             %s, %d steps\n", profile.Name, profile.Steps)
 	fmt.Printf("simulated time:  %.3f ms\n", elapsed.Seconds()*1e3)
 	fmt.Printf("messages:        %d (%.2f MB)\n", net.Messages(), float64(net.BytesDelivered())/1e6)
@@ -355,39 +253,6 @@ func rankPath(path string, rank int) string {
 		path, ext = path[:i], path[i:]
 	}
 	return fmt.Sprintf("%s.rank%d%s", path, rank, ext)
-}
-
-// runSliced advances the run one snapshot interval at a time, writing a
-// consistent snapshot at each barrier. The write is atomic and durable
-// (temp file, fsync, rename, parent-dir fsync — the shared iofault
-// discipline), so a kill at any instant leaves either the previous
-// complete snapshot or the new one, never a torn file and never a
-// snapshot that evaporates with the page cache.
-func runSliced(runner *par.Runner, snap snapCfg) error {
-	for runner.NextEventTime() != sim.TimeInfinity {
-		if _, err := runner.Run(runner.Now() + snap.every); err != nil {
-			return err
-		}
-		if err := writeSnapshot(runner, snap); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeSnapshot saves the runner's state to snap.out via the shared
-// atomic-replace helper. The encoder's many small writes are batched
-// through one buffer so the storage sees a handful of large writes —
-// which is also what keeps the crash-point count of a snapshot save
-// independent of model size.
-func writeSnapshot(runner *par.Runner, snap snapCfg) error {
-	return iofault.WriteFileAtomicFunc(snap.fsys(), snap.out, func(w io.Writer) error {
-		bw := bufio.NewWriterSize(w, 1<<20)
-		if err := runner.SaveTo(bw); err != nil {
-			return err
-		}
-		return bw.Flush()
-	})
 }
 
 // resultTable renders a NodeResult as a metric/value table (the csv/table

@@ -149,11 +149,11 @@ func TestRunSystemFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(testSystem), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSystem(path, obsFlags{}, 1, par.SyncPairwise, snapCfg{}); err != nil {
+	if err := runSystem(path, obsFlags{}, 1, par.SyncPairwise, core.Snapshots{}); err != nil {
 		t.Fatal(err)
 	}
 	metrics := filepath.Join(dir, "m.json")
-	if err := runSystem(path, obsFlags{metricsOut: metrics}, 1, par.SyncPairwise, snapCfg{}); err != nil {
+	if err := runSystem(path, obsFlags{metricsOut: metrics}, 1, par.SyncPairwise, core.Snapshots{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(metrics); err != nil {
@@ -171,7 +171,7 @@ func systemSummary(t *testing.T, path string, nranks int) map[string]string {
 	}
 	stdout := os.Stdout
 	os.Stdout = w
-	err = runSystem(path, obsFlags{}, nranks, par.SyncPairwise, snapCfg{})
+	err = runSystem(path, obsFlags{}, nranks, par.SyncPairwise, core.Snapshots{})
 	os.Stdout = stdout
 	w.Close()
 	if err != nil {
@@ -216,14 +216,14 @@ func TestRunSystemBadShape(t *testing.T) {
 	if err := os.WriteFile(path, []byte(testSystem), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSystem(path, obsFlags{}, 0, par.SyncPairwise, snapCfg{}); cli.Code(err) != cli.ExitConfig {
+	if err := runSystem(path, obsFlags{}, 0, par.SyncPairwise, core.Snapshots{}); cli.Code(err) != cli.ExitConfig {
 		t.Errorf("-par 0: %v, want a configuration error", err)
 	}
 	wide := filepath.Join(dir, "wide.json")
 	if err := os.WriteFile(wide, []byte(strings.Replace(testSystem, `"steps": 2`, `"steps": 2, "ranks": 9`, 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSystem(wide, obsFlags{}, 2, par.SyncPairwise, snapCfg{}); cli.Code(err) != cli.ExitConfig {
+	if err := runSystem(wide, obsFlags{}, 2, par.SyncPairwise, core.Snapshots{}); cli.Code(err) != cli.ExitConfig {
 		t.Errorf("9 ranks on 8 nodes: %v, want a configuration error", err)
 	}
 }
@@ -239,13 +239,13 @@ func TestRunSystemParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := runSystem(path, obsFlags{}, 4, mode, snapCfg{}); err != nil {
+		if err := runSystem(path, obsFlags{}, 4, mode, core.Snapshots{}); err != nil {
 			t.Fatalf("sync=%v: %v", mode, err)
 		}
 	}
 	// The parallel run's metrics JSON must carry the runner section.
 	metrics := filepath.Join(dir, "mp.json")
-	if err := runSystem(path, obsFlags{metricsOut: metrics}, 2, par.SyncPairwise, snapCfg{}); err != nil {
+	if err := runSystem(path, obsFlags{metricsOut: metrics}, 2, par.SyncPairwise, core.Snapshots{}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(metrics)
@@ -268,7 +268,7 @@ func TestRunSystemParallelTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := filepath.Join(dir, "t.json")
-	if err := runSystem(path, obsFlags{traceOut: trace}, 2, par.SyncPairwise, snapCfg{}); err != nil {
+	if err := runSystem(path, obsFlags{traceOut: trace}, 2, par.SyncPairwise, core.Snapshots{}); err != nil {
 		t.Fatal(err)
 	}
 	for rank := 0; rank < 2; rank++ {
@@ -289,7 +289,7 @@ func TestRunSystemParallelTrace(t *testing.T) {
 	}
 	// At -par 1 the trace goes to exactly the path given.
 	single := filepath.Join(dir, "one.json")
-	if err := runSystem(path, obsFlags{traceOut: single}, 1, par.SyncPairwise, snapCfg{}); err != nil {
+	if err := runSystem(path, obsFlags{traceOut: single}, 1, par.SyncPairwise, core.Snapshots{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(single); err != nil {
@@ -327,7 +327,7 @@ func TestRunSystemSnapshotRestore(t *testing.T) {
 	}
 	snapFile := filepath.Join(dir, "run.snap")
 	for _, nranks := range []int{1, 2} {
-		snap := snapCfg{every: 200 * sim.Microsecond, out: snapFile}
+		snap := core.Snapshots{Every: 200 * sim.Microsecond, Out: snapFile}
 		if err := runSystem(path, obsFlags{}, nranks, par.SyncPairwise, snap); err != nil {
 			t.Fatalf("nranks=%d sliced run: %v", nranks, err)
 		}
@@ -337,14 +337,14 @@ func TestRunSystemSnapshotRestore(t *testing.T) {
 		// The final snapshot is the completed state; restoring it and
 		// running to completion must succeed and change nothing.
 		if err := runSystem(path, obsFlags{}, nranks, par.SyncPairwise,
-			snapCfg{restore: snapFile}); err != nil {
+			core.Snapshots{Restore: snapFile}); err != nil {
 			t.Fatalf("nranks=%d restore: %v", nranks, err)
 		}
 	}
 }
 
 func TestRunSystemMissing(t *testing.T) {
-	err := runSystem("/nonexistent.json", obsFlags{}, 1, par.SyncPairwise, snapCfg{})
+	err := runSystem("/nonexistent.json", obsFlags{}, 1, par.SyncPairwise, core.Snapshots{})
 	if err == nil {
 		t.Fatal("missing system accepted")
 	}

@@ -21,6 +21,7 @@ import (
 	"sst/internal/mem"
 	"sst/internal/noc"
 	"sst/internal/sim"
+	"sst/internal/workload"
 )
 
 // ParseSize parses "32KB", "4MB", "64" (bytes), "2GB" into a byte count.
@@ -444,8 +445,8 @@ type SystemConfig struct {
 	Name string   `json:"name"`
 	Topo TopoSpec `json:"topology"`
 	Net  NetSpec  `json:"network"`
-	// App names a communication profile: "cth", "sage", "charon",
-	// "xnobel".
+	// App names a communication profile (workload.LookupProfile): "cth",
+	// "sage", "charon", "xnobel".
 	App string `json:"app"`
 	// Ranks defaults to the node count.
 	Ranks int `json:"ranks,omitempty"`
@@ -457,16 +458,18 @@ func (s *SystemConfig) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("config: system needs a name")
 	}
-	if _, err := s.Topo.Build(); err != nil {
+	topo, err := s.Topo.Build()
+	if err != nil {
 		return err
 	}
 	if _, err := s.Net.ToNetConfig(); err != nil {
 		return err
 	}
-	switch s.App {
-	case "cth", "sage", "charon", "xnobel":
-	default:
+	if _, ok := workload.LookupProfile(s.App); !ok {
 		return fmt.Errorf("config: unknown app profile %q", s.App)
+	}
+	if s.Ranks < 0 || s.Ranks > topo.NumNodes() {
+		return fmt.Errorf("config: %d ranks for %d nodes", s.Ranks, topo.NumNodes())
 	}
 	return nil
 }

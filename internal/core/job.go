@@ -62,9 +62,9 @@ func (s JobSpec) Points() int {
 // returned Result is non-nil whenever a partial grid exists, even on
 // error, so a scheduler can persist what completed next to the failure.
 func (s JobSpec) Run(opts SweepOptions) (Result, error) {
-	study, err := NewStudy(s)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return study.Run(opts)
+	def := studies[s.Kind]
+	return def.run(def.defaults(s), opts)
 }

@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
 	"sst/internal/noc"
+	"sst/internal/par"
 	"sst/internal/sim"
 	"sst/internal/stats"
 	"sst/internal/workload"
@@ -35,14 +35,15 @@ func DefaultNetStudy() NetStudyConfig {
 	}
 }
 
-// netStudyProfiles returns the four application proxies.
+// netStudyProfiles returns the four application proxies in the study's
+// row order, which is part of its table and journal.
 func netStudyProfiles() []workload.CommProfile {
-	return []workload.CommProfile{
-		workload.CTHProfile,
-		workload.SAGEProfile,
-		workload.XNOBELProfile,
-		workload.CharonProfile,
+	var ps []workload.CommProfile
+	for _, name := range []string{"cth", "sage", "xnobel", "charon"} {
+		p, _ := workload.LookupProfile(name)
+		ps = append(ps, p)
 	}
+	return ps
 }
 
 // torusFor picks a near-cubic 3D torus for n nodes.
@@ -74,47 +75,25 @@ func RunNetPoint(p workload.CommProfile, nodes, steps int, fraction float64) (si
 
 // RunNetPointCtx is RunNetPoint with cooperative cancellation: an expired
 // ctx (sweep cancellation, a per-point deadline) interrupts the cell's
-// engine and the run returns an error wrapping sim.ErrInterrupted.
+// run and it returns an error wrapping sim.ErrInterrupted. The cell is a
+// one-rank System.
 func RunNetPointCtx(ctx context.Context, p workload.CommProfile, nodes, steps int, fraction float64) (sim.Time, *noc.Network, error) {
 	topo, err := torusFor(nodes)
 	if err != nil {
 		return 0, nil, err
 	}
-	engine := sim.NewEngine()
-	if arena := arenaFrom(ctx); arena != nil {
-		arena.Events.Lend(engine)
-		defer arena.Events.Harvest(engine)
-	}
 	cfg := noc.DefaultConfig()
 	cfg.InjectionBandwidth *= fraction
-	net, err := noc.NewNetwork(engine, "net", topo, cfg, nil)
-	if err != nil {
-		return 0, nil, err
-	}
 	p.Steps = steps
-	app, err := workload.NewApp(engine, p.Name, net, p.Scripts(nodes))
+	s, err := NewSystem(p.Name, topo, cfg, p.Scripts(nodes), 1, par.SyncPairwise, false)
 	if err != nil {
 		return 0, nil, err
 	}
-	app.Start(nil)
-	stop := context.AfterFunc(ctx, engine.Interrupt)
-	engine.RunAll()
-	stop()
-	if !app.Done() {
-		if engine.Interrupted() {
-			return 0, nil, fmt.Errorf("core: net study %s interrupted at %v: %w",
-				p.Name, engine.Now(), sim.ErrInterrupted)
-		}
-		return 0, nil, fmt.Errorf("core: net study %s deadlocked", p.Name)
+	elapsed, err := s.runCell(ctx, "core: net study "+p.Name)
+	if err != nil {
+		return 0, nil, err
 	}
-	// Same race as RunMachineCtx: a point that finishes between its
-	// deadline expiring and the interrupt landing still counts as timed
-	// out; completion under plain cancellation stays a success (drain).
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return 0, nil, fmt.Errorf("core: net study %s exceeded its deadline: %w",
-			p.Name, context.DeadlineExceeded)
-	}
-	return app.Elapsed(), net, nil
+	return elapsed, s.Net, nil
 }
 
 // runNetGrid fans the profile × fraction cells of the study across the

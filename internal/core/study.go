@@ -14,22 +14,9 @@ import (
 // switch. Adding a study means adding one entry; the service, the CLIs
 // and the error messages that enumerate valid kinds all pick it up.
 
-// Study is one runnable sweep study bound to its parameters: a name for
-// reports and registries, and a Run that executes it under SweepOptions —
-// journal, resume, retry, cache, arena and cancellation all compose the
-// same way for every study. Obtain one with NewStudy.
-type Study interface {
-	// Name identifies the study (its registry kind).
-	Name() string
-	// Run executes the study. The Result is non-nil whenever a partial
-	// grid exists, even on error, so callers can render what completed.
-	Run(opts SweepOptions) (Result, error)
-}
-
 // studyDef is one registry entry: the hooks a JobSpec of this kind
 // resolves to.
 type studyDef struct {
-	kind string
 	// defaults resolves optional spec fields without mutating the input.
 	defaults func(JobSpec) JobSpec
 	// validate structurally checks a spec (already defaulted specs pass
@@ -45,7 +32,6 @@ type studyDef struct {
 // literal — the set is closed at compile time, so lookups need no lock.
 var studies = map[string]*studyDef{
 	"dse": {
-		kind:     "dse",
 		defaults: dseDefaults,
 		validate: dseValidate,
 		points: func(s JobSpec) int {
@@ -64,7 +50,6 @@ var studies = map[string]*studyDef{
 		},
 	},
 	"net": {
-		kind:     "net",
 		defaults: netDefaults,
 		validate: netValidate,
 		points: func(s JobSpec) int {
@@ -79,7 +64,6 @@ var studies = map[string]*studyDef{
 		},
 	},
 	"net-power": {
-		kind:     "net-power",
 		defaults: netDefaults,
 		validate: netValidate,
 		points: func(s JobSpec) int {
@@ -115,20 +99,6 @@ func kindList() string {
 	return strings.Join(kinds[:len(kinds)-1], ", ") + " or " + kinds[len(kinds)-1]
 }
 
-// NewStudy resolves a spec against the registry, returning the bound
-// study. The spec is validated and defaulted; an unknown or malformed
-// spec is rejected here, before anything is persisted or scheduled.
-func NewStudy(spec JobSpec) (Study, error) {
-	def, err := studyFor(spec.Kind)
-	if err != nil {
-		return nil, err
-	}
-	if err := def.validate(spec); err != nil {
-		return nil, err
-	}
-	return &boundStudy{spec: def.defaults(spec), def: def}, nil
-}
-
 // studyFor looks a kind up in the registry.
 func studyFor(kind string) (*studyDef, error) {
 	if kind == "" {
@@ -140,21 +110,6 @@ func studyFor(kind string) (*studyDef, error) {
 	}
 	return def, nil
 }
-
-// boundStudy binds a defaulted, validated spec to its registry entry.
-type boundStudy struct {
-	spec JobSpec
-	def  *studyDef
-}
-
-func (b *boundStudy) Name() string { return b.def.kind }
-
-func (b *boundStudy) Run(opts SweepOptions) (Result, error) {
-	return b.def.run(b.spec, opts)
-}
-
-// Points reports the study's design-point count.
-func (b *boundStudy) Points() int { return b.def.points(b.spec) }
 
 // Per-kind hooks. These are the former JobSpec switch arms, now owned by
 // the registry entries above.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"sst/internal/noc"
+	"sst/internal/par"
 	"sst/internal/sim"
 	"sst/internal/stats"
 	"sst/internal/workload"
@@ -51,57 +52,33 @@ var MLProfile = SolverProfile{
 	ComputePerIter: 25 * sim.Microsecond,
 }
 
-// scripts expands a solver profile for n ranks and iters iterations.
-func (p SolverProfile) scripts(n, iters int) []*workload.Script {
-	out := make([]*workload.Script, n)
-	for r := 0; r < n; r++ {
-		s := &workload.Script{}
-		for it := 0; it < iters; it++ {
-			s.Compute(p.ComputePerIter)
-			for k := 1; k <= p.Neighbors; k++ {
-				s.Send((r+k)%n, p.HaloBytes)
-				s.Send((r-k+n)%n, p.HaloBytes)
-			}
-			for k := 1; k <= p.Neighbors; k++ {
-				s.Recv((r - k + n) % n)
-				s.Recv((r + k) % n)
-			}
-			for m := 0; m < p.ExtraSmallMsgs; m++ {
-				s.Send((r+1+m%(n-1))%n, 512)
-			}
-			for m := 0; m < p.ExtraSmallMsgs; m++ {
-				s.Recv((r - 1 - m%(n-1) + n) % n)
-			}
-			for a := 0; a < p.AllReduces; a++ {
-				s.AllReduce(r, n, 8)
-			}
-		}
-		out[r] = s
+// comm is the solver's iteration as a skeleton-app profile: the halo
+// exchange, the preconditioner's 512-byte messages and the reductions,
+// once per iteration.
+func (p SolverProfile) comm(iters int) workload.CommProfile {
+	return workload.CommProfile{
+		Name: p.Name, Steps: iters, ComputePerStep: p.ComputePerIter,
+		HaloBytes: p.HaloBytes, Neighbors: p.Neighbors,
+		SmallMsgs: p.ExtraSmallMsgs, SmallBytes: 512, AllReduces: p.AllReduces,
 	}
-	return out
 }
 
-// runWeakPoint runs one (profile, ranks) cell and returns time/iteration.
-func runWeakPoint(p SolverProfile, ranks, iters int) (sim.Time, error) {
+// runWeakPoint runs one (profile, ranks) cell as a one-rank System under
+// the cell's context and returns time/iteration.
+func runWeakPoint(ctx context.Context, p SolverProfile, ranks, iters int) (sim.Time, error) {
 	topo, err := torusFor(ranks)
 	if err != nil {
 		return 0, err
 	}
-	engine := sim.NewEngine()
-	net, err := noc.NewNetwork(engine, "net", topo, noc.DefaultConfig(), nil)
+	s, err := NewSystem(p.Name, topo, noc.DefaultConfig(), p.comm(iters).Scripts(ranks), 1, par.SyncPairwise, false)
 	if err != nil {
 		return 0, err
 	}
-	app, err := workload.NewApp(engine, p.Name, net, p.scripts(ranks, iters))
+	elapsed, err := s.runCell(ctx, fmt.Sprintf("core: weak scaling %s/%d", p.Name, ranks))
 	if err != nil {
 		return 0, err
 	}
-	app.Start(nil)
-	engine.RunAll()
-	if !app.Done() {
-		return 0, fmt.Errorf("core: weak scaling %s/%d deadlocked", p.Name, ranks)
-	}
-	return app.Elapsed() / sim.Time(iters), nil
+	return elapsed / sim.Time(iters), nil
 }
 
 // WeakScalingResult is the weak-scaling study's Result: the rendered table
@@ -124,8 +101,8 @@ func WeakScalingStudy(rankCounts []int, iters int, opts SweepOptions) (*WeakScal
 	nr := len(rankCounts)
 	flat, _, err := runGrid(opts, grid[sim.Time]{
 		n: len(profiles) * nr,
-		run: func(_ context.Context, i int) (sim.Time, error) {
-			return runWeakPoint(profiles[i/nr], rankCounts[i%nr], iters)
+		run: func(ctx context.Context, i int) (sim.Time, error) {
+			return runWeakPoint(ctx, profiles[i/nr], rankCounts[i%nr], iters)
 		},
 		// Every SolverProfile field is load-bearing, so all of them are in
 		// the key.
@@ -134,6 +111,11 @@ func WeakScalingStudy(rankCounts []int, iters int, opts SweepOptions) (*WeakScal
 			return fmt.Sprintf("weak/v1/%s/h%d/nb%d/ar%d/xs%d/c%d/r%d/i%d", p.Name, p.HaloBytes, p.Neighbors,
 				p.AllReduces, p.ExtraSmallMsgs, p.ComputePerIter, rankCounts[i%nr], iters), nil
 		},
+		// Only timeouts are labelled; other failures already name the cell.
+		label: func(i int) string {
+			return fmt.Sprintf("core: weak scaling %s/%d", profiles[i/nr].Name, rankCounts[i%nr])
+		},
+		bareErrs: true,
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,6 @@
 package noc_test
 
-// End-to-end crash safety of the composition cmd/sst -system runs:
+// End-to-end crash safety of the composition core.System runs:
 // skeleton apps over the partitioned network are cut at a barrier,
 // snapshotted, restored into a freshly built twin and continued — and
 // elapsed times, wait times, message counts and latency statistics must be
@@ -30,7 +30,7 @@ type sysSig struct {
 	Lat     float64
 }
 
-// system is cmd/sst's -system composition: a snapshot-enabled runner, the
+// system is core.System's composition: a snapshot-enabled runner, the
 // partitioned network, and one app per rank group.
 type system struct {
 	runner *par.Runner

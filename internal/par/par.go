@@ -167,14 +167,19 @@ func (rk *rank) nextWork() sim.Time {
 	return next
 }
 
-// rankPanicError formats a recovered handler panic. Handlers wrapped with
-// sim.Guard arrive as *sim.PanicError and the message names the component;
-// bare panics fall back to the panic value plus the recovery-site stack.
+// ErrPanic marks a Run error that carries a rank's recovered event-handler
+// panic, so a caller can tell that transient class from a model's errors.
+var ErrPanic = errors.New("panic")
+
+// rankPanicError formats a recovered handler panic, wrapping ErrPanic.
+// Handlers wrapped with sim.Guard arrive as *sim.PanicError and the message
+// names the component; bare panics fall back to the panic value plus the
+// recovery-site stack.
 func rankPanicError(id int, now sim.Time, r any) error {
 	if pe, ok := r.(*sim.PanicError); ok {
-		return fmt.Errorf("par: rank %d at %v: %w\n%s", id, now, pe, pe.Stack)
+		return fmt.Errorf("par: rank %d at %v: %w: %w\n%s", id, now, ErrPanic, pe, pe.Stack)
 	}
-	return fmt.Errorf("par: rank %d at %v: panic: %v\n%s", id, now, r, debug.Stack())
+	return fmt.Errorf("par: rank %d at %v: %w: %v\n%s", id, now, ErrPanic, r, debug.Stack())
 }
 
 // Runner coordinates the ranks.

@@ -133,6 +133,9 @@ func TestPanicNamesComponent(t *testing.T) {
 	if !errors.As(err, &pe) || pe.Component != "victim" {
 		t.Errorf("error does not carry the typed PanicError: %v", err)
 	}
+	if !errors.Is(err, ErrPanic) {
+		t.Errorf("error does not wrap ErrPanic: %v", err)
+	}
 }
 
 // TestPanicSingleRank covers the sequential fast path: with one rank the
@@ -145,8 +148,17 @@ func TestPanicSingleRank(t *testing.T) {
 	eng := r.Rank(0).Engine()
 	eng.Schedule(0, sim.Guard("solo", func(any) { panic("boom") }), nil)
 	_, err = r.RunAll()
-	if err == nil || !strings.Contains(err.Error(), `"solo"`) {
+	if err == nil || !strings.Contains(err.Error(), `"solo"`) || !errors.Is(err, ErrPanic) {
 		t.Fatalf("single-rank panic not converted: %v", err)
+	}
+	// A bare (unguarded) panic is marked the same way.
+	r, err = NewRunner(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Rank(0).Engine().Schedule(0, func(any) { panic("bare") }, nil)
+	if _, err = r.RunAll(); !errors.Is(err, ErrPanic) || !strings.Contains(err.Error(), "rank 0 at 0s: panic: bare") {
+		t.Fatalf("bare single-rank panic: %v", err)
 	}
 }
 

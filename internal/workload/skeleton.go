@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"sst/internal/noc"
 	"sst/internal/sim"
 )
 
@@ -108,21 +107,8 @@ type App struct {
 	wake *sim.EventSet
 }
 
-// NewApp wires scripts[i] to network node i of the fast model. len(scripts)
-// must not exceed the node count.
-func NewApp(engine *sim.Engine, name string, net *noc.Network, scripts []*Script) (*App, error) {
-	if len(scripts) > net.Topology().NumNodes() {
-		return nil, fmt.Errorf("workload: %d ranks exceed %d nodes", len(scripts), net.Topology().NumNodes())
-	}
-	ports := make([]MessagePort, len(scripts))
-	for i := range scripts {
-		ports[i] = net.NIC(i)
-	}
-	return NewAppOnPorts(engine, name, ports, scripts)
-}
-
-// NewAppOnPorts wires scripts[i] to ports[i] directly: the detailed network's
-// NICs, or one partition's NICs of a partitioned network.
+// NewAppOnPorts wires scripts[i] to ports[i]: one partition's NICs of the
+// analytic network, or the detailed network's NICs.
 func NewAppOnPorts(engine *sim.Engine, name string, ports []MessagePort, scripts []*Script) (*App, error) {
 	if len(ports) != len(scripts) {
 		return nil, fmt.Errorf("workload: %d ports for %d scripts", len(ports), len(scripts))
@@ -314,3 +300,19 @@ var (
 		HaloBytes: 256 << 10, Neighbors: 1, AllReduces: 1,
 	}
 )
+
+// commProfiles is the one table of named communication profiles: a system
+// config names its app through it, and the Fig. 9 study lists its rows by
+// name.
+var commProfiles = map[string]CommProfile{
+	CTHProfile.Name:    CTHProfile,
+	SAGEProfile.Name:   SAGEProfile,
+	CharonProfile.Name: CharonProfile,
+	XNOBELProfile.Name: XNOBELProfile,
+}
+
+// LookupProfile returns the named communication profile.
+func LookupProfile(name string) (CommProfile, bool) {
+	p, ok := commProfiles[name]
+	return p, ok
+}
