@@ -68,7 +68,8 @@
 #                     and print each layer's share of the samples (the table
 #                     EXPERIMENTS.md E8 commits); `make profile-gups` does
 #                     the same for the full-scale gups grid, the miss path,
-#                     and `make profile-net` for Fig. 9's network study
+#                     `make profile-net` for Fig. 9's network study and
+#                     `make profile-hit` for the journaled all-hit sweep
 #   make soak       — the memory-discipline gate: serve 250 journaled jobs
 #                     through one resident server and require flat heap and
 #                     goroutine counts plus full arena reuse, with a heap
@@ -99,17 +100,18 @@ BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|Clock
 # The event kernel's loops — aperiodic events, clock ticks, the two merged,
 # and monotone lanes at four and at 256 lanes — are held to zero: they
 # allocate nothing, ever. A
-# cache-hit point costs a lookup and a copy: the all-hit sweep stays near its
-# 285 allocs and 25.8 KB per op (909 and 95.7 KB while the config hash went
-# through fmt and journal records through a second json.Marshal); journaled
-# and rendered as sst-serve does, near its 758 allocs and 109.5 KB (881 and
+# cache-hit point costs two map probes and a copy: the all-hit sweep stays
+# near its 44 allocs and 9.5 KB per op (285 and 25.8 KB while every hit
+# rebuilt and hashed its machine config, 909 and 95.7 KB while that hash
+# went through fmt); journaled and rendered as sst-serve does, near its 517
+# allocs and 93.2 KB (758 and 109.5 KB with the rebuild and hash, 881 and
 # 125.2 KB while each hit's journal line re-marshalled its result and table
 # cells went through fmt); the canonical hash to its key string plus the
 # config parsing under it, and a journal record to zero.
-BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=32000000,BenchmarkSweepCacheHit=28500,BenchmarkSweepCacheHitJournaled=120000,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0' \
-                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=18000,BenchmarkSweepCacheHit=314,BenchmarkSweepCacheHitJournaled=834,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0'
+BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=32000000,BenchmarkSweepCacheHit=10400,BenchmarkSweepCacheHitJournaled=102500,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0' \
+                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=18000,BenchmarkSweepCacheHit=48,BenchmarkSweepCacheHitJournaled=568,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0'
 
-.PHONY: build fmt test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile profile-gups profile-net
+.PHONY: build fmt test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile profile-gups profile-net profile-hit
 
 build:
 	$(GO) build ./...
@@ -189,7 +191,9 @@ loc:
 # then one row per model package, the Go runtime (GC, allocation,
 # scheduling, maps) and everything else. PROFILE_BENCH picks the benchmark;
 # profile-gups sets it to the full-scale gups grid, profile-net to Fig. 9's
-# network study (BenchmarkNetStudy), where the noc row is the model.
+# network study (BenchmarkNetStudy), where the noc row is the model, and
+# profile-hit to the journaled all-hit sweep (sst-serve's per-point path for
+# a cached job), where the config row is the machine-config hash.
 PROFILE_BENCH ?= BenchmarkSweepWorkers/workers=1$$
 
 profile:
@@ -205,9 +209,10 @@ profile:
 	    name ~ /internal\/dram\./ { layer = "dram" } \
 	    name ~ /internal\/frontend\./ { layer = "frontend" } \
 	    name ~ /internal\/noc\./ { layer = "noc" } \
+	    name ~ /internal\/config\./ { layer = "config" } \
 	    name ~ /^runtime\.|^internal\/runtime\// { layer = "runtime" } \
 	    { share[layer] += pct } \
-	    END { n = split("sim queue,sim clock/dispatch,cpu,mem,dram,frontend,noc,runtime,other", order, ","); \
+	    END { n = split("sim queue,sim clock/dispatch,cpu,mem,dram,frontend,noc,config,runtime,other", order, ","); \
 	          for (i = 1; i <= n; i++) printf "%-20s %5.1f %%\n", order[i], share[order[i]] }'
 
 profile-gups:
@@ -215,6 +220,9 @@ profile-gups:
 
 profile-net:
 	$(MAKE) profile PROFILE_BENCH='BenchmarkNetStudy$$$$'
+
+profile-hit:
+	$(MAKE) profile PROFILE_BENCH='BenchmarkSweepCacheHitJournaled$$$$'
 
 # The crash-point gate: every test named TestCrashPoints* drives the
 # internal/iofault exploration harness over one persistence surface —

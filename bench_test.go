@@ -123,8 +123,9 @@ func BenchmarkNetStudy(b *testing.B) {
 
 // BenchmarkSweepCacheHit measures the all-hit path: the same sweep served
 // entirely from a warm result cache. The perf gate pins this orders of
-// magnitude below the workers=1 cold sweep — a hit is a hash, a map probe
-// and a struct copy, not a simulation.
+// magnitude below the workers=1 cold sweep — a hit is a probe of the
+// point-key memo, a probe of the cache and a struct copy: no machine config
+// is built or hashed, nothing is simulated.
 func BenchmarkSweepCacheHit(b *testing.B) {
 	c, err := core.NewSweepCache(256, cache.LRU, nil, "")
 	if err != nil {

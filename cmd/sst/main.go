@@ -199,10 +199,9 @@ func runSystem(path string, ob obsFlags, nranks int, mode par.SyncMode, snap cor
 		tracers[i] = ob.attachTracer(runner.Rank(i).Engine())
 	}
 	col := obs.NewCollector()
-	col.Attach(runner.Rank(0).Engine())
 	col.AttachRunner(runner)
 	if tracers[0] != nil {
-		// The report's trace counters follow rank 0, like the engine row.
+		// The report's trace counters follow rank 0.
 		col.AttachTracer(tracers[0])
 	}
 	ctx, stop := cli.SignalContext(context.Background())

@@ -259,6 +259,36 @@ func TestRunSystemParallel(t *testing.T) {
 	}
 }
 
+// TestSystemMetricsSumRanks: -metrics-out counts every rank's events, so
+// engine.events is the same at -par 1, 2 and 4.
+func TestSystemMetricsSumRanks(t *testing.T) {
+	dir := t.TempDir()
+	var events []uint64
+	for _, nranks := range []int{1, 2, 4} {
+		metrics := filepath.Join(dir, fmt.Sprintf("m%d.json", nranks))
+		captureStdout(t, func() error {
+			return runSystem("../../configs/system-torus-small.json", obsFlags{metricsOut: metrics}, nranks,
+				par.SyncPairwise, core.Snapshots{})
+		})
+		data, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			Engine struct {
+				Events uint64 `json:"events"`
+			} `json:"engine"`
+		}
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, rep.Engine.Events)
+	}
+	if events[0] == 0 || events[1] != events[0] || events[2] != events[0] {
+		t.Errorf("engine.events at -par 1/2/4: %v, want all equal", events)
+	}
+}
+
 // TestRunSystemParallelTrace: -trace-out with -par writes one trace file
 // per rank, tagged ".rankN" before the extension.
 func TestRunSystemParallelTrace(t *testing.T) {

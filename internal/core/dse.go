@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"sst/internal/config"
 	"sst/internal/stats"
@@ -81,6 +82,47 @@ func SweepMachine(app, tech string, width int, scale Scale) *config.MachineConfi
 		},
 		Workload: wl,
 	}
+}
+
+// pointKeys memoizes SweepMachine(app, tech, width, scale).CanonicalHash()
+// by those four values, so a repeated point (every point of an all-hit job)
+// is keyed without building, validating or hashing its machine. The memo is
+// exact because SweepMachine is a pure function of them and of presets
+// compiled into the binary. It never stores an error, and it is cleared
+// when it reaches pointKeyCap entries: JobSpec accepts any positive width,
+// and a resident service must not grow it without limit.
+var pointKeys struct {
+	sync.Mutex
+	m map[pointID]string
+}
+
+const pointKeyCap = 4096
+
+type pointID struct {
+	dseKey
+	scale Scale
+}
+
+// pointKey returns the memoized cache key of one sweep point.
+func pointKey(app, tech string, width int, scale Scale) (string, error) {
+	id := pointID{dseKey{app, tech, width}, scale}
+	pointKeys.Lock()
+	key, ok := pointKeys.m[id]
+	pointKeys.Unlock()
+	if ok {
+		return key, nil
+	}
+	key, err := SweepMachine(app, tech, width, scale).CanonicalHash()
+	if err != nil {
+		return "", err
+	}
+	pointKeys.Lock()
+	if pointKeys.m == nil || len(pointKeys.m) >= pointKeyCap {
+		pointKeys.m = make(map[pointID]string)
+	}
+	pointKeys.m[id] = key
+	pointKeys.Unlock()
+	return key, nil
 }
 
 // RunMachine builds and runs one machine config.
@@ -213,16 +255,26 @@ func (g *DSEGrid) WriteCSV(w io.Writer) error { return g.Table().WriteCSV(w) }
 // ErrPointFailed.
 func MemTechWidthSweep(apps, techs []string, widths []int, scale Scale, opts SweepOptions) (*DSEGrid, error) {
 	g := &DSEGrid{Points: make([]DSEPoint, 0, len(apps)*len(techs)*len(widths))}
-	cfgs := make([]*config.MachineConfig, 0, cap(g.Points))
 	for _, app := range apps {
 		for _, tech := range techs {
 			for _, w := range widths {
 				g.Points = append(g.Points, DSEPoint{App: app, Tech: tech, Width: w})
-				cfgs = append(cfgs, SweepMachine(app, tech, w, scale))
 			}
 		}
 	}
-	pts := machineGrid(cfgs)
+	// Only a miss builds its machine; a hit needs just its memoized key.
+	pts := grid[*NodeResult]{
+		n: len(g.Points),
+		run: func(ctx context.Context, i int) (*NodeResult, error) {
+			p := &g.Points[i]
+			return RunMachineCtx(ctx, SweepMachine(p.App, p.Tech, p.Width, scale))
+		},
+		key: func(i int) (string, error) {
+			p := &g.Points[i]
+			return pointKey(p.App, p.Tech, p.Width, scale)
+		},
+		clone: cloneNodeResult,
+	}
 	pts.name = func(i int) string {
 		p := &g.Points[i]
 		return fmt.Sprintf("%s/%s/w%d", p.App, p.Tech, p.Width)

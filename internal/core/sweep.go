@@ -195,14 +195,17 @@ type grid[T any] struct {
 // cfgs[i], content-addressed by the config's canonical hash.
 func machineGrid(cfgs []*config.MachineConfig) grid[*NodeResult] {
 	return grid[*NodeResult]{
-		n:   len(cfgs),
-		run: func(ctx context.Context, i int) (*NodeResult, error) { return RunMachineCtx(ctx, cfgs[i]) },
-		key: func(i int) (string, error) { return cfgs[i].CanonicalHash() },
-		clone: func(r *NodeResult) *NodeResult {
-			cp := *r // value struct: shallow copy is deep
-			return &cp
-		},
+		n:     len(cfgs),
+		run:   func(ctx context.Context, i int) (*NodeResult, error) { return RunMachineCtx(ctx, cfgs[i]) },
+		key:   func(i int) (string, error) { return cfgs[i].CanonicalHash() },
+		clone: cloneNodeResult,
 	}
+}
+
+// cloneNodeResult copies a result on its way into or out of the cache.
+func cloneNodeResult(r *NodeResult) *NodeResult {
+	cp := *r // value struct: shallow copy is deep
+	return &cp
 }
 
 // attempt runs cell i once: PointTimeout, panic recovery, cache lookup,

@@ -220,7 +220,6 @@ func TestCollectorWithRunner(t *testing.T) {
 		eng.Schedule(sim.Nanosecond, func(any) {}, nil)
 	}
 	col := NewCollector()
-	col.Attach(r.Rank(0).Engine())
 	col.AttachRunner(r)
 	if _, err := r.RunAll(); err != nil {
 		t.Fatal(err)
@@ -253,6 +252,10 @@ func TestCollectorWithRunner(t *testing.T) {
 	}
 	if total != 2 {
 		t.Fatalf("rank events total %d, want 2", total)
+	}
+	// The engine row sums every rank, not rank 0 alone.
+	if rep.Engine.Events != total {
+		t.Fatalf("engine events %d, rank events total %d", rep.Engine.Events, total)
 	}
 }
 

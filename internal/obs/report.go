@@ -120,13 +120,13 @@ func (r *RunReport) WriteCSV(w io.Writer) error {
 // the Report after. It owns the host-time clock and the link counters it
 // installed.
 type Collector struct {
-	engine *sim.Engine
-	tracer *Tracer
-	links  []*LinkStats
-	runner *par.Runner
-	cache  *cache.Cache
-	start  time.Time
-	base   uint64 // events already handled at Attach
+	engines []*sim.Engine
+	base    []uint64 // events each engine had handled when attached
+	tracer  *Tracer
+	links   []*LinkStats
+	runner  *par.Runner
+	cache   *cache.Cache
+	start   time.Time
 }
 
 // NewCollector creates an empty collector.
@@ -134,11 +134,12 @@ func NewCollector() *Collector { return &Collector{} }
 
 // Attach points the collector at an engine, instruments the given links
 // with traffic counters (composing with any fault interceptors already
-// installed) and starts the host-time clock. Call once, before the run.
+// installed) and starts the host-time clock. Call it before the run, once
+// per engine; every call restarts the clock.
 func (c *Collector) Attach(engine *sim.Engine, links ...*sim.Link) {
-	c.engine = engine
 	if engine != nil {
-		c.base = engine.Handled()
+		c.engines = append(c.engines, engine)
+		c.base = append(c.base, engine.Handled())
 	}
 	for _, l := range links {
 		c.links = append(c.links, InstrumentLink(l))
@@ -151,10 +152,15 @@ func (c *Collector) Attach(engine *sim.Engine, links ...*sim.Link) {
 // the cap dropped (a trace that only shows the tail says so).
 func (c *Collector) AttachTracer(t *Tracer) { c.tracer = t }
 
-// AttachRunner additionally records a parallel runner whose Metrics are
-// folded into the report. The runner's rank engines are not instrumented;
-// attach per-rank links explicitly if needed.
-func (c *Collector) AttachRunner(r *par.Runner) { c.runner = r }
+// AttachRunner attaches every rank engine of a partitioned run in place of
+// Attach, and folds the runner's Metrics into the report. The engine row
+// sums the ranks' events and takes the largest simulated time and peak.
+func (c *Collector) AttachRunner(r *par.Runner) {
+	c.runner = r
+	for i := range r.NumRanks() {
+		c.Attach(r.Rank(i).Engine())
+	}
+}
 
 // AttachCache additionally records a sweep result cache whose counter
 // snapshot (hit/miss/eviction/bytes) is folded into the report.
@@ -164,10 +170,10 @@ func (c *Collector) AttachCache(sc *cache.Cache) { c.cache = sc }
 // engine and runner state that must not be mid-flight).
 func (c *Collector) Report() *RunReport {
 	rep := &RunReport{}
-	if c.engine != nil {
-		rep.Engine.Events = c.engine.Handled() - c.base
-		rep.Engine.PeakQueue = c.engine.PeakPending()
-		rep.Engine.SimSeconds = c.engine.Now().Seconds()
+	for i, e := range c.engines {
+		rep.Engine.Events += e.Handled() - c.base[i]
+		rep.Engine.PeakQueue = max(rep.Engine.PeakQueue, e.PeakPending())
+		rep.Engine.SimSeconds = max(rep.Engine.SimSeconds, e.Now().Seconds())
 	}
 	if !c.start.IsZero() {
 		rep.Engine.HostSeconds = time.Since(c.start).Seconds()
