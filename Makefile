@@ -13,8 +13,9 @@
 #                     the sweep scheduler at 1/2/4/8 workers and the result
 #                     cache's hit and miss paths (the hit path also with a
 #                     journal and the result CSV, as sst-serve runs it),
-#                     the canonical config hash
-#                     and one journal record, with -benchmem, checked
+#                     a 96-point grid's result CSV, the canonical config
+#                     hash, one journal record and the kernel front end's
+#                     per-op drain, with -benchmem, checked
 #                     against the committed BENCH_baseline.json (alloc
 #                     counts must not grow; ns/op within tolerance on the
 #                     host the baseline records, a warning on any other; a
@@ -32,9 +33,10 @@
 #                     (FuzzEventSetLedger), the
 #                     canonical config hash against its fmt oracle
 #                     (FuzzConfigHash), the job-submission HTTP body
-#                     (FuzzJobSpecHTTP) and result-table cells against
-#                     their fmt oracle (FuzzTableCell); crashes fail the
-#                     target
+#                     (FuzzJobSpecHTTP), result-table cells against
+#                     their fmt oracle (FuzzTableCell) and the grid's
+#                     direct CSV writer against its table's CSV
+#                     (FuzzDSEGridCSV); crashes fail the target
 #   make resume-smoke — the crash-safety gate: SIGINT a journaled sweep
 #                     mid-flight, resume it, and require the resumed grid to
 #                     be byte-identical to an uninterrupted run. Runs inside
@@ -68,8 +70,10 @@
 #                     and print each layer's share of the samples (the table
 #                     EXPERIMENTS.md E8 commits); `make profile-gups` does
 #                     the same for the full-scale gups grid, the miss path,
-#                     `make profile-net` for Fig. 9's network study and
-#                     `make profile-hit` for the journaled all-hit sweep
+#                     `make profile-net` for Fig. 9's network study,
+#                     `make profile-hit` for the journaled all-hit sweep and
+#                     `make profile-serve` for cached jobs posted to an
+#                     in-process sst-serve over HTTP
 #   make soak       — the memory-discipline gate: serve 250 journaled jobs
 #                     through one resident server and require flat heap and
 #                     goroutine counts plus full arena reuse, with a heap
@@ -86,9 +90,10 @@ FUZZTIME ?= 5s
 # same thing.
 BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|ClockTick8Handlers|ClockTickWithHeap|LaneDispatch)$$' -benchmem ./internal/sim && \
           $(GO) test -run='^$$' -bench='^BenchmarkParallelWindow$$' -benchmem ./internal/par && \
-          $(GO) test -run='^$$' -bench='^BenchmarkSweep(Workers|CacheHit|CacheHitJournaled|CacheMiss)$$' -benchmem . && \
+          $(GO) test -run='^$$' -bench='^Benchmark(Sweep(Workers|CacheHit|CacheHitJournaled|CacheMiss)|DSEGridCSV)$$' -benchmem . && \
           $(GO) test -run='^$$' -bench='^BenchmarkCanonicalHash$$' -benchmem ./internal/config && \
-          $(GO) test -run='^$$' -bench='^BenchmarkJournalRecord$$' -benchmem ./internal/core
+          $(GO) test -run='^$$' -bench='^BenchmarkJournalRecord$$' -benchmem ./internal/core && \
+          $(GO) test -run='^$$' -bench='^BenchmarkKernelDrain$$' -benchmem ./internal/workload
 
 # The memory-discipline contract, committed into BENCH_baseline.json as
 # absolute hard ceilings by bench-baseline and enforced by every `make
@@ -106,12 +111,16 @@ BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|Clock
 # went through fmt); journaled and rendered as sst-serve does, near its 517
 # allocs and 93.2 KB (758 and 109.5 KB with the rebuild and hash, 881 and
 # 125.2 KB while each hit's journal line re-marshalled its result and table
-# cells went through fmt); the canonical hash to its key string plus the
-# config parsing under it, and a journal record to zero.
-BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=32000000,BenchmarkSweepCacheHit=10400,BenchmarkSweepCacheHitJournaled=102500,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0' \
-                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=18000,BenchmarkSweepCacheHit=48,BenchmarkSweepCacheHitJournaled=568,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0'
+# cells went through fmt) — since the names are memoized and the CSV is
+# written straight into one buffer, near its 71 allocs and 80.9 KB (517 and
+# 93.2 KB before); a 96-point grid's CSV to its one buffer (1461 allocs and
+# 56.2 KB through a stats.Table); the canonical hash to its key string plus
+# the config parsing under it, and a journal record and the kernel front
+# end's per-op drain to zero.
+BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=32000000,BenchmarkSweepCacheHit=10400,BenchmarkSweepCacheHitJournaled=89000,BenchmarkDSEGridCSV=7100,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0,BenchmarkKernelDrain/hpccg=0,BenchmarkKernelDrain/lulesh=0' \
+                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=18000,BenchmarkSweepCacheHit=48,BenchmarkSweepCacheHitJournaled=78,BenchmarkDSEGridCSV=1,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0,BenchmarkKernelDrain/hpccg=0,BenchmarkKernelDrain/lulesh=0'
 
-.PHONY: build fmt test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile profile-gups profile-net profile-hit
+.PHONY: build fmt test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile profile-gups profile-net profile-hit profile-serve
 
 build:
 	$(GO) build ./...
@@ -157,8 +166,9 @@ race:
 # link save the bytes of a map+sort oracle), of the canonical config hash (every
 # config that loads hashes deterministically and byte-identically to the
 # fmt oracle), of the POST /v1/jobs body (202 or a 4xx, never a 5xx,
-# panic or hang) and of result-table cells (any float64 bit pattern, int
-# and string renders exactly as fmt's %.4g / %v did).
+# panic or hang), of result-table cells (any float64 bit pattern, int
+# and string renders exactly as fmt's %.4g / %v did) and of the design-space
+# grid's direct CSV writer (any four figures render as its table's CSV).
 fuzz-short:
 	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzLoadMachine -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzLoadSystem -fuzztime=$(FUZZTIME)
@@ -172,6 +182,7 @@ fuzz-short:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzEventSetLedger -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzJobSpecHTTP -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzTableCell -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzDSEGridCSV -fuzztime=$(FUZZTIME)
 
 check: build fmt vet test race fuzz-short crash-smoke soak-short serve-smoke spec-smoke resume-smoke cache-smoke
 
@@ -193,7 +204,10 @@ loc:
 # profile-gups sets it to the full-scale gups grid, profile-net to Fig. 9's
 # network study (BenchmarkNetStudy), where the noc row is the model, and
 # profile-hit to the journaled all-hit sweep (sst-serve's per-point path for
-# a cached job), where the config row is the machine-config hash.
+# a cached job), where the config row is the machine-config hash, and
+# profile-serve to whole cached jobs through an in-process sst-serve
+# (BenchmarkServeHotJobs), where the serve row is the service and the model
+# rows are the one-off fill of its result cache.
 PROFILE_BENCH ?= BenchmarkSweepWorkers/workers=1$$
 
 profile:
@@ -210,9 +224,10 @@ profile:
 	    name ~ /internal\/frontend\./ { layer = "frontend" } \
 	    name ~ /internal\/noc\./ { layer = "noc" } \
 	    name ~ /internal\/config\./ { layer = "config" } \
+	    name ~ /internal\/serve\./ { layer = "serve" } \
 	    name ~ /^runtime\.|^internal\/runtime\// { layer = "runtime" } \
 	    { share[layer] += pct } \
-	    END { n = split("sim queue,sim clock/dispatch,cpu,mem,dram,frontend,noc,config,runtime,other", order, ","); \
+	    END { n = split("sim queue,sim clock/dispatch,cpu,mem,dram,frontend,noc,config,serve,runtime,other", order, ","); \
 	          for (i = 1; i <= n; i++) printf "%-20s %5.1f %%\n", order[i], share[order[i]] }'
 
 profile-gups:
@@ -223,6 +238,9 @@ profile-net:
 
 profile-hit:
 	$(MAKE) profile PROFILE_BENCH='BenchmarkSweepCacheHitJournaled$$$$'
+
+profile-serve:
+	$(MAKE) profile PROFILE_BENCH='BenchmarkServeHotJobs$$$$'
 
 # The crash-point gate: every test named TestCrashPoints* drives the
 # internal/iofault exploration harness over one persistence surface —

@@ -16,10 +16,15 @@
 package sst_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,6 +33,7 @@ import (
 	"sst/internal/iofault"
 	"sst/internal/noc"
 	"sst/internal/par"
+	"sst/internal/serve"
 	"sst/internal/sim"
 	"sst/internal/stats"
 )
@@ -171,6 +177,151 @@ func BenchmarkSweepCacheHitJournaled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sweep()
 	}
+}
+
+// hotJobs are the six job specs of the benchmark's serve.hot workload: 96
+// small-scale points each (4 apps x 6 memory technologies x 4 widths).
+func hotJobs() []core.JobSpec {
+	apps := []string{"hpccg", "lulesh", "stencil", "stream", "fea", "gups", "minimd"}
+	techs := []string{"ddr2-800", "ddr3-800", "ddr3-1066", "ddr3-1333", "ddr3-1600", "gddr5-4000"}
+	var specs []core.JobSpec
+	for g := 0; g < 6; g++ {
+		spec := core.JobSpec{Kind: "dse", Techs: techs, Widths: sweepWidths, Scale: "small"}
+		for k := 0; k < 4; k++ {
+			spec.Apps = append(spec.Apps, apps[(g+k)%len(apps)])
+		}
+		specs = append(specs, spec)
+	}
+	return specs
+}
+
+// BenchmarkDSEGridCSV renders one serve.hot job's result: a 96-point grid
+// as its CSV, the last step of every cached job.
+func BenchmarkDSEGridCSV(b *testing.B) {
+	spec := hotJobs()[0]
+	grid, err := core.MemTechWidthSweep(spec.Apps, spec.Techs, spec.Widths, core.Small, core.SweepOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := grid.WriteCSV(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// hotCache is the result cache BenchmarkServeHotJobs's jobs hit and
+// hotWant each job's result CSV, both filled by the benchmark's first call
+// and kept for the rest of the process, so the simulations that fill the
+// cache run once however often the benchmark is called.
+var (
+	hotCache *cache.Cache
+	hotWant  [][]byte
+)
+
+// BenchmarkServeHotJobs is sst-serve's cached-job trip in one process, the
+// benchmark's serve.hot workload without its harness: two closed-loop
+// clients post all-hit dse jobs to a serve.Server over HTTP, each reading
+// the job's /events stream to its end and then its /result CSV, which must
+// match the job's first result. Every 100 jobs the server and its
+// in-memory disk are replaced, off the clock, so retained job state does
+// not grow with b.N. `make profile-serve` profiles it; the profile's
+// simulation rows are the one-off cache fill.
+func BenchmarkServeHotJobs(b *testing.B) {
+	const clients, roundJobs = 2, 100
+	var bodies [][]byte
+	for _, spec := range hotJobs() {
+		body, err := json.Marshal(map[string]any{"tenant": "bench", "spec": spec})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	if hotCache == nil {
+		c, err := core.NewSweepCache(4096, cache.LRU, nil, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		hotCache = c
+	}
+	b.StopTimer()
+	for done := 0; done < b.N; {
+		srv, err := serve.New(serve.Config{StateDir: "state", JobWorkers: clients, PointWorkers: 1,
+			QueueCapacity: 16, Cache: hotCache, FS: iofault.NewMemFS(0)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv.Start()
+		ts := httptest.NewServer(srv.Handler())
+		for len(hotWant) < len(bodies) {
+			csv, err := hotJob(ts, bodies[len(hotWant)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			hotWant = append(hotWant, csv)
+		}
+		n := min(roundJobs, b.N-done)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		errs := make(chan error, clients)
+		b.StartTimer()
+		for range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+					j := (done + i) % len(bodies)
+					csv, err := hotJob(ts, bodies[j])
+					if err == nil && !bytes.Equal(csv, hotWant[j]) {
+						err = fmt.Errorf("job %d: result differs from its first run", j)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		b.StopTimer()
+		ts.Close()
+		if err := srv.Drain(10 * time.Second); err != nil {
+			b.Fatal(err)
+		}
+		close(errs)
+		for err := range errs {
+			b.Fatal(err)
+		}
+		done += n
+	}
+}
+
+// hotJob is one trip through the service: POST /v1/jobs, read the job's
+// /events to EOF, GET its /result.
+func hotJob(ts *httptest.Server, body []byte) ([]byte, error) {
+	cli := ts.Client()
+	resp, err := cli.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	var st serve.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		return nil, fmt.Errorf("submit: status %d: %v", resp.StatusCode, err)
+	}
+	for _, path := range []string{"/events", "/result"} {
+		if resp, err = cli.Get(ts.URL + "/v1/jobs/" + st.ID + path); err != nil {
+			return nil, err
+		}
+		body, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("%s: status %d: %v", path, resp.StatusCode, err)
+		}
+	}
+	return body, nil
 }
 
 // BenchmarkSweepCacheMiss measures the all-miss path: a fresh cache every

@@ -200,10 +200,7 @@ func runSystem(path string, ob obsFlags, nranks int, mode par.SyncMode, snap cor
 	}
 	col := obs.NewCollector()
 	col.AttachRunner(runner)
-	if tracers[0] != nil {
-		// The report's trace counters follow rank 0.
-		col.AttachTracer(tracers[0])
-	}
+	col.AttachTracer(tracers...)
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
 	elapsed, maxWait, err := sys.Run(ctx, snap)
@@ -302,9 +299,7 @@ func run(cfgPath string, dumpStats bool, ob obsFlags, timeline, samplePd string)
 	tracer := ob.attachTracer(engine)
 	col := obs.NewCollector()
 	col.Attach(engine, node.Sim.Links()...)
-	if tracer != nil {
-		col.AttachTracer(tracer)
-	}
+	col.AttachTracer(tracer)
 	res, err := node.Run()
 	if err != nil {
 		return err

@@ -259,15 +259,17 @@ func TestRunSystemParallel(t *testing.T) {
 	}
 }
 
-// TestSystemMetricsSumRanks: -metrics-out counts every rank's events, so
-// engine.events is the same at -par 1, 2 and 4.
+// TestSystemMetricsSumRanks: -metrics-out counts every rank's events and
+// every rank's trace spans, so engine.events reads the same at any -par and
+// trace.spans (one span per dispatched event) equals it.
 func TestSystemMetricsSumRanks(t *testing.T) {
 	dir := t.TempDir()
 	var events []uint64
 	for _, nranks := range []int{1, 2, 4} {
 		metrics := filepath.Join(dir, fmt.Sprintf("m%d.json", nranks))
+		trace := filepath.Join(dir, fmt.Sprintf("t%d.json", nranks))
 		captureStdout(t, func() error {
-			return runSystem("../../configs/system-torus-small.json", obsFlags{metricsOut: metrics}, nranks,
+			return runSystem("../../configs/system-torus-small.json", obsFlags{metricsOut: metrics, traceOut: trace}, nranks,
 				par.SyncPairwise, core.Snapshots{})
 		})
 		data, err := os.ReadFile(metrics)
@@ -278,9 +280,15 @@ func TestSystemMetricsSumRanks(t *testing.T) {
 			Engine struct {
 				Events uint64 `json:"events"`
 			} `json:"engine"`
+			Trace struct {
+				Spans uint64 `json:"spans"`
+			} `json:"trace"`
 		}
 		if err := json.Unmarshal(data, &rep); err != nil {
 			t.Fatal(err)
+		}
+		if rep.Trace.Spans != rep.Engine.Events {
+			t.Errorf("-par %d: trace.spans %d, engine.events %d", nranks, rep.Trace.Spans, rep.Engine.Events)
 		}
 		events = append(events, rep.Engine.Events)
 	}

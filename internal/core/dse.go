@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"sync"
 
 	"sst/internal/config"
@@ -84,16 +87,18 @@ func SweepMachine(app, tech string, width int, scale Scale) *config.MachineConfi
 	}
 }
 
-// pointKeys memoizes SweepMachine(app, tech, width, scale).CanonicalHash()
-// by those four values, so a repeated point (every point of an all-hit job)
-// is keyed without building, validating or hashing its machine. The memo is
-// exact because SweepMachine is a pure function of them and of presets
-// compiled into the binary. It never stores an error, and it is cleared
-// when it reaches pointKeyCap entries: JobSpec accepts any positive width,
-// and a resident service must not grow it without limit.
+// pointKeys memoizes, by (app, tech, width, scale), each sweep point's cache
+// key — SweepMachine(app, tech, width, scale).CanonicalHash() — and journal
+// name "app/tech/wN", so a repeated point (every point of an all-hit job) is
+// keyed and named without building, hashing or formatting anything. The
+// memo is exact because both are pure functions of those values and of
+// presets compiled into the binary. It never stores an error (an entry may
+// hold a name and no key yet), and it is cleared at pointKeyCap entries:
+// JobSpec accepts any positive width, and a resident service must not grow
+// it without limit.
 var pointKeys struct {
 	sync.Mutex
-	m map[pointID]string
+	m map[pointID]pointMemo
 }
 
 const pointKeyCap = 4096
@@ -103,26 +108,51 @@ type pointID struct {
 	scale Scale
 }
 
+// pointMemo is one point's memo entry; an empty field is not yet known.
+type pointMemo struct{ key, name string }
+
+// lookup returns id's memo entry, empty when there is none.
+func (id pointID) lookup() pointMemo {
+	pointKeys.Lock()
+	defer pointKeys.Unlock()
+	return pointKeys.m[id]
+}
+
+// store records e's fields for id, keeping any field e leaves empty.
+func (id pointID) store(e pointMemo) {
+	pointKeys.Lock()
+	defer pointKeys.Unlock()
+	if pointKeys.m == nil || len(pointKeys.m) >= pointKeyCap {
+		pointKeys.m = make(map[pointID]pointMemo)
+	}
+	old := pointKeys.m[id]
+	pointKeys.m[id] = pointMemo{cmp.Or(e.key, old.key), cmp.Or(e.name, old.name)}
+}
+
 // pointKey returns the memoized cache key of one sweep point.
 func pointKey(app, tech string, width int, scale Scale) (string, error) {
 	id := pointID{dseKey{app, tech, width}, scale}
-	pointKeys.Lock()
-	key, ok := pointKeys.m[id]
-	pointKeys.Unlock()
-	if ok {
+	if key := id.lookup().key; key != "" {
 		return key, nil
 	}
 	key, err := SweepMachine(app, tech, width, scale).CanonicalHash()
 	if err != nil {
 		return "", err
 	}
-	pointKeys.Lock()
-	if pointKeys.m == nil || len(pointKeys.m) >= pointKeyCap {
-		pointKeys.m = make(map[pointID]string)
-	}
-	pointKeys.m[id] = key
-	pointKeys.Unlock()
+	id.store(pointMemo{key: key})
 	return key, nil
+}
+
+// pointName returns the memoized journal name "app/tech/wN" of one sweep
+// point.
+func pointName(app, tech string, width int, scale Scale) string {
+	id := pointID{dseKey{app, tech, width}, scale}
+	name := id.lookup().name
+	if name == "" {
+		name = fmt.Sprintf("%s/%s/w%d", app, tech, width)
+		id.store(pointMemo{name: name})
+	}
+	return name
 }
 
 // RunMachine builds and runs one machine config.
@@ -216,24 +246,39 @@ func (g *DSEGrid) Failed() []*DSEPoint {
 	return out
 }
 
+// dseTitle and dseHeader head the grid table and its CSV.
+const (
+	dseTitle  = "Design-space sweep: app x memory technology x issue width"
+	dseHeader = "app,tech,width,runtime_ms,ipc,mem_gbs,node_watts,err"
+)
+
+var dseColumns = strings.Split(dseHeader, ",")
+
+// figures returns the four figure cells of p's grid row, or ok false and the
+// err cell's text: a failed point's first error line.
+func (p *DSEPoint) figures() (v [4]float64, msg string, ok bool) {
+	if r := p.Result; r != nil {
+		return [4]float64{r.Seconds * 1e3, r.IPC, r.MemBandwidth / 1e9, r.Budget.AvgPowerW()}, "", true
+	}
+	msg = "no result"
+	if p.Err != nil {
+		msg = firstLine(p.Err.Error())
+	}
+	return v, msg, false
+}
+
 // Table implements Result: the full grid as one flat table, one row per
 // point. Failed points render their first error line in the err column.
 func (g *DSEGrid) Table() *stats.Table {
-	t := stats.NewTable("Design-space sweep: app x memory technology x issue width",
-		"app", "tech", "width", "runtime_ms", "ipc", "mem_gbs", "node_watts", "err")
+	t := stats.NewTable(dseTitle, dseColumns...)
 	for i := range g.Points {
 		p := &g.Points[i]
-		if p.Result == nil {
-			msg := "no result"
-			if p.Err != nil {
-				msg = firstLine(p.Err.Error())
-			}
+		v, msg, ok := p.figures()
+		if !ok {
 			t.AddRow(p.App, p.Tech, p.Width, "", "", "", "", msg)
 			continue
 		}
-		r := p.Result
-		t.AddRow(p.App, p.Tech, p.Width, r.Seconds*1e3, r.IPC,
-			r.MemBandwidth/1e9, r.Budget.AvgPowerW(), "")
+		t.AddRow(p.App, p.Tech, p.Width, v[0], v[1], v[2], v[3], "")
 	}
 	return t
 }
@@ -241,8 +286,28 @@ func (g *DSEGrid) Table() *stats.Table {
 // WriteJSON implements Result.
 func (g *DSEGrid) WriteJSON(w io.Writer) error { return g.Table().WriteJSON(w) }
 
-// WriteCSV implements Result.
-func (g *DSEGrid) WriteCSV(w io.Writer) error { return g.Table().WriteCSV(w) }
+// WriteCSV implements Result. It appends the bytes Table().WriteCSV writes,
+// by the same strconv calls, straight into one buffer with no table and no
+// boxed cells: for a job whose points all hit the cache it is a large share
+// of the job.
+func (g *DSEGrid) WriteCSV(w io.Writer) error {
+	b := append(make([]byte, 0, 128+64*len(g.Points)), "# "+dseTitle+"\n"+dseHeader+"\n"...)
+	for i := range g.Points {
+		p := &g.Points[i]
+		b = append(append(append(append(b, p.App...), ','), p.Tech...), ',')
+		b = append(strconv.AppendInt(b, int64(p.Width), 10), ',')
+		if v, msg, ok := p.figures(); ok {
+			for _, f := range v {
+				b = append(strconv.AppendFloat(b, f, 'g', 4, 64), ',')
+			}
+		} else {
+			b = append(append(b, ",,,,"...), msg...)
+		}
+		b = append(b, '\n')
+	}
+	_, err := w.Write(b)
+	return err
+}
 
 // MemTechWidthSweep runs the cross product of apps × technologies × widths
 // — the single sweep behind Figs. 10, 11 and 12. Points are independent
@@ -277,7 +342,7 @@ func MemTechWidthSweep(apps, techs []string, widths []int, scale Scale, opts Swe
 	}
 	pts.name = func(i int) string {
 		p := &g.Points[i]
-		return fmt.Sprintf("%s/%s/w%d", p.App, p.Tech, p.Width)
+		return pointName(p.App, p.Tech, p.Width, scale)
 	}
 	pts.label = func(i int) string { return "core: sweep " + pts.name(i) }
 	res, errs, err := runGrid(opts, pts)

@@ -88,10 +88,19 @@ func (e *Emitter) Emit(op Op) bool {
 		return false
 	}
 	e.pc += 4
-	if op.PC == 0 {
-		op.PC = e.pc
+	// Fill the next slot field by field: appending the whole Op costs a
+	// growth check and a copy through the stack on every op.
+	n := len(e.batch)
+	if n == cap(e.batch) {
+		e.batch = append(e.batch, Op{})[:n] // flush keeps a batch below cap
 	}
-	e.batch = append(e.batch, op)
+	e.batch = e.batch[:n+1]
+	s := &e.batch[n]
+	s.Class, s.PC, s.Addr, s.Size, s.Taken = op.Class, op.PC, op.Addr, op.Size, op.Taken
+	s.Dst, s.Src1, s.Src2 = op.Dst, op.Src1, op.Src2
+	if op.PC == 0 {
+		s.PC = e.pc
+	}
 	if len(e.batch) >= batchSize {
 		return e.flush()
 	}

@@ -407,7 +407,7 @@ func (c *Cache) Access(op Op, addr uint64, size int, done func()) {
 		last = addr + uint64(size) - 1
 	}
 	last &^= lineSize - 1
-	n := int((last-first)/lineSize) + 1
+	n := int((last-first)>>c.lineShift) + 1
 	if n == 1 {
 		c.accessLine(op, first, done)
 		return

@@ -122,7 +122,7 @@ func (r *RunReport) WriteCSV(w io.Writer) error {
 type Collector struct {
 	engines []*sim.Engine
 	base    []uint64 // events each engine had handled when attached
-	tracer  *Tracer
+	tracers []*Tracer
 	links   []*LinkStats
 	runner  *par.Runner
 	cache   *cache.Cache
@@ -147,10 +147,17 @@ func (c *Collector) Attach(engine *sim.Engine, links ...*sim.Link) {
 	c.start = time.Now()
 }
 
-// AttachTracer additionally records the run's span tracer so the report
-// carries its ring counters — total spans, retained spans, and how many
-// the cap dropped (a trace that only shows the tail says so).
-func (c *Collector) AttachTracer(t *Tracer) { c.tracer = t }
+// AttachTracer additionally records the run's span tracers — one per rank
+// engine of a partitioned run; nil ones are skipped — so the report carries
+// their ring counters summed: total spans, retained spans, and how many the
+// caps dropped (a trace that only shows the tail says so).
+func (c *Collector) AttachTracer(ts ...*Tracer) {
+	for _, t := range ts {
+		if t != nil {
+			c.tracers = append(c.tracers, t)
+		}
+	}
+}
 
 // AttachRunner attaches every rank engine of a partitioned run in place of
 // Attach, and folds the runner's Metrics into the report. The engine row
@@ -181,12 +188,13 @@ func (c *Collector) Report() *RunReport {
 	if rep.Engine.HostSeconds > 0 {
 		rep.Engine.EventsPerSec = float64(rep.Engine.Events) / rep.Engine.HostSeconds
 	}
-	if t := c.tracer; t != nil {
-		rep.Trace = &TraceMetrics{
-			Spans:    t.Total(),
-			Retained: t.Total() - t.Dropped(),
-			Dropped:  t.Dropped(),
+	for _, t := range c.tracers {
+		if rep.Trace == nil {
+			rep.Trace = &TraceMetrics{}
 		}
+		rep.Trace.Spans += t.Total()
+		rep.Trace.Retained += t.Total() - t.Dropped()
+		rep.Trace.Dropped += t.Dropped()
 	}
 	for _, l := range c.links {
 		rep.Links = append(rep.Links, *l)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"sst/internal/frontend"
@@ -507,5 +508,35 @@ func TestNewAppOnPortsValidation(t *testing.T) {
 	_ = net
 	if _, err := NewAppOnPorts(e, "x", nil, make([]*Script, 2)); err == nil {
 		t.Fatal("port/script mismatch accepted")
+	}
+}
+
+// BenchmarkKernelDrain is the per-op cost of the kernel front end: the
+// full-scale hpccg and lulesh kernels (the paper grid's) emitting their ops
+// through an Emitter while the benchmark pulls them off the KernelStream,
+// restarting each kernel on a pooled stream when it ends. It runs at
+// GOMAXPROCS 1, so producer and consumer share one processor and the
+// number is their CPU per op, not how well two goroutines overlap.
+func BenchmarkKernelDrain(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, k := range []struct {
+		name   string
+		kernel *Kernel
+	}{{"hpccg", HPCCG(18, 1)}, {"lulesh", Lulesh(16384, 1)}} {
+		b.Run(k.name, func(b *testing.B) {
+			pool := &frontend.OpPool{}
+			s := k.kernel.StreamPool(pool)
+			var op frontend.Op
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !s.Next(&op) {
+					s.Close()
+					s = k.kernel.StreamPool(pool)
+					s.Next(&op)
+				}
+			}
+			b.StopTimer()
+			s.Close()
+		})
 	}
 }
