@@ -13,6 +13,7 @@
 #                     the sweep scheduler at 1/2/4/8 workers and the result
 #                     cache's hit and miss paths (the hit path also with a
 #                     journal and the result CSV, as sst-serve runs it),
+#                     Fig. 9's network study,
 #                     a 96-point grid's result CSV, the canonical config
 #                     hash, one journal record and the kernel front end's
 #                     per-op drain, with -benchmem, checked
@@ -73,7 +74,9 @@
 #                     `make profile-net` for Fig. 9's network study,
 #                     `make profile-hit` for the journaled all-hit sweep and
 #                     `make profile-serve` for cached jobs posted to an
-#                     in-process sst-serve over HTTP
+#                     in-process sst-serve over HTTP; `make profile-alloc`
+#                     prints the same table over the bytes PROFILE_BENCH
+#                     allocates
 #   make soak       — the memory-discipline gate: serve 250 journaled jobs
 #                     through one resident server and require flat heap and
 #                     goroutine counts plus full arena reuse, with a heap
@@ -90,7 +93,7 @@ FUZZTIME ?= 5s
 # same thing.
 BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|ClockTick8Handlers|ClockTickWithHeap|LaneDispatch)$$' -benchmem ./internal/sim && \
           $(GO) test -run='^$$' -bench='^BenchmarkParallelWindow$$' -benchmem ./internal/par && \
-          $(GO) test -run='^$$' -bench='^Benchmark(Sweep(Workers|CacheHit|CacheHitJournaled|CacheMiss)|DSEGridCSV)$$' -benchmem . && \
+          $(GO) test -run='^$$' -bench='^Benchmark(Sweep(Workers|CacheHit|CacheHitJournaled|CacheMiss)|DSEGridCSV|NetStudy)$$' -benchmem . && \
           $(GO) test -run='^$$' -bench='^BenchmarkCanonicalHash$$' -benchmem ./internal/config && \
           $(GO) test -run='^$$' -bench='^BenchmarkJournalRecord$$' -benchmem ./internal/core && \
           $(GO) test -run='^$$' -bench='^BenchmarkKernelDrain$$' -benchmem ./internal/workload
@@ -116,11 +119,15 @@ BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|Clock
 # 93.2 KB before); a 96-point grid's CSV to its one buffer (1461 allocs and
 # 56.2 KB through a stats.Table); the canonical hash to its key string plus
 # the config parsing under it, and a journal record and the kernel front
-# end's per-op drain to zero.
-BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=32000000,BenchmarkSweepCacheHit=10400,BenchmarkSweepCacheHitJournaled=89000,BenchmarkDSEGridCSV=7100,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0,BenchmarkKernelDrain/hpccg=0,BenchmarkKernelDrain/lulesh=0' \
-                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=18000,BenchmarkSweepCacheHit=48,BenchmarkSweepCacheHitJournaled=78,BenchmarkDSEGridCSV=1,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0,BenchmarkKernelDrain/hpccg=0,BenchmarkKernelDrain/lulesh=0'
+# end's per-op drain to zero. Fig. 9's network study stays near its 47.7 k
+# allocs and 15.5 MB (138.2 k and 25.9 MB while a NIC cut every packet of a
+# message at send time), and a pairwise parallel window allocates nothing
+# (8 allocs and 508 B while each staged delivery was a closure and each
+# window made its own watchdog timer and arrival set).
+BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=32000000,BenchmarkSweepCacheHit=10400,BenchmarkSweepCacheHitJournaled=89000,BenchmarkDSEGridCSV=7100,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0,BenchmarkKernelDrain/hpccg=0,BenchmarkKernelDrain/lulesh=0,BenchmarkNetStudy=17000000,BenchmarkParallelWindow/sync=pairwise=0' \
+                 -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=18000,BenchmarkSweepCacheHit=48,BenchmarkSweepCacheHitJournaled=78,BenchmarkDSEGridCSV=1,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0,BenchmarkKernelDrain/hpccg=0,BenchmarkKernelDrain/lulesh=0,BenchmarkNetStudy=52000,BenchmarkParallelWindow/sync=pairwise=0'
 
-.PHONY: build fmt test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile profile-gups profile-net profile-hit profile-serve
+.PHONY: build fmt test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile profile-gups profile-net profile-hit profile-serve profile-alloc
 
 build:
 	$(GO) build ./...
@@ -208,12 +215,14 @@ loc:
 # profile-serve to whole cached jobs through an in-process sst-serve
 # (BenchmarkServeHotJobs), where the serve row is the service and the model
 # rows are the one-off fill of its result cache.
+# profile-alloc prints the same table over a memory profile's alloc_space,
+# the bytes each layer allocates: `make profile-alloc
+# PROFILE_BENCH='BenchmarkNetStudy$$'` is EXPERIMENTS.md E21's allocation
+# table.
 PROFILE_BENCH ?= BenchmarkSweepWorkers/workers=1$$
 
-profile:
-	@mkdir -p bin
-	$(GO) test -run='^$$' -bench='$(PROFILE_BENCH)' -benchtime=5s -cpuprofile=sweep.cpu.pprof -outputdir=bin -o bin/sweep.test .
-	@$(GO) tool pprof -top -nodecount=100000 -nodefraction=0 bin/sweep.test bin/sweep.cpu.pprof 2>/dev/null | awk ' \
+# LAYERS turns `go tool pprof -top` output into the per-layer table.
+LAYERS = awk ' \
 	    $$2 !~ /%$$/ || $$1 == "flat" { next } \
 	    { name = $$6; pct = $$2 + 0; layer = "other" } \
 	    name ~ /internal\/sim\.\(\*Engine\)\.(push|resift|lane)|internal\/sim\.\(\*eventQueue\)|internal\/sim\.\(\*event\)|internal\/sim\.\(\*Lane\)/ { layer = "sim queue" } \
@@ -229,6 +238,16 @@ profile:
 	    { share[layer] += pct } \
 	    END { n = split("sim queue,sim clock/dispatch,cpu,mem,dram,frontend,noc,config,serve,runtime,other", order, ","); \
 	          for (i = 1; i <= n; i++) printf "%-20s %5.1f %%\n", order[i], share[order[i]] }'
+
+profile:
+	@mkdir -p bin
+	$(GO) test -run='^$$' -bench='$(PROFILE_BENCH)' -benchtime=5s -cpuprofile=sweep.cpu.pprof -outputdir=bin -o bin/sweep.test .
+	@$(GO) tool pprof -top -nodecount=100000 -nodefraction=0 bin/sweep.test bin/sweep.cpu.pprof 2>/dev/null | $(LAYERS)
+
+profile-alloc:
+	@mkdir -p bin
+	$(GO) test -run='^$$' -bench='$(PROFILE_BENCH)' -benchtime=5s -benchmem -memprofile=sweep.mem.pprof -outputdir=bin -o bin/sweep.test .
+	@$(GO) tool pprof -sample_index=alloc_space -top -nodecount=100000 -nodefraction=0 bin/sweep.test bin/sweep.mem.pprof 2>/dev/null | $(LAYERS)
 
 profile-gups:
 	$(MAKE) profile PROFILE_BENCH='BenchmarkSweepGups$$$$'

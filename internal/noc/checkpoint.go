@@ -82,13 +82,18 @@ func init() {
 		})
 }
 
-// PendingOwned reports the rank's pending fabric events.
-func (rk *netRank) PendingOwned() int { return rk.evs.PendingOwned() }
+// PendingOwned reports the rank's pending fabric events: the tracked ones
+// and the packets its NICs have reserved but not yet injected.
+func (rk *netRank) PendingOwned() int { return rk.evs.PendingOwned() + rk.uncut }
 
 // SaveState writes the rank's pending events, link and NIC state and
-// statistics.
+// statistics. The NICs' uncut packets are written as the tracked events
+// they were while every packet was scheduled at send time, merged with the
+// set's in sequence order, so the bytes are unchanged and a restore
+// re-creates them as tracked events with every NIC's queue empty.
 func (rk *netRank) SaveState(enc *sim.Encoder) {
-	rk.evs.Save(enc)
+	rk.evs.SaveWith(enc, rk.uncut, rk.heldPackets())
+	clear(rk.held) // hold no messages past the save
 	for _, l := range rk.links {
 		enc.Time(l.freeAt)
 		enc.U64(l.bytes)
@@ -101,6 +106,13 @@ func (rk *netRank) SaveState(enc *sim.Encoder) {
 
 // LoadState restores what SaveState wrote into an identically built rank.
 func (rk *netRank) LoadState(dec *sim.Decoder) error {
+	// The snapshot holds the uncut packets as tracked events: the NICs
+	// start with nothing queued.
+	for _, nc := range rk.nics {
+		clear(nc.msgs)
+		nc.head, nc.n = 0, 0
+	}
+	rk.uncut = 0
 	if err := rk.evs.Load(dec); err != nil {
 		return err
 	}

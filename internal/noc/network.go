@@ -1,7 +1,9 @@
 package noc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sst/internal/par"
 	"sst/internal/sim"
@@ -87,11 +89,13 @@ type outLink struct {
 // (NewPartitionedNetwork); both run the same hop, deliver and segmentation
 // code, and a packet crossing a partition boundary travels through the
 // runner's deterministic mailboxes. All in-fabric work is scheduled through
-// one sim.EventSet per rank, so on snapshot-enabled engines in-flight
-// packets are plain data and the network checkpoints at any rank count.
-// Every NIC and every directed link is a monotone producer — a NIC injects
-// at max(now, freeAt), a link delivers at freeAt plus a constant latency —
-// so each schedules on its own sim.Lane through the rank's set.
+// one sim.EventSet per rank, and each rank's checkpoint writes its NICs'
+// uncut packets among the set's events, so on snapshot-enabled engines
+// in-flight packets are plain data and the network checkpoints at any rank
+// count. Every NIC and every directed link is a monotone producer — a NIC
+// injects at max(now, freeAt), a link delivers at freeAt plus a constant
+// latency — so each schedules on its own sim.Lane: a link through the
+// rank's set, a NIC under sequence numbers reserved at send time.
 type Network struct {
 	name string
 	topo Topology
@@ -104,6 +108,8 @@ type Network struct {
 	ranks []*netRank
 	// xmit[a][b] is the sending port of the a→b rank channel.
 	xmit [][]*sim.Port
+	// injFull is a full-size packet's injection serialization.
+	injFull sim.Time
 }
 
 // netRank is one rank's slice of the network: its engine, its pending
@@ -117,6 +123,8 @@ type netRank struct {
 	links    []*dlink  // directed links whose source router lives here
 	nics     []*NIC    // NICs homed here, ascending node id
 	free     []*packet // recycled packets
+	uncut    int       // packets reserved by the rank's NICs and not yet injected
+	held     []heldMsg // SaveState's buffer, reused by every save
 	reg      *stats.Registry
 	messages *stats.Counter
 	bytes    *stats.Counter
@@ -190,6 +198,7 @@ func newNetwork(name string, topo Topology, cfg NetConfig, engines []*sim.Engine
 		return nil, err
 	}
 	n := &Network{name: name, topo: topo, cfg: cfg, part: part}
+	n.injFull = serialize(cfg.MaxPacketBytes, cfg.InjectionBandwidth)
 	n.ranks = make([]*netRank, len(engines))
 	for i, eng := range engines {
 		rk := &netRank{net: n, eng: eng, label: fmt.Sprintf("%s.r%d", name, i), reg: stats.NewRegistry()}
@@ -217,6 +226,7 @@ func newNetwork(name string, topo Topology, cfg NetConfig, engines []*sim.Engine
 		nc := &NIC{net: n, node: i, rank: part[topo.RouterOf(i)]}
 		rk := n.ranks[nc.rank]
 		nc.lane.Init(rk.eng, sim.PrioLink, rk.label)
+		nc.inject = nc.injectPacket
 		n.nics[i] = nc
 		rk.nics = append(rk.nics, nc)
 	}
@@ -376,6 +386,16 @@ func (rk *netRank) deliver(p *packet) {
 
 // NIC is a node's network interface: an injection-bandwidth-limited port
 // into the fabric plus a receive callback, homed on its router's rank.
+//
+// A message is cut into packets as they enter the fabric, not when it is
+// sent: SendTimed reserves one engine sequence number per packet and
+// queues the message, and only the oldest message's next packet waits on
+// the NIC's lane. When that packet's event runs, inject builds it, puts
+// the following packet on the lane under its reserved number and forwards
+// it. The times and numbers are those of every packet scheduled at send
+// time, so dispatch order, Pending and PeakPending are unchanged, while a
+// NIC holds one packet and a few message records instead of a packet per
+// pending injection.
 type NIC struct {
 	net    *Network
 	node   int
@@ -385,6 +405,32 @@ type NIC struct {
 	// lane carries the NIC's packets into the first router (or, for
 	// loopback, to delivery), in injection order.
 	lane sim.Lane
+	// msgs is a ring of the messages not yet wholly injected, oldest at
+	// msgs[head], n of them; len(msgs) is zero or a power of two.
+	msgs    []nicMsg
+	head, n int
+	// inject is the lane entries' handler, the method value made once.
+	inject sim.Handler
+}
+
+// nicMsg is a message whose packets have not all entered the fabric.
+type nicMsg struct {
+	dst, size int
+	payload   any
+	sentAt    sim.Time
+	off       int      // bytes already cut into packets
+	inj       sim.Time // injection end of the bytes cut so far (the start before any)
+	seq       uint64   // reserved sequence number of the next packet
+}
+
+// nextPacket returns the size of m's next packet and its injection end;
+// the packet enters the first router the NIC link latency later.
+func (n *Network) nextPacket(m *nicMsg) (pk int, inj sim.Time) {
+	pk = min(m.size-m.off, n.cfg.MaxPacketBytes)
+	if pk == n.cfg.MaxPacketBytes {
+		return pk, m.inj + n.injFull
+	}
+	return pk, m.inj + serialize(pk, n.cfg.InjectionBandwidth)
 }
 
 // Node returns the NIC's node id.
@@ -409,28 +455,117 @@ func (nc *NIC) SendTimed(dst, size int, payload any) sim.Time {
 	rk := n.ranks[nc.rank]
 	now := rk.eng.Now()
 	size = max(size, 1)
-	injectAt := max(now, nc.freeAt)
-	srcRouter := n.topo.RouterOf(nc.node)
-	for remaining := size; remaining > 0; {
-		pk := min(remaining, n.cfg.MaxPacketBytes)
-		remaining -= pk
-		// Field by field into a cleared packet: a composite literal is
-		// built in a temporary and block-copied.
-		p := rk.newPacket()
-		p.src, p.dst, p.size, p.msgSize, p.sentAt, p.at = nc.node, dst, pk, size, now, srcRouter
-		if remaining == 0 {
-			p.last, p.payload = true, payload
-		}
-		if nc.node == dst {
-			p.at = -1 // loopback skips the fabric
-		}
-		injectAt += serialize(pk, n.cfg.InjectionBandwidth)
-		// The packet enters the first router after its injection
-		// serialization plus the NIC link latency.
-		rk.evs.ScheduleOn(&nc.lane, injectAt+n.cfg.LinkLatency, p)
+	start := max(now, nc.freeAt)
+	// Every packet but a short last one is full size, so the injection end
+	// is one product and a sum, exactly the per-packet sum.
+	full, rest := size/n.cfg.MaxPacketBytes, size%n.cfg.MaxPacketBytes
+	k, end := full, start+sim.Time(full)*n.injFull
+	if rest > 0 {
+		k, end = k+1, end+serialize(rest, n.cfg.InjectionBandwidth)
 	}
-	nc.freeAt = injectAt
-	return injectAt
+	if nc.n == len(nc.msgs) {
+		nc.grow()
+	}
+	nc.msgs[(nc.head+nc.n)&(len(nc.msgs)-1)] = nicMsg{
+		dst: dst, size: size, payload: payload, sentAt: now, inj: start, seq: rk.eng.ReserveSeqs(k),
+	}
+	nc.n++
+	rk.uncut += k
+	if nc.n == 1 {
+		nc.queue()
+	}
+	nc.freeAt = end
+	return end
+}
+
+// grow doubles the message ring, or gives the NIC its first.
+func (nc *NIC) grow() {
+	r := make([]nicMsg, max(4, 2*len(nc.msgs)))
+	k := copy(r, nc.msgs[nc.head:])
+	copy(r[k:], nc.msgs[:nc.head])
+	nc.msgs, nc.head = r, 0
+}
+
+// queue puts the oldest message's next packet on the lane under its
+// reserved sequence number.
+func (nc *NIC) queue() {
+	m := &nc.msgs[nc.head]
+	_, inj := nc.net.nextPacket(m)
+	nc.lane.ScheduleReserved(inj+nc.net.cfg.LinkLatency, m.seq, nc.inject, nil)
+}
+
+// injectPacket is the NIC lane's handler: the oldest message's next packet
+// enters the fabric. It cuts the packet, queues the one after it (the
+// message's next, or the next message's first) and forwards the packet as
+// any fabric event would be.
+func (nc *NIC) injectPacket(any) {
+	rk := nc.net.ranks[nc.rank]
+	m := &nc.msgs[nc.head]
+	p := rk.newPacket()
+	nc.cut(m, p)
+	rk.uncut--
+	if p.last {
+		*m = nicMsg{}
+		nc.head = (nc.head + 1) & (len(nc.msgs) - 1)
+		nc.n--
+	}
+	if nc.n != 0 {
+		nc.queue()
+	}
+	rk.dispatch(p)
+}
+
+// cut fills p, a cleared packet, with m's next packet, advances m past it
+// and returns the packet's injection end. Field by field: a composite
+// literal is built in a temporary and block-copied.
+func (nc *NIC) cut(m *nicMsg, p *packet) sim.Time {
+	n := nc.net
+	pk, inj := n.nextPacket(m)
+	p.src, p.dst, p.size, p.msgSize, p.sentAt, p.at = nc.node, m.dst, pk, m.size, m.sentAt, n.topo.RouterOf(nc.node)
+	if nc.node == m.dst {
+		p.at = -1 // loopback skips the fabric
+	}
+	m.off, m.inj = m.off+pk, inj
+	m.seq++
+	p.last, p.payload = m.off == m.size, nil
+	if p.last {
+		p.payload = m.payload
+	}
+	return inj
+}
+
+// heldMsg is a message with uncut packets, as SaveState lists them.
+type heldMsg struct {
+	nc *NIC
+	m  *nicMsg
+}
+
+// heldPackets returns the rank's uncut packets one call at a time, in
+// sequence order, as the pending packet events they stood for when every
+// packet was scheduled at send time; each reuses one packet. A message's
+// packets hold consecutive reserved numbers, so ordering the messages by
+// their next number orders the packets.
+func (rk *netRank) heldPackets() func() sim.HeldEvent {
+	msgs := rk.held[:0]
+	for _, nc := range rk.nics {
+		for j := 0; j < nc.n; j++ {
+			msgs = append(msgs, heldMsg{nc, &nc.msgs[(nc.head+j)&(len(nc.msgs)-1)]})
+		}
+	}
+	slices.SortFunc(msgs, func(a, b heldMsg) int { return cmp.Compare(a.m.seq, b.m.seq) })
+	rk.held = msgs
+	n := rk.net
+	var m nicMsg
+	var nc *NIC
+	p := new(packet)
+	return func() sim.HeldEvent {
+		if m.off == m.size {
+			nc, m, msgs = msgs[0].nc, *msgs[0].m, msgs[1:]
+		}
+		seq := m.seq
+		inj := nc.cut(&m, p)
+		return sim.HeldEvent{Seq: seq, At: inj + n.cfg.LinkLatency, Prio: sim.PrioLink, Payload: p}
+	}
 }
 
 // Send is SendTimed with an optional callback: onSent fires when the last

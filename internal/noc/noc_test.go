@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -533,5 +534,150 @@ func TestSendAllocFree(t *testing.T) {
 	}
 	if want := 8 * topo.NumNodes() * topo.NumNodes(); delivered != want {
 		t.Fatalf("delivered %d messages, want %d", delivered, want)
+	}
+}
+
+// TestNICCutsPacketsOnSchedule is the oracle for cutting packets as they
+// enter the fabric. Messages sent back to back from one NIC — several
+// packets each, with short last packets, a loopback among them and one
+// sent while the NIC is still busy — must inject every packet at the time
+// and under the sequence number the send-time loop gave it: injectAt =
+// max(now, freeAt), then per packet injectAt += serialize(pk) and an event
+// at injectAt + LinkLatency under the next sequence number. A probe event
+// scheduled after each send at each of its packets' times must run after
+// that packet, as a later sequence number at the same instant does (the
+// last packet's probe takes the number right after the reserved ones).
+// Between any two dispatches the engine's pending count must be what the
+// network owns plus the test's own events, and the rank's saved events
+// must hold every packet not yet injected as the loop's pending event: its
+// time, number and packet, in sequence order among the tracked ones.
+func TestNICCutsPacketsOnSchedule(t *testing.T) {
+	topo, err := NewTorus3D(4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.MaxPacketBytes = 1024
+	e := sim.NewEngine()
+	e.EnableSnapshots()
+	n, err := NewNetwork(e, "net", topo, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, rk := n.NIC(0), n.ranks[0]
+	delivered := 0
+	for i := 0; i < topo.NumNodes(); i++ {
+		n.NIC(i).SetReceiver(func(int, int, any) { delivered++ })
+	}
+
+	type nicEvent struct {
+		at  sim.Time
+		seq uint64
+	}
+	var want, got []nicEvent
+	var wantPk []packet // the packet each of want's events carries
+	var log []string
+	own := 0 // the test's pending events
+	probe := func(p any) { own--; log = append(log, fmt.Sprintf("probe %v", p)) }
+	var freeAt sim.Time
+	send := func(dst, size int) {
+		t.Helper()
+		inj, seq, k := max(e.Now(), freeAt), e.NextSeq(), len(want)
+		at := topo.RouterOf(0)
+		if dst == 0 {
+			at = -1
+		}
+		for rem := size; rem > 0; {
+			pk := min(rem, cfg.MaxPacketBytes)
+			rem -= pk
+			inj += serialize(pk, cfg.InjectionBandwidth)
+			want = append(want, nicEvent{inj + cfg.LinkLatency, seq})
+			p := packet{src: 0, dst: dst, size: pk, msgSize: size, sentAt: e.Now(), at: at}
+			if rem == 0 {
+				p.last, p.payload = true, size
+			}
+			wantPk = append(wantPk, p)
+			seq++
+		}
+		freeAt = inj
+		if end := nc.SendTimed(dst, size, size); end != freeAt {
+			t.Fatalf("SendTimed(%d, %d) returned %v, want %v", dst, size, end, freeAt)
+		}
+		// Last packet first: its probe takes the number just past the
+		// reserved ones, the closest a later event's number can come.
+		for i := len(want) - 1; i >= k; i-- {
+			own++
+			e.ScheduleAt(want[i].at, sim.PrioLink, probe, want[i].at)
+		}
+	}
+	inject := nc.inject
+	nc.inject = func(p any) {
+		got = append(got, nicEvent{e.Now(), nc.msgs[nc.head].seq})
+		log = append(log, fmt.Sprintf("nic %v", e.Now()))
+		inject(p)
+	}
+
+	send(3, 3*cfg.MaxPacketBytes+100)
+	send(0, 2500) // loopback
+	send(7, cfg.MaxPacketBytes)
+	send(5, 1)
+	own++
+	e.ScheduleAt(freeAt/2, sim.PrioLink, func(any) { own--; send(6, 2*cfg.MaxPacketBytes+1) }, nil)
+	// saved decodes the rank's saved events and returns the packets not
+	// yet injected (a forwarded packet has hopped at least once, and a
+	// loopback one is delivered as it is injected).
+	saved := func() (evs []nicEvent, pks []packet) {
+		t.Helper()
+		enc := sim.NewEncoder()
+		rk.SaveState(enc)
+		dec := sim.NewDecoder(enc.Bytes())
+		var last uint64
+		for i, k := 0, int(dec.U64()); i < k; i++ {
+			seq, at := dec.U64(), dec.Time()
+			dec.I64() // priority
+			pl, err := sim.DecodePayload(dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 && seq <= last {
+				t.Fatalf("saved event seq %d follows seq %d", seq, last)
+			}
+			last = seq
+			if p := pl.(*packet); p.hops == 0 {
+				evs, pks = append(evs, nicEvent{at, seq}), append(pks, *p)
+			}
+		}
+		return evs, pks
+	}
+	for {
+		if owned, pending := rk.PendingOwned()+own, e.Pending(); owned != pending {
+			t.Fatalf("at %v the network and test own %d of %d pending events", e.Now(), owned, pending)
+		}
+		evs, pks := saved()
+		if fmt.Sprint(evs, pks) != fmt.Sprint(want[len(got):], wantPk[len(got):]) {
+			t.Fatalf("at %v the saved uncut packets are\n%v %v\nwant\n%v %v", e.Now(), evs, pks, want[len(got):], wantPk[len(got):])
+		}
+		if !e.Step() {
+			break
+		}
+	}
+
+	if len(got) != len(want) {
+		t.Fatalf("%d NIC events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("packet %d: NIC event (time %v, seq %d), want (%v, %d)", i, got[i].at, got[i].seq, want[i].at, want[i].seq)
+		}
+	}
+	var order []string
+	for _, ev := range want {
+		order = append(order, fmt.Sprintf("nic %v", ev.at), fmt.Sprintf("probe %v", ev.at))
+	}
+	if fmt.Sprint(log) != fmt.Sprint(order) {
+		t.Fatalf("NIC events and probes ran in order\n%v\nwant\n%v", log, order)
+	}
+	if delivered != 5 || rk.uncut != 0 || nc.n != 0 {
+		t.Fatalf("delivered %d messages with %d packets uncut and %d queued, want 5, 0 and 0", delivered, rk.uncut, nc.n)
 	}
 }

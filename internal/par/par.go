@@ -77,6 +77,12 @@ type rank struct {
 	// staging holds remote events addressed to this rank that its window
 	// has not yet reached, in canonical (time, sent, srcRank, seq) heap order.
 	staging remoteHeap
+	// deliver is the handler every staged event is scheduled with, the
+	// method value made once, and spare recycles the copies it carries: a
+	// closure per delivery would allocate. The coordinator takes from spare
+	// between windows and the rank's goroutine returns to it within one.
+	deliver sim.Handler
+	spare   []*remoteEvent
 	// Cumulative run metrics, updated only by the coordinator goroutine
 	// between windows (never by the rank goroutine), so reading them after
 	// Run returns is race-free.
@@ -150,11 +156,32 @@ func (rk *rank) runWindow(horizon sim.Time) {
 // order, and therefore same-timestamp tie-breaking, independent of window
 // boundaries. That is what keeps every rank count bit-identical.
 func (rk *rank) deliverStaged() {
-	eng := rk.sim.Engine()
 	for len(rk.staging) > 0 && rk.staging[0].time < rk.horizon {
-		ev := rk.staging.pop()
-		eng.ScheduleAt(ev.time, sim.PrioLink, func(any) { ev.dst.Deliver(ev.payload) }, nil)
+		rk.schedule(rk.staging.pop())
 	}
+}
+
+// schedule puts a staged remote event on the rank's engine at its arrival
+// time, carried in a recycled copy.
+func (rk *rank) schedule(ev remoteEvent) {
+	var p *remoteEvent
+	if k := len(rk.spare) - 1; k >= 0 {
+		p, rk.spare = rk.spare[k], rk.spare[:k]
+	} else {
+		p = new(remoteEvent)
+	}
+	*p = ev
+	rk.sim.Engine().ScheduleAt(ev.time, sim.PrioLink, rk.deliver, p)
+}
+
+// deliverRemote is the staged events' handler: it recycles the event and
+// hands its payload to the destination port.
+func (rk *rank) deliverRemote(pl any) {
+	ev := pl.(*remoteEvent)
+	dst, payload := ev.dst, ev.payload
+	*ev = remoteEvent{}
+	rk.spare = append(rk.spare, ev)
+	dst.Deliver(payload)
 }
 
 // nextWork returns the earliest thing this rank could possibly do: its
@@ -233,6 +260,7 @@ func NewRunner(nranks int) (*Runner, error) {
 	}
 	for i := 0; i < nranks; i++ {
 		rk := &rank{id: i, sim: sim.New(), outboxes: make([][]remoteEvent, nranks)}
+		rk.deliver = rk.deliverRemote
 		r.ranks = append(r.ranks, rk)
 	}
 	return r, nil
@@ -549,14 +577,24 @@ func (r *Runner) settle(until sim.Time) {
 // itself on the barrier channel after each window; the coordinator counts
 // arrivals (with a watchdog) instead of blocking on an uninterruptible
 // WaitGroup. The barrier holds one slot per rank so a worker never blocks
-// on arrival, not even one that finishes after a stall was reported.
+// on arrival, not even one that finishes after a stall was reported. The
+// watchdog timer and the arrival marks are the Run's, reused by every
+// window.
 type workers struct {
 	work    []chan sim.Time
 	barrier chan int
+	timer   *time.Timer
+	arrived []bool
 }
 
 func (r *Runner) startWorkers() *workers {
-	w := &workers{work: make([]chan sim.Time, len(r.ranks)), barrier: make(chan int, len(r.ranks))}
+	w := &workers{
+		work:    make([]chan sim.Time, len(r.ranks)),
+		barrier: make(chan int, len(r.ranks)),
+		timer:   time.NewTimer(r.watchdog),
+		arrived: make([]bool, len(r.ranks)),
+	}
+	stopTimer(w.timer)
 	for i, rk := range r.ranks {
 		w.work[i] = make(chan sim.Time)
 		go func(rk *rank, ch <-chan sim.Time) {
@@ -587,7 +625,7 @@ func (r *Runner) dispatch(w *workers, active []*rank) error {
 		rk.err = nil
 		w.work[rk.id] <- rk.target
 	}
-	if err := r.waitWindow(w.barrier, active); err != nil {
+	if err := r.waitWindow(w, active); err != nil {
 		return err
 	}
 	var rankErrs []error
@@ -611,16 +649,18 @@ func (r *Runner) dispatch(w *workers, active []*rank) error {
 // polls its interrupt flag every few events) and, once the surviving
 // ranks check in or a grace period expires, a diagnostic ErrStalled is
 // returned.
-func (r *Runner) waitWindow(barrier <-chan int, active []*rank) error {
+func (r *Runner) waitWindow(w *workers, active []*rank) error {
 	need := len(active)
-	arrived := make([]bool, len(r.ranks))
+	arrived := w.arrived
+	clear(arrived)
 	got := 0
-	timer := time.NewTimer(r.watchdog)
-	defer timer.Stop()
+	timer := w.timer
+	timer.Reset(r.watchdog)
+	defer stopTimer(timer)
 	stalled := false
 	for got < need {
 		select {
-		case id := <-barrier:
+		case id := <-w.barrier:
 			arrived[id] = true
 			got++
 			if !stalled {
@@ -651,6 +691,17 @@ func (r *Runner) waitWindow(barrier <-chan int, active []*rank) error {
 		return r.stallError(active, arrived)
 	}
 	return nil
+}
+
+// stopTimer stops t and drains a fire it may have left in its channel, so
+// the next Reset starts a clean period.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
 }
 
 // stallError builds the zero-progress diagnostic: the window round that

@@ -280,7 +280,6 @@ func (r *Runner) specRollback(rk *rank) error {
 // frontier, and the engine clock is strictly below it, so ScheduleAt can
 // never be asked to schedule into the past.
 func (rk *rank) specDeliver() {
-	eng := rk.sim.Engine()
 	sp := rk.spec
 	for len(rk.staging) > 0 && rk.staging[0].time < rk.target {
 		ev := rk.staging.pop()
@@ -288,7 +287,7 @@ func (rk *rank) specDeliver() {
 		if len(sp.log) > rk.specPeakLog {
 			rk.specPeakLog = len(sp.log)
 		}
-		eng.ScheduleAt(ev.time, sim.PrioLink, func(any) { ev.dst.Deliver(ev.payload) }, nil)
+		rk.schedule(ev)
 	}
 }
 

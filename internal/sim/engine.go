@@ -39,7 +39,8 @@ type Engine struct {
 	// order, so dispatch order is what a single heap would give while a
 	// lane append costs no sifts and a lane dispatch one sift of a heap
 	// holding a lane per busy producer rather than an event per pending
-	// entry. laneN counts the events waiting in the lanes.
+	// entry. laneN counts the events waiting in the lanes, reserved
+	// entries not yet on their lane (ReserveSeqs) included.
 	lanes []*Lane
 	laneN int
 
@@ -220,6 +221,20 @@ func (e *Engine) push(t Time, prio Priority, label string, fn Handler, payload a
 	seq := e.seq
 	e.seq = seq + 1
 	e.pushAt(t, prio, label, fn, payload, seq)
+}
+
+// ReserveSeqs takes the next k sequence numbers for entries a producer will
+// put on its lane later, one at a time, with Lane.ScheduleReserved, and
+// returns the first. The k entries count as pending lane entries from now
+// on, so Pending, PeakPending and the order of everything scheduled around
+// them are what k immediate lane appends would give, while the producer
+// holds only the next one on its lane. Restore and EventArena.Harvest drop
+// reservations with the lanes.
+func (e *Engine) ReserveSeqs(k int) uint64 {
+	seq := e.seq
+	e.seq += uint64(k)
+	e.laneN += k
+	return seq
 }
 
 // pushAt enqueues an event with an explicit sequence number, without

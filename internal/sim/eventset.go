@@ -133,15 +133,51 @@ func (s *EventSet) reset() {
 func (s *EventSet) PendingOwned() int { return s.live }
 
 // Save writes the set's pending events in sequence order.
-func (s *EventSet) Save(enc *Encoder) {
+func (s *EventSet) Save(enc *Encoder) { s.SaveWith(enc, 0, nil) }
+
+// HeldEvent is a pending event its set's owner holds outside the ledger:
+// one the owner will put on a lane under a reserved sequence number
+// (Engine.ReserveSeqs, Lane.ScheduleReserved), with the payload it will
+// carry then.
+type HeldEvent struct {
+	Seq     uint64
+	At      Time
+	Prio    Priority
+	Payload any
+}
+
+// SaveWith is Save with the owner's n held events, which next returns one
+// call at a time in sequence order, merged into the ledger's by sequence:
+// the bytes are those of a set that had tracked every held event since
+// its number was reserved, so Load re-creates them as tracked events and
+// the owner starts with nothing held. A held event's payload need stay
+// valid only until the next call.
+func (s *EventSet) SaveWith(enc *Encoder, n int, next func() HeldEvent) {
 	pend := s.compact()
-	enc.U64(uint64(len(pend)))
-	for _, ev := range pend {
-		enc.U64(ev.seq)
-		enc.Time(ev.at)
-		enc.I64(int64(ev.prio))
-		EncodePayload(enc, ev.payload)
+	enc.U64(uint64(len(pend) + n))
+	var h HeldEvent
+	if n > 0 {
+		h = next()
 	}
+	for len(pend)+n > 0 {
+		if n == 0 || len(pend) > 0 && pend[0].seq < h.Seq {
+			ev := &pend[0]
+			pend = pend[1:]
+			saveEvent(enc, ev.seq, ev.at, ev.prio, ev.payload)
+			continue
+		}
+		saveEvent(enc, h.Seq, h.At, h.Prio, h.Payload)
+		if n--; n > 0 {
+			h = next()
+		}
+	}
+}
+
+func saveEvent(enc *Encoder, seq uint64, at Time, prio Priority, payload any) {
+	enc.U64(seq)
+	enc.Time(at)
+	enc.I64(int64(prio))
+	EncodePayload(enc, payload)
 }
 
 // Load re-creates the set's pending events from a snapshot. Restore-path

@@ -105,10 +105,32 @@ func (l *Lane) schedule(t Time, fn Handler, payload any) {
 	}
 	l.append(t, e.seq, fn, payload)
 	e.seq++
+	e.laneN++
 }
 
-// append adds an entry at the tail with an already assigned sequence. The
-// caller guarantees t is not before the tail.
+// ScheduleReserved puts fn(payload) on the lane at absolute time t under
+// seq, a sequence number taken earlier with Engine.ReserveSeqs. The entry
+// was counted pending when it was reserved, so it is not counted again. A
+// reserved entry has no heap to fall back on: one that would undercut the
+// lane's tail, or run in the past, panics.
+func (l *Lane) ScheduleReserved(t Time, seq uint64, fn Handler, payload any) {
+	e := l.eng
+	switch {
+	case fn == nil:
+		panic("sim: Lane.ScheduleReserved with nil handler")
+	case t < e.now:
+		panic(fmt.Sprintf("sim: lane %q reserved event at %v, before now %v", l.label, t, e.now))
+	case l.n != 0 && t < l.tail:
+		panic(fmt.Sprintf("sim: lane %q reserved event at %v undercuts its tail %v", l.label, t, l.tail))
+	case seq >= e.seq:
+		panic(fmt.Sprintf("sim: lane %q event seq %d was never reserved", l.label, seq))
+	}
+	l.append(t, seq, fn, payload)
+}
+
+// append adds an entry at the tail with an already assigned sequence and
+// leaves counting it to the caller. The caller guarantees t is not before
+// the tail.
 func (l *Lane) append(t Time, seq uint64, fn Handler, payload any) {
 	// n is kept in a local throughout: re-reading l.n right after storing
 	// it stalls on store forwarding, and this runs once per event.
@@ -130,7 +152,6 @@ func (l *Lane) append(t Time, seq uint64, fn Handler, payload any) {
 	}
 	l.n = n + 1
 	l.tail = t
-	l.eng.laneN++
 }
 
 // arm makes t, with sequence seq, the one entry of a clock's empty lane.

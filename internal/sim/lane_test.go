@@ -251,6 +251,90 @@ func TestLaneFallbackKeepsOrder(t *testing.T) {
 	}
 }
 
+// reservedOwner owns the entries a test reserves, as a NIC owns its uncut
+// packets: it counts them pending and forgets them on restore.
+type reservedOwner struct{ held int }
+
+func (o *reservedOwner) SaveState(enc *Encoder)       { enc.I64(int64(o.held)) }
+func (o *reservedOwner) LoadState(dec *Decoder) error { dec.I64(); o.held = 0; return dec.Err() }
+func (o *reservedOwner) PendingOwned() int            { return o.held }
+
+// TestLaneReservedEntries checks the reserve-now, schedule-later
+// primitive: reserved entries count pending from ReserveSeqs on, go on
+// their lane without being counted again, order by their reserved numbers
+// against events scheduled after the reservation, and are dropped by
+// Restore; an entry that undercuts its lane's tail, or uses a number never
+// reserved, panics.
+func TestLaneReservedEntries(t *testing.T) {
+	e := NewEngine()
+	e.EnableSnapshots()
+	owner := &reservedOwner{}
+	e.RegisterCheckpoint("owner", owner)
+	var l Lane
+	l.Init(e, PrioLink, "l")
+	var got []string
+	rec := func(p any) { got = append(got, fmt.Sprintf("%d:%v", e.Now(), p)) }
+
+	first := e.ReserveSeqs(3)
+	owner.held = 3
+	if e.Pending() != 3 || e.NextSeq() != first+3 {
+		t.Fatalf("after reserving 3: pending %d next seq %d, want 3 and %d", e.Pending(), e.NextSeq(), first+3)
+	}
+	var snap Encoder
+	if err := e.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	// An event scheduled after the reservation, at the reserved entries'
+	// time: every reserved entry precedes it, including one put on the
+	// lane only once the first has run.
+	e.ScheduleAt(10, PrioLink, rec, "late")
+	var next func(any)
+	seq := first
+	next = func(p any) {
+		rec(p)
+		owner.held--
+		if seq++; seq < first+3 {
+			l.ScheduleReserved(10, seq, next, seq-first)
+		}
+	}
+	l.ScheduleReserved(10, first, next, 0)
+	if e.Pending() != 4 || l.n != 1 {
+		t.Fatalf("one reserved entry on the lane: pending %d lane %d, want 4 and 1", e.Pending(), l.n)
+	}
+	e.RunAll()
+	if want := "[10:0 10:1 10:2 10:late]"; fmt.Sprint(got) != want {
+		t.Fatalf("dispatch order %v, want %s", got, want)
+	}
+	if e.Pending() != 0 || e.PeakPending() != 4 || e.Handled() != 4 {
+		t.Fatalf("pending %d peak %d handled %d, want 0 4 4", e.Pending(), e.PeakPending(), e.Handled())
+	}
+
+	// Restore drops reservations: the snapshot was cut with three
+	// reserved, its owner re-creates none of them, and the accounting
+	// must still balance.
+	e.ReserveSeqs(2)
+	if err := e.Restore(NewDecoder(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if e.Pending() != 0 || e.NextSeq() != first+3 {
+		t.Fatalf("after restore: pending %d next seq %d, want 0 and %d", e.Pending(), e.NextSeq(), first+3)
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	r := e.ReserveSeqs(2)
+	l.ScheduleReserved(50, r, rec, nil)
+	mustPanic("an entry undercutting the lane's tail", func() { l.ScheduleReserved(40, r+1, rec, nil) })
+	mustPanic("an entry under a number never reserved", func() { l.ScheduleReserved(60, r+2, rec, nil) })
+}
+
 // TestLaneRingsRecycleThroughArena checks that lane rings move with the
 // arena: a warm point takes its rings from the arena instead of allocating
 // them, and harvested rings hold no references.

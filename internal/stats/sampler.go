@@ -84,25 +84,6 @@ func (s *Sampler) Series(name string) ([]float64, error) {
 	return nil, fmt.Errorf("stats: sampler: %q not tracked", name)
 }
 
-// Deltas returns the per-interval increments of a (monotonic) statistic —
-// e.g. bytes per sample period from a cumulative byte counter.
-func (s *Sampler) Deltas(name string) ([]float64, error) {
-	series, err := s.Series(name)
-	if err != nil {
-		return nil, err
-	}
-	if len(series) == 0 {
-		return nil, nil
-	}
-	out := make([]float64, len(series))
-	prev := 0.0
-	for i, v := range series {
-		out[i] = v - prev
-		prev = v
-	}
-	return out, nil
-}
-
 // WriteCSV emits time_ps plus one column per tracked statistic.
 func (s *Sampler) WriteCSV(w io.Writer) {
 	fmt.Fprint(w, "time_ps")

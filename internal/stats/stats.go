@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 )
 
 // Stat is the common interface over every statistic kind.
@@ -84,9 +83,6 @@ func (a *Accumulator) Observe(v float64) {
 // N returns the number of samples.
 func (a *Accumulator) N() uint64 { return a.n }
 
-// Sum returns the sample sum.
-func (a *Accumulator) Sum() float64 { return a.sum }
-
 // Mean returns the sample mean (0 for an empty accumulator).
 func (a *Accumulator) Mean() float64 { return a.mean }
 
@@ -153,9 +149,6 @@ func (h *Histogram) Mean() float64 { return h.acc.Mean() }
 // Max returns the largest sample.
 func (h *Histogram) Max() float64 { return h.acc.Max() }
 
-// Bucket returns the count in log2 bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
 // Percentile returns an upper bound on the p-th percentile (0 < p <= 100)
 // at bucket resolution.
 func (h *Histogram) Percentile(p float64) uint64 {
@@ -216,8 +209,7 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Cur returns the current value; Peak the high-water mark.
-func (g *Gauge) Cur() int64  { return g.cur }
+// Peak returns the high-water mark.
 func (g *Gauge) Peak() int64 { return g.peak }
 
 func (g *Gauge) Name() string   { return g.name }
@@ -267,25 +259,6 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Match returns the names with the given prefix, sorted.
-func (r *Registry) Match(prefix string) []string {
-	var out []string
-	for k := range r.stats {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ResetAll zeroes every statistic.
-func (r *Registry) ResetAll() {
-	for _, s := range r.stats {
-		s.Reset()
-	}
 }
 
 // Dump writes "name value" lines for every statistic, sorted by name.

@@ -55,14 +55,6 @@ func (t *Table) NumRows() int { return len(t.rows) }
 // Row returns row i.
 func (t *Table) Row(i int) []string { return t.rows[i] }
 
-// Cell returns the cell at (row, col) or "" when out of range.
-func (t *Table) Cell(row, col int) string {
-	if row < 0 || row >= len(t.rows) || col < 0 || col >= len(t.rows[row]) {
-		return ""
-	}
-	return t.rows[row][col]
-}
-
 // Render writes an aligned text table.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Columns))

@@ -151,7 +151,7 @@ func TestTableCellsMatchFmt(t *testing.T) {
 	tab := NewTable("cells")
 	tab.AddRow(cells...)
 	for i, c := range cells {
-		if got, want := tab.Cell(0, i), fmtCell(c); got != want {
+		if got, want := tab.Row(0)[i], fmtCell(c); got != want {
 			t.Errorf("cell %d (%T %v) = %q, fmt writes %q", i, c, c, got, want)
 		}
 	}
@@ -168,7 +168,7 @@ func FuzzTableCell(f *testing.F) {
 		tab := NewTable("fuzz")
 		tab.AddRow(cells...)
 		for i, c := range cells {
-			if got, want := tab.Cell(0, i), fmtCell(c); got != want {
+			if got, want := tab.Row(0)[i], fmtCell(c); got != want {
 				t.Fatalf("%T %v rendered %q, fmt writes %q", c, c, got, want)
 			}
 		}
