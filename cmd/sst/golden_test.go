@@ -13,16 +13,29 @@ package main
 // (slicing moves where speculation commits, so the window and rollback
 // counts differ from the unsliced run's). The summaries and the snapshot
 // bytes are what a later build must reproduce exactly.
+//
+// Pinned -config output. testdata/node-*.out and node-*.links were written
+// by an earlier build:
+//
+//	sst -config configs/<config>.json -metrics-out m.json |
+//		sed -E 's/, [0-9.]+s host, [^)]* ev\/s\)/, host figures masked)/' >testdata/<config>.out
+//	jq -r '.links[] | "\(.name) \(.msgs) \(.bytes)"' m.json >testdata/<config>.links
+//
+// The events line keeps its event count and peak queue; its host seconds
+// and events per second are masked.
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"sst/internal/core"
+	"sst/internal/obs"
 	"sst/internal/par"
 	"sst/internal/sim"
 )
@@ -104,5 +117,39 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 	if want := readGolden(t, "system-torus-small.spec.snap"); !bytes.Equal(snap, want) {
 		t.Errorf("snapshot differs from testdata/system-torus-small.spec.snap (%d bytes, want %d)", len(snap), len(want))
+	}
+}
+
+// hostFigures matches the host-dependent tail of a machine run's events line.
+var hostFigures = regexp.MustCompile(`, [0-9.]+s host, [^)]* ev/s\)`)
+
+func TestMachineGoldens(t *testing.T) {
+	for _, config := range []string{"node-ddr3-w4", "node-pim"} {
+		t.Run(config, func(t *testing.T) {
+			path := filepath.Join("..", "..", "configs", config+".json")
+			metrics := filepath.Join(t.TempDir(), "m.json")
+			got := captureStdout(t, func() error {
+				return run(path, false, obsFlags{metricsOut: metrics}, "", "10us")
+			})
+			got = hostFigures.ReplaceAll(got, []byte(", host figures masked)"))
+			if want := readGolden(t, config+".out"); !bytes.Equal(got, want) {
+				t.Errorf("summary differs from testdata/%s.out\n got:\n%s\nwant:\n%s", config, got, want)
+			}
+			data, err := os.ReadFile(metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep obs.RunReport
+			if err := json.Unmarshal(data, &rep); err != nil {
+				t.Fatal(err)
+			}
+			var links bytes.Buffer
+			for _, l := range rep.Links {
+				fmt.Fprintf(&links, "%s %d %d\n", l.Name, l.Msgs, l.Bytes)
+			}
+			if want := readGolden(t, config+".links"); !bytes.Equal(links.Bytes(), want) {
+				t.Errorf("link counts differ from testdata/%s.links\n got:\n%s\nwant:\n%s", config, links.Bytes(), want)
+			}
+		})
 	}
 }
