@@ -2,7 +2,7 @@
 #
 #   make check      — the CI gate: vet + full tests + race on the packages
 #                     with concurrency (sim kernel, parallel runtime,
-#                     sweeps, fault injection) + a short fuzz pass over the
+#                     sweeps, fault models) + a short fuzz pass over the
 #                     config parsers and the rank-partitioning lookahead
 #   make bench      — the perf gate: the event-kernel hot loop, the clock
 #                     tick (alone, with 8 handlers, and merged against a
@@ -146,8 +146,8 @@ fmt:
 
 # The sweep scheduler (internal/core), the PDES runtime (internal/par), the
 # event kernel they drive (internal/sim), the network partitioned across
-# its rank goroutines (internal/noc), the fault injectors that hook
-# all three (internal/fault), the shared result cache the sweep workers
+# its rank goroutines (internal/noc), the seeded fault models the sweep
+# workers run (internal/fault), the shared result cache the sweep workers
 # probe concurrently (internal/cache), the sweep service's worker pool
 # and admission queue (internal/serve) and the storage fault model every
 # sweep worker writes its journal through (internal/iofault) are the only

@@ -284,8 +284,8 @@ func BenchmarkAblationCoherenceFabric(b *testing.B) {
 			}
 			results[fabric] = res.Seconds
 			snoops := uint64(0)
-			if node.Dir != nil {
-				snoops = node.Dir.SnoopsSent()
+			if c := node.Reg.Counter("dir.snoops_sent"); c != nil {
+				snoops = c.Count()
 			}
 			tab.AddRow(fabric, res.Seconds*1e3, snoops)
 		}

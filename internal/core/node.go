@@ -140,8 +140,8 @@ func BuildNodeArena(cfg *config.MachineConfig, arena *PointArena) (*NodeModel, e
 	var lowest mem.Device = &mem.DRAMDevice{Mem: n.DRAM}
 	// The memory channel between the deepest cache level and DRAM is a real
 	// (zero-latency, so timing-neutral) link rather than a direct call:
-	// channel traffic becomes attributable in traces, countable by the obs
-	// link counters and reachable by fault injection.
+	// channel traffic becomes attributable in traces and counted by the
+	// link (sim.Link.Traffic).
 	chanA, chanB := n.Sim.Connect("dram.chan", 0)
 	lowest = mem.NewChannelDevice(chanA, chanB, lowest)
 

@@ -6,7 +6,7 @@ package core
 // PointTimeout. Both are worth one more try before the point is written
 // off — but retries must not cost determinism. The backoff schedule is
 // therefore derived from the sweep seed and the point's index through the
-// same named-stream construction the fault injectors use
+// same named-stream construction the fault models use
 // (fault.StreamSeed), so two runs of the same flaky sweep produce the same
 // delays, the same journal bytes and the same tables. A point that keeps
 // failing is quarantined: it is marked Failed after its attempt budget and

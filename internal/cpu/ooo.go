@@ -100,9 +100,6 @@ func NewOoO(engine *sim.Engine, clock *sim.Clock, cfg Config, stream frontend.St
 // Name implements sim.Component.
 func (c *OoO) Name() string { return c.cfg.Name }
 
-// ROBSize returns the reorder-buffer capacity.
-func (c *OoO) ROBSize() int { return len(c.rob) }
-
 // Start arms the core.
 func (c *OoO) Start(onDone func()) {
 	c.onDone = onDone

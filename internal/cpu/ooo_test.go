@@ -22,8 +22,8 @@ func TestOoOIntThroughput(t *testing.T) {
 	if ipc := c.IPC(); ipc < 3.5 || ipc > 4.1 {
 		t.Errorf("4-wide OoO int IPC = %.2f, want ~4", ipc)
 	}
-	if c.ROBSize() != 128 {
-		t.Errorf("ROB size = %d, want 32*width", c.ROBSize())
+	if len(c.rob) != 128 {
+		t.Errorf("ROB size = %d, want 32*width", len(c.rob))
 	}
 }
 

@@ -151,14 +151,14 @@ func (c *Config) lineTransferTime() sim.Time {
 	return t
 }
 
-// PeakBandwidth returns the theoretical peak across all channels, bytes/s.
-func (c Config) PeakBandwidth() float64 {
+// peakBandwidth returns the theoretical peak across all channels, bytes/s.
+func (c Config) peakBandwidth() float64 {
 	return 2 * float64(c.BusClock) * float64(c.BusBytes) * float64(c.Channels)
 }
 
-// IdleLatency returns the unloaded read latency (activate + CAS + one
+// idleLatency returns the unloaded read latency (activate + CAS + one
 // burst) — a configuration-level sanity metric.
-func (c Config) IdleLatency() sim.Time {
+func (c Config) idleLatency() sim.Time {
 	return c.cycles(c.TRCD+c.TCAS) + c.lineTransferTime()
 }
 

@@ -359,10 +359,6 @@ func (m *Memory) QueueDepth() int {
 	return n
 }
 
-// DynamicEnergyJ returns accumulated dynamic (activate/transfer/refresh)
-// energy in joules.
-func (m *Memory) DynamicEnergyJ() float64 { return m.dynamicJ }
-
 // EnergyJ returns total energy including background power integrated up to
 // the current simulation time.
 func (m *Memory) EnergyJ() float64 {

@@ -61,7 +61,7 @@ func TestIdleReadLatency(t *testing.T) {
 	var done sim.Time
 	m.Access(0, false, func() { done = e.Now() })
 	e.RunAll()
-	want := m.cfg.IdleLatency()
+	want := m.cfg.idleLatency()
 	if done != want {
 		t.Fatalf("idle read latency = %v, want %v", done, want)
 	}
@@ -122,7 +122,7 @@ func TestStreamingBandwidth(t *testing.T) {
 	issue()
 	e.RunAll()
 	achieved := float64(n*64) / e.Now().Seconds()
-	peak := m.cfg.PeakBandwidth()
+	peak := m.cfg.peakBandwidth()
 	if achieved < 0.5*peak {
 		t.Errorf("streaming bandwidth %.2f GB/s < 50%% of peak %.2f GB/s",
 			achieved/1e9, peak/1e9)
@@ -229,8 +229,8 @@ func TestRefreshDelaysAccess(t *testing.T) {
 		m.Access(0, false, func() { lat = e.Now() - start })
 	}, nil)
 	e.RunAll()
-	if lat <= cfg.IdleLatency() {
-		t.Errorf("post-refresh latency %v not above idle %v", lat, cfg.IdleLatency())
+	if lat <= cfg.idleLatency() {
+		t.Errorf("post-refresh latency %v not above idle %v", lat, cfg.idleLatency())
 	}
 }
 
@@ -282,10 +282,10 @@ func TestEnergyAccounting(t *testing.T) {
 	m.Access(0, false, nil)
 	e.RunAll()
 	wantMin := m.cfg.Energy.ActivateJ + m.cfg.Energy.PerByteJ*64
-	if m.DynamicEnergyJ() < wantMin {
-		t.Errorf("dynamic energy %.3g < activate+transfer %.3g", m.DynamicEnergyJ(), wantMin)
+	if m.dynamicJ < wantMin {
+		t.Errorf("dynamic energy %.3g < activate+transfer %.3g", m.dynamicJ, wantMin)
 	}
-	if m.EnergyJ() <= m.DynamicEnergyJ() {
+	if m.EnergyJ() <= m.dynamicJ {
 		t.Error("total energy missing background component")
 	}
 	if m.AvgPowerW() <= 0 {
@@ -294,12 +294,12 @@ func TestEnergyAccounting(t *testing.T) {
 }
 
 func TestPeakBandwidthFormula(t *testing.T) {
-	got := DDR3_1333.PeakBandwidth()
+	got := DDR3_1333.peakBandwidth()
 	want := 2.0 * 666e6 * 8 // DDR, 8 bytes wide
 	if got != want {
 		t.Fatalf("peak = %v, want %v", got, want)
 	}
-	if DDR3_1333.WithChannels(2).PeakBandwidth() != 2*want {
+	if DDR3_1333.WithChannels(2).peakBandwidth() != 2*want {
 		t.Fatal("channel scaling broken")
 	}
 }

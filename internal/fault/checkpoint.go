@@ -29,48 +29,6 @@ func secToTime(s float64) sim.Time {
 // timeToSec converts simulated time to seconds.
 func timeToSec(t sim.Time) float64 { return float64(t) / 1e12 }
 
-// FailureProcess kills a component at exponentially distributed intervals,
-// modelling a machine with a given MTBF. Its randomness comes from the
-// stream named "mtbf:"+target name, so adding other injectors to the same
-// simulation does not perturb the failure times.
-type FailureProcess struct {
-	eng     *sim.Engine
-	rng     *sim.RNG
-	mtbfS   float64
-	target  Killable
-	stopped bool
-}
-
-// NewFailureProcess arms exponential failures with mean mtbfS seconds
-// against target, scheduling on eng.
-func NewFailureProcess(eng *sim.Engine, target Killable, seed uint64, mtbfS float64) (*FailureProcess, error) {
-	if math.IsNaN(mtbfS) || mtbfS <= 0 {
-		return nil, fmt.Errorf("fault: MTBF %v must be positive seconds", mtbfS)
-	}
-	f := &FailureProcess{
-		eng:    eng,
-		rng:    NewStream(seed, "mtbf:"+target.Name()),
-		mtbfS:  mtbfS,
-		target: target,
-	}
-	f.arm()
-	return f, nil
-}
-
-// arm schedules the next failure.
-func (f *FailureProcess) arm() {
-	f.eng.Schedule(secToTime(f.rng.Exp(f.mtbfS)), func(any) {
-		if f.stopped {
-			return
-		}
-		f.target.Kill()
-		f.arm()
-	}, nil)
-}
-
-// Stop disarms the process; already-scheduled failures become no-ops.
-func (f *FailureProcess) Stop() { f.stopped = true }
-
 // CheckpointModel describes an application doing coordinated
 // checkpoint/restart on a failing machine: W seconds of useful work, split
 // into segments of a chosen interval, each followed by a checkpoint costing
@@ -133,11 +91,10 @@ type RunStats struct {
 // work would not, forever.
 const maxSimFailures = 200_000
 
-// ckptWorker is the simulated application. It is Killable, so the same
-// component works under FailureProcess here and under KillAt in directed
-// tests.
+// ckptWorker is the simulated application on its failing machine.
 type ckptWorker struct {
 	eng       *sim.Engine
+	rng       *sim.RNG // failure times
 	m         CheckpointModel
 	intervalS float64
 	epoch     uint64 // bumped on every kill; cancels in-flight completions
@@ -146,8 +103,6 @@ type ckptWorker struct {
 	stats     RunStats
 	err       error
 }
-
-func (w *ckptWorker) Name() string { return "ckpt-worker" }
 
 // startSegment begins the next work segment (or stops the engine when all
 // work is committed). The engine has no event cancellation, so completions
@@ -179,9 +134,18 @@ func (w *ckptWorker) startSegment() {
 	}, nil)
 }
 
-// Kill loses the in-flight segment (and any partially written checkpoint or
+// armFailure schedules the machine's next failure, an exponentially
+// distributed draw with mean MTBFS.
+func (w *ckptWorker) armFailure() {
+	w.eng.Schedule(secToTime(w.rng.Exp(w.m.MTBFS)), func(any) {
+		w.kill()
+		w.armFailure()
+	}, nil)
+}
+
+// kill loses the in-flight segment (and any partially written checkpoint or
 // in-progress restart) and schedules a restart.
-func (w *ckptWorker) Kill() {
+func (w *ckptWorker) kill() {
 	w.epoch++
 	w.stats.Failures++
 	if w.stats.Failures > maxSimFailures {
@@ -212,14 +176,12 @@ func (m CheckpointModel) Simulate(seed uint64, intervalS float64) (RunStats, err
 		return RunStats{}, fmt.Errorf("fault: checkpoint interval %v must be positive seconds", intervalS)
 	}
 	eng := sim.NewEngine()
-	w := &ckptWorker{eng: eng, m: m, intervalS: intervalS}
+	// The stream name fixes every seeded failure time; changing it moves
+	// them all.
+	w := &ckptWorker{eng: eng, rng: NewStream(seed, "mtbf:ckpt-worker"), m: m, intervalS: intervalS}
 	w.startSegment()
-	fp, err := NewFailureProcess(eng, w, seed, m.MTBFS)
-	if err != nil {
-		return RunStats{}, err
-	}
+	w.armFailure()
 	eng.RunAll()
-	fp.Stop()
 	w.stats.MakespanS = timeToSec(eng.Now())
 	if w.stats.MakespanS > 0 {
 		w.stats.Efficiency = w.doneS / w.stats.MakespanS

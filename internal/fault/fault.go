@@ -1,85 +1,25 @@
-// Package fault provides deterministic, seeded fault injection for gosst
-// models — the co-design axis the exascale resilience studies need: what
-// does a machine's failure behavior cost, and how should the system design
-// respond?
+// Package fault provides the seeded fault models gosst's resilience
+// studies run on: what does a machine's failure behavior cost, and how
+// should the system design respond?
 //
-// Injectors attach to the existing simulation primitives rather than
-// requiring fault-aware components:
-//
-//   - InjectLink wraps a sim.Link with seeded payload drop, corruption and
-//     transient extra delay (link.go).
-//   - KillAt schedules the death of a named component at a fixed time;
-//     FailureProcess kills a component at exponentially distributed times,
-//     modelling a machine with a given MTBF (kill.go).
+//   - StreamSeed and NewStream derive an independent, reproducible random
+//     stream from a root seed and a stable name. Sweep retries, the
+//     service's job policies and the storage-fault harness (iofault) draw
+//     their randomness from them.
 //   - CheckpointModel simulates an application doing checkpoint/restart on
-//     a failing machine, with the Young/Daly closed forms as analytic
-//     oracles (checkpoint.go).
+//     a machine that fails at exponentially distributed times, with the
+//     Young/Daly closed forms as analytic oracles (checkpoint.go);
+//     core.ResilienceStudy sweeps it.
 //
-// Determinism contract: every injector derives its randomness from the
-// caller's root seed and a stable textual identity (a link name plus
-// direction, a component name) — never from map order, goroutine
-// scheduling, or a shared global stream. Link interceptors run on the
-// sending side in simulated-event order, and the two directions of a link
-// use independent streams, so the same seed produces a bit-identical fault
-// trace and bit-identical simulation results at any internal/par rank
-// count and any internal/core sweep worker count.
+// Determinism contract: every stream is derived from the caller's root
+// seed and a stable textual identity — never from map order, goroutine
+// scheduling, or a shared global stream — so the same seed reproduces the
+// same failures at any internal/core sweep worker count.
 package fault
 
-import (
-	"fmt"
+import "sst/internal/sim"
 
-	"sst/internal/sim"
-)
-
-// Kind labels a trace entry.
-type Kind uint8
-
-const (
-	// Drop: a link payload was discarded.
-	Drop Kind = iota
-	// Corrupt: a link payload was rewritten in flight.
-	Corrupt
-	// Delay: a link payload was delivered late.
-	Delay
-	// Kill: a component was killed.
-	Kill
-)
-
-// String names the fault kind.
-func (k Kind) String() string {
-	switch k {
-	case Drop:
-		return "drop"
-	case Corrupt:
-		return "corrupt"
-	case Delay:
-		return "delay"
-	case Kill:
-		return "kill"
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// Event is one injected fault. Events are plain comparable values so
-// determinism tests can require trace equality with ==.
-type Event struct {
-	// At is the simulated time the fault was injected.
-	At sim.Time
-	// Kind is what was done.
-	Kind Kind
-	// Target identifies the victim: "linkname.a->" for sends leaving port
-	// a, or a component name for kills.
-	Target string
-	// Seq is the per-target ordinal of the fault (1-based).
-	Seq uint64
-}
-
-// Trace is an ordered fault log. Each injector owns its own trace (one per
-// link direction, one per killer), so traces are written single-threadedly
-// by the engine that owns the injection point.
-type Trace []Event
-
-// StreamSeed derives the sub-seed for a named injector from a root seed.
+// StreamSeed derives the sub-seed for a named stream from a root seed.
 // FNV-1a over the name keeps the derivation stable across runs, processes
 // and partitionings — unlike anything keyed on pointer identity or
 // iteration order.
@@ -96,57 +36,7 @@ func StreamSeed(root uint64, name string) uint64 {
 	return h ^ root
 }
 
-// NewStream returns the deterministic RNG for a named injector.
+// NewStream returns the deterministic RNG for a named stream.
 func NewStream(root uint64, name string) *sim.RNG {
 	return sim.NewRNG(StreamSeed(root, name))
-}
-
-// Killable is implemented by components that can model their own death: a
-// kill makes the component lose in-flight state and stop (or recover, if
-// it models restart — the checkpoint worker does).
-type Killable interface {
-	sim.Component
-	Kill()
-}
-
-// KillRecord describes one scheduled component kill. When the engine has
-// snapshots enabled the record is also the checkpoint owner of its pending
-// kill event (snapshot.go).
-type KillRecord struct {
-	// Name is the component name.
-	Name string
-	// At is the scheduled kill time.
-	At sim.Time
-	// Done reports whether the kill has fired.
-	Done bool
-
-	kill Killable
-	eng  *sim.Engine
-	seq  uint64
-}
-
-// KillAt schedules the named component's death at time t (absolute). The
-// component must already be registered with the simulation and implement
-// Killable; both are configuration errors reported immediately, not at
-// fire time.
-func KillAt(s *sim.Simulation, name string, t sim.Time) (*KillRecord, error) {
-	c := s.Component(name)
-	if c == nil {
-		return nil, fmt.Errorf("fault: kill target %q not registered", name)
-	}
-	k, ok := c.(Killable)
-	if !ok {
-		return nil, fmt.Errorf("fault: component %q (%T) is not Killable", name, c)
-	}
-	if t < s.Now() {
-		return nil, fmt.Errorf("fault: kill of %q scheduled at %v, before now %v", name, t, s.Now())
-	}
-	eng := s.Engine()
-	rec := &KillRecord{Name: name, At: t, kill: k, eng: eng}
-	if eng.SnapshotsEnabled() {
-		rec.seq = eng.NextSeq()
-		eng.RegisterCheckpoint("kill:"+name+"@"+t.String(), rec)
-	}
-	eng.ScheduleAt(t, sim.PrioLink, rec.fire, nil)
-	return rec, nil
 }

@@ -1,11 +1,6 @@
 package fault
 
-import (
-	"strings"
-	"testing"
-
-	"sst/internal/sim"
-)
+import "testing"
 
 func TestStreamSeedStableAndDistinct(t *testing.T) {
 	if StreamSeed(7, "link0.a->") != StreamSeed(7, "link0.a->") {
@@ -21,166 +16,5 @@ func TestStreamSeedStableAndDistinct(t *testing.T) {
 	}
 	if StreamSeed(1, "x") == StreamSeed(2, "x") {
 		t.Fatal("root seed does not change the stream")
-	}
-}
-
-// killable is a minimal Killable component for KillAt tests.
-type killable struct {
-	name   string
-	killed bool
-}
-
-func (k *killable) Name() string { return k.name }
-func (k *killable) Kill()        { k.killed = true }
-
-// plain is registered but not Killable.
-type plain struct{ name string }
-
-func (p *plain) Name() string { return p.name }
-
-func TestKillAt(t *testing.T) {
-	s := sim.New()
-	k := &killable{name: "node0"}
-	s.Add(k)
-	s.Add(&plain{name: "rock"})
-
-	rec, err := KillAt(s, "node0", 5*sim.Nanosecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.RunAll()
-	if !k.killed || !rec.Done {
-		t.Fatalf("kill did not fire: killed=%v done=%v", k.killed, rec.Done)
-	}
-
-	if _, err := KillAt(s, "ghost", 10*sim.Nanosecond); err == nil {
-		t.Error("unregistered target accepted")
-	}
-	if _, err := KillAt(s, "rock", 10*sim.Nanosecond); err == nil || !strings.Contains(err.Error(), "not Killable") {
-		t.Errorf("non-Killable target accepted: %v", err)
-	}
-	if _, err := KillAt(s, "node0", 1*sim.Nanosecond); err == nil {
-		t.Error("kill in the past accepted")
-	}
-}
-
-func TestLinkFaultsValidate(t *testing.T) {
-	bad := []LinkFaults{
-		{DropP: -0.1},
-		{CorruptP: 1.5},
-		{DelayP: 0.5}, // missing MaxDelay
-	}
-	for i, f := range bad {
-		if f.Validate() == nil {
-			t.Errorf("case %d: invalid config accepted: %+v", i, f)
-		}
-	}
-	if err := (LinkFaults{DropP: 0.5, DelayP: 0.1, MaxDelay: sim.Nanosecond}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
-	}
-}
-
-// runInjected drives count payloads through an injected local link and
-// returns the received values plus the injector.
-func runInjected(t *testing.T, seed uint64, cfg LinkFaults, count int) ([]int, Trace) {
-	t.Helper()
-	s := sim.New()
-	a, b := s.Connect("wire", 10*sim.Nanosecond)
-	var got []int
-	b.SetHandler(func(p any) {
-		if v, ok := p.(int); ok {
-			got = append(got, v)
-		} else {
-			got = append(got, -1) // Corrupted non-int marker
-		}
-	})
-	a.SetHandler(func(any) {})
-	inj, err := InjectLink(a.Link(), seed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < count; i++ {
-		i := i
-		s.Engine().Schedule(sim.Time(i)*sim.Nanosecond, func(any) { a.Send(i) }, nil)
-	}
-	s.RunAll()
-	return got, inj.TraceA()
-}
-
-func TestInjectLinkDeterministicTrace(t *testing.T) {
-	cfg := LinkFaults{DropP: 0.2, CorruptP: 0.2, DelayP: 0.3, MaxDelay: 5 * sim.Nanosecond, Record: true}
-	got1, tr1 := runInjected(t, 42, cfg, 400)
-	got2, tr2 := runInjected(t, 42, cfg, 400)
-	if len(tr1) == 0 {
-		t.Fatal("no faults injected at these probabilities")
-	}
-	if len(got1) != len(got2) || len(tr1) != len(tr2) {
-		t.Fatalf("same seed diverged: %d/%d payloads, %d/%d faults",
-			len(got1), len(got2), len(tr1), len(tr2))
-	}
-	for i := range tr1 {
-		if tr1[i] != tr2[i] {
-			t.Fatalf("trace entry %d differs: %+v vs %+v", i, tr1[i], tr2[i])
-		}
-	}
-	for i := range got1 {
-		if got1[i] != got2[i] {
-			t.Fatalf("payload %d differs: %v vs %v", i, got1[i], got2[i])
-		}
-	}
-	got3, _ := runInjected(t, 43, cfg, 400)
-	if len(got3) == len(got1) {
-		same := true
-		for i := range got1 {
-			if got1[i] != got3[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("different seeds produced identical runs")
-		}
-	}
-}
-
-func TestInjectLinkStatsAndClamp(t *testing.T) {
-	cfg := LinkFaults{DropP: 0.5, Record: true}
-	got, tr := runInjected(t, 7, cfg, 1000)
-	s := sim.New()
-	a, _ := s.Connect("w2", sim.Nanosecond)
-	inj, err := InjectLink(a.Link(), 7, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := InjectLink(a.Link(), 7, cfg); err == nil {
-		t.Error("double injection accepted")
-	}
-	_ = inj
-	if len(got)+len(tr) != 1000 {
-		t.Fatalf("drops (%d) + deliveries (%d) != sends (1000)", len(tr), len(got))
-	}
-	if len(tr) < 400 || len(tr) > 600 {
-		t.Errorf("drop rate wildly off 0.5: %d/1000", len(tr))
-	}
-	for _, ev := range tr {
-		if ev.Kind != Drop || ev.Target != "wire.a->" {
-			t.Fatalf("unexpected trace entry %+v", ev)
-		}
-	}
-}
-
-func TestCorruptKeepsIntTyped(t *testing.T) {
-	rng := sim.NewRNG(1)
-	v := corrupt(17, rng)
-	if _, ok := v.(int); !ok {
-		t.Fatalf("corrupt(int) returned %T", v)
-	}
-	if v == 17 {
-		t.Fatal("corrupt(int) did not flip a bit")
-	}
-	w := corrupt("hello", rng)
-	c, ok := w.(Corrupted)
-	if !ok || c.Payload != "hello" {
-		t.Fatalf("corrupt(string) = %#v, want Corrupted wrapper", w)
 	}
 }

@@ -388,7 +388,7 @@ func TestMachineCrossPageAccess(t *testing.T) {
 
 func TestFloatHelpers(t *testing.T) {
 	m := NewMachine(&Program{})
-	m.StoreFloat(64, math.Pi)
+	m.Store(64, 8, math.Float64bits(math.Pi))
 	if got := m.LoadFloat(64); got != math.Pi {
 		t.Fatalf("float round trip = %v", got)
 	}

@@ -80,22 +80,17 @@ func (m *Machine) LoadFloat(addr uint64) float64 {
 	return math.Float64frombits(m.Load(addr, 8))
 }
 
-// StoreFloat writes a float64 at addr.
-func (m *Machine) StoreFloat(addr uint64, f float64) {
-	m.Store(addr, 8, math.Float64bits(f))
-}
-
 // Reg returns register r; FReg interprets it as float64.
 func (m *Machine) Reg(r int) uint64   { return m.Regs[r&31] }
 func (m *Machine) FReg(r int) float64 { return math.Float64frombits(m.Regs[r&31]) }
-func (m *Machine) SetReg(r int, v uint64) {
+func (m *Machine) setReg(r int, v uint64) {
 	if r&31 != 0 {
 		m.Regs[r&31] = v
 	}
 }
 
 // SetFReg stores a float64 bit pattern into register r.
-func (m *Machine) SetFReg(r int, f float64) { m.SetReg(r, math.Float64bits(f)) }
+func (m *Machine) SetFReg(r int, f float64) { m.setReg(r, math.Float64bits(f)) }
 
 // StepInfo describes one retired instruction for the timing front-end.
 type StepInfo struct {

@@ -832,18 +832,3 @@ func (c *Cache) ReleaseLines() {
 	c.backing = nil
 	c.sets = nil
 }
-
-// Contents returns (valid lines, dirty lines) for invariant checks in tests.
-func (c *Cache) Contents() (valid, dirty int) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				valid++
-				if set[i].st == modified {
-					dirty++
-				}
-			}
-		}
-	}
-	return valid, dirty
-}

@@ -153,7 +153,7 @@ func TestCacheRandomReplacementWorks(t *testing.T) {
 		c.Access(Read, uint64(i)*512, 8, nil)
 		e.RunAll()
 	}
-	valid, _ := c.Contents()
+	valid, _ := contents(c)
 	if valid == 0 || c.evictions.Count() == 0 {
 		t.Error("random replacement produced no evictions or no residents")
 	}
@@ -167,7 +167,7 @@ func TestCacheWriteBack(t *testing.T) {
 	if lower.writes.Count() != 0 {
 		t.Fatalf("write-back cache wrote through: %d", lower.writes.Count())
 	}
-	_, dirty := c.Contents()
+	_, dirty := contents(c)
 	if dirty != 1 {
 		t.Fatalf("dirty lines = %d, want 1", dirty)
 	}
@@ -192,7 +192,7 @@ func TestCacheWriteThrough(t *testing.T) {
 	if lower.writes.Count() != 1 {
 		t.Fatalf("write-through miss writes = %d, want 1", lower.writes.Count())
 	}
-	valid, _ := c.Contents()
+	valid, _ := contents(c)
 	if valid != 0 {
 		t.Fatal("write-through no-allocate cache allocated on write miss")
 	}
@@ -204,7 +204,7 @@ func TestCacheWriteThrough(t *testing.T) {
 	if lower.writes.Count() != 2 {
 		t.Fatalf("write-through hit writes = %d, want 2", lower.writes.Count())
 	}
-	_, dirty := c.Contents()
+	_, dirty := contents(c)
 	if dirty != 0 {
 		t.Fatal("write-through cache holds dirty lines")
 	}
@@ -305,7 +305,7 @@ func TestCacheUpgradeWithoutBusIsFree(t *testing.T) {
 	e.RunAll()
 	c.Access(Write, 0, 8, nil)
 	e.RunAll()
-	_, dirty := c.Contents()
+	_, dirty := contents(c)
 	if dirty != 1 {
 		t.Fatalf("dirty = %d, want 1 (E→M on write hit)", dirty)
 	}
@@ -383,4 +383,19 @@ func TestThreeLevelHierarchy(t *testing.T) {
 	if l1.HitRate() > 0.1 {
 		t.Errorf("L1 hit rate = %.3f on a streaming set 32x its size", l1.HitRate())
 	}
+}
+
+// contents returns c's (valid lines, dirty lines).
+func contents(c *Cache) (valid, dirty int) {
+	for _, set := range c.sets {
+		for i := range set {
+			if set[i].valid {
+				valid++
+				if set[i].st == modified {
+					dirty++
+				}
+			}
+		}
+	}
+	return valid, dirty
 }

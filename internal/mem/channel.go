@@ -8,7 +8,7 @@ import "sst/internal/sim"
 // relative to the direct-call hierarchy (delivery lands at the same
 // timestamp, after the issuing handler returns); what it buys is that
 // channel traffic becomes visible to everything that understands links:
-// trace attribution, message/byte counters, and fault injection.
+// trace attribution and the link's message/byte counts.
 //
 // Completion callbacks still return directly — the request crossing the
 // link is the modelled direction; replies ride the completion closure.
@@ -17,8 +17,7 @@ type ChannelDevice struct {
 	lower Device
 	// free recycles request envelopes: sending a struct by value would box
 	// it into the link payload's `any` on every access, while a recycled
-	// pointer crosses for free. Requests dropped by a fault interceptor are
-	// simply never recycled.
+	// pointer crosses for free.
 	free []*channelReq
 }
 

@@ -77,10 +77,6 @@ func NewDirectory(engine *sim.Engine, name string, latency sim.Time, lower Devic
 // Name returns the controller's instance name.
 func (d *Directory) Name() string { return d.name }
 
-// SnoopsSent exposes the point-to-point snoop count (the scalability
-// metric the bus-vs-directory ablation compares).
-func (d *Directory) SnoopsSent() uint64 { return d.snoopsSent.Count() }
-
 // Port attaches a cache (or nil for a cache-less master).
 func (d *Directory) Port(c *Cache) *DirPort {
 	if len(d.ports) >= 64 {

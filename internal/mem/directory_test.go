@@ -65,7 +65,7 @@ func TestDirectoryWriteInvalidatesExactSharers(t *testing.T) {
 	e.RunAll()
 	cs[1].Access(Read, 0, 8, nil)
 	e.RunAll()
-	snoops := dir.SnoopsSent()
+	snoops := dir.snoopsSent.Count()
 	cs[0].Access(Write, 0, 8, nil)
 	e.RunAll()
 	if st := lineState(cs[0], 0); st != modified {
@@ -75,7 +75,7 @@ func TestDirectoryWriteInvalidatesExactSharers(t *testing.T) {
 		t.Fatalf("sharer not invalidated: %d", st)
 	}
 	// Exactly one snoop (to cache 1); caches 2/3 must not be bothered.
-	if got := dir.SnoopsSent() - snoops; got != 1 {
+	if got := dir.snoopsSent.Count() - snoops; got != 1 {
 		t.Errorf("upgrade sent %d snoops, want 1 (exact sharer set)", got)
 	}
 }
@@ -185,7 +185,7 @@ func TestDirectoryScalesSnoops(t *testing.T) {
 		}
 	}
 	e.RunAll()
-	if got := dir.SnoopsSent(); got != 0 {
+	if got := dir.snoopsSent.Count(); got != 0 {
 		t.Errorf("directory sent %d snoops on private data, want 0", got)
 	}
 

@@ -35,6 +35,14 @@ type TraceMetrics struct {
 	Dropped  uint64 `json:"dropped"`
 }
 
+// LinkStats counts traffic on one link: the messages sent in both
+// directions and their payload bytes (for payloads implementing sim.Sized).
+type LinkStats struct {
+	Name  string `json:"name"`
+	Msgs  uint64 `json:"msgs"`
+	Bytes uint64 `json:"bytes"`
+}
+
 // RunReport is one run's metrics roll-up. It satisfies core.Result
 // structurally, so CLIs render it with the same table/json/csv machinery
 // as study results.
@@ -63,7 +71,6 @@ func (r *RunReport) Table() *stats.Table {
 	for _, l := range r.Links {
 		t.AddRow("link."+l.Name+".msgs", l.Msgs)
 		t.AddRow("link."+l.Name+".bytes", l.Bytes)
-		t.AddRow("link."+l.Name+".dropped", l.Dropped)
 	}
 	if p := r.Par; p != nil {
 		t.AddRow("par.mode", p.Mode)
@@ -117,32 +124,33 @@ func (r *RunReport) WriteCSV(w io.Writer) error {
 }
 
 // Collector snapshots a run's metrics: attach it before running, ask for
-// the Report after. It owns the host-time clock and the link counters it
-// installed.
+// the Report after. It owns the host-time clock.
 type Collector struct {
-	engines []*sim.Engine
-	base    []uint64 // events each engine had handled when attached
-	tracers []*Tracer
-	links   []*LinkStats
-	runner  *par.Runner
-	cache   *cache.Cache
-	start   time.Time
+	engines  []*sim.Engine
+	base     []uint64 // events each engine had handled when attached
+	tracers  []*Tracer
+	links    []*sim.Link
+	linkBase []LinkStats // each link's traffic when attached
+	runner   *par.Runner
+	cache    *cache.Cache
+	start    time.Time
 }
 
 // NewCollector creates an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Attach points the collector at an engine, instruments the given links
-// with traffic counters (composing with any fault interceptors already
-// installed) and starts the host-time clock. Call it before the run, once
-// per engine; every call restarts the clock.
+// Attach points the collector at an engine and the given links, whose
+// traffic the report counts from now on, and starts the host-time clock.
+// Call it before the run, once per engine; every call restarts the clock.
 func (c *Collector) Attach(engine *sim.Engine, links ...*sim.Link) {
 	if engine != nil {
 		c.engines = append(c.engines, engine)
 		c.base = append(c.base, engine.Handled())
 	}
 	for _, l := range links {
-		c.links = append(c.links, InstrumentLink(l))
+		msgs, bytes := l.Traffic()
+		c.links = append(c.links, l)
+		c.linkBase = append(c.linkBase, LinkStats{Name: l.Name(), Msgs: msgs, Bytes: bytes})
 	}
 	c.start = time.Now()
 }
@@ -196,8 +204,10 @@ func (c *Collector) Report() *RunReport {
 		rep.Trace.Retained += t.Total() - t.Dropped()
 		rep.Trace.Dropped += t.Dropped()
 	}
-	for _, l := range c.links {
-		rep.Links = append(rep.Links, *l)
+	for i, l := range c.links {
+		msgs, bytes := l.Traffic()
+		b := c.linkBase[i]
+		rep.Links = append(rep.Links, LinkStats{Name: b.Name, Msgs: msgs - b.Msgs, Bytes: bytes - b.Bytes})
 	}
 	if c.runner != nil {
 		m := c.runner.Metrics()

@@ -96,7 +96,7 @@ type rank struct {
 	// target is the bound of the window being dispatched: the horizon
 	// under pairwise sync, the leg target under speculative sync (see
 	// speculative.go). spec is the per-Run rollback bookkeeping;
-	// specOn arms the replay-dedupe guard in the cross-rank intercept.
+	// specOn arms the replay-dedupe guard in the cross-rank deliver.
 	// rollbacks/replayed/fallbacks/promotions are cumulative counters
 	// surfaced through Metrics and persisted by Snapshot; the specPeak*
 	// fields record high-water marks for the memory-discipline tests.
@@ -314,7 +314,7 @@ func (r *Runner) Connect(name string, latency sim.Time, rankA, rankB int) (*sim.
 		return nil, nil, fmt.Errorf("par: cross-rank link %q needs nonzero latency (it is the lookahead)", name)
 	}
 	// The link object nominally lives on rankA's engine, but delivery is
-	// fully intercepted, so the home engine is never used for sends.
+	// routed through SetDeliver, so the home engine is never used for sends.
 	a, b := sim.Connect(r.ranks[rankA].sim.Engine(), name, latency)
 	if r.snapPorts != nil {
 		r.recordSnapPort(a)

@@ -225,6 +225,39 @@ func TestFastForwardSparseEvents(t *testing.T) {
 	}
 }
 
+// sizedMsg is a payload with a wire size.
+type sizedMsg int
+
+func (m sizedMsg) PayloadBytes() int { return int(m) }
+
+// TestCrossRankLinkTraffic: each rank counts its own side's sends on a
+// cross-rank link, concurrently and without a lock (run it under -race).
+func TestCrossRankLinkTraffic(t *testing.T) {
+	r, _ := NewRunner(2)
+	a, b, err := r.Connect("x", 10*sim.Nanosecond, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var atA, atB int
+	a.SetHandler(func(any) { atA++ })
+	b.SetHandler(func(any) { atB++ })
+	for i := range 100 {
+		r.Rank(0).Engine().Schedule(sim.Time(i)*sim.Nanosecond, func(any) { a.Send(sizedMsg(10)) }, nil)
+	}
+	for i := range 50 {
+		r.Rank(1).Engine().Schedule(sim.Time(i)*sim.Nanosecond, func(any) { b.Send(sizedMsg(3)) }, nil)
+	}
+	if _, err := r.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if atB != 100 || atA != 50 {
+		t.Fatalf("delivered %d to b, %d to a; want 100, 50", atB, atA)
+	}
+	if msgs, bytes := a.Link().Traffic(); msgs != 150 || bytes != 1150 {
+		t.Fatalf("Traffic = %d msgs, %d bytes; want 150, 1150", msgs, bytes)
+	}
+}
+
 func TestIndependentRanksNoCrossLinks(t *testing.T) {
 	r, _ := NewRunner(4)
 	counts := make([]int, 4)

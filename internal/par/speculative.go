@@ -31,7 +31,7 @@ package par
 //     replayed timeline is exactly what a conservative run would have
 //     produced.
 //   - Replay regenerates sends the committed prefix already released; the
-//     cross-rank intercept drops a send when the engine clock is below the
+//     cross-rank deliver drops a send when the engine clock is below the
 //     rank's base. The committed prefix replays deterministically — same
 //     events, same sends, same sequence numbers (the send counter is
 //     restored from the checkpoint) — so the dropped sends are precisely
@@ -236,7 +236,7 @@ func (r *Runner) specAdvanceCkpts(rk *rank) {
 
 // specRollback restores the rank to its rollback target after a straggler
 // arrival: engine state and send counter come from the checkpoint, held
-// outboxes are discarded (replay regenerates them; the intercept drops the
+// outboxes are discarded (replay regenerates them; the deliver drops the
 // prefix the committed timeline already released), and everything
 // delivered since the checkpoint goes back into staging, where the heap
 // merges it with the straggler in canonical order.

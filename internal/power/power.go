@@ -122,11 +122,3 @@ func (p CoreParams) CoreEnergyJ(width int, act CoreActivity) float64 {
 		eop*p.MemMult*float64(act.MemOps)
 	return dyn + p.StaticPowerW(width)*act.Seconds
 }
-
-// CorePowerW returns average power over the run.
-func (p CoreParams) CorePowerW(width int, act CoreActivity) float64 {
-	if act.Seconds == 0 {
-		return 0
-	}
-	return p.CoreEnergyJ(width, act) / act.Seconds
-}

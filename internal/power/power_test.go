@@ -77,12 +77,6 @@ func TestCoreEnergyComposition(t *testing.T) {
 	if act.Ops() != 1800 {
 		t.Fatalf("Ops = %d", act.Ops())
 	}
-	if p.CorePowerW(2, act) != e/1e-6 {
-		t.Fatal("power != energy/seconds")
-	}
-	if p.CorePowerW(2, CoreActivity{}) != 0 {
-		t.Fatal("zero-time power not 0")
-	}
 }
 
 func TestDiesPerWafer(t *testing.T) {

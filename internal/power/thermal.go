@@ -156,10 +156,3 @@ func MTBFHours(fit float64) float64 {
 	}
 	return 1e9 / fit
 }
-
-// SystemMTBFHours returns the MTBF of n identical independent nodes — the
-// scaling problem ("the sheer number of components threatens overall
-// system reliability") the methodology highlights.
-func SystemMTBFHours(nodeFIT float64, nodes int) float64 {
-	return MTBFHours(nodeFIT * float64(nodes))
-}

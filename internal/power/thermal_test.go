@@ -126,12 +126,8 @@ func TestMTBF(t *testing.T) {
 		t.Fatal("zero FIT should be infinite MTBF")
 	}
 	// 10,000 nodes at 100 FIT each: 1e6 FIT system => 1000 h.
-	if got := SystemMTBFHours(100, 10_000); math.Abs(got-1000) > 1e-9 {
+	if got := MTBFHours(100 * 10_000); math.Abs(got-1000) > 1e-9 {
 		t.Fatalf("system MTBF = %v, want 1000", got)
-	}
-	// System MTBF shrinks linearly with node count.
-	if SystemMTBFHours(100, 1000) <= SystemMTBFHours(100, 10_000) {
-		t.Fatal("MTBF should shrink with scale")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 )
 
 // Encoder writes the snapshot wire format: unsigned varints (zigzag for
@@ -165,7 +164,6 @@ type payloadCodec struct {
 }
 
 var (
-	payloadMu     sync.RWMutex
 	payloadByType = map[reflect.Type]*payloadCodec{}
 	payloadByName = map[string]*payloadCodec{}
 )
@@ -176,13 +174,14 @@ const payloadNil = "_nil"
 // RegisterPayload adds a snapshot codec for the concrete type of sample
 // under the given stable name. Duplicate names or types panic: both sides
 // of the registry must stay unambiguous for restore to be well-defined.
+// Call it only from a package init function: the registry has no lock, so
+// it must be complete before any goroutine encodes or decodes a payload
+// (the ranks of a parallel run read it concurrently).
 func RegisterPayload(name string, sample any, enc func(*Encoder, any), dec func(*Decoder) (any, error)) {
 	t := reflect.TypeOf(sample)
 	if t == nil || name == "" || name == payloadNil {
 		panic("sim: RegisterPayload needs a non-nil sample and a nonempty name")
 	}
-	payloadMu.Lock()
-	defer payloadMu.Unlock()
 	if _, dup := payloadByName[name]; dup {
 		panic(fmt.Sprintf("sim: duplicate payload codec name %q", name))
 	}
@@ -201,9 +200,7 @@ func EncodePayload(e *Encoder, v any) {
 		e.String(payloadNil)
 		return
 	}
-	payloadMu.RLock()
 	c := payloadByType[reflect.TypeOf(v)]
-	payloadMu.RUnlock()
 	if c == nil {
 		panic(fmt.Sprintf("sim: payload type %T has no snapshot codec (register one with sim.RegisterPayload)", v))
 	}
@@ -220,9 +217,7 @@ func DecodePayload(d *Decoder) (any, error) {
 	if name == payloadNil {
 		return nil, nil
 	}
-	payloadMu.RLock()
 	c := payloadByName[name]
-	payloadMu.RUnlock()
 	if c == nil {
 		return nil, fmt.Errorf("sim: snapshot payload codec %q not registered in this build", name)
 	}

@@ -217,8 +217,7 @@ func (l *Link) PendingOwned() int { return l.a.track.live + l.b.track.live }
 
 // SaveState writes a tracked link's in-flight deliveries in sequence order,
 // each with its direction, merging the two ports' sets. Payloads go through
-// the codec registry; the fault interceptor has already run (interception
-// happens at send time), so what is saved is what will be delivered.
+// the codec registry.
 func (l *Link) SaveState(enc *Encoder) {
 	toB, toA := l.a.track.compact(), l.b.track.compact()
 	enc.U64(uint64(len(toB) + len(toA)))

@@ -18,6 +18,11 @@ type Port struct {
 	// falls back to the heap; see Lane).
 	lane Lane
 
+	// msgs and bytes count this port's sends and their Sized payload
+	// bytes. A port sends only from its own engine, so the counters need
+	// no lock even when the link crosses ranks.
+	msgs, bytes uint64
+
 	// track, set by Simulation.Connect on a snapshot-enabled engine, holds
 	// this port's local deliveries still in flight to the peer so the link
 	// can carry them across a checkpoint. Nil otherwise.
@@ -74,20 +79,11 @@ func (p *Port) SendDelayed(extra Time, payload any) {
 		panic(fmt.Sprintf("sim: negative send delay %v (wrapped to %d ps) on port %q (link %q)",
 			int64(extra), uint64(extra), p.name, l.name))
 	}
-	delay := l.latency + extra
-	if l.intercept != nil {
-		var ok bool
-		if delay, payload, ok = l.intercept(p, delay, payload); !ok {
-			return // dropped by the interceptor
-		}
-		if delay < l.latency {
-			// An interceptor may add delay but never subtract below the
-			// link latency: the latency is the parallel runtime's
-			// conservative lookahead and shortening it would let a
-			// payload outrun the synchronization window.
-			delay = l.latency
-		}
+	p.msgs++
+	if sz, ok := payload.(Sized); ok {
+		p.bytes += uint64(sz.PayloadBytes())
 	}
+	delay := l.latency + extra
 	if l.deliver != nil {
 		l.deliver(p, delay, payload)
 		return
@@ -98,11 +94,6 @@ func (p *Port) SendDelayed(extra Time, payload any) {
 	}
 	if p.track != nil {
 		p.track.ScheduleAt(l.engine.after(delay), peer.prio, payload)
-		return
-	}
-	if l.intercept != nil {
-		// A fault interceptor's delays owe the send order nothing.
-		l.engine.ScheduleLabeled(delay, peer.prio, l.name, peer.handler, payload)
 		return
 	}
 	if p.lane.eng == nil {
@@ -123,21 +114,7 @@ type Link struct {
 	// deliver, when installed by the parallel runtime, routes sends
 	// through rank mailboxes instead of the local engine.
 	deliver func(from *Port, delay Time, payload any)
-
-	// intercept, when installed (internal/fault), inspects every payload
-	// before delivery and may delay, rewrite or drop it. It composes with
-	// deliver: interception happens first, on the sending side, so it
-	// behaves identically for local and cross-rank links.
-	intercept LinkInterceptor
 }
-
-// LinkInterceptor inspects a send in flight: it receives the sending port,
-// the total delay (link latency plus any sender-added extra) and the
-// payload, and returns the possibly-modified delay and payload plus whether
-// to deliver at all. Returned delays below the link latency are clamped up
-// to it to preserve the parallel runtime's lookahead. Interceptors run on
-// the sending side's engine, in deterministic event order.
-type LinkInterceptor func(from *Port, delay Time, payload any) (Time, any, bool)
 
 // Connect creates a link with the given latency and returns its two ports.
 func Connect(engine *Engine, name string, latency Time) (*Port, *Port) {
@@ -165,24 +142,19 @@ func (l *Link) Latency() Time { return l.latency }
 // because the parallel runtime merges by (time, source rank, sequence).
 func (l *Link) SetDeliver(fn func(from *Port, delay Time, payload any)) { l.deliver = fn }
 
-// SetIntercept installs (or, with nil, removes) a fault interceptor. At
-// most one interceptor is active per link; internal/fault composes multiple
-// fault kinds inside a single interceptor.
-func (l *Link) SetIntercept(fn LinkInterceptor) { l.intercept = fn }
-
-// Intercepted reports whether a fault interceptor is installed.
-func (l *Link) Intercepted() bool { return l.intercept != nil }
-
-// Interceptor returns the installed interceptor, or nil. Observability
-// layers use it to wrap an existing fault interceptor with counters instead
-// of displacing it.
-func (l *Link) Interceptor() LinkInterceptor { return l.intercept }
-
 // Sized is implemented by payloads that know their wire size; link byte
 // counters consult it. Payloads without it count as zero bytes.
 type Sized interface {
 	// PayloadBytes returns the payload's size on the wire, in bytes.
 	PayloadBytes() int
+}
+
+// Traffic returns the messages sent over the link in both directions and
+// their Sized payload bytes, counted since the link was made. A send a
+// speculative rollback replays is counted again. Read it only while the
+// link's engines are stopped.
+func (l *Link) Traffic() (msgs, bytes uint64) {
+	return l.a.msgs + l.b.msgs, l.a.bytes + l.b.bytes
 }
 
 // Ports returns the two endpoints of the link.

@@ -101,17 +101,6 @@ func (r *RNG) Exp(mean float64) float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
-// Perm fills out with a uniform random permutation of [0, len(out)).
-func (r *RNG) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-}
-
 // SaveState writes the generator's exact 256-bit state.
 func (r *RNG) SaveState(enc *Encoder) {
 	for _, s := range r.s {

@@ -77,9 +77,6 @@ func (s *Simulation) Add(c Component) {
 	}
 }
 
-// Component returns the named component, or nil.
-func (s *Simulation) Component(name string) Component { return s.comps[name] }
-
 // Components returns all components sorted by name. The sort is computed
 // once and cached until the next Add; callers iterate the returned slice
 // but must not modify it.

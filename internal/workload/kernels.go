@@ -37,14 +37,6 @@ func (k *Kernel) StreamPool(pool *frontend.OpPool) *frontend.KernelStream {
 	return frontend.NewKernelStreamPool(k.Run, pool)
 }
 
-// Intensity returns arithmetic intensity, flops per byte.
-func (k *Kernel) Intensity() float64 {
-	if k.Bytes == 0 {
-		return 0
-	}
-	return float64(k.Flops) / float64(k.Bytes)
-}
-
 // flopChain emits n FP ops distributed over `accs` accumulator registers:
 // each op depends on the previous op targeting the same accumulator, so
 // `accs` bounds the exploitable FP ILP.

@@ -233,13 +233,3 @@ func FibonacciProgram(n int) *Program {
 		},
 	}
 }
-
-// Programs returns the full SR1 program library.
-func Programs() []*Program {
-	return []*Program{
-		DAXPYProgram(256),
-		DotProductProgram(256),
-		PointerChaseProgram(1024, 4096),
-		FibonacciProgram(40),
-	}
-}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestProgramsFunctional(t *testing.T) {
-	for _, p := range Programs() {
+	for _, p := range programs() {
 		m, err := p.Build()
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
@@ -34,7 +34,7 @@ func TestProgramsFunctional(t *testing.T) {
 // stack — superscalar core, L1, DRAM — and cross-checks the architectural
 // result against the pure interpreter.
 func TestProgramsExecutionDriven(t *testing.T) {
-	for _, p := range Programs() {
+	for _, p := range programs() {
 		stream, err := p.Stream(0)
 		if err != nil {
 			t.Fatal(err)
@@ -173,3 +173,13 @@ func TestProgramBadSource(t *testing.T) {
 }
 
 var _ = isa.NOP // keep the isa import for Check signatures
+
+// programs returns the full SR1 program library.
+func programs() []*Program {
+	return []*Program{
+		DAXPYProgram(256),
+		DotProductProgram(256),
+		PointerChaseProgram(1024, 4096),
+		FibonacciProgram(40),
+	}
+}

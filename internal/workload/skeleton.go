@@ -63,9 +63,6 @@ func (s *Script) AllReduce(rank, n, bytes int) {
 	}
 }
 
-// Barrier is an all-reduce of a minimal payload.
-func (s *Script) Barrier(rank, n int) { s.AllReduce(rank, n, 8) }
-
 // rankState executes one rank's script.
 type rankState struct {
 	app          *App
