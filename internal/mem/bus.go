@@ -28,18 +28,55 @@ type Bus struct {
 	perByte sim.Time
 	freeAt  sim.Time
 	ports   []*BusPort
+	lineSerializer
 
-	// pending serializes same-line transactions: key present means a
-	// transaction owns the line; the slice holds queued transaction
-	// bodies.
-	pending map[uint64][]func()
+	transactions *stats.Counter
+	c2cTransfers *stats.Counter
+	invals       *stats.Counter
+	writebacks   *stats.Counter
+	busyTime     *stats.Counter
+}
 
-	transactions  *stats.Counter
-	c2cTransfers  *stats.Counter
-	invals        *stats.Counter
-	writebacks    *stats.Counter
-	busyTime      *stats.Counter
-	lineConflicts *stats.Counter
+// lineSerializer serializes same-line transactions for a coherence fabric
+// (Bus, Directory): a key present in pending means a transaction owns the
+// line, and its slice holds the queued transaction bodies. conflicts
+// counts transactions that had to queue.
+type lineSerializer struct {
+	pending   map[uint64][]func()
+	conflicts *stats.Counter
+}
+
+func newLineSerializer(scope *stats.Scope) lineSerializer {
+	return lineSerializer{pending: make(map[uint64][]func()), conflicts: scope.Counter("line_conflicts")}
+}
+
+// acquire runs body now if no transaction owns line addr, else queues it.
+// Every body must call release(addr) exactly once when its transaction is
+// globally visible.
+func (l *lineSerializer) acquire(addr uint64, body func()) {
+	if q, busy := l.pending[addr]; busy {
+		l.conflicts.Inc()
+		l.pending[addr] = append(q, body)
+		return
+	}
+	l.pending[addr] = nil
+	body()
+}
+
+// release ends the current transaction on addr and starts the next queued
+// one, if any.
+func (l *lineSerializer) release(addr uint64) {
+	q, ok := l.pending[addr]
+	if !ok {
+		return
+	}
+	if len(q) == 0 {
+		delete(l.pending, addr)
+		return
+	}
+	next := q[0]
+	l.pending[addr] = q[1:]
+	next()
 }
 
 // NewBus builds a bus in front of lower. bytesPerSecond of 0 means
@@ -50,7 +87,6 @@ func NewBus(engine *sim.Engine, name string, latency sim.Time, bytesPerSecond fl
 		engine:  engine,
 		lower:   lower,
 		latency: latency,
-		pending: make(map[uint64][]func()),
 	}
 	if bytesPerSecond > 0 {
 		b.perByte = sim.Time(float64(sim.Second) / bytesPerSecond)
@@ -66,7 +102,7 @@ func NewBus(engine *sim.Engine, name string, latency sim.Time, bytesPerSecond fl
 	b.invals = scope.Counter("invalidations")
 	b.writebacks = scope.Counter("writebacks")
 	b.busyTime = scope.Counter("busy_ps")
-	b.lineConflicts = scope.Counter("line_conflicts")
+	b.lineSerializer = newLineSerializer(scope)
 	return b
 }
 
@@ -82,35 +118,6 @@ func (b *Bus) Port(c *Cache) *BusPort {
 	}
 	b.ports = append(b.ports, p)
 	return p
-}
-
-// acquire runs body now if no transaction owns line addr, else queues it.
-// Every body must call release(addr) exactly once when its transaction is
-// globally visible.
-func (b *Bus) acquire(addr uint64, body func()) {
-	if q, busy := b.pending[addr]; busy {
-		b.lineConflicts.Inc()
-		b.pending[addr] = append(q, body)
-		return
-	}
-	b.pending[addr] = nil
-	body()
-}
-
-// release ends the current transaction on addr and starts the next queued
-// one, if any.
-func (b *Bus) release(addr uint64) {
-	q, ok := b.pending[addr]
-	if !ok {
-		return
-	}
-	if len(q) == 0 {
-		delete(b.pending, addr)
-		return
-	}
-	next := q[0]
-	b.pending[addr] = q[1:]
-	next()
 }
 
 // occupy claims the shared bus for size bytes; it returns the queuing delay

@@ -281,3 +281,47 @@ func newDRAMForTest(t testing.TB, e *sim.Engine) *dram.Memory {
 	}
 	return m
 }
+
+// TestLineSerializer: a transaction on a busy line queues and counts one
+// conflict, queued bodies start in arrival order as each owner releases,
+// other lines run at once, and the last release frees the line.
+func TestLineSerializer(t *testing.T) {
+	l := newLineSerializer(stats.NewRegistry().Scope("fabric"))
+	var order []int
+	l.acquire(0, func() { order = append(order, 1) })
+	l.acquire(0, func() { order = append(order, 2) })
+	l.acquire(0, func() { order = append(order, 3) })
+	l.acquire(64, func() { order = append(order, 4) })
+	if got := l.conflicts.Count(); got != 2 {
+		t.Errorf("conflicts = %d, want 2", got)
+	}
+	l.release(0)
+	l.release(0)
+	l.release(0)
+	l.release(64)
+	if len(order) != 4 || order[0] != 1 || order[1] != 4 || order[2] != 2 || order[3] != 3 {
+		t.Errorf("start order = %v, want [1 4 2 3]", order)
+	}
+	if len(l.pending) != 0 {
+		t.Errorf("lines still owned after every release: %v", l.pending)
+	}
+}
+
+// TestFabricsSerializeSameLine: two concurrent misses to one line queue
+// the second behind the first on both coherence fabrics.
+func TestFabricsSerializeSameLine(t *testing.T) {
+	e, c0, c1, bus, _ := coherentPair(t)
+	c0.Access(Read, 0, 8, nil)
+	c1.Access(Read, 0, 8, nil)
+	e.RunAll()
+	if got := bus.conflicts.Count(); got != 1 || len(bus.pending) != 0 {
+		t.Errorf("bus: conflicts = %d, owned lines %v; want 1 and none", got, bus.pending)
+	}
+	e, cs, dir, _ := dirPair(t, 2)
+	cs[0].Access(Read, 0, 8, nil)
+	cs[1].Access(Read, 0, 8, nil)
+	e.RunAll()
+	if got := dir.conflicts.Count(); got != 1 || len(dir.pending) != 0 {
+		t.Errorf("directory: conflicts = %d, owned lines %v; want 1 and none", got, dir.pending)
+	}
+}

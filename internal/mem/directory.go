@@ -33,14 +33,13 @@ type Directory struct {
 	ports   []*DirPort
 
 	entries map[uint64]*dirEntry
-	pending map[uint64][]func()
+	lineSerializer
 
-	transactions  *stats.Counter
-	snoopsSent    *stats.Counter
-	invals        *stats.Counter
-	forwards      *stats.Counter
-	writebacks    *stats.Counter
-	lineConflicts *stats.Counter
+	transactions *stats.Counter
+	snoopsSent   *stats.Counter
+	invals       *stats.Counter
+	forwards     *stats.Counter
+	writebacks   *stats.Counter
 }
 
 // dirEntry tracks one line: an exclusive owner port (M/E, -1 if none) and
@@ -60,7 +59,6 @@ func NewDirectory(engine *sim.Engine, name string, latency sim.Time, lower Devic
 		lower:   lower,
 		latency: latency,
 		entries: make(map[uint64]*dirEntry),
-		pending: make(map[uint64][]func()),
 	}
 	if scope == nil {
 		scope = stats.NewRegistry().Scope(name)
@@ -70,7 +68,7 @@ func NewDirectory(engine *sim.Engine, name string, latency sim.Time, lower Devic
 	d.invals = scope.Counter("invalidations")
 	d.forwards = scope.Counter("forwards")
 	d.writebacks = scope.Counter("writebacks")
-	d.lineConflicts = scope.Counter("line_conflicts")
+	d.lineSerializer = newLineSerializer(scope)
 	return d
 }
 
@@ -85,31 +83,6 @@ func (d *Directory) Port(c *Cache) *DirPort {
 	p := &DirPort{dir: d, id: len(d.ports), cache: c}
 	d.ports = append(d.ports, p)
 	return p
-}
-
-// acquire/release serialize same-line transactions (see Bus).
-func (d *Directory) acquire(addr uint64, body func()) {
-	if q, busy := d.pending[addr]; busy {
-		d.lineConflicts.Inc()
-		d.pending[addr] = append(q, body)
-		return
-	}
-	d.pending[addr] = nil
-	body()
-}
-
-func (d *Directory) release(addr uint64) {
-	q, ok := d.pending[addr]
-	if !ok {
-		return
-	}
-	if len(q) == 0 {
-		delete(d.pending, addr)
-		return
-	}
-	next := q[0]
-	d.pending[addr] = q[1:]
-	next()
 }
 
 func (d *Directory) entry(addr uint64) *dirEntry {
