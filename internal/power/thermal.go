@@ -16,8 +16,6 @@ type ThermalParams struct {
 	AmbientC float64
 	// ResistanceCPerW is the junction-to-ambient thermal resistance.
 	ResistanceCPerW float64
-	// CapacitanceJPerC is the die+spreader thermal mass (for transients).
-	CapacitanceJPerC float64
 	// LeakDoubleC is the temperature increase that doubles leakage
 	// (typically 10–20 °C for the era's processes).
 	LeakDoubleC float64
@@ -30,12 +28,11 @@ type ThermalParams struct {
 // DefaultThermalParams resembles a mid-2000s desktop package.
 func DefaultThermalParams() ThermalParams {
 	return ThermalParams{
-		AmbientC:         45,
-		ResistanceCPerW:  0.6,
-		CapacitanceJPerC: 30,
-		LeakDoubleC:      15,
-		RefC:             65,
-		MaxC:             110,
+		AmbientC:        45,
+		ResistanceCPerW: 0.6,
+		LeakDoubleC:     15,
+		RefC:            65,
+		MaxC:            110,
 	}
 }
 
@@ -97,17 +94,6 @@ func (p ThermalParams) SteadyState(dynamicW, leakRefW float64) ThermalState {
 		st.TotalW = (p.MaxC - p.AmbientC) / p.ResistanceCPerW
 	}
 	return st
-}
-
-// Transient advances the die temperature from t0C under constant power for
-// dt seconds using the RC time constant (for thermal-cycling studies).
-func (p ThermalParams) Transient(t0C, powerW, dtSeconds float64) float64 {
-	if p.CapacitanceJPerC <= 0 {
-		return p.AmbientC + p.ResistanceCPerW*powerW
-	}
-	tInf := p.AmbientC + p.ResistanceCPerW*powerW
-	tau := p.ResistanceCPerW * p.CapacitanceJPerC
-	return tInf + (t0C-tInf)*math.Exp(-dtSeconds/tau)
 }
 
 // ReliabilityParams converts temperature into failure rates — the

@@ -78,26 +78,6 @@ func TestSteadyStateRunaway(t *testing.T) {
 	}
 }
 
-func TestTransientApproachesSteadyState(t *testing.T) {
-	p := DefaultThermalParams()
-	tInf := p.AmbientC + p.ResistanceCPerW*30
-	// After one time constant, ~63% of the way.
-	tau := p.ResistanceCPerW * p.CapacitanceJPerC
-	got := p.Transient(p.AmbientC, 30, tau)
-	way := (got - p.AmbientC) / (tInf - p.AmbientC)
-	if way < 0.60 || way > 0.66 {
-		t.Fatalf("one-tau progress = %.3f, want ~0.632", way)
-	}
-	// After many time constants, at steady state.
-	if far := p.Transient(p.AmbientC, 30, 50*tau); math.Abs(far-tInf) > 0.01 {
-		t.Fatalf("long transient = %v, want %v", far, tInf)
-	}
-	// Cooling works too.
-	if cool := p.Transient(100, 0, 50*tau); math.Abs(cool-p.AmbientC) > 0.01 {
-		t.Fatalf("cooldown = %v, want ambient", cool)
-	}
-}
-
 func TestFITArrhenius(t *testing.T) {
 	r := DefaultReliabilityParams()
 	base := r.FIT(100, r.RefC, 0)
