@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"sst/internal/cli"
+	"sst/internal/config"
 	"sst/internal/core"
 	"sst/internal/cpu"
 	"sst/internal/frontend"
@@ -225,18 +226,18 @@ func replay(args []string) error {
 	engine := sim.NewEngine()
 	clock := sim.NewClock(engine, freq)
 	var lower mem.Device = mem.NewSimpleMemory(engine, "mem", lat, 20e9, nil)
-	if *l1Size != "0" {
-		sz := 32 << 10
-		if _, err := fmt.Sscanf(strings.ToUpper(*l1Size), "%dKB", &sz); err == nil {
-			sz <<= 10
-		}
+	sz, err := config.ParseSize(*l1Size)
+	if err != nil {
+		return cli.Configf("bad l1: %v", err)
+	}
+	if sz != 0 {
 		l1, err := mem.NewCache(engine, mem.CacheConfig{
 			Name: "l1", SizeBytes: sz, LineBytes: 64, Assoc: 4,
 			HitLatency: freq.CycleTime(2), MSHRs: 16, WriteBack: true,
 			PrefetchNextLine: true, PrefetchDegree: 2,
 		}, lower, nil)
 		if err != nil {
-			return err
+			return cli.Configf("bad l1: %v", err)
 		}
 		lower = l1
 	}
