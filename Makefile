@@ -50,8 +50,10 @@
 #   make cache-smoke — the warm-start gate: run a sweep twice sharing a
 #                     -cache-file; the first summary line must read
 #                     "cache entries=… hits=0 misses=16", the second
-#                     "hits=16 misses=0" over an identical grid. Runs
-#                     inside `make check`
+#                     "hits=16 misses=0" over an identical grid. The same
+#                     for sst-net's Fig. 9 grid, whose two tables are one
+#                     sweep: 16 cells, each simulated once. Runs inside
+#                     `make check`
 #   make crash-smoke — the crash-point gate: enumerate every host-storage
 #                     operation (write, fsync, rename, dir-fsync) of the
 #                     four persistence surfaces — journaled sweep, cache
@@ -310,6 +312,16 @@ cache-smoke:
 	    { echo "cache-smoke: warm run re-simulated:"; cat "$$tmp/warm.err"; exit 1; } && \
 	cmp "$$tmp/cold.csv" "$$tmp/warm.csv" && \
 	echo "cache-smoke: warm-started grid identical, zero re-simulation"
+	$(GO) build -o bin/sst-net ./cmd/sst-net
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' 0 && \
+	./bin/sst-net -cache-file "$$tmp/results.jsonl" -format csv >"$$tmp/cold.csv" 2>"$$tmp/cold.err" && \
+	grep -q 'cache entries=16 hits=0 misses=16 ' "$$tmp/cold.err" || \
+	    { echo "cache-smoke: sst-net first run summary wrong:"; cat "$$tmp/cold.err"; exit 1; } && \
+	./bin/sst-net -cache-file "$$tmp/results.jsonl" -format csv >"$$tmp/warm.csv" 2>"$$tmp/warm.err" && \
+	grep -q 'cache entries=16 hits=16 misses=0 ' "$$tmp/warm.err" || \
+	    { echo "cache-smoke: sst-net warm run re-simulated:"; cat "$$tmp/warm.err"; exit 1; } && \
+	cmp "$$tmp/cold.csv" "$$tmp/warm.csv" && \
+	echo "cache-smoke: sst-net tables identical, each cell simulated once"
 
 # End-to-end crash check of the optimistic (Time Warp) sync path: run a
 # speculative 2-rank system simulation sliced into periodic snapshots for

@@ -94,7 +94,6 @@ func main() {
 		cli.Exit("sst-dse", err)
 	}
 	opts.PointTimeout = *pointTO
-	opts = sweepFlags.Observe(opts)
 
 	if *resFlag {
 		err = runResilience(*mtbfFlag, *ckptFlag, *restartFlag, *workFlag, *trialsFlag, *seedFlag, format, opts)

@@ -21,8 +21,8 @@ import (
 )
 
 // sweepOptions parses args through the command's shared sweep flag group
-// and returns it with the observed options it describes; the cache it
-// opened is closed with the test.
+// and returns it with the options it describes; the cache it opened is
+// closed with the test.
 func sweepOptions(t *testing.T, args ...string) (*cli.SweepFlags, core.SweepOptions) {
 	t.Helper()
 	fs := flag.NewFlagSet("sst-dse", flag.ContinueOnError)
@@ -38,7 +38,7 @@ func sweepOptions(t *testing.T, args ...string) (*cli.SweepFlags, core.SweepOpti
 	if opts.Cache != nil {
 		t.Cleanup(func() { opts.Cache.Close() })
 	}
-	return sf, sf.Observe(opts)
+	return sf, opts
 }
 
 func TestDSESmallSweep(t *testing.T) {

@@ -12,24 +12,24 @@
 //	        [-sync all|pairwise,speculative] [-format ...]
 //
 // The study's (proxy app, bandwidth fraction) cells are independent
-// simulations; -j sets how many run concurrently (default: GOMAXPROCS).
-// Tables are identical at any -j. -metrics-out writes both studies'
-// per-point host timings as a JSON array; -trace-out writes the
-// degradation study's host timeline as a Chrome trace. Ctrl-C drains the
+// simulations, each run once: the degradation table and the power table
+// are two views of one sweep of the grid. -j sets how many cells run
+// concurrently (default: GOMAXPROCS). Tables are identical at any -j.
+// -metrics-out writes the sweep's per-point host timings as one JSON
+// object, followed by the cache counters when -cache is on; -trace-out
+// writes the sweep's host timeline as a Chrome trace. Ctrl-C drains the
 // cells already running, prints whatever completed, and exits 130.
 //
 // -journal appends every completed cell to an fsync'd JSONL file;
 // -resume restores the journal's completed cells instead of re-running
 // them, so a killed study continues where it stopped.
 //
-// -cache memoizes study cells content-addressed by their configuration;
-// the degradation and power studies share one cache (and run the same
-// grid), so the power study's cells hit instead of simulating twice.
+// -cache memoizes study cells content-addressed by their configuration.
 // -cache-file persists results to an fsync'd JSONL file so a later
-// invocation warm-starts from them (implies -cache). A one-line summary
-// prints to stderr ("sst-net: cache entries=16 hits=16 misses=16
-// hit_rate=0.500 evictions=0 bytes=… warm_starts=0"); -metrics-out
-// includes the full cache counters.
+// invocation warm-starts from them (implies -cache): a cold run prints
+// "sst-net: cache entries=16 hits=0 misses=16 hit_rate=0.000
+// evictions=0 bytes=… warm_starts=0" to stderr, and a warm one
+// "hits=16 misses=0".
 //
 // Exit codes: 0 success, 1 failure, 2 configuration error, 3 study
 // completed with failed cells, 130 interrupted (Ctrl-C).
@@ -97,7 +97,7 @@ func main() {
 	if err != nil {
 		cli.Exit("sst-net", err)
 	}
-	err = run(*nodesFlag, *stepsFlag, *fracFlag, format, opts, sweepFlags)
+	err = run(*nodesFlag, *stepsFlag, *fracFlag, format, opts)
 	cli.Exit("sst-net", sweepFlags.Finish("sst-net", err))
 }
 
@@ -139,7 +139,7 @@ func runScaling(nodes int, ranksFlag, horizonFlag, syncFlag string, format core.
 	return core.WriteResults(os.Stdout, format, res)
 }
 
-func run(nodes, steps int, fracFlag string, format core.Format, opts core.SweepOptions, sf *cli.SweepFlags) error {
+func run(nodes, steps int, fracFlag string, format core.Format, opts core.SweepOptions) error {
 	spec := core.JobSpec{Kind: "net", Nodes: nodes, Steps: steps}
 	for _, f := range strings.Split(fracFlag, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
@@ -148,40 +148,26 @@ func run(nodes, steps int, fracFlag string, format core.Format, opts core.SweepO
 		}
 		spec.Fractions = append(spec.Fractions, v)
 	}
-	// Dispatch both studies through the study registry — the same JobSpec
-	// surface the sweep service admits, so the CLI and the service cannot
-	// drift on what the net studies mean or accept.
+	// Dispatch through the study registry — the same JobSpec surface the
+	// sweep service admits, so the CLI and the service cannot drift on
+	// what the net studies mean or accept.
 	if err := spec.Validate(); err != nil {
 		return cli.Configf("%v", err)
 	}
-	powSpec := spec
-	powSpec.Kind = "net-power"
-	// Each study is one sweep, so each is observed by its own collector.
-	// The journal — and the result cache, which rides in opts.Cache — are
-	// shared: both studies run the same grid, so the power study resumes
-	// (or hits) off the degradation study's completed cells instead of
-	// simulating them twice.
-	popts := opts
-	if opts.Journal != "" {
-		popts.Resume = true
-	}
-	opts, popts = sf.Observe(opts), sf.Observe(popts)
-	// Both studies render whatever cells completed even when some failed
-	// or the sweep was interrupted; the error still propagates so the
-	// exit code reflects the incomplete run.
-	deg, derr := spec.Run(opts)
-	pow, perr := powSpec.Run(popts)
-	var show []core.Result
-	for _, r := range []core.Result{deg, pow} {
-		if r != nil {
-			show = append(show, r)
-		}
-	}
-	if err := core.WriteResults(os.Stdout, format, show...); err != nil {
+	// One sweep of the grid yields both tables: the power study is a view
+	// of the degradation study's cells. Both render whatever cells
+	// completed even when some failed or the sweep was interrupted; the
+	// error still propagates so the exit code reflects the incomplete run.
+	res, err := spec.Run(opts)
+	deg, ok := res.(*core.NetDegradationResult)
+	if !ok {
 		return err
 	}
-	if derr != nil {
-		return fmt.Errorf("study incomplete (tables above show completed cells): %w", derr)
+	if werr := core.WriteResults(os.Stdout, format, deg, deg.Power()); werr != nil {
+		return werr
 	}
-	return perr
+	if err != nil {
+		return fmt.Errorf("study incomplete (tables above show completed cells): %w", err)
+	}
+	return nil
 }

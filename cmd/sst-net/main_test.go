@@ -47,10 +47,10 @@ func sweepOptions(t *testing.T, args ...string) (*cli.SweepFlags, core.SweepOpti
 }
 
 func TestNetStudySmall(t *testing.T) {
-	if err := run(8, 2, "1,0.5", core.FormatTable, core.SweepOptions{}, sweepFlags(t)); err != nil {
+	if err := run(8, 2, "1,0.5", core.FormatTable, core.SweepOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(8, 2, "1", core.FormatCSV, core.SweepOptions{Workers: 2}, sweepFlags(t)); err != nil {
+	if err := run(8, 2, "1", core.FormatCSV, core.SweepOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -60,7 +60,7 @@ func TestNetStudyObsFiles(t *testing.T) {
 	metrics := filepath.Join(dir, "m.json")
 	trace := filepath.Join(dir, "t.json")
 	sf, opts := sweepOptions(t, "-j", "2", "-metrics-out", metrics, "-trace-out", trace)
-	if err := sf.Finish("sst-net", run(8, 2, "1,0.5", core.FormatJSON, opts, sf)); err != nil {
+	if err := sf.Finish("sst-net", run(8, 2, "1,0.5", core.FormatJSON, opts)); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{metrics, trace} {
@@ -100,24 +100,23 @@ func TestNetScalingStudy(t *testing.T) {
 }
 
 func TestNetStudyBadFractions(t *testing.T) {
-	err := run(8, 2, "1,zero", core.FormatTable, core.SweepOptions{}, sweepFlags(t))
+	err := run(8, 2, "1,zero", core.FormatTable, core.SweepOptions{})
 	if err == nil {
 		t.Error("bad fraction accepted")
 	} else if cli.Code(err) != cli.ExitConfig {
 		t.Errorf("bad fraction maps to exit %d, want %d", cli.Code(err), cli.ExitConfig)
 	}
-	if err := run(8, 2, "2.5", core.FormatTable, core.SweepOptions{}, sweepFlags(t)); err == nil {
+	if err := run(8, 2, "2.5", core.FormatTable, core.SweepOptions{}); err == nil {
 		t.Error("fraction > 1 accepted")
 	}
 }
 
 // TestNetStudyJournalResume: a journaled study writes one record per cell;
-// a resumed run restores them (both studies share the grid, so the journal
-// holds each cell once) and reproduces the same tables.
+// a resumed run restores them and reproduces the same tables.
 func TestNetStudyJournalResume(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "net.jsonl")
-	if err := run(8, 2, "1,0.5", core.FormatCSV, core.SweepOptions{Workers: 2, Journal: journal}, sweepFlags(t)); err != nil {
+	if err := run(8, 2, "1,0.5", core.FormatCSV, core.SweepOptions{Workers: 2, Journal: journal}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(journal)
@@ -129,7 +128,7 @@ func TestNetStudyJournalResume(t *testing.T) {
 	}
 	// Resume against the complete journal: every cell restores, no
 	// simulation re-runs, and the study still succeeds.
-	if err := run(8, 2, "1,0.5", core.FormatCSV, core.SweepOptions{Workers: 2, Journal: journal, Resume: true}, sweepFlags(t)); err != nil {
+	if err := run(8, 2, "1,0.5", core.FormatCSV, core.SweepOptions{Workers: 2, Journal: journal, Resume: true}); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 }
@@ -139,7 +138,7 @@ func TestNetStudyJournalResume(t *testing.T) {
 func TestNetStudyInterruptedExitCode(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := run(8, 2, "1,0.5", core.FormatTable, core.SweepOptions{Workers: 1, Context: ctx}, sweepFlags(t))
+	err := run(8, 2, "1,0.5", core.FormatTable, core.SweepOptions{Workers: 1, Context: ctx})
 	if err == nil {
 		t.Fatal("cancelled study reported success")
 	}
@@ -148,36 +147,34 @@ func TestNetStudyInterruptedExitCode(t *testing.T) {
 	}
 }
 
-// TestNetStudyCacheSharedAcrossStudies: with -cache, the degradation and
-// power studies share one cache over the same grid, so the power study's
-// cells are served from the degradation study's results — half the
-// accesses hit on the very first run, and a rerun is all hits.
+// TestNetStudyCacheSharedAcrossStudies: the degradation and power tables
+// are two views of one sweep, so with -cache the first run misses every
+// cell once and hits none, and a rerun over the same cache is all hits.
 func TestNetStudyCacheSharedAcrossStudies(t *testing.T) {
-	sf, opts := sweepOptions(t, "-j", "2", "-cache", "-cache-size", "64")
+	_, opts := sweepOptions(t, "-j", "2", "-cache", "-cache-size", "64")
 	sc := opts.Cache
-	if err := run(8, 2, "1,0.5", core.FormatCSV, opts, sf); err != nil {
+	if err := run(8, 2, "1,0.5", core.FormatCSV, opts); err != nil {
 		t.Fatal(err)
 	}
-	st := sc.Stats()
-	if st.Misses == 0 || st.Hits != st.Misses {
-		t.Fatalf("first run stats %+v, want every degradation miss mirrored by a power hit", st)
+	const cells = 8 // 4 proxies × 2 fractions
+	if st := sc.Stats(); st.Misses != cells || st.Hits != 0 {
+		t.Fatalf("first run stats %+v, want %d misses and no hits (each cell simulated once)", st, cells)
 	}
-	cells := st.Misses
-	if err := run(8, 2, "1,0.5", core.FormatCSV, opts, sf); err != nil {
+	if err := run(8, 2, "1,0.5", core.FormatCSV, opts); err != nil {
 		t.Fatal(err)
 	}
-	st = sc.Stats()
-	if st.Misses != cells || st.Hits != 3*cells {
-		t.Fatalf("second run stats %+v, want %d hits %d misses (no re-simulation)", st, 3*cells, cells)
+	if st := sc.Stats(); st.Misses != cells || st.Hits != cells {
+		t.Fatalf("second run stats %+v, want %d hits %d misses (no re-simulation)", st, cells, cells)
 	}
 }
 
-// TestNetStudyCacheMetricsOut: the -metrics-out JSON carries the cache
-// report after the per-point metrics.
+// TestNetStudyCacheMetricsOut: the -metrics-out JSON is one sweep's
+// per-point table, one row per cell, followed by the cache report, whose
+// counters show every cell missed once.
 func TestNetStudyCacheMetricsOut(t *testing.T) {
 	metrics := filepath.Join(t.TempDir(), "m.json")
 	sf, opts := sweepOptions(t, "-j", "2", "-cache", "-cache-size", "64", "-metrics-out", metrics)
-	if err := sf.Finish("sst-net", run(8, 2, "1", core.FormatCSV, opts, sf)); err != nil {
+	if err := sf.Finish("sst-net", run(8, 2, "1", core.FormatCSV, opts)); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(metrics)
@@ -185,9 +182,14 @@ func TestNetStudyCacheMetricsOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
-	var points any
+	var points struct {
+		Rows []any `json:"rows"`
+	}
 	if err := dec.Decode(&points); err != nil {
-		t.Fatalf("metrics JSON: %v", err)
+		t.Fatalf("metrics JSON is not one sweep's table: %v", err)
+	}
+	if len(points.Rows) != 4 {
+		t.Errorf("sweep table has %d point rows, want 4 (one per cell)", len(points.Rows))
 	}
 	var rep struct {
 		Cache map[string]any `json:"cache"`
@@ -195,15 +197,49 @@ func TestNetStudyCacheMetricsOut(t *testing.T) {
 	if err := dec.Decode(&rep); err != nil {
 		t.Fatalf("metrics JSON cache report: %v", err)
 	}
-	// Every cell misses in the degradation study and hits in the power
-	// study.
-	if rep.Cache["capacity"] != 64.0 || rep.Cache["hits"] != rep.Cache["misses"] || rep.Cache["hits"] == 0.0 || rep.Cache["evictions"] != 0.0 {
+	if rep.Cache["capacity"] != 64.0 || rep.Cache["hits"] != 0.0 || rep.Cache["misses"] != 4.0 || rep.Cache["evictions"] != 0.0 {
 		t.Fatalf("cache report in metrics JSON = %+v", rep.Cache)
 	}
 	for _, gone := range []string{"policy", "rejected", "shadows"} {
 		if _, ok := rep.Cache[gone]; ok {
 			t.Errorf("cache report still carries %q: %+v", gone, rep.Cache)
 		}
+	}
+}
+
+// TestNetSimulatesEachCellOnce: one sst-net process observes one sweep of
+// the grid — the -metrics-out table holds one report per cell — and a cold
+// -cache run prints a summary with every cell missed once and none hit.
+// The test re-executes its own binary as sst-net.
+func TestNetSimulatesEachCellOnce(t *testing.T) {
+	if args := os.Getenv("SST_NET_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"sst-net"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNetSimulatesEachCellOnce$")
+	cmd.Env = append(os.Environ(), "SST_NET_MAIN_ARGS=-nodes 8 -steps 2 -fractions 1,0.5,0.25 -j 2 -cache -metrics-out "+metrics)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("sst-net: %v\n%s", err, stderr.Bytes())
+	}
+	if !strings.Contains(stderr.String(), "cache entries=12 hits=0 misses=12 ") {
+		t.Errorf("cold -cache summary does not show 12 cells simulated once:\n%s", stderr.Bytes())
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points struct {
+		Rows []any `json:"rows"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&points); err != nil {
+		t.Fatalf("metrics JSON is not one sweep's table: %v\n%s", err, data)
+	}
+	if len(points.Rows) != 12 {
+		t.Errorf("sweep table has %d point rows, want 12", len(points.Rows))
 	}
 }
 
@@ -266,7 +302,7 @@ func TestNetSIGTERMDrains(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("SIGTERM did not cancel the signal context")
 	}
-	err := run(8, 2, "1,0.5", core.FormatTable, core.SweepOptions{Workers: 1, Context: ctx}, sweepFlags(t))
+	err := run(8, 2, "1,0.5", core.FormatTable, core.SweepOptions{Workers: 1, Context: ctx})
 	if err == nil {
 		t.Fatal("study under SIGTERM reported success")
 	}

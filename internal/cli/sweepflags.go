@@ -15,7 +15,8 @@ import (
 // SweepFlags is the flag group the sweep commands (sst-dse, sst-net)
 // share on top of -cache*: worker count, journal/resume, the two
 // observability outputs and the host profiles, with the cache and the
-// collectors they imply.
+// collector they imply. Each command runs one sweep, so one collector
+// observes it.
 type SweepFlags struct {
 	*CacheFlags
 	*ProfileFlags
@@ -25,7 +26,7 @@ type SweepFlags struct {
 	metricsOut, traceOut *string
 
 	cache *cache.Cache
-	cols  []*obs.SweepCollector
+	col   *obs.SweepCollector
 }
 
 // RegisterSweepFlags declares the group on fs. cacheHelp and unit are
@@ -54,7 +55,8 @@ func (f *SweepFlags) Check() error {
 }
 
 // Options opens the result cache, starts any -cpuprofile and returns the
-// sweep options the parsed flags describe. Finish closes what it opened.
+// sweep options the parsed flags describe, with a collector attached when
+// -metrics-out or -trace-out asked for one. Finish closes what it opened.
 func (f *SweepFlags) Options(ctx context.Context) (core.SweepOptions, error) {
 	if err := f.Check(); err != nil {
 		return core.SweepOptions{}, err
@@ -66,29 +68,21 @@ func (f *SweepFlags) Options(ctx context.Context) (core.SweepOptions, error) {
 	if err := f.Start(); err != nil {
 		return core.SweepOptions{}, err
 	}
-	return core.SweepOptions{
+	opts := core.SweepOptions{
 		Workers: *f.workers, Context: ctx,
 		Journal: *f.journal, Resume: *f.resume, Cache: f.cache,
-	}, nil
-}
-
-// Observe returns opts with a new collector attached when -metrics-out or
-// -trace-out asked for one. Each sweep gets its own: point indices are
-// per-sweep.
-func (f *SweepFlags) Observe(opts core.SweepOptions) core.SweepOptions {
-	if *f.metricsOut != "" || *f.traceOut != "" {
-		col := &obs.SweepCollector{}
-		f.cols = append(f.cols, col)
-		opts.Metrics = col
 	}
-	return opts
+	if *f.metricsOut != "" || *f.traceOut != "" {
+		f.col = &obs.SweepCollector{}
+		opts.Metrics = f.col
+	}
+	return opts, nil
 }
 
 // Finish ends a sweep command: it stops the host profiles and writes them,
-// writes the observed sweeps' per-point metrics (a JSON array when there
-// were several) followed by the cache's RunReport to -metrics-out and the
-// first sweep's host timeline to -trace-out, prints the cache summary and
-// closes the cache. It returns err, or else the first error of its own.
+// writes the sweep's per-point metrics followed by the cache's RunReport
+// to -metrics-out and its host timeline to -trace-out, prints the cache
+// summary and closes the cache. It returns err, or else the first error of its own.
 func (f *SweepFlags) Finish(prog string, err error) error {
 	if perr := f.Stop(); err == nil {
 		err = perr
@@ -106,16 +100,12 @@ func (f *SweepFlags) Finish(prog string, err error) error {
 }
 
 func (f *SweepFlags) writeObs() error {
-	if len(f.cols) == 0 {
+	if f.col == nil {
 		return nil
 	}
 	if *f.metricsOut != "" {
 		if err := WriteFile(*f.metricsOut, func(w io.Writer) error {
-			results := make([]core.Result, len(f.cols))
-			for i, col := range f.cols {
-				results[i] = col
-			}
-			if err := core.WriteResults(w, core.FormatJSON, results...); err != nil {
+			if err := core.WriteResults(w, core.FormatJSON, f.col); err != nil {
 				return err
 			}
 			if f.cache == nil {
@@ -129,7 +119,7 @@ func (f *SweepFlags) writeObs() error {
 		}
 	}
 	if *f.traceOut != "" {
-		return WriteFile(*f.traceOut, f.cols[0].WriteChromeJSON)
+		return WriteFile(*f.traceOut, f.col.WriteChromeJSON)
 	}
 	return nil
 }

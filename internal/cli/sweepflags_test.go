@@ -25,9 +25,9 @@ func sweepFlags(t *testing.T, args ...string) *SweepFlags {
 }
 
 // TestSweepFlags pins the shared sweep group: the unit-derived help
-// strings, -resume needing -journal, the options built, one collector per
-// observed sweep, and the -metrics-out layout (one table, or an array of
-// tables, then the cache report).
+// strings, -resume needing -journal, the options built, the one collector
+// they attach, and the -metrics-out layout (the sweep's table, then the
+// cache report).
 func TestSweepFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	RegisterSweepFlags(fs, "memoize", "study cells", "degradation sweep")
@@ -56,48 +56,44 @@ func TestSweepFlags(t *testing.T) {
 	if opts.Workers != 3 || opts.Journal != "j.jsonl" || !opts.Resume || opts.Cache != nil || opts.Context == nil {
 		t.Errorf("options = %+v", opts)
 	}
-	if sf.Observe(opts).Metrics != nil {
+	if opts.Metrics != nil {
 		t.Error("collector attached without -metrics-out or -trace-out")
 	}
 	if err := sf.Finish("test", os.ErrClosed); err != os.ErrClosed {
 		t.Errorf("Finish = %v, want the sweep's own error first", err)
 	}
 
-	for _, sweeps := range []int{1, 2} {
-		dir := t.TempDir()
-		metrics, trace := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
-		sf := sweepFlags(t, "-cache", "-metrics-out", metrics, "-trace-out", trace)
-		opts, err := sf.Options(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < sweeps; i++ {
-			o := sf.Observe(opts)
-			o.Metrics.PointDone(core.PointReport{Index: i})
-		}
-		if err := sf.Finish("test", nil); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(metrics)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec := json.NewDecoder(bytes.NewReader(data))
-		var points any
-		if err := dec.Decode(&points); err != nil {
-			t.Fatal(err)
-		}
-		if tables, isArray := points.([]any); isArray != (sweeps > 1) || (isArray && len(tables) != sweeps) {
-			t.Errorf("%d sweeps: per-point metrics = %T", sweeps, points)
-		}
-		var rep struct {
-			Cache map[string]any `json:"cache"`
-		}
-		if err := dec.Decode(&rep); err != nil || rep.Cache["capacity"] != 4096.0 {
-			t.Errorf("%d sweeps: cache report after the metrics = %+v, %v", sweeps, rep.Cache, err)
-		}
-		if data, err := os.ReadFile(trace); err != nil || !json.Valid(data) {
-			t.Errorf("%d sweeps: trace file: %v", sweeps, err)
-		}
+	dir := t.TempDir()
+	metrics, trace := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
+	sf = sweepFlags(t, "-cache", "-metrics-out", metrics, "-trace-out", trace)
+	opts, err = sf.Options(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		opts.Metrics.PointDone(core.PointReport{Index: i})
+	}
+	if err := sf.Finish("test", nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var points struct {
+		Rows []any `json:"rows"`
+	}
+	if err := dec.Decode(&points); err != nil || len(points.Rows) != 2 {
+		t.Errorf("per-point metrics = %+v, %v; want one table of 2 rows", points, err)
+	}
+	var rep struct {
+		Cache map[string]any `json:"cache"`
+	}
+	if err := dec.Decode(&rep); err != nil || rep.Cache["capacity"] != 4096.0 {
+		t.Errorf("cache report after the metrics = %+v, %v", rep.Cache, err)
+	}
+	if data, err := os.ReadFile(trace); err != nil || !json.Valid(data) {
+		t.Errorf("trace file: %v", err)
 	}
 }

@@ -141,11 +141,23 @@ func runNetGrid(cfg NetStudyConfig, opts SweepOptions) ([][]sim.Time, error) {
 	return elapsed, err
 }
 
+// netCell is one completed cell of the study whose proxy's
+// full-bandwidth baseline also completed: one row of both tables.
+type netCell struct {
+	app      string
+	fi       int // index into the study's fractions
+	fraction float64
+	elapsed  sim.Time
+	slowdown float64
+}
+
 // NetDegradationResult is the Fig. 9 study's Result: the rendered table
 // plus Slowdown[app] = slowdowns in fraction order (completed cells only).
+// Power reads the power study's table off the same cells.
 type NetDegradationResult struct {
 	TableResult
 	Slowdown map[string][]float64
+	cells    []netCell
 }
 
 // NetDegradationStudy reproduces Fig. 9: for each application proxy,
@@ -156,7 +168,7 @@ func NetDegradationStudy(cfg NetStudyConfig, opts SweepOptions) (*NetDegradation
 		fmt.Sprintf("Fig 9: application slowdown vs injection bandwidth (%d-node torus)", cfg.Nodes),
 		"app", "bw_fraction", "runtime_ms", "slowdown_vs_full")
 	elapsedGrid, err := runNetGrid(cfg, opts)
-	slow := map[string][]float64{}
+	res := &NetDegradationResult{TableResult: TableResult{Tab: t}, Slowdown: map[string][]float64{}}
 	for pi, p := range netStudyProfiles() {
 		full := elapsedGrid[pi][0]
 		if full == 0 {
@@ -167,13 +179,13 @@ func NetDegradationStudy(cfg NetStudyConfig, opts SweepOptions) (*NetDegradation
 			if elapsed == 0 {
 				continue
 			}
-			s := float64(elapsed) / float64(full)
-			slow[p.Name] = append(slow[p.Name], s)
-			t.AddRow(p.Name, f, elapsed.Seconds()*1e3, s)
+			c := netCell{app: p.Name, fi: i, fraction: f, elapsed: elapsed, slowdown: float64(elapsed) / float64(full)}
+			res.cells = append(res.cells, c)
+			res.Slowdown[p.Name] = append(res.Slowdown[p.Name], c.slowdown)
+			t.AddRow(p.Name, f, elapsed.Seconds()*1e3, c.slowdown)
 		}
 	}
-	// On error the table and map still carry every completed cell.
-	return &NetDegradationResult{TableResult: TableResult{Tab: t}, Slowdown: slow}, err
+	return res, err
 }
 
 // NetPowerResult is the network power study's Result: the rendered table
@@ -183,41 +195,37 @@ type NetPowerResult struct {
 	Best map[string]int
 }
 
-// NetPowerStudy extends the degradation study with the power trade the
-// paper draws from it: assuming a system with an equal power split between
-// CPU, memory and network at full bandwidth, how does total system ENERGY
-// move when the network is down-provisioned? Latency-bound apps save
-// energy (same runtime, cheaper network); bandwidth-bound apps lose (the
-// runtime increase outweighs the network saving) — "the most energy
-// efficient configuration would in fact be the one with full bandwidth."
-func NetPowerStudy(cfg NetStudyConfig, opts SweepOptions) (*NetPowerResult, error) {
+// Power is the power trade the paper draws from Fig. 9, read off the
+// study's cells without simulating them again: assuming a system with an
+// equal power split between CPU, memory and network at full bandwidth, how
+// does total system ENERGY move when the network is down-provisioned?
+// Latency-bound apps save energy (same runtime, cheaper network);
+// bandwidth-bound apps lose (the runtime increase outweighs the network
+// saving) — "the most energy efficient configuration would in fact be the
+// one with full bandwidth."
+func (r *NetDegradationResult) Power() *NetPowerResult {
 	t := stats.NewTable(
 		"Network power trade-off: system energy vs injection bandwidth (equal CPU/mem/net split at full bw)",
 		"app", "bw_fraction", "slowdown", "net_power_frac", "system_power_frac", "system_energy_frac")
 	best := map[string]int{}
-	elapsedGrid, err := runNetGrid(cfg, opts)
-	for pi, p := range netStudyProfiles() {
-		full := elapsedGrid[pi][0]
-		if full == 0 {
-			continue // baseline cell failed or was skipped
+	bestEnergy := 0.0 // of the current app: cells come grouped by app
+	for _, c := range r.cells {
+		// Network static power scales with provisioned bandwidth; CPU and
+		// memory power are unchanged.
+		sysPower := 2.0/3 + c.fraction/3
+		sysEnergy := sysPower * c.slowdown
+		if _, seen := best[c.app]; !seen || sysEnergy < bestEnergy {
+			bestEnergy = sysEnergy
+			best[c.app] = c.fi
 		}
-		bestEnergy := 0.0
-		for i, f := range cfg.Fractions {
-			if elapsedGrid[pi][i] == 0 {
-				continue
-			}
-			slowdown := float64(elapsedGrid[pi][i]) / float64(full)
-			// Network static power scales with provisioned
-			// bandwidth; CPU and memory power are unchanged.
-			sysPower := 2.0/3 + f/3
-			sysEnergy := sysPower * slowdown
-			if _, seen := best[p.Name]; !seen || sysEnergy < bestEnergy {
-				bestEnergy = sysEnergy
-				best[p.Name] = i
-			}
-			t.AddRow(p.Name, f, slowdown, f, sysPower, sysEnergy)
-		}
+		t.AddRow(c.app, c.fraction, c.slowdown, c.fraction, sysPower, sysEnergy)
 	}
-	// On error the table and map still carry every completed cell.
-	return &NetPowerResult{TableResult: TableResult{Tab: t}, Best: best}, err
+	return &NetPowerResult{TableResult: TableResult{Tab: t}, Best: best}
+}
+
+// NetPowerStudy runs the Fig. 9 grid and returns its power view. On error
+// the result still carries every completed cell.
+func NetPowerStudy(cfg NetStudyConfig, opts SweepOptions) (*NetPowerResult, error) {
+	deg, err := NetDegradationStudy(cfg, opts)
+	return deg.Power(), err
 }

@@ -52,29 +52,17 @@ var studies = map[string]*studyDef{
 	"net": {
 		defaults: netDefaults,
 		validate: netValidate,
-		points: func(s JobSpec) int {
-			return len(netStudyProfiles()) * len(s.Fractions)
-		},
+		points:   netPoints,
 		run: func(s JobSpec, opts SweepOptions) (Result, error) {
-			res, err := NetDegradationStudy(s.netConfig(), opts)
-			if res == nil {
-				return nil, err
-			}
-			return res, err
+			return NetDegradationStudy(s.netConfig(), opts)
 		},
 	},
 	"net-power": {
 		defaults: netDefaults,
 		validate: netValidate,
-		points: func(s JobSpec) int {
-			return len(netStudyProfiles()) * len(s.Fractions)
-		},
+		points:   netPoints,
 		run: func(s JobSpec, opts SweepOptions) (Result, error) {
-			res, err := NetPowerStudy(s.netConfig(), opts)
-			if res == nil {
-				return nil, err
-			}
-			return res, err
+			return NetPowerStudy(s.netConfig(), opts)
 		},
 	},
 }
@@ -168,6 +156,8 @@ func netValidate(s JobSpec) error {
 	}
 	return nil
 }
+
+func netPoints(s JobSpec) int { return len(netStudyProfiles()) * len(s.Fractions) }
 
 // netConfig assembles the net studies' config from a defaulted spec.
 func (s JobSpec) netConfig() NetStudyConfig {
