@@ -82,7 +82,8 @@ func (f *SweepFlags) Options(ctx context.Context) (core.SweepOptions, error) {
 // Finish ends a sweep command: it stops the host profiles and writes them,
 // writes the sweep's per-point metrics followed by the cache's RunReport
 // to -metrics-out and its host timeline to -trace-out, prints the cache
-// summary and closes the cache. It returns err, or else the first error of its own.
+// summary and closes the cache. It returns err, or else the first error
+// of its own.
 func (f *SweepFlags) Finish(prog string, err error) error {
 	if perr := f.Stop(); err == nil {
 		err = perr

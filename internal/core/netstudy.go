@@ -147,7 +147,6 @@ type netCell struct {
 	app      string
 	fi       int // index into the study's fractions
 	fraction float64
-	elapsed  sim.Time
 	slowdown float64
 }
 
@@ -179,7 +178,7 @@ func NetDegradationStudy(cfg NetStudyConfig, opts SweepOptions) (*NetDegradation
 			if elapsed == 0 {
 				continue
 			}
-			c := netCell{app: p.Name, fi: i, fraction: f, elapsed: elapsed, slowdown: float64(elapsed) / float64(full)}
+			c := netCell{app: p.Name, fi: i, fraction: f, slowdown: float64(elapsed) / float64(full)}
 			res.cells = append(res.cells, c)
 			res.Slowdown[p.Name] = append(res.Slowdown[p.Name], c.slowdown)
 			t.AddRow(p.Name, f, elapsed.Seconds()*1e3, c.slowdown)
