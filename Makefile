@@ -8,8 +8,8 @@
 #                     tick (alone, with 8 handlers, and merged against a
 #                     16-deep event heap) and the lane dispatch (four and
 #                     256 monotone lanes in the lane heap), the parallel window barrier
-#                     (pairwise sync plus the low-lookahead lattice where
-#                     speculative sync must beat pairwise),
+#                     (a 4-rank ring at 100ns lookahead, and a 1ns-lookahead
+#                     lattice of dense local ticks),
 #                     the sweep scheduler at 1/2/4/8 workers and the result
 #                     cache's hit and miss paths (the hit path also with a
 #                     journal and the result CSV, as sst-serve runs it),
@@ -26,7 +26,7 @@
 #   make tables     — regenerate every experiment table ("reproduce the paper")
 #   make fuzz-short — a few seconds of coverage-guided fuzzing per decoder
 #                     of untrusted bytes: the config loaders, the rank
-#                     partitioner and speculative replay, the append-log
+#                     partitioner, the append-log
 #                     scanner, the SR1 assembler (FuzzAssemble), the
 #                     binary trace reader (FuzzTraceStream), the
 #                     engine snapshot container (FuzzSnapshotDecode), the
@@ -42,11 +42,11 @@
 #                     mid-flight, resume it, and require the resumed grid to
 #                     be byte-identical to an uninterrupted run. Runs inside
 #                     `make check`
-#   make spec-smoke — the optimistic-sync crash gate: SIGKILL a speculative
-#                     multi-rank system run mid-flight, restore from its
-#                     last snapshot, and require the finished summary
-#                     (including rollback counters) to be byte-identical to
-#                     an uninterrupted run. Runs inside `make check`
+#   make snapshot-smoke — the system-run crash gate: SIGKILL a 2-rank
+#                     system run mid-flight, restore from its last
+#                     snapshot, and require the finished summary (including
+#                     the sync-window count) to be byte-identical to an
+#                     uninterrupted run. Runs inside `make check`
 #   make cache-smoke — the warm-start gate: run a sweep twice sharing a
 #                     -cache-file; the first summary line must read
 #                     "cache entries=… hits=0 misses=16", the second
@@ -129,7 +129,7 @@ BENCHES = $(GO) test -run='^$$' -bench='^Benchmark(EngineHotLoop|ClockTick|Clock
 BENCH_CEILINGS = -max-bytes 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=9000000,BenchmarkSweepWorkers/workers=2=9000000,BenchmarkSweepWorkers/workers=4=9000000,BenchmarkSweepWorkers/workers=8=9000000,BenchmarkSweepCacheMiss=32000000,BenchmarkSweepCacheHit=10400,BenchmarkSweepCacheHitJournaled=89000,BenchmarkDSEGridCSV=7100,BenchmarkCanonicalHash=128,BenchmarkJournalRecord=0,BenchmarkKernelDrain/hpccg=0,BenchmarkKernelDrain/lulesh=0,BenchmarkNetStudy=17000000,BenchmarkParallelWindow/sync=pairwise=0' \
                  -max-allocs 'BenchmarkEngineHotLoop=0,BenchmarkClockTick=0,BenchmarkClockTick8Handlers=0,BenchmarkClockTickWithHeap=0,BenchmarkLaneDispatch/lanes=4=0,BenchmarkLaneDispatch/lanes=256=0,BenchmarkSweepWorkers/workers=1=32000,BenchmarkSweepWorkers/workers=2=32000,BenchmarkSweepWorkers/workers=4=32000,BenchmarkSweepWorkers/workers=8=32000,BenchmarkSweepCacheMiss=18000,BenchmarkSweepCacheHit=48,BenchmarkSweepCacheHitJournaled=78,BenchmarkDSEGridCSV=1,BenchmarkCanonicalHash=4,BenchmarkJournalRecord=0,BenchmarkKernelDrain/hpccg=0,BenchmarkKernelDrain/lulesh=0,BenchmarkNetStudy=52000,BenchmarkParallelWindow/sync=pairwise=0'
 
-.PHONY: build fmt test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke spec-smoke crash-smoke soak soak-short loc profile profile-gups profile-net profile-hit profile-serve profile-alloc
+.PHONY: build fmt test vet race check bench bench-baseline tables fuzz-short resume-smoke cache-smoke serve-smoke snapshot-smoke crash-smoke soak soak-short loc profile profile-gups profile-net profile-hit profile-serve profile-alloc
 
 build:
 	$(GO) build ./...
@@ -183,7 +183,6 @@ fuzz-short:
 	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzLoadSystem -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/config -run='^$$' -fuzz=FuzzConfigHash -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/par -run='^$$' -fuzz=FuzzPartitionLookahead -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/par -run='^$$' -fuzz=FuzzSpeculativeReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/iofault -run='^$$' -fuzz=FuzzAppendLogOpen -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/isa -run='^$$' -fuzz=FuzzAssemble -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/frontend -run='^$$' -fuzz=FuzzTraceStream -fuzztime=$(FUZZTIME)
@@ -193,7 +192,7 @@ fuzz-short:
 	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzTableCell -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzDSEGridCSV -fuzztime=$(FUZZTIME)
 
-check: build fmt vet test race fuzz-short crash-smoke soak-short serve-smoke spec-smoke resume-smoke cache-smoke
+check: build fmt vet test race fuzz-short crash-smoke soak-short serve-smoke snapshot-smoke resume-smoke cache-smoke
 
 # Non-test Go source lines per package and in total, excluding bench/ (the
 # benchmark is an instrument, not the system): what "a PR with a negative
@@ -323,28 +322,28 @@ cache-smoke:
 	cmp "$$tmp/cold.csv" "$$tmp/warm.csv" && \
 	echo "cache-smoke: sst-net tables identical, each cell simulated once"
 
-# End-to-end crash check of the optimistic (Time Warp) sync path: run a
-# speculative 2-rank system simulation sliced into periodic snapshots for
-# reference, SIGKILL an identical run mid-flight (exit 137; 0 if it won
-# the race and finished), restore from the snapshot it left behind, and
-# require the finished summary — simulated time, message totals, window,
-# rollback and governor fallback/promotion counters — to be byte-identical
-# to the uninterrupted run. The reference is sliced with the same
-# -snapshot-every so both runs commit speculation at the same barriers.
-# The governed run takes about 0.7 s on a 2-core host, so the kill at 0.3 s
-# lands mid-run and the restore resumes from a real mid-run snapshot.
-SPEC_SMOKE_ARGS = -system configs/system-torus-small.json -par 2 -sync speculative -snapshot-every 500us
+# End-to-end crash check of the parallel system path: run a 2-rank system
+# simulation sliced into periodic snapshots for reference, SIGKILL an
+# identical run mid-flight (exit 137; 0 if it won the race and finished),
+# restore from the snapshot it left behind, and require the finished
+# summary — simulated time, message totals, latency, energy and window
+# counts — to be byte-identical to the uninterrupted run. The reference is
+# sliced with the same -snapshot-every so both runs stop at the same
+# barriers. The 32-node torus takes about 1.1 s on a 2-core host at 1ms
+# slices (25 snapshots), so the kill at 0.4 s lands mid-run and the restore
+# resumes from a real mid-run snapshot.
+SNAPSHOT_SMOKE_ARGS = -system configs/system-torus.json -par 2 -snapshot-every 1ms
 
-spec-smoke:
+snapshot-smoke:
 	$(GO) build -o bin/sst ./cmd/sst
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' 0 && \
-	./bin/sst $(SPEC_SMOKE_ARGS) -snapshot-out "$$tmp/ref.snap" >"$$tmp/ref.out" && \
-	{ timeout --preserve-status -s KILL -k 5 0.3 ./bin/sst $(SPEC_SMOKE_ARGS) -snapshot-out "$$tmp/run.snap" \
+	./bin/sst $(SNAPSHOT_SMOKE_ARGS) -snapshot-out "$$tmp/ref.snap" >"$$tmp/ref.out" && \
+	{ timeout --preserve-status -s KILL -k 5 0.4 ./bin/sst $(SNAPSHOT_SMOKE_ARGS) -snapshot-out "$$tmp/run.snap" \
 	    >/dev/null 2>&1; rc=$$?; [ $$rc -eq 137 ] || [ $$rc -eq 0 ] || \
-	    { echo "spec-smoke: killed run exited $$rc, want 137 (or 0)"; exit 1; }; } && \
-	./bin/sst $(SPEC_SMOKE_ARGS) -restore "$$tmp/run.snap" -snapshot-out "$$tmp/run.snap" >"$$tmp/restored.out" && \
+	    { echo "snapshot-smoke: killed run exited $$rc, want 137 (or 0)"; exit 1; }; } && \
+	./bin/sst $(SNAPSHOT_SMOKE_ARGS) -restore "$$tmp/run.snap" -snapshot-out "$$tmp/run.snap" >"$$tmp/restored.out" && \
 	cmp "$$tmp/ref.out" "$$tmp/restored.out" && \
-	echo "spec-smoke: restored speculative run identical to uninterrupted run"
+	echo "snapshot-smoke: restored run identical to uninterrupted run"
 
 # End-to-end crash-tolerance check of the sweep service; the three
 # scenarios live in tools/serve_smoke.sh (graceful drain, kill -9

@@ -495,20 +495,19 @@ func BenchmarkFig13PIM(b *testing.B) {
 }
 
 // BenchmarkFig14ParallelSpeedup runs the parallel-simulator scaling study:
-// one heterogeneous-latency model partitioned over 1..8 ranks under both
-// sync modes. On a multi-core host the wall time drops with ranks; on a
+// one heterogeneous-latency model partitioned over 1..8 ranks. On a
+// multi-core host the wall time drops with ranks; on a
 // single-core host (like this repository's CI sandbox) the study instead
 // bounds synchronization overhead. Determinism and sequential-equivalence
 // are asserted in internal/par's tests.
 func BenchmarkFig14ParallelSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := core.ParallelScalingStudy([]int{1, 2, 4, 8}, 16, 2*sim.Millisecond, core.SweepOptions{},
-			[]par.SyncMode{par.SyncPairwise, par.SyncSpeculative})
+		res, err := core.ParallelScalingStudy([]int{1, 2, 4, 8}, 16, 2*sim.Millisecond, core.SweepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		printOnce(res.Table())
-		wall := res.WallSeconds[par.SyncPairwise]
+		wall := res.WallSeconds
 		// Overhead bound: the 8-rank run must stay within 2x of the
 		// 1-rank run even on a single-core host.
 		if wall[8] > 2*wall[1] {
@@ -518,8 +517,8 @@ func BenchmarkFig14ParallelSpeedup(b *testing.B) {
 		// pinned exactly, they catch any change in how pairwise horizons
 		// are derived (EXPERIMENTS.md E6).
 		for nr, want := range map[int]uint64{1: 1, 2: 5800, 4: 7401, 8: 9801} {
-			if got := res.Windows[par.SyncPairwise][nr]; got != want {
-				b.Errorf("pairwise sync dispatched %d windows at %d ranks, want %d", got, nr, want)
+			if got := res.Windows[nr]; got != want {
+				b.Errorf("dispatched %d windows at %d ranks, want %d", got, nr, want)
 			}
 		}
 	}

@@ -8,8 +8,7 @@
 //	        [-format table|json|csv] [-j N] [-metrics-out m.json] [-trace-out t.json]
 //	        [-journal net.jsonl] [-resume]
 //	        [-cache] [-cache-size 4096] [-cache-file results.jsonl]
-//	sst-net -scaling [-nodes 16] [-ranks 1,2,4,8] [-horizon 2ms]
-//	        [-sync all|pairwise,speculative] [-format ...]
+//	sst-net -scaling [-nodes 16] [-ranks 1,2,4,8] [-horizon 2ms] [-format ...]
 //
 // The study's (proxy app, bandwidth fraction) cells are independent
 // simulations, each run once: the degradation table and the power table
@@ -35,13 +34,11 @@
 // completed with failed cells, 130 interrupted (Ctrl-C).
 //
 // -scaling instead runs the parallel-simulator scaling study (E6): the
-// heterogeneous-latency lattice partitioned over each rank count, under
-// the sync modes selected by -sync (default all: the conservative
-// topology-aware pairwise horizons and the optimistic speculative mode
-// with its rollback count), reporting wall time and dispatched
-// synchronization windows side by side. It is
+// heterogeneous-latency lattice partitioned over each rank count,
+// reporting wall time and dispatched synchronization windows. It is
 // sequential by design (each point times the host), so -j is ignored
-// there.
+// there. -horizon must be positive. Ctrl-C interrupts the running point
+// and exits 130.
 package main
 
 import (
@@ -54,7 +51,6 @@ import (
 
 	"sst/internal/cli"
 	"sst/internal/core"
-	"sst/internal/par"
 	"sst/internal/sim"
 )
 
@@ -67,10 +63,9 @@ func main() {
 		scalingFlag = flag.Bool("scaling", false, "run the parallel-simulator scaling study instead (E6)")
 		ranksFlag   = flag.String("ranks", "1,2,4,8", "rank counts for -scaling")
 		horizonFlag = flag.String("horizon", "2ms", "simulated horizon for -scaling")
-		syncFlag    = flag.String("sync", "all", "sync modes for -scaling: all, or comma-separated from "+strings.Join(par.SyncModeNames(), ", "))
 
 		sweepFlags = cli.RegisterSweepFlags(flag.CommandLine,
-			"memoize study cells by config hash (the power study hits on the degradation study's cells)", "study cells", "degradation sweep")
+			"memoize study cells by config hash (with -cache-file, a later run re-simulates only new cells)", "study cells", "degradation sweep")
 	)
 	flag.Parse()
 	format, err := core.ParseFormat(*formatFlag)
@@ -87,7 +82,7 @@ func main() {
 		if err := sweepFlags.Start(); err != nil {
 			cli.Exit("sst-net", err)
 		}
-		err := runScaling(*nodesFlag, *ranksFlag, *horizonFlag, *syncFlag, format, ctx)
+		err := runScaling(*nodesFlag, *ranksFlag, *horizonFlag, format, ctx)
 		if perr := sweepFlags.Stop(); err == nil {
 			err = perr
 		}
@@ -102,9 +97,8 @@ func main() {
 }
 
 // runScaling drives the E6 parallel-scaling study: the heterogeneous
-// lattice over each rank count, with the -sync flag choosing which sync
-// modes run side by side (default: both, conservative and optimistic).
-func runScaling(nodes int, ranksFlag, horizonFlag, syncFlag string, format core.Format, ctx context.Context) error {
+// lattice over each rank count.
+func runScaling(nodes int, ranksFlag, horizonFlag string, format core.Format, ctx context.Context) error {
 	var ranks []int
 	for _, s := range strings.Split(ranksFlag, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -117,22 +111,10 @@ func runScaling(nodes int, ranksFlag, horizonFlag, syncFlag string, format core.
 	if err != nil {
 		return cli.Configf("bad horizon: %w", err)
 	}
-	var modes []par.SyncMode
-	if syncFlag == "all" || syncFlag == "" {
-		for _, name := range par.SyncModeNames() {
-			m, _ := par.ParseSyncMode(name)
-			modes = append(modes, m)
-		}
-	} else {
-		for _, s := range strings.Split(syncFlag, ",") {
-			m, err := par.ParseSyncMode(strings.TrimSpace(s))
-			if err != nil {
-				return cli.Configf("%v", err)
-			}
-			modes = append(modes, m)
-		}
+	if horizon == 0 {
+		return cli.Configf("bad horizon %q: must be positive", horizonFlag)
 	}
-	res, err := core.ParallelScalingStudy(ranks, nodes, horizon, core.SweepOptions{Context: ctx}, modes)
+	res, err := core.ParallelScalingStudy(ranks, nodes, horizon, core.SweepOptions{Context: ctx})
 	if err != nil {
 		return err
 	}

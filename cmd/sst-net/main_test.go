@@ -76,26 +76,30 @@ func TestNetStudyObsFiles(t *testing.T) {
 }
 
 func TestNetScalingStudy(t *testing.T) {
-	if err := runScaling(8, "1,2", "100us", "pairwise,speculative", core.FormatTable, context.Background()); err != nil {
+	if err := runScaling(8, "1,2", "100us", core.FormatTable, context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	err := runScaling(8, "1,x", "100us", "all", core.FormatTable, context.Background())
+	err := runScaling(8, "1,x", "100us", core.FormatTable, context.Background())
 	if err == nil {
 		t.Error("bad rank count accepted")
 	} else if cli.Code(err) != cli.ExitConfig {
 		t.Errorf("bad rank count maps to exit %d, want %d", cli.Code(err), cli.ExitConfig)
 	}
-	err = runScaling(8, "1", "soon", "all", core.FormatTable, context.Background())
+	err = runScaling(8, "1", "soon", core.FormatTable, context.Background())
 	if err == nil {
 		t.Error("bad horizon accepted")
 	} else if cli.Code(err) != cli.ExitConfig {
 		t.Errorf("bad horizon maps to exit %d, want %d", cli.Code(err), cli.ExitConfig)
 	}
-	err = runScaling(8, "1", "100us", "warp-speed", core.FormatTable, context.Background())
-	if err == nil {
-		t.Error("bad sync mode accepted")
-	} else if cli.Code(err) != cli.ExitConfig {
-		t.Errorf("bad sync mode maps to exit %d, want %d", cli.Code(err), cli.ExitConfig)
+	for _, h := range []string{"0", "0s", "-1ms"} {
+		if err := runScaling(8, "1", h, core.FormatTable, context.Background()); cli.Code(err) != cli.ExitConfig {
+			t.Errorf("horizon %s: %v, want exit %d", h, err, cli.ExitConfig)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := runScaling(8, "1", "1s", core.FormatTable, ctx); cli.Code(err) != cli.ExitInterrupted {
+		t.Errorf("cancelled study: %v, want exit %d", err, cli.ExitInterrupted)
 	}
 }
 
@@ -266,16 +270,17 @@ func TestNetRemovedCacheFlags(t *testing.T) {
 	}
 }
 
-// TestNetRemovedSyncModes: -sync adaptive (like global, retired) is a
-// configuration error for -scaling (exit 2) whose message lists the modes
-// that remain. The test re-executes its own binary as sst-net.
+// TestNetRemovedSyncModes: -sync is gone with the modes it chose between,
+// so every spelling is an unknown flag and a configuration error (exit 2).
+// The test re-executes its own binary as sst-net.
 func TestNetRemovedSyncModes(t *testing.T) {
 	if args := os.Getenv("SST_NET_MAIN_ARGS"); args != "" {
 		os.Args = append([]string{"sst-net"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	for _, args := range []string{"-scaling -sync adaptive", "-scaling -sync pairwise,global"} {
+	for _, args := range []string{"-scaling -sync adaptive", "-scaling -sync pairwise,global",
+		"-scaling -sync speculative", "-scaling -sync all"} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestNetRemovedSyncModes$")
 		cmd.Env = append(os.Environ(), "SST_NET_MAIN_ARGS="+args)
 		out, err := cmd.CombinedOutput()
@@ -283,8 +288,8 @@ func TestNetRemovedSyncModes(t *testing.T) {
 		if !errors.As(err, &ee) || ee.ExitCode() != cli.ExitConfig {
 			t.Errorf("sst-net %s: %v, want exit %d\n%s", args, err, cli.ExitConfig, out)
 		}
-		if !strings.Contains(string(out), "pairwise, speculative") {
-			t.Errorf("sst-net %s: error does not name the remaining modes:\n%s", args, out)
+		if !strings.Contains(string(out), "flag provided but not defined: -sync") {
+			t.Errorf("sst-net %s: not rejected as an unknown flag:\n%s", args, out)
 		}
 	}
 }

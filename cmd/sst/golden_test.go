@@ -3,16 +3,18 @@ package main
 // Pinned -system output. testdata/system-torus*.par*.out were written by an
 // earlier build:
 //
-//	sst -system configs/<config>.json -par N [-sync speculative] >testdata/<config>.parN[.speculative].out
+//	sst -system configs/<config>.json -par N >testdata/<config>.parN.out
 //
-// for both system configs at -par 1, 2 and 4 (pairwise) and -par 2
-// speculative, and testdata/system-torus-small.spec.snap is the file
-// `sst -system configs/system-torus-small.json -par 2 -sync speculative
-// -snapshot-every 500us -snapshot-out system-torus-small.spec.snap` left
-// behind, with its summary in testdata/system-torus-small.spec.snap.out
-// (slicing moves where speculation commits, so the window and rollback
-// counts differ from the unsliced run's). The summaries and the snapshot
+// for both system configs at -par 1, 2 and 4, and
+// testdata/system-torus-small.snap is the file `sst -system
+// configs/system-torus-small.json -par 2 -snapshot-every 500us
+// -snapshot-out system-torus-small.snap` left behind, with its summary in
+// testdata/system-torus-small.snap.out. The summaries and the snapshot
 // bytes are what a later build must reproduce exactly.
+//
+// testdata/system-torus-small.spec.snap is the same run's last snapshot
+// written under the retired speculative sync mode (its runner state names
+// that mode and carries its rollback counters). It must keep restoring.
 //
 // Pinned -config output. testdata/node-*.out and node-*.links were written
 // by an earlier build:
@@ -36,7 +38,6 @@ import (
 
 	"sst/internal/core"
 	"sst/internal/obs"
-	"sst/internal/par"
 	"sst/internal/sim"
 )
 
@@ -74,24 +75,13 @@ func readGolden(t *testing.T, name string) []byte {
 }
 
 func TestSystemGoldens(t *testing.T) {
-	type run struct {
-		nranks int
-		mode   par.SyncMode
-	}
-	runs := []run{{1, par.SyncPairwise}, {2, par.SyncPairwise}, {4, par.SyncPairwise}, {2, par.SyncSpeculative}}
 	for _, config := range []string{"system-torus-small", "system-torus"} {
-		for _, r := range runs {
-			golden := fmt.Sprintf("%s.par%d.out", config, r.nranks)
-			if r.mode == par.SyncSpeculative {
-				golden = fmt.Sprintf("%s.par%d.speculative.out", config, r.nranks)
-			}
+		for _, nranks := range []int{1, 2, 4} {
+			golden := fmt.Sprintf("%s.par%d.out", config, nranks)
 			t.Run(golden, func(t *testing.T) {
-				if config == "system-torus" && r.mode == par.SyncSpeculative && testing.Short() {
-					t.Skip("the 32-node speculative run takes about 40 s")
-				}
 				path := filepath.Join("..", "..", "configs", config+".json")
 				got := captureStdout(t, func() error {
-					return runSystem(path, obsFlags{}, r.nranks, r.mode, core.Snapshots{})
+					return runSystem(path, obsFlags{}, nranks, core.Snapshots{})
 				})
 				if want := readGolden(t, golden); !bytes.Equal(got, want) {
 					t.Errorf("summary differs from testdata/%s\n got:\n%s\nwant:\n%s", golden, got, want)
@@ -105,18 +95,37 @@ func TestSnapshotGolden(t *testing.T) {
 	path := filepath.Join("..", "..", "configs", "system-torus-small.json")
 	snapFile := filepath.Join(t.TempDir(), "run.snap")
 	got := captureStdout(t, func() error {
-		return runSystem(path, obsFlags{}, 2, par.SyncSpeculative,
-			core.Snapshots{Every: 500 * sim.Microsecond, Out: snapFile})
+		return runSystem(path, obsFlags{}, 2, core.Snapshots{Every: 500 * sim.Microsecond, Out: snapFile})
 	})
-	if want := readGolden(t, "system-torus-small.spec.snap.out"); !bytes.Equal(got, want) {
-		t.Errorf("summary differs from testdata/system-torus-small.spec.snap.out\n got:\n%s\nwant:\n%s", got, want)
+	if want := readGolden(t, "system-torus-small.snap.out"); !bytes.Equal(got, want) {
+		t.Errorf("summary differs from testdata/system-torus-small.snap.out\n got:\n%s\nwant:\n%s", got, want)
 	}
 	snap, err := os.ReadFile(snapFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := readGolden(t, "system-torus-small.spec.snap"); !bytes.Equal(snap, want) {
-		t.Errorf("snapshot differs from testdata/system-torus-small.spec.snap (%d bytes, want %d)", len(snap), len(want))
+	if want := readGolden(t, "system-torus-small.snap"); !bytes.Equal(snap, want) {
+		t.Errorf("snapshot differs from testdata/system-torus-small.snap (%d bytes, want %d)", len(snap), len(want))
+	}
+}
+
+// TestRestoreSpeculativeSnapshot: a snapshot a speculative run left behind
+// restores at -par 2, and the restored run ends with the uninterrupted
+// run's simulation lines. Only the sync-window line may differ: it counts
+// the windows of the run that wrote the snapshot.
+func TestRestoreSpeculativeSnapshot(t *testing.T) {
+	path := filepath.Join("..", "..", "configs", "system-torus-small.json")
+	got := captureStdout(t, func() error {
+		return runSystem(path, obsFlags{}, 2,
+			core.Snapshots{Restore: filepath.Join("testdata", "system-torus-small.spec.snap")})
+	})
+	simLines := func(b []byte) []byte {
+		lines, _, _ := bytes.Cut(b, []byte("sync windows:"))
+		return lines
+	}
+	want := readGolden(t, "system-torus-small.par2.out")
+	if !bytes.Equal(simLines(got), simLines(want)) {
+		t.Errorf("restored run differs from testdata/system-torus-small.par2.out\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -8,7 +8,7 @@
 //
 //	sst -config machine.json [-stats] [-format table|json|csv]
 //	    [-trace-out run.json] [-trace-cap N] [-metrics-out m.json]
-//	sst -system system.json [-par N] [-sync pairwise|speculative]
+//	sst -system system.json [-par N]
 //	    [-snapshot-every 100us] [-snapshot-out run.snap] [-restore run.snap]
 //	    [-trace-out run.json] [-metrics-out m.json]
 //	sst ... [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -22,14 +22,10 @@
 // profiles of the run for `go tool pprof`.
 //
 // A -system run always partitions the network over -par N parallel ranks
-// (default 1, a plain sequential loop) and prints one summary at every N;
-// -sync selects the synchronization mode: conservative pairwise
-// (topology-aware lookahead, the default) or optimistic speculative (ranks
-// run past their conservative horizon, checkpoint through the snapshot
-// codec, and roll back and replay when a straggler arrives, with a
-// governor that falls back to conservative windows per rank while its
-// rollback rate spikes). Both modes produce bit-identical results, and so
-// do all N above 1. Against -par 1, simulated time, message and byte
+// (default 1, a plain sequential loop) and prints one summary at every N.
+// The ranks synchronize conservatively: each advances to a horizon derived
+// from the other ranks' next events and the pairwise link lookahead, so
+// every N above 1 produces bit-identical results. Against -par 1, simulated time, message and byte
 // counts, utilization and energy agree, but packets reaching one link at
 // the same picosecond from two ranks are served in canonical cross-rank
 // order instead of one engine's insertion order, which can move
@@ -63,7 +59,6 @@ import (
 	"sst/internal/core"
 	"sst/internal/noc"
 	"sst/internal/obs"
-	"sst/internal/par"
 	"sst/internal/sim"
 	"sst/internal/stats"
 	"sst/internal/workload"
@@ -89,7 +84,6 @@ func main() {
 		traceCap   = flag.Int("trace-cap", 0, "trace ring capacity in spans (0 = default 65536; keeps the run's tail)")
 		metricsOut = flag.String("metrics-out", "", "write run metrics JSON to this file")
 		parFlag    = flag.Int("par", 1, "partition a -system run over N parallel ranks")
-		syncFlag   = flag.String("sync", "pairwise", "parallel sync mode: "+strings.Join(par.SyncModeNames(), ", "))
 		snapEvery  = flag.String("snapshot-every", "", "write a snapshot every this much simulated time (e.g. 100us; -system only)")
 		snapOut    = flag.String("snapshot-out", "sst.snap", "snapshot file for -snapshot-every")
 		restore    = flag.String("restore", "", "resume a -system run from this snapshot file")
@@ -97,10 +91,6 @@ func main() {
 	)
 	flag.Parse()
 	format, err := core.ParseFormat(*formatFlag)
-	if err != nil {
-		cli.Exit("sst", cli.Configf("%v", err))
-	}
-	syncMode, err := par.ParseSyncMode(*syncFlag)
 	if err != nil {
 		cli.Exit("sst", cli.Configf("%v", err))
 	}
@@ -121,7 +111,7 @@ func main() {
 		}
 		err = run(*cfgPath, *dumpStats, ob, *timeline, *samplePd)
 	case *sysPath != "":
-		err = runSystem(*sysPath, ob, *parFlag, syncMode, snap)
+		err = runSystem(*sysPath, ob, *parFlag, snap)
 	default:
 		flag.Usage()
 		os.Exit(cli.ExitConfig)
@@ -165,7 +155,7 @@ func (ob obsFlags) flush(tracer *obs.Tracer, rep *obs.RunReport) error {
 // core.System over nranks parallel ranks (at one rank, a plain sequential
 // loop), sliced into snapshots and/or resumed from one as snap says. With
 // tracing on, each rank's engine gets its own tracer and file.
-func runSystem(path string, ob obsFlags, nranks int, mode par.SyncMode, snap core.Snapshots) error {
+func runSystem(path string, ob obsFlags, nranks int, snap core.Snapshots) error {
 	cfg, err := config.LoadSystemFile(path)
 	if err != nil {
 		return cli.Configf("%v", err)
@@ -186,7 +176,7 @@ func runSystem(path string, ob obsFlags, nranks int, mode par.SyncMode, snap cor
 	if ranks == 0 {
 		ranks = topo.NumNodes()
 	}
-	sys, err := core.NewSystem(profile.Name, topo, netCfg, profile.Scripts(ranks), nranks, mode,
+	sys, err := core.NewSystem(profile.Name, topo, netCfg, profile.Scripts(ranks), nranks,
 		snap.Every > 0 || snap.Restore != "")
 	if err != nil {
 		return cli.Configf("%v", err)
@@ -222,8 +212,8 @@ func runSystem(path string, ob obsFlags, nranks int, mode par.SyncMode, snap cor
 	m := runner.Metrics()
 	meanUtil, hotUtil := net.LinkUtilization(elapsed)
 	energy := net.Energy(noc.DefaultPowerParams(), elapsed)
-	fmt.Printf("system:          %s (%s, %d ranks over %d partitions, %s sync)\n",
-		cfg.Name, topo.Name(), ranks, nranks, m.Mode)
+	fmt.Printf("system:          %s (%s, %d ranks over %d partitions)\n",
+		cfg.Name, topo.Name(), ranks, nranks)
 	fmt.Printf("app:             %s, %d steps\n", profile.Name, profile.Steps)
 	fmt.Printf("simulated time:  %.3f ms\n", elapsed.Seconds()*1e3)
 	fmt.Printf("messages:        %d (%.2f MB)\n", net.Messages(), float64(net.BytesDelivered())/1e6)
@@ -231,12 +221,8 @@ func runSystem(path string, ob obsFlags, nranks int, mode par.SyncMode, snap cor
 	fmt.Printf("max recv wait:   %.3f ms\n", maxWait.Seconds()*1e3)
 	fmt.Printf("link utilization: mean %.3f, hottest %.3f\n", meanUtil, hotUtil)
 	fmt.Printf("network energy:  %.3f J (%.2f W provisioned static)\n", energy.TotalJ(), energy.StaticW)
-	fmt.Printf("sync windows:    %d (%d fast-forwards, lookahead %v, imbalance %.2f)\n",
-		m.Windows, m.FastForwards, m.Lookahead, m.Imbalance)
-	if mode == par.SyncSpeculative {
-		fmt.Printf("rollbacks:       %d (%d events replayed, %d fallbacks, %d promotions)\n",
-			m.Rollbacks, m.Replayed, m.Fallbacks, m.Promotions)
-	}
+	fmt.Printf("sync windows:    %d (lookahead %v, imbalance %.2f)\n",
+		m.Windows, m.Lookahead, m.Imbalance)
 	return nil
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"sst/internal/cli"
 	"sst/internal/core"
-	"sst/internal/par"
 	"sst/internal/sim"
 	"syscall"
 	"time"
@@ -149,11 +148,11 @@ func TestRunSystemFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(testSystem), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSystem(path, obsFlags{}, 1, par.SyncPairwise, core.Snapshots{}); err != nil {
+	if err := runSystem(path, obsFlags{}, 1, core.Snapshots{}); err != nil {
 		t.Fatal(err)
 	}
 	metrics := filepath.Join(dir, "m.json")
-	if err := runSystem(path, obsFlags{metricsOut: metrics}, 1, par.SyncPairwise, core.Snapshots{}); err != nil {
+	if err := runSystem(path, obsFlags{metricsOut: metrics}, 1, core.Snapshots{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(metrics); err != nil {
@@ -171,7 +170,7 @@ func systemSummary(t *testing.T, path string, nranks int) map[string]string {
 	}
 	stdout := os.Stdout
 	os.Stdout = w
-	err = runSystem(path, obsFlags{}, nranks, par.SyncPairwise, core.Snapshots{})
+	err = runSystem(path, obsFlags{}, nranks, core.Snapshots{})
 	os.Stdout = stdout
 	w.Close()
 	if err != nil {
@@ -216,14 +215,14 @@ func TestRunSystemBadShape(t *testing.T) {
 	if err := os.WriteFile(path, []byte(testSystem), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSystem(path, obsFlags{}, 0, par.SyncPairwise, core.Snapshots{}); cli.Code(err) != cli.ExitConfig {
+	if err := runSystem(path, obsFlags{}, 0, core.Snapshots{}); cli.Code(err) != cli.ExitConfig {
 		t.Errorf("-par 0: %v, want a configuration error", err)
 	}
 	wide := filepath.Join(dir, "wide.json")
 	if err := os.WriteFile(wide, []byte(strings.Replace(testSystem, `"steps": 2`, `"steps": 2, "ranks": 9`, 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runSystem(wide, obsFlags{}, 2, par.SyncPairwise, core.Snapshots{}); cli.Code(err) != cli.ExitConfig {
+	if err := runSystem(wide, obsFlags{}, 2, core.Snapshots{}); cli.Code(err) != cli.ExitConfig {
 		t.Errorf("9 ranks on 8 nodes: %v, want a configuration error", err)
 	}
 }
@@ -234,25 +233,19 @@ func TestRunSystemParallel(t *testing.T) {
 	if err := os.WriteFile(path, []byte(testSystem), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range par.SyncModeNames() {
-		mode, err := par.ParseSyncMode(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := runSystem(path, obsFlags{}, 4, mode, core.Snapshots{}); err != nil {
-			t.Fatalf("sync=%v: %v", mode, err)
-		}
+	if err := runSystem(path, obsFlags{}, 4, core.Snapshots{}); err != nil {
+		t.Fatal(err)
 	}
 	// The parallel run's metrics JSON must carry the runner section.
 	metrics := filepath.Join(dir, "mp.json")
-	if err := runSystem(path, obsFlags{metricsOut: metrics}, 2, par.SyncPairwise, core.Snapshots{}); err != nil {
+	if err := runSystem(path, obsFlags{metricsOut: metrics}, 2, core.Snapshots{}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"par"`, `"mode": "pairwise"`} {
+	for _, want := range []string{`"par"`, `"lookahead_ps"`} {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("parallel metrics missing %s:\n%s", want, data)
 		}
@@ -270,7 +263,7 @@ func TestSystemMetricsSumRanks(t *testing.T) {
 		trace := filepath.Join(dir, fmt.Sprintf("t%d.json", nranks))
 		captureStdout(t, func() error {
 			return runSystem("../../configs/system-torus-small.json", obsFlags{metricsOut: metrics, traceOut: trace}, nranks,
-				par.SyncPairwise, core.Snapshots{})
+				core.Snapshots{})
 		})
 		data, err := os.ReadFile(metrics)
 		if err != nil {
@@ -306,7 +299,7 @@ func TestRunSystemParallelTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := filepath.Join(dir, "t.json")
-	if err := runSystem(path, obsFlags{traceOut: trace}, 2, par.SyncPairwise, core.Snapshots{}); err != nil {
+	if err := runSystem(path, obsFlags{traceOut: trace}, 2, core.Snapshots{}); err != nil {
 		t.Fatal(err)
 	}
 	for rank := 0; rank < 2; rank++ {
@@ -327,7 +320,7 @@ func TestRunSystemParallelTrace(t *testing.T) {
 	}
 	// At -par 1 the trace goes to exactly the path given.
 	single := filepath.Join(dir, "one.json")
-	if err := runSystem(path, obsFlags{traceOut: single}, 1, par.SyncPairwise, core.Snapshots{}); err != nil {
+	if err := runSystem(path, obsFlags{traceOut: single}, 1, core.Snapshots{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(single); err != nil {
@@ -366,7 +359,7 @@ func TestRunSystemSnapshotRestore(t *testing.T) {
 	snapFile := filepath.Join(dir, "run.snap")
 	for _, nranks := range []int{1, 2} {
 		snap := core.Snapshots{Every: 200 * sim.Microsecond, Out: snapFile}
-		if err := runSystem(path, obsFlags{}, nranks, par.SyncPairwise, snap); err != nil {
+		if err := runSystem(path, obsFlags{}, nranks, snap); err != nil {
 			t.Fatalf("nranks=%d sliced run: %v", nranks, err)
 		}
 		if _, err := os.Stat(snapFile); err != nil {
@@ -374,15 +367,14 @@ func TestRunSystemSnapshotRestore(t *testing.T) {
 		}
 		// The final snapshot is the completed state; restoring it and
 		// running to completion must succeed and change nothing.
-		if err := runSystem(path, obsFlags{}, nranks, par.SyncPairwise,
-			core.Snapshots{Restore: snapFile}); err != nil {
+		if err := runSystem(path, obsFlags{}, nranks, core.Snapshots{Restore: snapFile}); err != nil {
 			t.Fatalf("nranks=%d restore: %v", nranks, err)
 		}
 	}
 }
 
 func TestRunSystemMissing(t *testing.T) {
-	err := runSystem("/nonexistent.json", obsFlags{}, 1, par.SyncPairwise, core.Snapshots{})
+	err := runSystem("/nonexistent.json", obsFlags{}, 1, core.Snapshots{})
 	if err == nil {
 		t.Fatal("missing system accepted")
 	}
@@ -425,16 +417,16 @@ func TestSIGTERMTriggersInterrupt(t *testing.T) {
 	}
 }
 
-// TestRemovedSyncModes: the retired -sync spellings are configuration
-// errors (exit 2) whose message lists the modes that remain. The test
-// re-executes its own binary as sst.
+// TestRemovedSyncModes: -sync is gone with the modes it chose between, so
+// every spelling, retired long ago or recently, is an unknown flag and a
+// configuration error (exit 2). The test re-executes its own binary as sst.
 func TestRemovedSyncModes(t *testing.T) {
 	if args := os.Getenv("SST_MAIN_ARGS"); args != "" {
 		os.Args = append([]string{"sst"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	for _, args := range []string{"-sync global", "-sync adaptive"} {
+	for _, args := range []string{"-sync global", "-sync adaptive", "-sync speculative", "-sync pairwise"} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedSyncModes$")
 		cmd.Env = append(os.Environ(), "SST_MAIN_ARGS="+args)
 		out, err := cmd.CombinedOutput()
@@ -442,8 +434,8 @@ func TestRemovedSyncModes(t *testing.T) {
 		if !errors.As(err, &ee) || ee.ExitCode() != cli.ExitConfig {
 			t.Errorf("sst %s: %v, want exit %d\n%s", args, err, cli.ExitConfig, out)
 		}
-		if !strings.Contains(string(out), "pairwise, speculative") {
-			t.Errorf("sst %s: error does not name the remaining modes:\n%s", args, out)
+		if !strings.Contains(string(out), "flag provided but not defined: -sync") {
+			t.Errorf("sst %s: not rejected as an unknown flag:\n%s", args, out)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"sst/internal/noc"
-	"sst/internal/par"
 	"sst/internal/sim"
 	"sst/internal/stats"
 	"sst/internal/workload"
@@ -85,7 +84,7 @@ func RunNetPointCtx(ctx context.Context, p workload.CommProfile, nodes, steps in
 	cfg := noc.DefaultConfig()
 	cfg.InjectionBandwidth *= fraction
 	p.Steps = steps
-	s, err := NewSystem(p.Name, topo, cfg, p.Scripts(nodes), 1, par.SyncPairwise, false)
+	s, err := NewSystem(p.Name, topo, cfg, p.Scripts(nodes), 1, false)
 	if err != nil {
 		return 0, nil, err
 	}

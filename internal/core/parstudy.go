@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -11,17 +12,14 @@ import (
 
 // The parallel-simulation study exercises the poster's scalability claim:
 // the same multi-node model is partitioned over 1..N ranks and the host
-// wall-clock time per simulated event is measured, under the conservative
-// pairwise and the optimistic speculative synchronization modes. On a
-// multi-core host the windows execute concurrently; on any host the study
-// also verifies that neither the partitioning nor the sync mode changes
-// the event count (bit-level determinism is covered by internal/par's
-// tests).
+// wall-clock time per simulated event is measured. On a multi-core host
+// the windows execute concurrently; on any host the study also verifies
+// that the partitioning does not change the event count (bit-level
+// determinism is covered by internal/par's tests).
 
 // latticeNode is a self-driving model node: it burns host CPU per event
 // (standing in for component model code) and exchanges messages with its
-// ring neighbor. It is checkpointable so speculative sync, which rolls
-// ranks back through engine snapshots, can run the lattice.
+// ring neighbor.
 type latticeNode struct {
 	name     string
 	out      *sim.Port
@@ -30,17 +28,6 @@ type latticeNode struct {
 }
 
 func (l *latticeNode) Name() string { return l.name }
-
-func (l *latticeNode) SaveState(enc *sim.Encoder) {
-	enc.U64(l.received)
-	enc.F64(l.sink)
-}
-
-func (l *latticeNode) LoadState(dec *sim.Decoder) error {
-	l.received = dec.U64()
-	l.sink = dec.F64()
-	return dec.Err()
-}
 
 func (l *latticeNode) recv(payload any) {
 	l.received++
@@ -110,9 +97,6 @@ func BuildLatticeHetero(r *par.Runner, nodes int) ([]*latticeNode, error) {
 	// out-port, so the chat stays on the 250ns path. The quiet stretch is
 	// what the pairwise horizons exploit: the pair's next events sit a
 	// whole period ahead, so it stops capping everyone else's windows.
-	// Both drivers are checkpoint-owned components (their event chains live
-	// in EventSets, their counters in SaveState) rather than raw closures,
-	// so an optimistic rank can snapshot and roll the lattice back.
 	halves[0].a.SetHandler(out[0].recv) // node 1 -> node 0 replies
 	for i, cfg := range []struct {
 		port  *sim.Port
@@ -139,8 +123,8 @@ func BuildLatticeHetero(r *par.Runner, nodes int) ([]*latticeNode, error) {
 	return out, nil
 }
 
-// hetDriver is a checkpoint-owned event chain: its pending event lives in
-// its EventSet and its counter n rides in its saved state.
+// hetDriver is a self-rescheduling event chain: its pending event lives in
+// its EventSet and n counts the events it has handled.
 type hetDriver struct {
 	name string
 	node *latticeNode
@@ -149,10 +133,7 @@ type hetDriver struct {
 	n    int
 }
 
-func (d *hetDriver) Name() string                     { return d.name }
-func (d *hetDriver) SaveState(enc *sim.Encoder)       { enc.I64(int64(d.n)); d.set.Save(enc) }
-func (d *hetDriver) LoadState(dec *sim.Decoder) error { d.n = int(dec.I64()); return d.set.Load(dec) }
-func (d *hetDriver) PendingOwned() int                { return d.set.PendingOwned() }
+func (d *hetDriver) Name() string { return d.name }
 
 // hetChat drives one side of the chatty pair.
 type hetChat struct {
@@ -191,121 +172,74 @@ func (p *hetBurst) work(any) {
 }
 
 // ParallelScalingResult is the parallel-scaling study's Result: the
-// rendered table plus, per selected sync mode and rank count, the host wall
-// time, the total dispatched window count and the rollback count.
+// rendered table plus, per rank count, the host wall time and the total
+// dispatched window count.
 type ParallelScalingResult struct {
 	TableResult
-	WallSeconds map[par.SyncMode]map[int]float64
-	Windows     map[par.SyncMode]map[int]uint64
-	Rollbacks   map[par.SyncMode]map[int]uint64
+	WallSeconds map[int]float64
+	Windows     map[int]uint64
 }
 
 // ParallelScalingStudy runs the heterogeneous lattice at each rank count
-// for the given simulated horizon under each of the given sync modes (the
-// sst-net -sync flag), reporting host wall time, dispatched windows,
-// rollbacks and simulated events. The event count must be invariant across
-// every (ranks, mode) cell; that is checked here, not just reported.
-// Absent modes report zero in the fixed table columns and are missing from
-// the per-mode maps; the speedup baseline is pairwise when selected,
-// otherwise the first mode.
+// for the given simulated horizon, reporting host wall time, dispatched
+// windows and simulated events. The event count must be invariant across
+// rank counts; that is checked here, not just reported.
 //
 // Unlike the design-space sweeps this study stays sequential on purpose:
 // each point measures host wall-clock and already spawns one goroutine per
 // rank, so running points through the sweep worker pool would contend for
 // cores and corrupt the very timings being reported. opts.Workers is
-// therefore ignored; opts.Context is still consulted between points so a
-// cancelled sweep stops promptly.
-func ParallelScalingStudy(rankCounts []int, nodes int, horizon sim.Time, opts SweepOptions, modes []par.SyncMode) (*ParallelScalingResult, error) {
-	if len(modes) == 0 {
-		return nil, fmt.Errorf("core: parallel scaling study needs at least one sync mode")
-	}
-	baseMode := modes[0]
-	for _, m := range modes {
-		if m == par.SyncPairwise {
-			baseMode = m
-		}
-	}
+// therefore ignored; cancelling opts.Context interrupts the running cell,
+// and the study returns an error wrapping the context's error.
+func ParallelScalingStudy(rankCounts []int, nodes int, horizon sim.Time, opts SweepOptions) (*ParallelScalingResult, error) {
 	t := stats.NewTable(
 		fmt.Sprintf("Parallel simulation scaling: %d-node heterogeneous lattice, %v horizon", nodes, horizon),
-		"ranks", "events", "wall_ms_pairwise", "wall_ms_spec",
-		"windows_pairwise", "windows_spec", "rollbacks_spec", "speedup_vs_1rank")
+		"ranks", "events", "wall_ms_pairwise", "windows_pairwise", "speedup_vs_1rank")
 	ctx := opts.context()
-	res := &ParallelScalingResult{
-		WallSeconds: map[par.SyncMode]map[int]float64{},
-		Windows:     map[par.SyncMode]map[int]uint64{},
-		Rollbacks:   map[par.SyncMode]map[int]uint64{},
-	}
-	for _, m := range modes {
-		res.WallSeconds[m] = map[int]float64{}
-		res.Windows[m] = map[int]uint64{}
-		res.Rollbacks[m] = map[int]uint64{}
-	}
-	type cell struct {
-		wall      float64
-		windows   uint64
-		events    uint64
-		rollbacks uint64
-	}
-	run := func(nr int, mode par.SyncMode) (cell, error) {
-		r, err := par.NewRunner(nr)
-		if err != nil {
-			return cell{}, err
-		}
-		r.SetSyncMode(mode)
-		if mode == par.SyncSpeculative {
-			// Optimistic execution rolls ranks back through engine
-			// snapshots, so these cells run with checkpoint tracking on —
-			// its bookkeeping cost is part of the mode's measured price.
-			r.EnableSnapshots()
-		}
-		if _, err := BuildLatticeHetero(r, nodes); err != nil {
-			return cell{}, err
-		}
-		start := time.Now()
-		events, err := r.Run(horizon)
-		if err != nil {
-			return cell{}, err
-		}
-		w := time.Since(start).Seconds()
-		m := r.Metrics()
-		var dispatched uint64
-		for _, rk := range m.Ranks {
-			dispatched += rk.Windows
-		}
-		return cell{wall: w, windows: dispatched, events: events, rollbacks: m.Rollbacks}, nil
-	}
+	res := &ParallelScalingResult{WallSeconds: map[int]float64{}, Windows: map[int]uint64{}}
 	var base float64
 	var baseEvents uint64
 	for _, nr := range rankCounts {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: parallel scaling study cancelled: %w", err)
+		r, err := par.NewRunner(nr)
+		if err != nil {
+			return nil, err
 		}
-		cells := map[par.SyncMode]cell{}
-		for _, mode := range modes {
-			c, err := run(nr, mode)
-			if err != nil {
-				return nil, fmt.Errorf("core: %v sync at %d ranks: %w", mode, nr, err)
+		if _, err := BuildLatticeHetero(r, nodes); err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		events, err := runScalingCell(ctx, r, horizon)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, fmt.Errorf("core: parallel scaling study cancelled: %w", ctx.Err())
 			}
-			cells[mode] = c
+			return nil, fmt.Errorf("core: %d ranks: %w", nr, err)
 		}
-		bc := cells[baseMode]
+		wall := time.Since(start).Seconds()
+		var windows uint64
+		for _, rk := range r.Metrics().Ranks {
+			windows += rk.Windows
+		}
 		if nr == rankCounts[0] {
-			base = bc.wall
-			baseEvents = bc.events
+			base, baseEvents = wall, events
 		}
-		for _, mode := range modes {
-			c := cells[mode]
-			if c.events != baseEvents {
-				return nil, fmt.Errorf("core: partitioning or sync mode changed event count at %d ranks: %v %d, reference %d",
-					nr, mode, c.events, baseEvents)
-			}
-			res.WallSeconds[mode][nr] = c.wall
-			res.Windows[mode][nr] = c.windows
-			res.Rollbacks[mode][nr] = c.rollbacks
+		if events != baseEvents {
+			return nil, fmt.Errorf("core: partitioning changed event count at %d ranks: %d, reference %d",
+				nr, events, baseEvents)
 		}
-		p, s := cells[par.SyncPairwise], cells[par.SyncSpeculative]
-		t.AddRow(nr, bc.events, p.wall*1e3, s.wall*1e3, p.windows, s.windows, s.rollbacks, base/bc.wall)
+		res.WallSeconds[nr], res.Windows[nr] = wall, windows
+		t.AddRow(nr, events, wall*1e3, windows, base/wall)
 	}
 	res.TableResult = TableResult{Tab: t}
 	return res, nil
+}
+
+// runScalingCell runs one scaling cell to the horizon; cancelling ctx
+// interrupts it mid-run, as System.Run does.
+func runScalingCell(ctx context.Context, r *par.Runner, horizon sim.Time) (uint64, error) {
+	defer context.AfterFunc(ctx, r.Interrupt)()
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return r.Run(horizon)
 }

@@ -32,15 +32,13 @@ type System struct {
 // application rank was still blocked.
 var errDeadlocked = errors.New("application deadlocked")
 
-// NewSystem builds the network over nranks parallel ranks in the given
-// sync mode and wires scripts[i] to node i. The scripts are grouped by the
+// NewSystem builds the network over nranks parallel ranks and wires
+// scripts[i] to node i. The scripts are grouped by the
 // rank that owns their node into one workload.App per rank, named
 // "<name>.rank<p>" — the name snapshots record it under. Script send/recv
 // peers are global node ids, so the grouping is invisible to the protocol.
-// snapshots enables checkpointing, which Snapshots.Every and Restore need;
-// speculative sync enables it regardless, since rollback restores engine
-// checkpoints taken through the same codec.
-func NewSystem(name string, topo noc.Topology, netCfg noc.NetConfig, scripts []*workload.Script, nranks int, mode par.SyncMode, snapshots bool) (*System, error) {
+// snapshots enables checkpointing, which Snapshots.Every and Restore need.
+func NewSystem(name string, topo noc.Topology, netCfg noc.NetConfig, scripts []*workload.Script, nranks int, snapshots bool) (*System, error) {
 	if len(scripts) > topo.NumNodes() {
 		return nil, fmt.Errorf("core: %d ranks for %d nodes", len(scripts), topo.NumNodes())
 	}
@@ -48,8 +46,7 @@ func NewSystem(name string, topo noc.Topology, netCfg noc.NetConfig, scripts []*
 	if err != nil {
 		return nil, err
 	}
-	runner.SetSyncMode(mode)
-	if snapshots || mode == par.SyncSpeculative {
+	if snapshots {
 		// Must precede model construction: components register their
 		// checkpoint state as they are built.
 		runner.EnableSnapshots()

@@ -28,7 +28,7 @@ func charonSystem(t *testing.T, nranks int, snapshots bool) *System {
 	}
 	p := workload.CharonProfile
 	p.Steps = 2
-	s, err := NewSystem(p.Name, topo, noc.DefaultConfig(), p.Scripts(8), nranks, par.SyncPairwise, snapshots)
+	s, err := NewSystem(p.Name, topo, noc.DefaultConfig(), p.Scripts(8), nranks, snapshots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func scriptedSystem(t *testing.T, scripts ...*workload.Script) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSystem("scripted", topo, noc.DefaultConfig(), scripts, 1, par.SyncPairwise, false)
+	s, err := NewSystem("scripted", topo, noc.DefaultConfig(), scripts, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +209,10 @@ func TestNewSystemShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSystem("x", topo, noc.DefaultConfig(), make([]*workload.Script, 3), 1, par.SyncPairwise, false); err == nil {
+	if _, err := NewSystem("x", topo, noc.DefaultConfig(), make([]*workload.Script, 3), 1, false); err == nil {
 		t.Error("3 scripts on 2 nodes accepted")
 	}
-	if _, err := NewSystem("x", topo, noc.DefaultConfig(), nil, 0, par.SyncPairwise, false); err == nil {
+	if _, err := NewSystem("x", topo, noc.DefaultConfig(), nil, 0, false); err == nil {
 		t.Error("0 ranks accepted")
 	}
 }

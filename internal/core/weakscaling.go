@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"sst/internal/noc"
-	"sst/internal/par"
 	"sst/internal/sim"
 	"sst/internal/stats"
 	"sst/internal/workload"
@@ -70,7 +69,7 @@ func runWeakPoint(ctx context.Context, p SolverProfile, ranks, iters int) (sim.T
 	if err != nil {
 		return 0, err
 	}
-	s, err := NewSystem(p.Name, topo, noc.DefaultConfig(), p.comm(iters).Scripts(ranks), 1, par.SyncPairwise, false)
+	s, err := NewSystem(p.Name, topo, noc.DefaultConfig(), p.comm(iters).Scripts(ranks), 1, false)
 	if err != nil {
 		return 0, err
 	}

@@ -38,13 +38,12 @@ type system struct {
 	apps   []*workload.App
 }
 
-func buildSystem(t *testing.T, topo noc.Topology, cfg noc.NetConfig, profile workload.CommProfile, nranks int, mode par.SyncMode) *system {
+func buildSystem(t *testing.T, topo noc.Topology, cfg noc.NetConfig, profile workload.CommProfile, nranks int) *system {
 	t.Helper()
 	runner, err := par.NewRunner(nranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner.SetSyncMode(mode)
 	runner.EnableSnapshots()
 	net, err := noc.NewPartitionedNetwork(runner, topo, cfg, nil)
 	if err != nil {
@@ -100,51 +99,45 @@ var snapProfile = workload.CommProfile{
 }
 
 // TestSystemKillRestore is the composition's crash-safety property at every
-// rank count under every sync mode, with barriers in the early and late
+// rank count, with barriers in the early and late
 // thirds of the run.
 func TestSystemKillRestore(t *testing.T) {
 	topo, err := noc.NewTorus3D(4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(nranks int, mode par.SyncMode) *system {
-		return buildSystem(t, topo, noc.DefaultConfig(), snapProfile, nranks, mode)
+	build := func(nranks int) *system {
+		return buildSystem(t, topo, noc.DefaultConfig(), snapProfile, nranks)
 	}
 	rankCounts := []int{1, 2, 4, 8}
 	if testing.Short() {
 		rankCounts = []int{1, 4}
 	}
 	for _, nranks := range rankCounts {
-		for _, name := range par.SyncModeNames() {
-			mode, err := par.ParseSyncMode(name)
-			if err != nil {
+		ref := build(nranks)
+		ref.start()
+		want := ref.runAll(t)
+		end := slices.Max(want.Elapsed)
+		if want.Msgs == 0 || end == 0 {
+			t.Fatal("reference system run did nothing; test is vacuous")
+		}
+		for _, barrier := range []sim.Time{end / 3, 2 * end / 3} {
+			cut := build(nranks)
+			cut.start()
+			if _, err := cut.runner.Run(barrier); err != nil {
 				t.Fatal(err)
 			}
-			ref := build(nranks, mode)
-			ref.start()
-			want := ref.runAll(t)
-			end := slices.Max(want.Elapsed)
-			if want.Msgs == 0 || end == 0 {
-				t.Fatal("reference system run did nothing; test is vacuous")
+			var file bytes.Buffer
+			if err := cut.runner.SaveTo(&file); err != nil {
+				t.Fatalf("SaveTo: %v", err)
 			}
-			for _, barrier := range []sim.Time{end / 3, 2 * end / 3} {
-				cut := build(nranks, mode)
-				cut.start()
-				if _, err := cut.runner.Run(barrier); err != nil {
-					t.Fatal(err)
-				}
-				var file bytes.Buffer
-				if err := cut.runner.SaveTo(&file); err != nil {
-					t.Fatalf("SaveTo: %v", err)
-				}
-				restored := build(nranks, mode)
-				if err := restored.runner.LoadFrom(&file); err != nil {
-					t.Fatalf("LoadFrom: %v", err)
-				}
-				if got := restored.runAll(t); !reflect.DeepEqual(got, want) {
-					t.Errorf("nranks=%d sync=%v barrier=%v: restored run diverged\n got %+v\nwant %+v",
-						nranks, mode, barrier, got, want)
-				}
+			restored := build(nranks)
+			if err := restored.runner.LoadFrom(&file); err != nil {
+				t.Fatalf("LoadFrom: %v", err)
+			}
+			if got := restored.runAll(t); !reflect.DeepEqual(got, want) {
+				t.Errorf("nranks=%d barrier=%v: restored run diverged\n got %+v\nwant %+v",
+					nranks, barrier, got, want)
 			}
 		}
 	}
@@ -173,7 +166,7 @@ func TestPartitioningInvariants(t *testing.T) {
 	}
 	var ref outcome
 	for _, nranks := range []int{1, 2, 4} {
-		s := buildSystem(t, topo, noc.DefaultConfig(), profile, nranks, par.SyncPairwise)
+		s := buildSystem(t, topo, noc.DefaultConfig(), profile, nranks)
 		s.start()
 		sig := s.runAll(t)
 		o := outcome{end: slices.Max(sig.Elapsed), msgs: sig.Msgs, bytes: sig.Bytes}
@@ -216,7 +209,7 @@ func TestRestoreCommittedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	const end = 312835000
-	s := buildSystem(t, topo, cfg, profile, 2, par.SyncPairwise)
+	s := buildSystem(t, topo, cfg, profile, 2)
 	if err := s.runner.LoadFrom(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("LoadFrom: %v", err)
 	}

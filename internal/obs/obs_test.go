@@ -213,17 +213,13 @@ func TestCollectorWithRunner(t *testing.T) {
 	if len(rep.Par.Ranks) != 2 || rep.Par.Windows == 0 {
 		t.Fatalf("par metrics = %+v", rep.Par)
 	}
-	if rep.Par.Mode != "pairwise" {
-		t.Fatalf("par mode = %q, want the pairwise default", rep.Par.Mode)
-	}
 	tab := rep.Table()
 	var buf2 strings.Builder
 	if err := tab.WriteCSV(&buf2); err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range []string{"par.mode", "par.fast_forwards", "par.rollbacks",
-		"par.replayed_events", "par.fallbacks", "par.promotions",
-		"par.rank0.skipped_windows", "par.rank0.rollbacks", "par.rank1.lookahead_ps"} {
+	for _, row := range []string{"par.windows", "par.lookahead_ps", "par.imbalance",
+		"par.rank0.skipped_windows", "par.rank1.lookahead_ps"} {
 		if !strings.Contains(buf2.String(), row) {
 			t.Fatalf("report table missing %q:\n%s", row, buf2.String())
 		}

@@ -73,15 +73,9 @@ func (r *RunReport) Table() *stats.Table {
 		t.AddRow("link."+l.Name+".bytes", l.Bytes)
 	}
 	if p := r.Par; p != nil {
-		t.AddRow("par.mode", p.Mode)
 		t.AddRow("par.windows", p.Windows)
-		t.AddRow("par.fast_forwards", p.FastForwards)
 		t.AddRow("par.lookahead_ps", uint64(p.Lookahead))
 		t.AddRow("par.imbalance", p.Imbalance)
-		t.AddRow("par.rollbacks", p.Rollbacks)
-		t.AddRow("par.replayed_events", p.Replayed)
-		t.AddRow("par.fallbacks", p.Fallbacks)
-		t.AddRow("par.promotions", p.Promotions)
 		for _, rk := range p.Ranks {
 			prefix := fmt.Sprintf("par.rank%d.", rk.Rank)
 			t.AddRow(prefix+"events", rk.Events)
@@ -89,7 +83,6 @@ func (r *RunReport) Table() *stats.Table {
 			t.AddRow(prefix+"idle_windows", rk.IdleWindows)
 			t.AddRow(prefix+"skipped_windows", rk.SkippedWindows)
 			t.AddRow(prefix+"lookahead_ps", uint64(rk.Lookahead))
-			t.AddRow(prefix+"rollbacks", rk.Rollbacks)
 		}
 	}
 	if cs := r.Cache; cs != nil {

@@ -10,12 +10,10 @@ import (
 // The randomized-topology determinism harness: property-based tests that
 // generate seeded random machine graphs (random fan-outs, latencies, think
 // times, and deterministic node-kill "fault injections"), partition them
-// over 1/2/4/8 ranks, run them under both sync modes — conservative
-// pairwise and optimistic speculative — and assert the results are
-// bit-identical to the sequential 1-rank reference. Every random
-// draw happens before partitioning and depends only on the seed, never on
-// the rank count, the sync mode, or host time — so a failure is always
-// reproducible from its seed.
+// over 1/2/4/8 ranks, and assert the results are bit-identical to the
+// sequential 1-rank reference. Every random draw happens before
+// partitioning and depends only on the seed, never on the rank count or
+// host time — so a failure is always reproducible from its seed.
 
 // detToken is the message circulated through a generated topology.
 type detToken struct {
@@ -95,7 +93,7 @@ type detInjection struct {
 }
 
 // detTopo is a generated machine description. Building it consumes the
-// seed's whole random stream up front, so construction per (nranks, mode)
+// seed's whole random stream up front, so construction per rank count
 // never touches the RNG again.
 type detTopo struct {
 	nodes  int
@@ -193,26 +191,16 @@ func buildDetNodes(t *testing.T, r *Runner, tp detTopo) []*detNode {
 	return nodes
 }
 
-// runDetTopo builds and runs one (seed, nranks, mode) configuration.
-// splitAt > 0 additionally stops the run at that time and resumes, to
-// prove window bases survive across Run calls. Speculative sync needs a
-// checkpoint-owned model (rollback restores engine snapshots), so it uses
-// the snapshot-safe builder, which TestSnapshotBuilderNonIntrusive proves
-// bit-equivalent to the raw one.
-func runDetTopo(t *testing.T, tp detTopo, nranks int, mode SyncMode, splitAt sim.Time) detSig {
+// runDetTopo builds and runs one (seed, nranks) configuration. splitAt > 0
+// additionally stops the run at that time and resumes, to prove window
+// bases survive across Run calls.
+func runDetTopo(t *testing.T, tp detTopo, nranks int, splitAt sim.Time) detSig {
 	t.Helper()
 	r, err := NewRunner(nranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetSyncMode(mode)
-	var nodes []*detNode
-	if mode == SyncSpeculative {
-		r.EnableSnapshots()
-		nodes = buildDetTopoSnap(t, r, tp)
-	} else {
-		nodes = buildDetTopo(t, r, tp)
-	}
+	nodes := buildDetTopo(t, r, tp)
 	var total uint64
 	if splitAt > 0 {
 		n, err := r.Run(splitAt)
@@ -252,17 +240,12 @@ const detSeeds = 30
 
 var detRankCounts = []int{1, 2, 4, 8}
 
-// allSyncModes is every registered mode, conservative and optimistic; the
-// harness runs each of them against the sequential reference.
-var allSyncModes = []SyncMode{SyncPairwise, SyncSpeculative}
-
 // TestRandomTopologyDeterminism is the headline determinism property: for
-// every generated topology, every rank count and both sync modes produce
-// results bit-identical to the 1-rank sequential reference — same event
-// totals, same per-node arrival counts/checksums, same final clocks. For
-// the optimistic mode this is the end-to-end rollback correctness
-// proof: any lost, duplicated, or misordered delivery across a
-// checkpoint→straggler→rollback→replay cycle would change a node checksum.
+// every generated topology, every rank count produces results
+// bit-identical to the 1-rank sequential reference — same event totals,
+// same per-node arrival counts/checksums, same final clocks: any lost,
+// duplicated, or misordered cross-rank delivery would change a node
+// checksum.
 func TestRandomTopologyDeterminism(t *testing.T) {
 	seeds := detSeeds
 	if testing.Short() {
@@ -271,20 +254,14 @@ func TestRandomTopologyDeterminism(t *testing.T) {
 	vacuous := 0
 	for s := 0; s < seeds; s++ {
 		tp := genDetTopo(int64(9000 + s))
-		ref := runDetTopo(t, tp, 1, SyncPairwise, 0)
+		ref := runDetTopo(t, tp, 1, 0)
 		if ref.Total == 0 {
 			vacuous++
 			continue
 		}
-		for _, nranks := range detRankCounts {
-			for _, mode := range allSyncModes {
-				if nranks == 1 && mode == SyncPairwise {
-					continue // this is the reference itself
-				}
-				got := runDetTopo(t, tp, nranks, mode, 0)
-				label := "seed " + itoa(9000+s) + " ranks " + itoa(nranks) + " sync " + mode.String()
-				diffSig(t, label, got, ref)
-			}
+		for _, nranks := range detRankCounts[1:] { // 1 is the reference itself
+			got := runDetTopo(t, tp, nranks, 0)
+			diffSig(t, "seed "+itoa(9000+s)+" ranks "+itoa(nranks), got, ref)
 		}
 	}
 	if vacuous > seeds/4 {
@@ -295,20 +272,15 @@ func TestRandomTopologyDeterminism(t *testing.T) {
 // TestRandomTopologySplitRunDeterminism re-runs a slice of the topologies
 // with the run split at an arbitrary mid-simulation time, proving that
 // per-rank bases, staged events, and the window counters all survive
-// across Run calls in every mode (for the optimistic mode the split also
-// proves a Run boundary fully commits speculation: frontiers meet the
-// bound, held sends are released, and the next Run restarts cleanly).
+// across Run calls.
 func TestRandomTopologySplitRunDeterminism(t *testing.T) {
 	seeds := 8
 	for s := 0; s < seeds; s++ {
 		tp := genDetTopo(int64(9000 + s))
-		ref := runDetTopo(t, tp, 1, SyncPairwise, 0)
+		ref := runDetTopo(t, tp, 1, 0)
 		for _, nranks := range detRankCounts {
-			for _, mode := range allSyncModes {
-				got := runDetTopo(t, tp, nranks, mode, 777*sim.Nanosecond)
-				label := "split seed " + itoa(9000+s) + " ranks " + itoa(nranks) + " sync " + mode.String()
-				diffSig(t, label, got, ref)
-			}
+			got := runDetTopo(t, tp, nranks, 777*sim.Nanosecond)
+			diffSig(t, "split seed "+itoa(9000+s)+" ranks "+itoa(nranks), got, ref)
 		}
 	}
 }
@@ -316,8 +288,8 @@ func TestRandomTopologySplitRunDeterminism(t *testing.T) {
 // TestRandomTopologySeedSensitivity guards the harness against vacuity:
 // different seeds must generate machines with different outcomes.
 func TestRandomTopologySeedSensitivity(t *testing.T) {
-	a := runDetTopo(t, genDetTopo(9000), 2, SyncPairwise, 0)
-	b := runDetTopo(t, genDetTopo(9001), 2, SyncPairwise, 0)
+	a := runDetTopo(t, genDetTopo(9000), 2, 0)
+	b := runDetTopo(t, genDetTopo(9001), 2, 0)
 	if a.Total == b.Total && len(a.Nodes) == len(b.Nodes) {
 		same := true
 		for i := range a.Nodes {

@@ -29,8 +29,8 @@ func TestMetricsEdgeCases(t *testing.T) {
 				return r // Metrics before any Run call
 			},
 			check: func(t *testing.T, m RunnerMetrics) {
-				if m.Windows != 0 || m.FastForwards != 0 {
-					t.Errorf("windows=%d fastForwards=%d, want 0/0", m.Windows, m.FastForwards)
+				if m.Windows != 0 {
+					t.Errorf("windows=%d, want 0", m.Windows)
 				}
 				if m.Imbalance != 0 {
 					t.Errorf("imbalance = %v, want 0 (not NaN)", m.Imbalance)
@@ -59,9 +59,6 @@ func TestMetricsEdgeCases(t *testing.T) {
 				return r
 			},
 			check: func(t *testing.T, m RunnerMetrics) {
-				if m.Mode != "pairwise" {
-					t.Errorf("mode = %q, want pairwise (the default)", m.Mode)
-				}
 				if m.Windows == 0 || m.Ranks[0].Events != 1 {
 					t.Errorf("windows=%d events=%d, want >0/1", m.Windows, m.Ranks[0].Events)
 				}
@@ -108,55 +105,9 @@ func TestMetricsEdgeCases(t *testing.T) {
 			},
 		},
 		{
-			// A single event 10ms out behind a 1ns cross link: speculative
-			// sync reaches it in one leg, then commits the idle stretch to
-			// the end in rounds that dispatch no rank (the fast-forwards)
-			// instead of crawling one nanosecond per round. Pairwise sync
-			// never fast-forwards: its next-event horizons cover the gap
-			// (next case).
-			name: "sparse run fast-forwards",
-			build: func(t *testing.T) *Runner {
-				r, err := NewRunner(2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r.SetSyncMode(SyncSpeculative)
-				r.EnableSnapshots()
-				a, b, err := r.Connect("x", sim.Nanosecond, 0, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a.SetHandler(func(any) {})
-				b.SetHandler(func(any) {})
-				ij := &detInjector{name: "sparse"}
-				ij.set = sim.NewEventSet(r.Rank(0).Engine(), ij.name, func(any) {})
-				r.Rank(0).Add(ij)
-				ij.set.ScheduleAt(10*sim.Millisecond, sim.PrioLink, 0)
-				if _, err := r.Run(11 * sim.Millisecond); err != nil {
-					t.Fatal(err)
-				}
-				return r
-			},
-			check: func(t *testing.T, m RunnerMetrics) {
-				if m.FastForwards == 0 {
-					t.Error("sparse model recorded no fast-forwards")
-				}
-				if m.Ranks[0].Events != 1 {
-					t.Errorf("events = %d, want 1", m.Ranks[0].Events)
-				}
-				if m.Windows > 100 {
-					t.Errorf("windows = %d; fast-forward should keep this tiny", m.Windows)
-				}
-				for _, rk := range m.Ranks {
-					if rk.Lookahead != sim.Nanosecond {
-						t.Errorf("rank %d inbound lookahead = %v, want 1ns", rk.Rank, rk.Lookahead)
-					}
-				}
-			},
-		},
-		{
-			// The same sparse model under pairwise sync: the next-event
-			// horizons reach the event directly, no window crawl.
+			// A single event 10ms out behind a 1ns cross link: the
+			// next-event horizons reach it directly, no window crawl of
+			// one nanosecond per round.
 			name: "sparse run pairwise stays cheap",
 			build: func(t *testing.T) *Runner {
 				r, err := NewRunner(2)
@@ -178,9 +129,6 @@ func TestMetricsEdgeCases(t *testing.T) {
 			check: func(t *testing.T, m RunnerMetrics) {
 				if m.Windows > 100 {
 					t.Errorf("windows = %d; next-event horizons should keep this tiny", m.Windows)
-				}
-				if m.FastForwards != 0 {
-					t.Errorf("fastForwards = %d under pairwise sync, want 0", m.FastForwards)
 				}
 				if m.Ranks[0].Events != 1 {
 					t.Errorf("events = %d, want 1", m.Ranks[0].Events)
@@ -219,22 +167,6 @@ func TestMetricsEdgeCases(t *testing.T) {
 				}
 				if m.Ranks[0].Events != 100 {
 					t.Errorf("busy rank events = %d, want 100", m.Ranks[0].Events)
-				}
-			},
-		},
-		{
-			name: "speculative mode reported",
-			build: func(t *testing.T) *Runner {
-				r, err := NewRunner(2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r.SetSyncMode(SyncSpeculative)
-				return r
-			},
-			check: func(t *testing.T, m RunnerMetrics) {
-				if m.Mode != "speculative" {
-					t.Errorf("mode = %q, want speculative", m.Mode)
 				}
 			},
 		},
@@ -279,7 +211,7 @@ func TestStallErrorFormatting(t *testing.T) {
 			arrived: []bool{false, false},
 			want: []string{
 				"no rank completed the window",
-				"123ms", "pairwise sync", "lookahead 5ns",
+				"123ms", "(lookahead 5ns)",
 				"rank 0:", "rank 1:",
 				"clock=", "pending=", "outbox=", "windows=",
 				"base=20ns", "horizon=25ns", "base=22ns", "horizon=27ns",

@@ -1,6 +1,5 @@
-// Package par is gosst's parallel discrete-event runtime: conservative and
-// optimistic barrier-synchronized PDES in the Structural Simulation Toolkit
-// mold.
+// Package par is gosst's parallel discrete-event runtime: conservative
+// barrier-synchronized PDES in the Structural Simulation Toolkit mold.
 //
 // The model graph is partitioned into ranks, each with its own sequential
 // sim.Engine running in its own goroutine. Ranks only interact over links,
@@ -10,17 +9,13 @@
 // a conservative horizon, computed per rank from the other ranks'
 // next-event-time snapshots plus a per-rank-pair lookahead matrix
 // (all-pairs shortest latency paths over the partitioned link graph).
-// Ranks with no work below their horizon are skipped without a dispatch.
-// Pairwise sync, the default, stops every rank at its horizon; speculative
-// sync (see speculative.go) lets ranks execute optimistically past it,
-// checkpointing through the snapshot codec and rolling back on straggler
-// arrivals, with a governor that pins a thrashing rank to its horizon for
-// a while. Cross-rank sends are held until committed, so no anti-messages
-// are needed. Remote events are staged per destination in canonical (time,
-// send time, source rank, sequence) order and only scheduled once the
-// destination's window covers them, so a parallel run is bit-for-bit
-// deterministic — independent of goroutine scheduling, rank count, and
-// sync mode.
+// Ranks with no work below their horizon are skipped without a dispatch,
+// and every dispatched rank stops at its horizon, so nothing a rank
+// executes is ever provisional. Remote events are staged per destination
+// in canonical (time, send time, source rank, sequence) order and only
+// scheduled once the destination's window covers them, so a parallel run
+// is bit-for-bit deterministic — independent of goroutine scheduling and
+// rank count.
 package par
 
 import (
@@ -93,24 +88,6 @@ type rank struct {
 	// window; the coordinator surfaces it after the barrier.
 	err error
 
-	// target is the bound of the window being dispatched: the horizon
-	// under pairwise sync, the leg target under speculative sync (see
-	// speculative.go). spec is the per-Run rollback bookkeeping;
-	// specOn arms the replay-dedupe guard in the cross-rank deliver.
-	// rollbacks/replayed/fallbacks/promotions are cumulative counters
-	// surfaced through Metrics and persisted by Snapshot; the specPeak*
-	// fields record high-water marks for the memory-discipline tests.
-	target        sim.Time
-	spec          *specState
-	specOn        bool
-	rollbacks     uint64
-	replayed      uint64
-	fallbacks     uint64
-	promotions    uint64
-	specPeakCkpts int
-	specPeakBytes int
-	specPeakLog   int
-
 	// Snapshot fields published by the rank goroutine at each barrier
 	// arrival and read by the watchdog for stall diagnostics. Atomics so
 	// the coordinator may read them while other ranks still run.
@@ -133,18 +110,22 @@ func (rk *rank) publish() {
 	rk.pubWindows.Add(1)
 }
 
-// runWindow advances the rank's engine to the horizon, converting handler
-// panics into rank errors so one broken component reports instead of
-// killing the process.
+// runWindow advances the rank's engine through the half-open window
+// [now, horizon), converting handler panics into rank errors so one broken
+// component reports instead of killing the process. The empty window
+// [0, 0) handles nothing.
 func (rk *rank) runWindow(horizon sim.Time) {
 	defer func() {
 		if r := recover(); r != nil {
 			rk.err = rankPanicError(rk.id, rk.sim.Engine().Now(), r)
 		}
 	}()
-	if horizon == sim.TimeInfinity {
+	switch horizon {
+	case 0:
+		rk.handled = 0
+	case sim.TimeInfinity:
 		rk.handled = rk.sim.Engine().Run(horizon)
-	} else {
+	default:
 		rk.handled = rk.sim.Engine().Run(horizon - 1)
 	}
 }
@@ -212,24 +193,19 @@ func rankPanicError(id int, now sim.Time, r any) error {
 // Runner coordinates the ranks.
 type Runner struct {
 	ranks      []*rank
-	mode       SyncMode
 	lookahead  sim.Time
 	crossLinks int
 	// minLat is the direct cross-rank adjacency (min latency per pair);
 	// la is the derived all-pairs lookahead matrix, rebuilt when laDirty.
-	minLat       [][]sim.Time
-	la           [][]sim.Time
-	laDirty      bool
-	now          sim.Time
-	interrupted  atomic.Bool
-	windows      uint64
-	fastForwards uint64
-	// watchdog is the zero-progress limit; specLeap and specDepth are the
-	// speculative leg length and checkpoint cap. All three are fixed at
-	// their defaults outside this package's tests.
-	watchdog  time.Duration
-	specLeap  int
-	specDepth int
+	minLat      [][]sim.Time
+	la          [][]sim.Time
+	laDirty     bool
+	now         sim.Time
+	interrupted atomic.Bool
+	windows     uint64
+	// watchdog is the zero-progress limit, fixed at defaultWatchdog
+	// outside this package's tests.
+	watchdog time.Duration
 
 	// snapPorts indexes cross-rank ports by name for coordinated snapshots
 	// (staged remote events serialize their destination by port name);
@@ -244,12 +220,7 @@ func NewRunner(nranks int) (*Runner, error) {
 	if nranks <= 0 {
 		return nil, fmt.Errorf("par: need at least one rank")
 	}
-	r := &Runner{
-		lookahead: sim.TimeInfinity,
-		watchdog:  defaultWatchdog,
-		specLeap:  defaultSpecLeap,
-		specDepth: defaultSpecDepth,
-	}
+	r := &Runner{lookahead: sim.TimeInfinity, watchdog: defaultWatchdog}
 	r.minLat = make([][]sim.Time, nranks)
 	for i := range r.minLat {
 		r.minLat[i] = make([]sim.Time, nranks)
@@ -333,16 +304,6 @@ func (r *Runner) Connect(name string, latency sim.Time, rankA, rankB int) (*sim.
 		}
 		src.sendSeq++
 		now := src.sim.Engine().Now()
-		if src.specOn && now < src.base {
-			// Replay below the committed base regenerates sends the
-			// committed timeline already released. The prefix replays
-			// deterministically — same events, same sends, and the send
-			// counter was restored from the rollback checkpoint — so
-			// dropping here (after consuming the sequence number) discards
-			// exactly the duplicates. Conservative legs never execute
-			// below base, so the guard is speculative-only by construction.
-			return
-		}
 		src.outboxes[dstRank] = append(src.outboxes[dstRank], remoteEvent{
 			time:    now + delay,
 			sent:    now,
@@ -446,9 +407,6 @@ func (r *Runner) Run(until sim.Time) (uint64, error) {
 	for _, rk := range r.ranks {
 		rk.err = nil
 	}
-	if r.mode == SyncSpeculative && r.crossLinks > 0 {
-		return r.runSpeculative(until)
-	}
 	la := r.lookaheadMatrix()
 	w := r.startWorkers()
 	defer w.stop()
@@ -475,7 +433,6 @@ func (r *Runner) Run(until sim.Time) (uint64, error) {
 				continue
 			}
 			if nw[i] < rk.horizon {
-				rk.target = rk.horizon
 				active = append(active, rk)
 				continue
 			}
@@ -570,9 +527,8 @@ func (r *Runner) settle(until sim.Time) {
 	}
 }
 
-// workers is one Run call's persistent rank goroutines, shared by the
-// conservative and speculative loops: each is handed a bound per window,
-// which keeps per-window cost to a pair of channel operations instead of
+// workers is one Run call's persistent rank goroutines: each is handed a
+// horizon per window, which keeps per-window cost to a pair of channel operations instead of
 // goroutine churn. A worker publishes a state snapshot and announces
 // itself on the barrier channel after each window; the coordinator counts
 // arrivals (with a watchdog) instead of blocking on an uninterruptible
@@ -617,13 +573,13 @@ func (w *workers) stop() {
 }
 
 // dispatch runs one window: every active rank executes its events strictly
-// below rk.target on its worker, and the coordinator waits for all of them.
+// below rk.horizon on its worker, and the coordinator waits for all of them.
 // A stall, any rank's handler panic (every failing rank's, joined — a
 // corrupted simulation must not continue) or an interrupt ends the run.
 func (r *Runner) dispatch(w *workers, active []*rank) error {
 	for _, rk := range active {
 		rk.err = nil
-		w.work[rk.id] <- rk.target
+		w.work[rk.id] <- rk.horizon
 	}
 	if err := r.waitWindow(w, active); err != nil {
 		return err
@@ -719,8 +675,8 @@ func (r *Runner) stallError(active []*rank, arrived []bool) error {
 		}
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "no rank completed the window [%v, %v) within %v (%s sync, lookahead %v)",
-		r.now, hi, r.watchdog, r.mode, r.Lookahead())
+	fmt.Fprintf(&sb, "no rank completed the window [%v, %v) within %v (lookahead %v)",
+		r.now, hi, r.watchdog, r.Lookahead())
 	for _, rk := range r.ranks {
 		fmt.Fprintf(&sb, "\n  rank %d: clock=%v pending=%d outbox=%d windows=%d base=%v horizon=%v",
 			rk.id, sim.Time(rk.pubClock.Load()), rk.pubPending.Load(),
@@ -758,34 +714,13 @@ type RankMetrics struct {
 	Lookahead sim.Time `json:"lookahead_ps"`
 	// Clock is the rank engine's clock at its last barrier arrival.
 	Clock sim.Time `json:"clock_ps"`
-	// Rollbacks counts speculative-mode rollbacks: straggler arrivals that
-	// forced this rank back to its last committed checkpoint.
-	Rollbacks uint64 `json:"rollbacks"`
-	// Replayed counts events this rank re-executed during rollback
-	// recovery (already-committed prefix replays plus discarded
-	// speculation). Zero under pairwise sync.
-	Replayed uint64 `json:"replayed_events"`
-	// Fallbacks counts speculative-mode demotions: episodes where the
-	// rank's rollback rate crossed the governor threshold and it was
-	// pinned to its pairwise horizon for a cooldown.
-	Fallbacks uint64 `json:"fallbacks"`
-	// Promotions counts speculative-mode re-promotions after a cooldown.
-	Promotions uint64 `json:"promotions"`
 }
 
 // RunnerMetrics summarizes a parallel run for the observability layer.
 type RunnerMetrics struct {
-	// Mode is the synchronization mode the runner used ("pairwise" or
-	// "speculative").
-	Mode string `json:"mode"`
 	// Windows is the number of synchronization rounds the coordinator
-	// dispatched (rounds that dispatched no rank are counted separately).
+	// dispatched.
 	Windows uint64 `json:"windows"`
-	// FastForwards counts speculative rounds that dispatched no rank and
-	// only advanced commit bases and idle frontiers. Always zero under
-	// pairwise sync, where the rank holding the earliest pending event is
-	// always dispatched.
-	FastForwards uint64 `json:"fast_forwards"`
 	// Lookahead is the global conservative floor (min cross-rank link
 	// latency; 0 with no cross links).
 	Lookahead sim.Time `json:"lookahead_ps"`
@@ -793,13 +728,6 @@ type RunnerMetrics struct {
 	// balanced partition, larger means some rank dominates the critical
 	// path. Zero when no events ran.
 	Imbalance float64 `json:"imbalance"`
-	// Rollbacks / Replayed / Fallbacks / Promotions are the speculative-
-	// mode totals over all ranks (see RankMetrics for the per-rank
-	// meaning). All zero under pairwise sync.
-	Rollbacks  uint64 `json:"rollbacks"`
-	Replayed   uint64 `json:"replayed_events"`
-	Fallbacks  uint64 `json:"fallbacks"`
-	Promotions uint64 `json:"promotions"`
 	// Ranks holds the per-rank breakdown, indexed by rank.
 	Ranks []RankMetrics `json:"ranks"`
 }
@@ -809,11 +737,9 @@ type RunnerMetrics struct {
 // running simulation.
 func (r *Runner) Metrics() RunnerMetrics {
 	m := RunnerMetrics{
-		Mode:         r.mode.String(),
-		Windows:      r.windows,
-		FastForwards: r.fastForwards,
-		Lookahead:    r.Lookahead(),
-		Ranks:        make([]RankMetrics, len(r.ranks)),
+		Windows:   r.windows,
+		Lookahead: r.Lookahead(),
+		Ranks:     make([]RankMetrics, len(r.ranks)),
 	}
 	la := r.lookaheadMatrix()
 	var total, max uint64
@@ -830,15 +756,7 @@ func (r *Runner) Metrics() RunnerMetrics {
 			SkippedWindows: rk.skipped,
 			Lookahead:      inbound,
 			Clock:          sim.Time(rk.pubClock.Load()),
-			Rollbacks:      rk.rollbacks,
-			Replayed:       rk.replayed,
-			Fallbacks:      rk.fallbacks,
-			Promotions:     rk.promotions,
 		}
-		m.Rollbacks += rk.rollbacks
-		m.Replayed += rk.replayed
-		m.Fallbacks += rk.fallbacks
-		m.Promotions += rk.promotions
 		total += rk.events
 		if rk.events > max {
 			max = rk.events

@@ -204,6 +204,43 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunZeroHandlesNothing: Run(0) is the empty window [0, 0) at any rank
+// count, and the run continues from it as if it had not been called. Each
+// rank drives itself with a 1ns tick from time 0 that interrupts the
+// runner after a bounded count, so a window that wrongly runs on ends in
+// a failure instead of a hang.
+func TestRunZeroHandlesNothing(t *testing.T) {
+	for _, nranks := range []int{1, 2} {
+		r, _ := NewRunner(nranks)
+		if nranks > 1 {
+			a, b, err := r.Connect("x", sim.Nanosecond, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.SetHandler(func(any) {})
+			b.SetHandler(func(any) {})
+		}
+		for i := range nranks {
+			eng, ticks := r.Rank(i).Engine(), 0
+			var tick func(any)
+			tick = func(any) {
+				if ticks++; ticks == 1000 {
+					r.Interrupt()
+					return
+				}
+				eng.Schedule(sim.Nanosecond, tick, nil)
+			}
+			eng.Schedule(0, tick, nil)
+		}
+		if n, err := r.Run(0); n != 0 || err != nil {
+			t.Fatalf("ranks %d: Run(0) handled %d events (err %v), want 0", nranks, n, err)
+		}
+		if n, err := r.Run(5 * sim.Nanosecond); n != uint64(5*nranks) || err != nil {
+			t.Fatalf("ranks %d: Run(5ns) after Run(0) handled %d events (err %v), want %d", nranks, n, err, 5*nranks)
+		}
+	}
+}
+
 func TestFastForwardSparseEvents(t *testing.T) {
 	// Two ranks with a cross link (tiny lookahead) but one far-future
 	// event: the runner must not crawl 1ns windows to reach it.

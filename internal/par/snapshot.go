@@ -6,9 +6,9 @@ package par
 // the runner's whole state is the per-rank engine states plus the staging
 // heaps. That is exactly what Snapshot captures. Restore works against a
 // freshly rebuilt runner (same partition, same build order) and reproduces
-// the continuation bit-for-bit in either sync mode: the staging heaps carry
-// their original (time, sent, srcRank, seq) keys, and each engine's
-// sequence counter is restored, so the canonical merge order is unchanged.
+// the continuation bit-for-bit: the staging heaps carry their original
+// (time, sent, srcRank, seq) keys, and each engine's sequence counter is
+// restored, so the canonical merge order is unchanged.
 
 import (
 	"fmt"
@@ -19,9 +19,11 @@ import (
 )
 
 // snapVersion guards the runner-level body layout inside the sim container.
-// v2 added the speculative-mode counters (rollbacks, replayed events,
-// fallbacks, promotions), which must survive a kill-and-restore so a
-// resumed run's summary matches an uninterrupted one byte for byte.
+// v2 added four per-rank counters of the retired speculative sync mode.
+// The layout keeps them, and the header's mode name and fast-forward
+// count, so every v2 file restores and every save stays byte-identical to
+// one written while the mode existed: a save writes the mode "pairwise"
+// and zero for the five counts, and a restore reads and discards them.
 const snapVersion = 2
 
 // EnableSnapshots opts every rank engine into checkpoint tracking and
@@ -96,20 +98,19 @@ func (r *Runner) Snapshot(enc *sim.Encoder) error {
 	}
 	enc.U64(snapVersion)
 	enc.U64(uint64(len(r.ranks)))
-	enc.String(r.mode.String()) // informational: restore accepts either mode
+	enc.String("pairwise") // the v2 mode name
 	enc.Time(r.now)
 	enc.U64(r.windows)
-	enc.U64(r.fastForwards)
+	enc.U64(0) // the v2 fast-forward count
 	for _, rk := range r.ranks {
 		enc.U64(rk.sendSeq)
 		enc.Time(rk.base)
 		enc.U64(rk.events)
 		enc.U64(rk.idleWindows)
 		enc.U64(rk.skipped)
-		enc.U64(rk.rollbacks)
-		enc.U64(rk.replayed)
-		enc.U64(rk.fallbacks)
-		enc.U64(rk.promotions)
+		for range 4 { // the v2 rollback, replay, fallback and promotion counts
+			enc.U64(0)
+		}
 		// Staging heap, serialized in canonical order (the heap's own pop
 		// order) so identical states write identical bytes.
 		staged := append(remoteHeap(nil), rk.staging...)
@@ -141,9 +142,9 @@ func (r *Runner) Snapshot(enc *sim.Encoder) error {
 
 // Restore rebuilds the runner's state from a snapshot. The caller must
 // first rebuild the identical model on a fresh runner (same rank count,
-// same partition, same construction order) with EnableSnapshots on; the
-// sync mode need not match the snapshotting runner's — continuations are
-// bit-identical in either mode.
+// same partition, same construction order) with EnableSnapshots on. A
+// snapshot written by a speculative run restores like any other: at a
+// barrier its state is committed, and its mode and counters are discarded.
 func (r *Runner) Restore(dec *sim.Decoder) error {
 	if r.snapPorts == nil {
 		return fmt.Errorf("par: restore on a runner without EnableSnapshots")
@@ -154,10 +155,10 @@ func (r *Runner) Restore(dec *sim.Decoder) error {
 	if n := dec.U64(); int(n) != len(r.ranks) {
 		return fmt.Errorf("par: snapshot has %d ranks, runner has %d", n, len(r.ranks))
 	}
-	_ = dec.String() // mode at snapshot time; informational only
+	_ = dec.String() // the v2 mode name
 	r.now = dec.Time()
 	r.windows = dec.U64()
-	r.fastForwards = dec.U64()
+	_ = dec.U64() // the v2 fast-forward count
 	if err := dec.Err(); err != nil {
 		return fmt.Errorf("par: restore header: %w", err)
 	}
@@ -168,14 +169,11 @@ func (r *Runner) Restore(dec *sim.Decoder) error {
 		rk.events = dec.U64()
 		rk.idleWindows = dec.U64()
 		rk.skipped = dec.U64()
-		rk.rollbacks = dec.U64()
-		rk.replayed = dec.U64()
-		rk.fallbacks = dec.U64()
-		rk.promotions = dec.U64()
+		for range 4 { // the v2 rollback, replay, fallback and promotion counts
+			_ = dec.U64()
+		}
 		rk.err = nil
 		rk.handled = 0
-		rk.spec = nil
-		rk.specOn = false
 		for dst := range rk.outboxes {
 			rk.outboxes[dst] = rk.outboxes[dst][:0]
 		}

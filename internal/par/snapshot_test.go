@@ -4,11 +4,7 @@ package par
 // topologies are run with snapshots enabled, "crashed" at a seed-derived
 // barrier, restored into a freshly built runner, and continued — and every
 // signature must be bit-identical to the uninterrupted sequential
-// reference, at 1/2/4/8 ranks, under both sync modes, and across a mode
-// switch between snapshot and restore. For the optimistic mode the
-// barrier is also a commit proof: Run(barrier) must leave no speculative
-// state behind (frontiers at the bound, held sends released), or the
-// snapshot itself would be rejected or diverge.
+// reference, at 1/2/4/8 ranks.
 
 import (
 	"bytes"
@@ -91,16 +87,15 @@ func detBarrier(seed int) sim.Time {
 }
 
 // runDetTopoKillRestore runs a topology to the barrier, snapshots, discards
-// the runner, rebuilds, restores under restoreMode, and finishes the run.
-// The event total comes from restored Metrics counters — it must equal the
-// uninterrupted run's total.
-func runDetTopoKillRestore(t *testing.T, tp detTopo, nranks int, snapMode, restoreMode SyncMode, barrier sim.Time) detSig {
+// the runner, rebuilds, restores, and finishes the run. The event total
+// comes from restored Metrics counters — it must equal the uninterrupted
+// run's total.
+func runDetTopoKillRestore(t *testing.T, tp detTopo, nranks int, barrier sim.Time) detSig {
 	t.Helper()
 	r1, err := NewRunner(nranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.SetSyncMode(snapMode)
 	r1.EnableSnapshots()
 	buildDetTopoSnap(t, r1, tp)
 	if _, err := r1.Run(barrier); err != nil {
@@ -115,7 +110,6 @@ func runDetTopoKillRestore(t *testing.T, tp detTopo, nranks int, snapMode, resto
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2.SetSyncMode(restoreMode)
 	r2.EnableSnapshots()
 	nodes := buildDetTopoSnap(t, r2, tp)
 	if err := r2.LoadFrom(bytes.NewReader(file.Bytes())); err != nil {
@@ -140,7 +134,7 @@ func runDetTopoKillRestore(t *testing.T, tp detTopo, nranks int, snapMode, resto
 
 // TestKillRestoreDeterminism is the headline crash-safety property: kill at
 // a barrier, restore, continue — bit-identical to the uninterrupted
-// sequential reference at every rank count under both sync modes.
+// sequential reference at every rank count.
 func TestKillRestoreDeterminism(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
@@ -149,34 +143,11 @@ func TestKillRestoreDeterminism(t *testing.T) {
 	for s := 0; s < seeds; s++ {
 		seed := 9000 + s
 		tp := genDetTopo(int64(seed))
-		ref := runDetTopo(t, tp, 1, SyncPairwise, 0)
+		ref := runDetTopo(t, tp, 1, 0)
 		barrier := detBarrier(seed)
 		for _, nranks := range detRankCounts {
-			for _, mode := range allSyncModes {
-				got := runDetTopoKillRestore(t, tp, nranks, mode, mode, barrier)
-				label := "kill-restore seed " + itoa(seed) + " ranks " + itoa(nranks) + " sync " + mode.String()
-				diffSig(t, label, got, ref)
-			}
-		}
-	}
-}
-
-// TestKillRestoreCrossMode snapshots under one sync mode and restores under
-// the other: window boundaries and rollback histories differ, but the
-// continuation must not. The pairings prove a snapshot taken by an
-// optimistic run carries nothing speculative, and that an optimistic run
-// can adopt a conservative snapshot cold.
-func TestKillRestoreCrossMode(t *testing.T) {
-	for s := 0; s < 3; s++ {
-		seed := 9100 + s
-		tp := genDetTopo(int64(seed))
-		ref := runDetTopo(t, tp, 1, SyncPairwise, 0)
-		barrier := detBarrier(seed)
-		for _, nranks := range []int{2, 4, 8} {
-			s2p := runDetTopoKillRestore(t, tp, nranks, SyncSpeculative, SyncPairwise, barrier)
-			diffSig(t, "speculative→pairwise seed "+itoa(seed)+" ranks "+itoa(nranks), s2p, ref)
-			p2s := runDetTopoKillRestore(t, tp, nranks, SyncPairwise, SyncSpeculative, barrier)
-			diffSig(t, "pairwise→speculative seed "+itoa(seed)+" ranks "+itoa(nranks), p2s, ref)
+			got := runDetTopoKillRestore(t, tp, nranks, barrier)
+			diffSig(t, "kill-restore seed "+itoa(seed)+" ranks "+itoa(nranks), got, ref)
 		}
 	}
 }
@@ -185,7 +156,7 @@ func TestKillRestoreCrossMode(t *testing.T) {
 // sets, link tracking) does not perturb results relative to the raw one.
 func TestSnapshotBuilderNonIntrusive(t *testing.T) {
 	tp := genDetTopo(9000)
-	ref := runDetTopo(t, tp, 4, SyncPairwise, 0)
+	ref := runDetTopo(t, tp, 4, 0)
 	r, err := NewRunner(4)
 	if err != nil {
 		t.Fatal(err)
@@ -227,18 +198,17 @@ func TestSnapshotRejectsInterrupted(t *testing.T) {
 }
 
 // TestInterruptPairwiseMultiRank exercises Engine.Interrupt's cooperative
-// stop under pairwise sync across several ranks: the interrupt lands
+// stop across several ranks: the interrupt lands
 // mid-window, every rank parks, the run reports sim.ErrInterrupted, and a
 // fresh run of the same topology is unaffected.
 func TestInterruptPairwiseMultiRank(t *testing.T) {
 	tp := genDetTopo(9002)
-	ref := runDetTopo(t, tp, 1, SyncPairwise, 0)
+	ref := runDetTopo(t, tp, 1, 0)
 	for _, nranks := range []int{2, 4, 8} {
 		r, err := NewRunner(nranks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.SetSyncMode(SyncPairwise)
 		nodes := buildDetTopo(t, r, tp)
 		r.Rank(nranks-1).Engine().ScheduleAt(300*sim.Nanosecond, sim.PrioLink, func(any) {
 			r.Interrupt()
@@ -260,6 +230,6 @@ func TestInterruptPairwiseMultiRank(t *testing.T) {
 		// A fresh runner over the same topology still matches the reference:
 		// interruption poisons nothing beyond the interrupted runner.
 		diffSig(t, "post-interrupt rerun ranks "+itoa(nranks),
-			runDetTopo(t, tp, nranks, SyncPairwise, 0), ref)
+			runDetTopo(t, tp, nranks, 0), ref)
 	}
 }

@@ -1,76 +1,6 @@
 package par
 
-import (
-	"fmt"
-	"strings"
-
-	"sst/internal/sim"
-)
-
-// SyncMode selects whether ranks stop at their conservative horizons or
-// may run past them.
-type SyncMode int
-
-const (
-	// SyncPairwise derives each rank's horizon from the pairwise lookahead
-	// matrix: rank i may advance to min over ranks j that can reach it of
-	// (j's next-event time + the shortest-path latency j→i). Ranks coupled
-	// only through high-latency links get wide windows regardless of how
-	// small the minimum latency elsewhere in the machine is. This is the
-	// default.
-	SyncPairwise SyncMode = iota
-	// SyncSpeculative lets ranks execute optimistically past their pairwise
-	// horizon, checkpointing engine state through the snapshot codec at leg
-	// boundaries. A straggler cross-rank event triggers a rollback to the
-	// last checkpoint at or below the committed frontier and a deterministic
-	// replay; only committed events are ever released to other ranks, so no
-	// anti-messages exist. A per-rank governor demotes a rank whose
-	// rollback rate spikes to its pairwise horizon for a cooldown, then
-	// re-promotes it; the decision depends only on simulation content, so
-	// results stay bit-identical to pairwise. Requires EnableSnapshots and
-	// a fully checkpointable model when cross-rank links are present.
-	SyncSpeculative
-)
-
-// syncModeNames is the registry of mode spellings, indexed by SyncMode.
-// String, ParseSyncMode and SyncModeNames all derive from it, so the CLI
-// flag help, the parser and its error message can never drift apart.
-var syncModeNames = [...]string{
-	SyncPairwise:    "pairwise",
-	SyncSpeculative: "speculative",
-}
-
-// SyncModeNames returns the flag spellings of every registered mode, in
-// declaration order. CLI flag help should be built from this list.
-func SyncModeNames() []string {
-	return append([]string(nil), syncModeNames[:]...)
-}
-
-// String returns the flag spelling of the mode.
-func (m SyncMode) String() string {
-	if int(m) >= 0 && int(m) < len(syncModeNames) {
-		return syncModeNames[m]
-	}
-	return fmt.Sprintf("SyncMode(%d)", int(m))
-}
-
-// ParseSyncMode parses a -sync flag value. The error lists every valid
-// spelling so a typo on the command line is self-correcting.
-func ParseSyncMode(s string) (SyncMode, error) {
-	for m, name := range syncModeNames {
-		if s == name {
-			return SyncMode(m), nil
-		}
-	}
-	return 0, fmt.Errorf("par: unknown sync mode %q (want %s)", s, strings.Join(syncModeNames[:], ", "))
-}
-
-// SetSyncMode selects the synchronization mode for subsequent Run calls.
-// Both modes produce bit-identical simulation results; they differ only in
-// how far each rank may run between barriers and whether that execution is
-// provisional (speculative) or final (pairwise). Must not be called while a
-// Run is in flight.
-func (r *Runner) SetSyncMode(m SyncMode) { r.mode = m }
+import "sst/internal/sim"
 
 // recordLink folds one cross-rank link into the direct-latency adjacency
 // used to build the pairwise lookahead matrix.
@@ -143,8 +73,8 @@ func (r *Runner) rankLookahead(la [][]sim.Time, i int) sim.Time {
 // destination's window horizon passes their timestamp, so the insertion
 // order seen by the engine — and therefore same-timestamp tie-breaking —
 // is identical no matter which barrier round carried the event across.
-// That is what keeps results bit-identical between rank counts and sync
-// modes, whose window boundaries differ, and what matches the sequential
+// That is what keeps results bit-identical between rank counts, whose
+// window boundaries differ, and what matches the sequential
 // reference, which inserts each delivery into the queue at its send time.
 type remoteHeap []remoteEvent
 

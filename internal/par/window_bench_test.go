@@ -44,17 +44,12 @@ func BenchmarkParallelWindow(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
-	for _, mode := range []SyncMode{SyncPairwise, SyncSpeculative} {
-		mode := mode
-		b.Run("topo=lowlat/sync="+mode.String(), func(b *testing.B) {
-			benchLowLat(b, mode)
-		})
-	}
+	b.Run("topo=lowlat/sync=pairwise", benchLowLat)
 }
 
 // lowlatTick is the workload for the low-lookahead variant: a dense local
-// tick (one event per nanosecond, checkpoint-owned so speculative sync can
-// snapshot it) with a sparse cross-rank send every 64 ticks.
+// tick (one event per nanosecond) with a sparse cross-rank send every 64
+// ticks.
 type lowlatTick struct {
 	name string
 	set  *sim.EventSet
@@ -62,27 +57,17 @@ type lowlatTick struct {
 	n    uint64
 }
 
-func (lt *lowlatTick) Name() string                     { return lt.name }
-func (lt *lowlatTick) SaveState(enc *sim.Encoder)       { enc.U64(lt.n); lt.set.Save(enc) }
-func (lt *lowlatTick) LoadState(dec *sim.Decoder) error { lt.n = dec.U64(); return lt.set.Load(dec) }
-func (lt *lowlatTick) PendingOwned() int                { return lt.set.PendingOwned() }
+func (lt *lowlatTick) Name() string { return lt.name }
 
 // benchLowLat measures the case conservative windowing is worst at: a
 // 4-rank ring with 1ns cross latency (so a pairwise window advances about
 // one event spacing per barrier) where each rank's work is dominated by
 // local events and cross traffic is sparse. One op is 100ns of simulated
-// time — roughly 100 barrier rounds conservatively, but only a handful of
-// speculative legs at the default leap, which is exactly the gap the
-// optimistic mode exists to close. The committed baseline must show
-// sync=speculative beating sync=pairwise here.
-func benchLowLat(b *testing.B, mode SyncMode) {
+// time, roughly 100 barrier rounds.
+func benchLowLat(b *testing.B) {
 	r, err := NewRunner(4)
 	if err != nil {
 		b.Fatal(err)
-	}
-	r.SetSyncMode(mode)
-	if mode == SyncSpeculative {
-		r.EnableSnapshots()
 	}
 	outs := make([]*sim.Port, 4)
 	for i := 0; i < 4; i++ {

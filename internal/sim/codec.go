@@ -22,10 +22,9 @@ func NewEncoder() *Encoder { return &Encoder{} }
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Reset truncates the encoder for reuse, keeping its backing buffer. The
-// speculative runner checkpoints every rank at each leg boundary through
-// one persistent encoder per rank; resetting instead of reallocating keeps
-// that hot path allocation-free once the buffer has grown to steady state.
+// Reset truncates the encoder for reuse, keeping its backing buffer, so an
+// encoder reused for every component's state allocates nothing once the
+// buffer has grown to steady state.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
 // U64 appends an unsigned varint.

@@ -140,7 +140,7 @@ func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
 // NextEventTime returns the timestamp of the earliest pending event, lane
 // entry or clock tick, or TimeInfinity when nothing is pending. The
-// parallel runtime uses it to fast-forward across globally idle windows.
+// parallel runtime derives each rank's window horizon from it.
 func (e *Engine) NextEventTime() Time {
 	_, at := e.peek()
 	return at

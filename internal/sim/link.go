@@ -150,9 +150,8 @@ type Sized interface {
 }
 
 // Traffic returns the messages sent over the link in both directions and
-// their Sized payload bytes, counted since the link was made. A send a
-// speculative rollback replays is counted again. Read it only while the
-// link's engines are stopped.
+// their Sized payload bytes, counted since the link was made. Read it only
+// while the link's engines are stopped.
 func (l *Link) Traffic() (msgs, bytes uint64) {
 	return l.a.msgs + l.b.msgs, l.a.bytes + l.b.bytes
 }
