@@ -43,6 +43,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -115,6 +116,9 @@ func runScaling(nodes int, ranksFlag, horizonFlag string, format core.Format, ct
 		return cli.Configf("bad horizon %q: must be positive", horizonFlag)
 	}
 	res, err := core.ParallelScalingStudy(ranks, nodes, horizon, core.SweepOptions{Context: ctx})
+	if errors.Is(err, core.ErrLatticeSize) {
+		return cli.Configf("%w", err)
+	}
 	if err != nil {
 		return err
 	}

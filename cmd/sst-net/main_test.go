@@ -103,6 +103,17 @@ func TestNetScalingStudy(t *testing.T) {
 	}
 }
 
+// TestNetScalingTooFewNodes: a lattice too small for the study is a bad
+// -nodes value, exit 2, not a failed run.
+func TestNetScalingTooFewNodes(t *testing.T) {
+	for _, nodes := range []int{0, 3} {
+		err := runScaling(nodes, "1", "100us", core.FormatTable, context.Background())
+		if !errors.Is(err, core.ErrLatticeSize) || cli.Code(err) != cli.ExitConfig {
+			t.Errorf("-nodes %d: %v, want exit %d", nodes, err, cli.ExitConfig)
+		}
+	}
+}
+
 func TestNetStudyBadFractions(t *testing.T) {
 	err := run(8, 2, "1,zero", core.FormatTable, core.SweepOptions{})
 	if err == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -61,13 +62,17 @@ const (
 	hetBurstGap   = 8 * sim.Microsecond // burst start to next burst start
 )
 
+// ErrLatticeSize is BuildLatticeHetero's refusal of a lattice with no
+// room for the chatty pair and a periphery, a configuration mistake.
+var ErrLatticeSize = errors.New("core: heterogeneous lattice needs at least 4 nodes")
+
 // BuildLatticeHetero partitions a heterogeneous-latency lattice over the
 // runner: nodes 0 and 1 exchange messages every tightLat across the one
 // tight link and run dense compute events, while the remaining nodes sit
 // on slow ring links and wake only for short event bursts.
 func BuildLatticeHetero(r *par.Runner, nodes int) ([]*latticeNode, error) {
 	if nodes < 4 {
-		return nil, fmt.Errorf("core: heterogeneous lattice needs at least 4 nodes, got %d", nodes)
+		return nil, fmt.Errorf("%w, got %d", ErrLatticeSize, nodes)
 	}
 	nranks := r.NumRanks()
 	type half struct{ a, b *sim.Port }

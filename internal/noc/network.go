@@ -3,6 +3,7 @@ package noc
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"sst/internal/par"
@@ -76,12 +77,20 @@ type dlink struct {
 }
 
 // outLink is one of a router's outgoing directed links: the router it
-// leads to and its state. A router has a handful (a torus at most six), so
-// a linear scan finds one.
+// leads to, its state and, when the next router lives on another rank,
+// the sending port of the rank channel a packet crosses on.
 type outLink struct {
 	next int
 	link *dlink
+	xmit *sim.Port
 }
+
+// deliverHop is a next-hop table entry that delivers to the router's NIC.
+const deliverHop = math.MaxUint16
+
+// maxNextHop bounds the next-hop table's entries, one per (router, node),
+// at 128 MiB.
+const maxNextHop = 1 << 26
 
 // Network is the analytic interconnect: topology, routers, FIFO links with
 // unbounded queues, and NICs. It runs on one engine (NewNetwork) or with its
@@ -104,12 +113,15 @@ type Network struct {
 
 	// links[a] lists router a's outgoing links in topology order.
 	links [][]outLink
-	nics  []*NIC
-	ranks []*netRank
-	// xmit[a][b] is the sending port of the a→b rank channel.
-	xmit [][]*sim.Port
-	// injFull is a full-size packet's injection serialization.
-	injFull sim.Time
+	// nextHop[r*nodes+d] is Route(r, d) precomputed: the index into
+	// links[r] of the link toward node d, or deliverHop.
+	nextHop []uint16
+	nodes   int
+	nics    []*NIC
+	ranks   []*netRank
+	// injFull and linkFull are a full-size packet's injection and link
+	// serialization.
+	injFull, linkFull sim.Time
 }
 
 // netRank is one rank's slice of the network: its engine, its pending
@@ -168,15 +180,16 @@ func NewPartitionedNetwork(runner *par.Runner, topo Topology, cfg NetConfig, par
 		return nil, err
 	}
 	// One mailbox channel per ordered rank pair that any link crosses; only
-	// a→b traffic uses the a→b channel.
-	n.xmit = make([][]*sim.Port, nranks)
-	for a := range n.xmit {
-		n.xmit[a] = make([]*sim.Port, nranks)
+	// a→b traffic uses the a→b channel. Each link that crosses ranks keeps
+	// its channel's sending port.
+	xmit := make([][]*sim.Port, nranks)
+	for a := range xmit {
+		xmit[a] = make([]*sim.Port, nranks)
 	}
 	for _, l := range topo.Links() {
 		for _, ab := range [2][2]int{{part[l[0]], part[l[1]]}, {part[l[1]], part[l[0]]}} {
 			a, b := ab[0], ab[1]
-			if a == b || n.xmit[a][b] != nil {
+			if a == b || xmit[a][b] != nil {
 				continue
 			}
 			pa, pb, err := runner.Connect(fmt.Sprintf("dnoc-%d-%d", a, b), hopLat, a, b)
@@ -185,7 +198,14 @@ func NewPartitionedNetwork(runner *par.Runner, topo Topology, cfg NetConfig, par
 			}
 			pa.SetHandler(func(any) {})
 			pb.SetHandler(n.ranks[b].arrive)
-			n.xmit[a][b] = pa
+			xmit[a][b] = pa
+		}
+	}
+	for r, outs := range n.links {
+		for i, o := range outs {
+			if a, b := part[r], part[o.next]; a != b {
+				outs[i].xmit = xmit[a][b]
+			}
 		}
 	}
 	return n, nil
@@ -199,6 +219,7 @@ func newNetwork(name string, topo Topology, cfg NetConfig, engines []*sim.Engine
 	}
 	n := &Network{name: name, topo: topo, cfg: cfg, part: part}
 	n.injFull = serialize(cfg.MaxPacketBytes, cfg.InjectionBandwidth)
+	n.linkFull = serialize(cfg.MaxPacketBytes, cfg.LinkBandwidth)
 	n.ranks = make([]*netRank, len(engines))
 	for i, eng := range engines {
 		rk := &netRank{net: n, eng: eng, label: fmt.Sprintf("%s.r%d", name, i), reg: stats.NewRegistry()}
@@ -217,9 +238,12 @@ func newNetwork(name string, topo Topology, cfg NetConfig, engines []*sim.Engine
 			rk := n.ranks[part[ab[0]]]
 			dl := &dlink{}
 			dl.lane.Init(rk.eng, sim.PrioLink, rk.label)
-			n.links[ab[0]] = append(n.links[ab[0]], outLink{ab[1], dl})
+			n.links[ab[0]] = append(n.links[ab[0]], outLink{next: ab[1], link: dl})
 			rk.links = append(rk.links, dl)
 		}
+	}
+	if err := n.buildNextHop(); err != nil {
+		return nil, err
 	}
 	n.nics = make([]*NIC, topo.NumNodes())
 	for i := range n.nics {
@@ -236,11 +260,30 @@ func newNetwork(name string, topo Topology, cfg NetConfig, engines []*sim.Engine
 	return n, nil
 }
 
-// link returns the a→b directed link, nil if there is none.
-func (n *Network) link(a, b int) *dlink {
-	for _, o := range n.links[a] {
-		if o.next == b {
-			return o.link
+// buildNextHop fills the next-hop table from the topology's Route, which
+// stays the one source of routing truth. A route to a router with no link
+// from the current one is an error here rather than a panic mid-run.
+func (n *Network) buildNextHop() error {
+	t := n.topo
+	nr, nn := t.NumRouters(), t.NumNodes()
+	if nr*nn > maxNextHop {
+		return fmt.Errorf("noc: topology %s has %d routers and %d nodes, over the %d next-hop entries a network holds",
+			t.Name(), nr, nn, maxNextHop)
+	}
+	n.nodes = nn
+	n.nextHop = make([]uint16, nr*nn)
+	for r, outs := range n.links {
+		if len(outs) >= deliverHop {
+			return fmt.Errorf("noc: topology %s router %d has %d links, over %d", t.Name(), r, len(outs), deliverHop-1)
+		}
+		for d := range nn {
+			k := deliverHop
+			if nxt := t.Route(r, d); nxt >= 0 {
+				if k = slices.IndexFunc(outs, func(o outLink) bool { return o.next == nxt }); k < 0 {
+					return fmt.Errorf("noc: topology %s routes %d->%d toward node %d without a link", t.Name(), r, nxt, d)
+				}
+			}
+			n.nextHop[r*nn+d] = uint16(k)
 		}
 	}
 	return nil
@@ -338,31 +381,32 @@ func (rk *netRank) arrive(payload any) {
 
 // hop forwards a packet from router p.at, which lives on this rank: the
 // packet claims the next link in FIFO order and reaches the next router
-// after serialization, wire and router latency. Route -1 delivers to the
-// NIC.
+// after serialization, wire and router latency. The next-hop table's
+// deliverHop delivers to the NIC.
 func (rk *netRank) hop(p *packet) {
 	n := rk.net
 	r := p.at
-	nxt := n.topo.Route(r, p.dst)
-	if nxt < 0 {
+	k := n.nextHop[r*n.nodes+p.dst]
+	if k == deliverHop {
 		rk.deliver(p)
 		return
 	}
-	l := n.link(r, nxt)
-	if l == nil {
-		panic(fmt.Sprintf("noc: topology %s routed %d->%d without a link", n.topo.Name(), r, nxt))
-	}
+	o := &n.links[r][k]
+	l := o.link
 	now := rk.eng.Now()
 	start := max(now, l.freeAt)
-	ser := serialize(p.size, n.cfg.LinkBandwidth)
+	ser := n.linkFull
+	if p.size != n.cfg.MaxPacketBytes {
+		ser = serialize(p.size, n.cfg.LinkBandwidth)
+	}
 	l.freeAt = start + ser
 	l.bytes += uint64(p.size)
 	p.hops++
-	p.at = nxt
-	if from, to := n.part[r], n.part[nxt]; to != from {
+	p.at = o.next
+	if o.xmit != nil {
 		// The channel's latency is the link+router latency; queueing and
 		// serialization ride as extra delay.
-		n.xmit[from][to].SendDelayed(start+ser-now, *p)
+		o.xmit.SendDelayed(start+ser-now, *p)
 		rk.recycle(p)
 		return
 	}

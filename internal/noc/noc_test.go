@@ -2,9 +2,11 @@ package noc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"sst/internal/par"
 	"sst/internal/sim"
 )
 
@@ -110,6 +112,64 @@ func TestTopologyValidation(t *testing.T) {
 	cfg.MaxPacketBytes = 8
 	if err := cfg.Validate(); err == nil {
 		t.Error("tiny packets accepted")
+	}
+}
+
+// TestNextHopMatchesRoute: the next-hop table a network builds is its
+// topology's Route, entry for entry, on every topology.
+func TestNextHopMatchesRoute(t *testing.T) {
+	for _, topo := range allTopologies(t) {
+		_, n := newNet(t, topo, DefaultConfig())
+		for r := 0; r < topo.NumRouters(); r++ {
+			for d := 0; d < topo.NumNodes(); d++ {
+				got, want := -1, topo.Route(r, d)
+				if k := n.nextHop[r*n.nodes+d]; k != deliverHop {
+					got = n.links[r][k].next
+				}
+				if got != want {
+					t.Fatalf("%s: next hop %d->node %d is %d, Route says %d", topo.Name(), r, d, got, want)
+				}
+			}
+		}
+	}
+}
+
+// skipRoute is a three-router line 0-1-2 whose Route from router 0
+// toward node 2 jumps straight to router 2, which has no link from 0.
+type skipRoute struct{ Mesh2D }
+
+func (s *skipRoute) Route(r, dst int) int {
+	if r == 0 && dst == 2 {
+		return 2
+	}
+	return s.Mesh2D.Route(r, dst)
+}
+
+// hugeTopo claims more routers and nodes than a next-hop table holds.
+type hugeTopo struct{ Crossbar }
+
+func (h *hugeTopo) NumRouters() int { return 1 << 13 }
+func (h *hugeTopo) NumNodes() int   { return 1 << 14 }
+
+// TestBadTopologyFailsAtBuild: a route to a router with no link from the
+// current one, or a next-hop table too big to hold, is an error from the
+// network's constructors, not a panic in the middle of a run.
+func TestBadTopologyFailsAtBuild(t *testing.T) {
+	bad := &skipRoute{Mesh2D{W: 3, H: 1}}
+	if _, err := NewNetwork(sim.NewEngine(), "net", bad, DefaultConfig(), nil); err == nil ||
+		!strings.Contains(err.Error(), "routes 0->2 toward node 2 without a link") {
+		t.Errorf("route to a non-neighbour: %v", err)
+	}
+	r, err := par.NewRunner(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPartitionedNetwork(r, bad, DefaultConfig(), nil); err == nil {
+		t.Error("partitioned network accepted a route to a non-neighbour")
+	}
+	if _, err := NewNetwork(sim.NewEngine(), "net", &hugeTopo{}, DefaultConfig(), nil); err == nil ||
+		!strings.Contains(err.Error(), "next-hop entries") {
+		t.Errorf("oversized next-hop table: %v", err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // laneEvent is one pending entry of a Lane: an event less the priority and
 // label, which the lane holds once for all its entries.
@@ -230,6 +233,18 @@ func (l *Lane) before(t Time, prio Priority, seq uint64) bool {
 	return l.seq < seq
 }
 
+// precedes is 1 when a's head precedes b's in the dispatch order and 0
+// otherwise: the borrow out of the three-word subtraction (a.at, a.prio,
+// a.seq) - (b.at, b.prio, b.seq), seq the low word. Flipping a priority's
+// sign bit maps int32 order onto unsigned order. Heads never tie, since
+// no two entries share a sequence number.
+func precedes(a, b *Lane) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(uint32(a.prio)^1<<31), uint64(uint32(b.prio)^1<<31), borrow)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
+}
+
 // The lane heap: Engine.lanes is a binary min-heap of lanes keyed by their
 // heads under the dispatch order, each lane's hidx its slot. Outside a lane
 // dispatch every lane in it is non-empty. During one, the dispatching lane
@@ -280,6 +295,10 @@ func (e *Engine) laneUp(l *Lane, i int) {
 }
 
 // laneDown places l at slot i or below it and reports whether it moved.
+// It picks the earlier child without branching on the compare: a
+// dispatched lane sinks most of the way down a deep heap, and which of two
+// children is earlier is a coin flip that a branch mispredicts half the
+// time. A heap of one lane, a lone clock, has no children to compare.
 func (e *Engine) laneDown(l *Lane, i int) bool {
 	h := e.lanes
 	n, i0 := len(h), i
@@ -288,12 +307,10 @@ func (e *Engine) laneDown(l *Lane, i int) bool {
 		if c >= n {
 			break
 		}
-		k := h[c]
-		if r := c + 1; r < n {
-			if q := h[r]; q.before(k.at, k.prio, k.seq) {
-				c, k = r, q
-			}
+		if c+1 < n {
+			c += int(precedes(h[c+1], h[c]))
 		}
+		k := h[c]
 		if !k.before(l.at, l.prio, l.seq) {
 			break
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -223,6 +224,153 @@ func TestLanesMatchHeapOrder(t *testing.T) {
 	}
 	if fallbacks < seeds {
 		t.Fatalf("only %d pushes fell back to the heap over %d seeds: the fallback rule is barely exercised", fallbacks, seeds)
+	}
+}
+
+// keyWord names the first word of the dispatch key (at, prio, seq) in
+// which a's and b's heads differ: the word that decides the borrow out of
+// precedes.
+func keyWord(a, b *Lane) int {
+	switch {
+	case a.at != b.at:
+		return 0
+	case a.prio != b.prio:
+		return 1
+	}
+	return 2
+}
+
+// TestPrecedesMatchesBefore checks the lane heap's branch-free compare
+// against before on hand-picked heads: each word of the borrow chain
+// decides, priorities straddle zero and the int32 extremes, and the lower
+// words disagree with the deciding one, so a borrow that leaked past its
+// word would flip the answer.
+func TestPrecedesMatchesBefore(t *testing.T) {
+	type head struct {
+		at   Time
+		prio Priority
+		seq  uint64
+	}
+	cases := []struct {
+		a, b head
+		word int
+	}{
+		{head{5, PrioLate, 9}, head{6, -7, 1}, 0},
+		{head{1 << 40, math.MaxInt32, 1<<63 + 1}, head{1<<40 + 1, math.MinInt32, 0}, 0},
+		{head{^Time(0) - 1, 0, 2}, head{^Time(0), 0, 1}, 0},
+		{head{7, -7, 9}, head{7, PrioClock, 1}, 1},
+		{head{7, -1, 9}, head{7, 1, 1}, 1},
+		{head{7, PrioLink, 9}, head{7, PrioLate, 1}, 1},
+		{head{7, PrioClock, 9}, head{7, PrioLate, 1}, 1},
+		{head{7, math.MinInt32, 9}, head{7, math.MaxInt32, 1}, 1},
+		{head{7, math.MinInt32, 9}, head{7, -7, 1}, 1},
+		{head{7, -7, 3}, head{7, -7, 4}, 2},
+		{head{7, PrioLate, 3}, head{7, PrioLate, 4}, 2},
+		{head{7, PrioLink, 0}, head{7, PrioLink, 1 << 63}, 2},
+		{head{7, PrioLink, 1<<63 - 1}, head{7, PrioLink, ^uint64(0)}, 2},
+	}
+	var decided [3]int
+	for _, c := range cases {
+		a := &Lane{at: c.a.at, prio: c.a.prio, seq: c.a.seq}
+		b := &Lane{at: c.b.at, prio: c.b.prio, seq: c.b.seq}
+		if !a.before(b.at, b.prio, b.seq) || b.before(a.at, a.prio, a.seq) {
+			t.Fatalf("case %+v: a must precede b under before", c)
+		}
+		if got := precedes(a, b); got != 1 {
+			t.Errorf("precedes(%+v, %+v) = %d, want 1", c.a, c.b, got)
+		}
+		if got := precedes(b, a); got != 0 {
+			t.Errorf("precedes(%+v, %+v) = %d, want 0", c.b, c.a, got)
+		}
+		if w := keyWord(a, b); w != c.word {
+			t.Fatalf("case %+v is decided by word %d, not %d", c, w, c.word)
+		}
+		decided[c.word]++
+	}
+	if got, want := decided, [3]int{3, 6, 4}; got != want {
+		t.Fatalf("cases per deciding word %v, want %v", got, want)
+	}
+}
+
+// sameTimeScenario runs many lanes, spread over priorities from the int32
+// extremes through a negative one to PrioLate, whose entries pile up on a
+// few shared instants, so same-time heads are ordered by priority and,
+// within a priority, by sequence. It returns the dispatch log and, for
+// the real lanes, how often each word of the dispatch key told apart two
+// sibling lanes of the lane heap, counted at every dispatch.
+func sameTimeScenario(seed uint64, heapOnly bool) (log []string, decided [3]int) {
+	e := NewEngine()
+	rng := NewRNG(seed)
+	prios := []Priority{math.MinInt32, -7, PrioClock, PrioLink, PrioLate, math.MaxInt32}
+	real := make([]*Lane, 48+rng.Intn(32))
+	lanes := make([]orderedLane, len(real))
+	newest := make([]Time, len(real))
+	for i := range lanes {
+		prio, label := prios[rng.Intn(len(prios))], fmt.Sprintf("lane%d", i)
+		if heapOnly {
+			lanes[i] = &heapLane{e: e, prio: prio, label: label}
+		} else {
+			real[i] = &Lane{}
+			real[i].Init(e, prio, label)
+			lanes[i] = real[i]
+		}
+	}
+	budget := 4000
+	var push func(li int)
+	handler := func(li int) Handler {
+		return func(p any) {
+			log = append(log, fmt.Sprintf("%d lane%d %v", e.now, li, p))
+			if !heapOnly {
+				h := e.lanes
+				for c := 1; c+1 < len(h); c += 2 {
+					decided[keyWord(h[c], h[c+1])]++
+				}
+			}
+			if budget--; budget > 0 {
+				push(li)
+				if rng.Intn(3) == 0 {
+					push(rng.Intn(len(lanes)))
+				}
+			}
+		}
+	}
+	pushes := 0
+	push = func(li int) {
+		// Entries land on multiples of 10, most of them shared by many
+		// lanes: at the lane's newest instant or the next one or two.
+		t := max(e.now/10*10, newest[li]) + 10*Time(rng.Intn(3))
+		newest[li] = t
+		pushes++
+		lanes[li].ScheduleAt(t, handler(li), pushes)
+	}
+	for li := range lanes {
+		push(li)
+		push(li)
+	}
+	e.RunAll()
+	return log, decided
+}
+
+// TestLaneHeapSameTimeOrder holds the lane heap to the all-heap order when
+// most heads tie on time: dispatch must fall back on priority, negative
+// ones and PrioLate included, and then on sequence, and every word of the
+// dispatch key must tell sibling lanes apart many times.
+func TestLaneHeapSameTimeOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		want, _ := sameTimeScenario(seed, true)
+		got, decided := sameTimeScenario(seed, false)
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("seed %d: dispatch log diverges from the all-heap run at line %d:\n got %s\nwant %s",
+				seed, i, at(got, i), at(want, i))
+		}
+		if len(want) < 4000 {
+			t.Fatalf("seed %d: only %d dispatches", seed, len(want))
+		}
+		for w, n := range decided {
+			if n < 100 {
+				t.Fatalf("seed %d: word %d of the key told siblings apart %d times, want >= 100 (%v)", seed, w, n, decided)
+			}
+		}
 	}
 }
 

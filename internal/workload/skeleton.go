@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sst/internal/sim"
 )
@@ -235,11 +236,13 @@ type CommProfile struct {
 }
 
 // Scripts expands the profile into per-rank scripts for n ranks arranged in
-// a ring (neighbor k of rank r is (r±k) mod n).
+// a ring (neighbor k of rank r is (r±k) mod n). Each script is allocated
+// once at its final length: a charon rank holds thousands of steps, and
+// growing them by appends made most of a network study's garbage.
 func (p CommProfile) Scripts(n int) []*Script {
 	scripts := make([]*Script, n)
 	for r := 0; r < n; r++ {
-		s := &Script{}
+		s := &Script{ops: make([]sop, 0, p.Steps*p.opsPerStep(n))}
 		for step := 0; step < p.Steps; step++ {
 			if p.ComputePerStep > 0 {
 				s.Compute(p.ComputePerStep)
@@ -273,6 +276,22 @@ func (p CommProfile) Scripts(n int) []*Script {
 		scripts[r] = s
 	}
 	return scripts
+}
+
+// opsPerStep is the number of script steps one timestep appends per rank
+// at n ranks; an all-reduce takes ceil(log2 n) send/receive rounds.
+func (p CommProfile) opsPerStep(n int) int {
+	k := 2 * p.SmallMsgs
+	if p.ComputePerStep > 0 {
+		k++
+	}
+	if p.HaloBytes > 0 {
+		k += 4 * p.Neighbors
+	}
+	if n > 1 {
+		k += 2 * p.AllReduces * bits.Len(uint(n-1))
+	}
+	return k
 }
 
 // Fig. 9 application proxies. Message profiles follow the paper's

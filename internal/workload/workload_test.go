@@ -278,6 +278,20 @@ func TestCommProfilesComplete(t *testing.T) {
 	}
 }
 
+// TestScriptsSizedExactly: every script a profile expands to fills the
+// capacity it was allocated with, so building it never grows a slice.
+func TestScriptsSizedExactly(t *testing.T) {
+	for _, p := range []CommProfile{CTHProfile, SAGEProfile, CharonProfile, XNOBELProfile} {
+		for _, n := range []int{2, 3, 8, 32, 33} {
+			for r, s := range p.Scripts(n) {
+				if len(s.ops) != cap(s.ops) {
+					t.Fatalf("%s at %d ranks, rank %d: %d steps in a capacity of %d", p.Name, n, r, len(s.ops), cap(s.ops))
+				}
+			}
+		}
+	}
+}
+
 // TestLookupProfile: every proxy resolves by its own name, to itself.
 func TestLookupProfile(t *testing.T) {
 	for _, want := range []CommProfile{CTHProfile, SAGEProfile, CharonProfile, XNOBELProfile} {
